@@ -39,13 +39,13 @@ from .ode_oracle import find_resonance_ode
 from .quantization import (
     Band,
     ResonanceRecord,
+    _branch_coordinate,
+    _E_of_lambda,
     lattice_point,
     pplus_levels,
     resonance_set,
     solve_resonance,
 )
-
-_SLOPE = 3.0 * math.pi / 16.0
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,6 @@ def _write_text(path, text):
 
 
 # ------------------------------------------------------------------ helpers
-
-def _k_from_lambda(lam, nu_tilde, h):
-    """Nearest lattice branch index for a lambda value."""
-    return round((lam.real / (h * _SLOPE) - 5.0 + 4.0 * nu_tilde) / 8.0)
-
 
 def _families(nt_min, nt_max):
     out = []
@@ -282,9 +277,9 @@ def _resonance_krange_jobs(config):
         k, nt, h, lat = job
         try:
             if config.refine == "lattice":
-                E = cmath.exp((2.0 / 3.0) * cmath.log(lat))
                 rec = ResonanceRecord(k=k, nu_tilde=nt, lambda_lat=lat,
-                                      lam=lat, E=E, method="lattice",
+                                      lam=lat, E=_E_of_lambda(lat),
+                                      method="lattice",
                                       residual=math.nan, iterations=0)
             elif config.refine == "bs":
                 rec = solve_resonance(k, nt, h)
@@ -305,7 +300,7 @@ def _resonance_seed_jobs(config):
 
     def solve_one(E0):
         lam = cmath.exp(1.5 * cmath.log(complex(E0)))
-        k = _k_from_lambda(lam, nt, h)
+        k = round(_branch_coordinate(lam.real, nt, h))
         try:
             if config.refine == "bs":
                 rec = solve_resonance(k, nt, h, seed=E0)

@@ -16,8 +16,10 @@ mean of the two outer turning-point moduli), a circular arc down to the
 ray arg x = -theta, then the ray out to R_max. On the ray the
 integration runs in the gauged variable v = u e^{-i(x^3-3Ex)/3h}, which
 keeps the dominant component O(1) and turns the recessive one into a
-decaying mode; the realified system is handed to an implicit solver so
-the decayed mode does not throttle the step size. The quotient v_1
+decaying mode. The realified system goes to explicit DOP853 up to the
+dominance radius, where the recessive mode is down by 40 e-folds and
+still oscillating, and to implicit Radau from there on, where that mode
+is dead and would otherwise throttle the step size. The quotient v_1
 converges to c+ with a relative tail nu^2/(6 h t^3), so the default
 R_max is chosen to push that tail below the plateau tolerance across
 the sampled final decade.
@@ -44,9 +46,12 @@ from .errors import (
 )
 from .model import ModelParams, turning_points
 from .quadrature import ComplexPath
-from .quantization import ResonanceRecord, lattice_point
-
-_SLOPE = 3.0 * math.pi / 16.0
+from .quantization import (
+    ResonanceRecord,
+    _branch_coordinate,
+    _E_of_lambda,
+    lattice_point,
+)
 
 
 def _as_triple(params, need_index=True):
@@ -295,12 +300,23 @@ def integrate_system(params, path, u_start, rtol=1e-11, atol=None,
     return IntegrationResult(u_end, drift, steps, path)
 
 
-def _gauged_ray(E, h, nu, theta, t0, t1, v0, t_eval, rtol):
+def _gauged_ray(E, h, nu, theta, t0, t_switch, t1, v0, t_eval, rtol):
     """Integrate v' = e^{-i th}(i/h)(A - (x^2-E)I)v along x = t e^{-i th}.
 
-    Realified so an implicit solver can be used: once the recessive
-    component has decayed, the remaining dynamics is the slow 1/t^3
-    relaxation of the quotient and Radau strides over it.
+    The realified system runs in two stages with one right-hand side
+    and one analytic Jacobian. On [t0, t_switch] the recessive
+    component still oscillates at frequency ~ 2 t^2 cos(3 th)/h and has
+    barely decayed: the problem is not stiff there, accuracy sets the
+    step, and explicit DOP853 crosses it in at most a few hundred steps
+    where Radau would spend most of its work. t_switch is the dominance radius, where the
+    recessive mode is down by 40 e-folds; beyond it the decay rate
+    ~ 2 t^2 sin(3 th)/h throttles any explicit method, while the
+    remaining dynamics is the slow 1/t^3 relaxation of the quotient, so
+    implicit Radau IIA takes over and strides to t1. LSODA's automatic
+    switching is not a substitute: near a zero of c+ its endpoint error
+    is ~1e-8 of |c+| on the certification ring even at rtol 1e-13, the
+    size of the certificate itself. Returns v_1 at t_eval and the absolute
+    tolerance used.
     """
     w = cmath.exp(-1j * theta)
     g = (1j / h) * w
@@ -321,12 +337,15 @@ def _gauged_ray(E, h, nu, theta, t0, t1, v0, t_eval, rtol):
         return np.block([[J.real, -J.imag], [J.imag, J.real]])
 
     y0 = np.array([v0[0].real, v0[1].real, v0[0].imag, v0[1].imag])
-    sc = max(float(np.max(np.abs(v0))), 1e-290)
-    sol = solve_ivp(rhs, (t0, t1), y0, method="Radau", jac=jac, rtol=rtol,
-                    atol=1e-14 * sc, t_eval=t_eval)
+    atol = 1e-14 * max(float(np.max(np.abs(v0))), 1e-290)
+    sol = solve_ivp(rhs, (t0, t_switch), y0, method="DOP853", rtol=rtol,
+                    atol=atol)
+    if sol.success:
+        sol = solve_ivp(rhs, (t_switch, t1), sol.y[:, -1], method="Radau",
+                        jac=jac, rtol=rtol, atol=atol, t_eval=t_eval)
     if not sol.success:
         raise StepUnderflow(f"ray integration stalled: {sol.message}")
-    return sol.y[0] + 1j * sol.y[2], len(sol.t), 1e-14 * sc
+    return sol.y[0] + 1j * sol.y[2], atol
 
 
 def jost_cplus(params, theta=0.5, R_max=None, eps=None, K=20, rtol=1e-11):
@@ -349,8 +368,8 @@ def jost_cplus(params, theta=0.5, R_max=None, eps=None, K=20, rtol=1e-11):
     s3 = math.sin(3.0 * theta)
     tp = turning_points(E, nu)
     x_mid = math.sqrt(abs(tp.r1) * abs(tp.r2))
+    R_dom = (120.0 * h / s3) ** (1.0 / 3.0)
     if R_max is None:
-        R_dom = (120.0 * h / s3) ** (1.0 / 3.0)
         R_plateau = (3.4e8 * nt * nt * h) ** (1.0 / 3.0)
         R_max = max(R_dom, R_plateau, 12.0 * x_mid)
     R_max = float(R_max)
@@ -374,8 +393,13 @@ def jost_cplus(params, theta=0.5, R_max=None, eps=None, K=20, rtol=1e-11):
 
     lo = max(R_max / 10.0, 1.02 * x_mid)
     t_eval = np.geomspace(lo, R_max, 33)
-    q, _, atol_used = _gauged_ray(E, h, nu, theta, x_mid, R_max, v0,
-                                  t_eval, min(rtol, 1e-10))
+    # the switch stays inside [x_mid, lo] so every plateau sample comes
+    # from the Radau stage; the ray runs at a tenth of the contour
+    # tolerance because at h = 0.05 the secant otherwise stalls on the
+    # c+ noise floor just above the 1e-8 certificate
+    t_switch = min(max(R_dom, x_mid), lo)
+    q, atol_used = _gauged_ray(E, h, nu, theta, x_mid, t_switch, R_max, v0,
+                               t_eval, 0.1 * min(rtol, 1e-10))
     c_plus = complex(q[-1])
     plateau_error = float(np.max(np.abs(q - c_plus)))
     if plateau_error > max(1e-6 * abs(c_plus), 50.0 * atol_used):
@@ -384,10 +408,6 @@ def jost_cplus(params, theta=0.5, R_max=None, eps=None, K=20, rtol=1e-11):
             f"|c+|={abs(c_plus):.3e} over [{lo:.1f}, {R_max:.1f}]; "
             "raise R_max or theta")
     return JostEstimate(c_plus, plateau_error, R_max, theta)
-
-
-def _E_of_lambda(lam):
-    return cmath.exp((2.0 / 3.0) * cmath.log(lam))
 
 
 def find_resonance_ode(params, E_seed, tol_rel=1e-8, max_iter=30,
@@ -464,7 +484,7 @@ def _secant_certified(E_start, h, nt, tol_rel, max_iter, theta,
         raise SpuriousZero(
             f"ring winding {winding} != 1 around E={E1:.8f}")
     lam = cmath.exp(1.5 * cmath.log(E1))
-    k = round((lam_seed.real / (_SLOPE * h) - 5.0 + 4.0 * nt) / 8.0)
+    k = round(_branch_coordinate(lam_seed.real, nt, h))
     try:
         lam_lat = lattice_point(k, nt, h)
     except ValueError:

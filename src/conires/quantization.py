@@ -131,6 +131,12 @@ def _E_of_lambda(lam):
     return cmath.exp((2.0 / 3.0) * cmath.log(lam))
 
 
+def _branch_coordinate(re_lam, nt, h):
+    """Real k with SLOPE (8k + 5 - 4 nu_t) h = re_lam: the lattice real
+    part inverted; rounded, it is the nearest branch index."""
+    return (re_lam / (_SLOPE * h) - 5.0 + 4.0 * nt) / 8.0
+
+
 def _A(E, h, nt, tol=1e-10):
     E = complex(E)
     s01 = action_S01((E, nt * h), tol).value
@@ -188,8 +194,8 @@ def lattice(nu_tilde, h, band):
     if not 0.0 < a < b:
         raise ValueError(f"band must satisfy 0 < a < b, got ({a}, {b})")
     # a < SLOPE (8k + 5 - 4 nt) h < b
-    lo = (a / (_SLOPE * h) - 5.0 + 4.0 * nt) / 8.0
-    hi = (b / (_SLOPE * h) - 5.0 + 4.0 * nt) / 8.0
+    lo = _branch_coordinate(a, nt, h)
+    hi = _branch_coordinate(b, nt, h)
     k_min = max(math.floor(lo) + 1, math.ceil((4.0 * nt - 5.0) / 8.0 + 1e-12))
     k_max = math.ceil(hi) - 1
     if k_min > k_max:

@@ -4,7 +4,8 @@ Reference values here come from closed forms (diagonal constant-ν̃-free
 evolution, exact h^{2/3} scaling of the radial problem) and from an
 independent shooting computation of the scaled radial eigenvalues
 (h-free form of the equation, endpoint sign bisection) whose results
-are frozen as literals. The half-spacing offset between the Jost zeros
+are frozen as literals; c+ references come from an all-Radau gauged
+ray at rtol 1e-13. The half-spacing offset between the Jost zeros
 and the quantization route is asserted as measured fact: with the
 A-matrix, the x^{ν̃}(1,-i) Frobenius seed, and the outgoing-coefficient
 convention used throughout this package, the zeros of c⁺ sit half a
@@ -35,6 +36,14 @@ from conires.quantization import (
 )
 
 P_DESK = (2.0 ** (2.0 / 3.0), 0.1, 0.5)
+
+# The ODE zeros that find_resonance_ode reaches from the BS seeds of
+# acceptance criterion 5, (h, k) = (0.2, 2), (0.1, 4), (0.05, 8). Each
+# seed sits on a ridge between two zeros, so a solver change can hop to
+# the neighbour and still pass every other check.
+LAM_ODE = {0.2: complex(2.7084132879886424, -0.266666586365009),
+           0.1: complex(2.296713902883714, -0.15290658806028087),
+           0.05: complex(1.8552633360459576, -0.085384453616955)}
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +189,23 @@ class TestJostCplus:
         assert at_zero <= 1e-4 * at_bs
         assert at_bs > 0.05
 
+    # c+ at the h = 0.1, k = 4 ODE zero and at one ring point
+    # E + 1e-4|E|, frozen from a Radau-only gauged ray at rtol 1e-13
+    # (inner contour at the default rtol 1e-11, as below)
+    C_REF = {"zero": complex(8.4479027747644e-14, 2.992131523311346e-14),
+             "ring": complex(0.0006390700089812968, -0.0006151803417702451)}
+
+    def test_ray_accuracy_against_tight_radau(self):
+        # The bound is relative to the ring |c+|, the scale of the 1e-8
+        # winding certificate, and it is what the ray must hold at the
+        # zero itself. An LSODA ray fails it by two orders of magnitude:
+        # 2.5e-8 at rtol 1e-11 and still 8e-9 to 1e-8 at 1e-12 and 1e-13.
+        E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[0.1]))
+        bound = 1e-10 * abs(self.C_REF["ring"])
+        for name, Ep in (("zero", E), ("ring", E + 1e-4 * abs(E))):
+            c = jost_cplus((Ep, 0.1, 0.5)).c_plus
+            assert abs(c - self.C_REF[name]) <= bound, name
+
     def test_validation(self):
         with pytest.raises(ValueError):
             jost_cplus(P_DESK, theta=0.0)
@@ -206,6 +232,13 @@ class TestFindResonance:
     def test_half_spacing_offset_from_bs(self, bs_root, ode_root):
         off = abs(ode_root.lam - bs_root.lam) / 0.1
         assert abs(off - 0.75 * math.pi) <= 0.02 * 0.75 * math.pi
+
+    @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4), (0.05, 8)])
+    def test_zero_identity_from_bs_seed(self, h, k):
+        bs = solve_resonance(k, 0.5, h)
+        ode = find_resonance_ode((bs.E, h, 0.5), bs.E)
+        assert abs(ode.lam - LAM_ODE[h]) <= 1e-9
+        assert ode.residual <= 1e-8
 
     def test_reseed_converges_to_same_zero(self, ode_root):
         again = find_resonance_ode((ode_root.E, 0.1, 0.5), ode_root.E,
