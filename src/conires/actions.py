@@ -13,6 +13,12 @@ The five objects computed here:
 together with the residue R(mu) = -pi mu, the tunneling integral T(mu), and
 the derivative dS01/dE used by the quantization Newton steps.
 
+S01 and dS01/dE are complete elliptic integrals between two roots of the
+cubic and are evaluated in closed form through Carlson's symmetric
+integrals R_F, R_D, R_J (Carlson, Numer. Algorithms 10 (1995); DLMF
+19.29), both from one root solve (action_S01_pair).  The other actions
+integrate along contours by adaptive quadrature (quadrature module).
+
 Branches: for real E > 0 and small nu, S01 and S12 are purely imaginary with
 positive imaginary part, I and I+ are real positive near 2/3.  All square
 roots are continued from those normalizations.  I(mu) for complex mu is
@@ -39,6 +45,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import elliprd, elliprf, elliprj
 
 from .errors import NoRealTurningPoints, TurningPointProximity
 from .model import ModelParams, _cardano_any, _match, cubic_roots
@@ -57,6 +64,7 @@ __all__ = [
     "action_Iplus",
     "action_S01",
     "action_S01_dE",
+    "action_S01_pair",
     "action_S12",
     "action_S2inf",
     "residue_R",
@@ -67,6 +75,10 @@ __all__ = [
 MU_CRITICAL = math.sqrt(4.0 / 27.0)
 
 _ARC_RADIUS = 0.2  # unwinding radius around the weight pole at y = 0
+
+# relative roundoff bound of the closed-form S01 and dS01/dE, applied to
+# the moduli of the terms they sum
+_ROUNDOFF = 16.0 * 2.0 ** -52
 
 
 class ActionValue(NamedTuple):
@@ -115,19 +127,75 @@ def _sqrt_cubic_auto(ra, rb, rc, *, sign, weight, branch_ref, tol, power=1):
                                branch_ref=branch_ref, tol=tol, power=power)
 
 
+def action_S01_pair(params):
+    """S01 and dS01/dE at the same (E, nu) from one root solve, as a pair
+    of ActionValue.
+
+    With P(y) = nu^2 - y (E - y)^2 = -(y-x0)(y-x1)(y-x2), the substitution
+    y = x1 + d/(1+u), d = x0 - x1, maps the straight segment from x0 to x1
+    onto u in [0, inf) and turns the moments M0 = int dy/sqrt(P),
+    M1 = int y dy/sqrt(P) and N = int dy/(y sqrt(P)) into Carlson
+    integrals with c = (x0-x2)/(x1-x2), p = x0/x1, s = sqrt(x1-x2):
+
+        M0 = 2 R_F(0,1,c)/s,
+        M1 = x1 M0 + (2/3) d R_D(0,c,1)/s,
+        N  = [2 R_F(0,1,c) + (2/3)(1-p) R_J(0,1,c,p)] / (s x1).
+
+    Since P/(2y) = -(y-E)^2/2 + nu^2/(2y) and int P'/sqrt(P) = 0 between
+    roots eliminates the second moment,
+
+        dS01/dE = (M1 - E M0)/2,
+        S01     = (E/3)(M1 - E M0) + (nu^2/2) N + i pi nu,
+
+    on the branch of sqrt(P), continuous along the segment, whose value
+    at the midpoint has a nonnegative projection on _imag_ref(E).
+    Anchoring at x1 rather than x0 keeps p = x0/x1 small; p = x1/x0 loses
+    about a digit at small nu.
+
+    est_error is a roundoff bound and n_evals counts the Carlson-function
+    evaluations behind each value.
+    """
+    E, nu = _unpack(params)
+    x0, x1, x2 = _labeled_roots(E, nu)
+    d = x0 - x1
+    c = (x0 - x2) / (x1 - x2)
+    if c.imag == 0.0 and c.real <= 0.0:
+        raise TurningPointProximity(
+            f"turning point x2 lies on the segment [x0, x1] at E={E}, nu={nu}"
+        )
+    p = x0 / x1
+    s = cmath.sqrt(x1 - x2)
+    rf = complex(elliprf(0.0, 1.0, c))
+    rd = complex(elliprd(0.0, c, 1.0))
+    rj = complex(elliprj(0.0, 1.0, c, p))
+    m0 = 2.0 * rf / s
+    m1 = x1 * m0 + (2.0 / 3.0) * d * rd / s
+    n = (2.0 * rf + (2.0 / 3.0) * (1.0 - p) * rj) / (s * x1)
+    # sqrt(P) at the segment midpoint, up to a positive factor
+    mid = -d * s * cmath.sqrt(1.0 + c)
+    sigma = 1.0 if (mid * _imag_ref(E).conjugate()).real >= 0.0 else -1.0
+    half_nu2 = 0.5 * nu * nu
+    m_scale = abs(m1) + abs(E * m0)
+    dS = ActionValue(sigma * 0.5 * (m1 - E * m0),
+                     _ROUNDOFF * 0.5 * m_scale, 2)
+    S = ActionValue(
+        sigma * ((E / 3.0) * (m1 - E * m0) + half_nu2 * n)
+        + 1j * math.pi * nu,
+        _ROUNDOFF * (abs(E) * m_scale / 3.0 + half_nu2 * abs(n)), 3)
+    return S, dS
+
+
 def action_S01(params, tol=1e-10):
     """Action integral between the turning points r0 and r1.
 
     For real E > 0 with subcritical nu the value is purely imaginary with
     positive imaginary part; complex E is handled by continuation of the
-    turning points and of the square-root branch.
+    turning points and of the square-root branch.  Closed form through
+    Carlson integrals, see action_S01_pair.  tol is an absolute accuracy
+    bound; the closed form meets it at roundoff level (est_error) and
+    nothing adapts to it.
     """
-    E, nu = _unpack(params)
-    x0, x1, x2 = _labeled_roots(E, nu)
-    res = _sqrt_cubic_auto(x0, x1, x2, sign=-1, weight=lambda y: 0.5 / y,
-                           branch_ref=_imag_ref(E), tol=tol)
-    return ActionValue(res.value + 1j * math.pi * nu, res.est_error,
-                       res.n_evals)
+    return action_S01_pair(params)[0]
 
 
 def action_S01_dE(params, tol=1e-10):
@@ -136,14 +204,10 @@ def action_S01_dE(params, tol=1e-10):
     Differentiating under the integral (endpoint terms vanish at the simple
     roots) gives dS01/dE = int (y - E) / (2 sqrt(nu^2 - y(E-y)^2)) dy on the
     same contour and branch as S01.  The half-residue term of S01 is
-    E-independent and drops out.
+    E-independent and drops out.  Closed form, see action_S01_pair; tol
+    as in action_S01.
     """
-    E, nu = _unpack(params)
-    x0, x1, x2 = _labeled_roots(E, nu)
-    res = _sqrt_cubic_auto(x0, x1, x2, sign=-1,
-                           weight=lambda y: 0.5 * (y - E),
-                           branch_ref=_imag_ref(E), tol=tol, power=-1)
-    return ActionValue(res.value, res.est_error, res.n_evals)
+    return action_S01_pair(params)[1]
 
 
 def _traced_unit_roots(mu_abs, phis):

@@ -28,12 +28,12 @@ the sampled final decade.
 from __future__ import annotations
 
 import cmath
+import functools
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     MatchingFailure,
@@ -52,6 +52,18 @@ from .quantization import (
     _E_of_lambda,
     lattice_point,
 )
+
+
+def _deferred(module, name, *args, **kwargs):
+    return getattr(importlib.import_module(module), name)(*args, **kwargs)
+
+
+# scipy.integrate and scipy.optimize load on the first ODE solve or root
+# bracket, not on import: the package (and the CLI on its
+# Bohr-Sommerfeld path) never needs them otherwise.  Both names stay
+# module attributes because perfbench's tracer rebinds them here.
+solve_ivp = functools.partial(_deferred, "scipy.integrate", "solve_ivp")
+brentq = functools.partial(_deferred, "scipy.optimize", "brentq")
 
 
 def _as_triple(params, need_index=True):
@@ -418,8 +430,9 @@ def find_resonance_ode(params, E_seed, tol_rel=1e-8, max_iter=30,
     expected to come from the lattice or a quantization solve. Because
     a seed can land between two zeros (on a ridge of |c+|), the search
     ladder also tries the two points half a lattice spacing away in
-    lambda = E^{3/2}. Convergence demands |c+| below tol_rel times the
-    median |c+| on a surrounding ring; SpuriousZero reports a ring
+    lambda = E^{3/2}. The secant iterate with the smallest |c+| is the
+    candidate, and convergence demands its |c+| below tol_rel times the
+    median |c+| on a ring around it; SpuriousZero reports a ring
     winding number different from one. The returned record carries
     residual = |c+|/median(ring) and the seed's lattice index k.
     """
@@ -450,6 +463,9 @@ def _secant_certified(E_start, h, nt, tol_rel, max_iter, theta,
     E1 = E_start * (1.0 + 1e-4 * (0.7 - 0.7j))
     c0, c1 = c_of(E0), c_of(E1)
     c_scale = max(abs(c0), abs(c1))
+    # at the noise floor of the ray the secant can step off its best
+    # point, so the ring is centred on the best point evaluated
+    best = min((E0, c0), (E1, c1), key=lambda ec: abs(ec[1]))
     evals = 2
     step = abs(E1 - E0)
     for _ in range(max_iter):
@@ -464,9 +480,12 @@ def _secant_certified(E_start, h, nt, tol_rel, max_iter, theta,
                 f"secant left the search region: E={E1:.6f}")
         c1 = c_of(E1)
         evals += 1
+        if abs(c1) < abs(best[1]):
+            best = (E1, c1)
         step = abs(dE)
         if step < 1e-12 * abs(E1) or abs(c1) < 1e-13 * c_scale:
             break
+    E1, c1 = best
     rho = max(1e-4 * abs(E1), 100.0 * step)
     ring = np.array([c_of(E1 + rho * cmath.exp(2j * math.pi * j
                                                / ring_points))

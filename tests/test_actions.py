@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 
 from conires.actions import (
     MU_CRITICAL,
+    _imag_ref,
+    _labeled_roots,
     action_I,
     action_Iplus,
     action_S01,
     action_S01_dE,
+    action_S01_pair,
     action_S12,
     action_S2inf,
     residue_R,
@@ -28,6 +31,7 @@ from conires.actions import (
 )
 from conires.errors import NoRealTurningPoints, TurningPointProximity
 from conires.model import ModelParams
+from conires.quadrature import sqrt_cubic_polyline
 
 # mpmath oracle values (30 digits, rounded to 17 significant figures)
 S01_REF = {
@@ -39,6 +43,21 @@ DS01_REF = {(1.3, 0.2): 1.1531508089096345j}
 I_REF = {0.1: 0.81648697060599267, 0.02: 0.69763329144416276}
 IPLUS_REF = {0.05: 0.74296747700665767}
 T_REF = {0.1: 0.0079422745106873991j}
+# Sweep roots at h = 0.004134, where x1 and x2 nearly coalesce: 34-digit
+# mpmath tanh-sinh along the straight segment from x0 to x1 (roots from
+# polyroots), independent of the Carlson reduction.  (E, nu): (S01, dS01/dE)
+H_SWEEP = 0.004134
+S01_SWEEP_REF = {
+    (1.0005659957183286 - 0.00663735923702353j, 0.5 * H_SWEEP): (
+        0.0066393106879620315 + 0.67046135195090178j,
+        0.0033175856355301796 + 1.0002976772073820j),
+    (1.0006930842822155 - 0.0033110750901631787j, 2.5 * H_SWEEP): (
+        0.0033127737957039155 + 0.68345385015529678j,
+        0.0016537858962882550 + 1.0005139461097903j),
+    (2.5120656298355017 - 0.0029903594502958286j, 2.5 * H_SWEEP): (
+        0.0047396359335772761 + 2.6705207707418698j,
+        0.00094330201413803539 + 1.5849721653256646j),
+}
 S2INF_REF = {
     (2.0, 0.5): -1.9017565064682918j,
     (1.0, 0.3): -0.67634542714080991j,
@@ -112,6 +131,49 @@ class TestActionS01dE:
             fd = (action_S01((E + eps, nu)).value
                   - action_S01((E - eps, nu)).value) / (2 * eps)
             assert abs(d - fd) <= 1e-8
+
+
+class TestClosedForm:
+    """The Carlson-integral S01 and dS01/dE at production h."""
+
+    def test_sweep_reference_values(self):
+        for (E, nu), (s_want, d_want) in S01_SWEEP_REF.items():
+            s01, ds01 = action_S01_pair((E, nu))
+            assert abs(s01.value - s_want) <= 1e-14
+            assert abs(ds01.value - d_want) <= 1e-14
+            # the reported roundoff bounds cover the actual error
+            assert abs(s01.value - s_want) <= s01.est_error
+            assert abs(ds01.value - d_want) <= ds01.est_error
+
+    @pytest.mark.parametrize("lam, nt", [
+        (1.3 - 0.009j, 0.5), (2.2 - 0.004j, 1.5), (3.7 - 0.012j, 2.5),
+        (1.05 - 0.002j, 2.5)])
+    def test_matches_deflected_polyline_quadrature(self, lam, nt):
+        # the quadrature route the sweep used before the closed form: the
+        # polyline through a midpoint pushed away from x2
+        E = cmath.exp((2.0 / 3.0) * cmath.log(lam))
+        nu = nt * 0.005
+        x0, x1, x2 = _labeled_roots(E, nu)
+        mid = 0.5 * (x0 + x1)
+        normal = 1j * (x1 - x0)
+        side = -1.0 if ((x2 - mid) * np.conj(normal)).real >= 0.0 else 1.0
+        via = [mid + side * 0.2 * normal]
+        quad_s = sqrt_cubic_polyline(
+            x0, x1, x2, via, sign=-1, weight=lambda y: 0.5 / y,
+            branch_ref=_imag_ref(E), tol=1e-14).value + 1j * math.pi * nu
+        quad_d = sqrt_cubic_polyline(
+            x0, x1, x2, via, sign=-1, weight=lambda y: 0.5 * (y - E),
+            branch_ref=_imag_ref(E), tol=1e-14, power=-1).value
+        s01, ds01 = action_S01_pair((E, nu))
+        assert abs(s01.value - quad_s) <= 5e-14
+        assert abs(ds01.value - quad_d) <= 5e-14
+
+    def test_pair_is_bit_identical_to_wrappers(self):
+        for E, nu in [(1.3, 0.2), (0.9 + 0.1j, 0.15),
+                      *S01_SWEEP_REF.keys()]:
+            s01, ds01 = action_S01_pair((E, nu))
+            assert action_S01((E, nu)) == s01
+            assert action_S01_dE((E, nu)) == ds01
 
 
 class TestActionI:

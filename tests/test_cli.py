@@ -11,11 +11,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import conires
 from conires.actions import action_S01, action_S2inf
 from conires.cli import RunConfig, main
 from conires.model import turning_points
@@ -42,6 +47,26 @@ def assert_valid_json(text):
     doc = json.loads(text)
     jsonschema.validate(doc, schema())
     return doc
+
+
+class TestImports:
+    def test_cli_import_leaves_ode_solvers_unloaded(self):
+        # the Bohr-Sommerfeld path needs neither scipy.integrate nor
+        # scipy.optimize, so importing the CLI must not load them
+        src = str(Path(conires.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, conires.cli; "
+                "print(sorted(m for m in ('scipy.integrate', "
+                "'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_package_names_resolve(self):
+        assert conires.jost_cplus is conires.ode_oracle.jost_cplus
+        assert conires.transfer_T1 is conires.wkb.transfer_T1
+        with pytest.raises(AttributeError):
+            conires.no_such_name
 
 
 class TestRunConfig:

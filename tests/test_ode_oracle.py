@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from conires import ode_oracle
 from conires.errors import NoConvergence, NoPlateau, WindowEmpty
 from conires.model import turning_points
 from conires.ode_oracle import (
@@ -40,10 +41,13 @@ P_DESK = (2.0 ** (2.0 / 3.0), 0.1, 0.5)
 # The ODE zeros that find_resonance_ode reaches from the BS seeds of
 # acceptance criterion 5, (h, k) = (0.2, 2), (0.1, 4), (0.05, 8). Each
 # seed sits on a ridge between two zeros, so a solver change can hop to
-# the neighbour and still pass every other check.
+# the neighbour and still pass every other check.  At h = 0.05 the
+# secant's last iterate can sit above the certificate while an earlier
+# one is below it; the search rings the best evaluated point, which
+# reaches the upper neighbour from this seed.
 LAM_ODE = {0.2: complex(2.7084132879886424, -0.266666586365009),
            0.1: complex(2.296713902883714, -0.15290658806028087),
-           0.05: complex(1.8552633360459576, -0.085384453616955)}
+           0.05: complex(2.0908961950236815, -0.08761487040461918)}
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +253,46 @@ class TestFindResonance:
         with pytest.raises(NoConvergence):
             find_resonance_ode((bs_root.E, 0.1, 0.5), bs_root.E,
                                max_iter=0, ring_points=4)
+
+    @staticmethod
+    def _noise_floor_jost(zero, eta_best, eta_last):
+        """Synthetic c+ = E - zero, except that the two secant landings
+        next to the zero read eta_best and then the larger eta_last, as
+        when the secant steps off its best point at the noise floor."""
+        landings = []
+
+        def fake(params, theta=0.5):
+            E = params[0]
+            c = E - zero
+            if abs(c) < 1e-9:
+                landings.append(E)
+                c = eta_best if len(landings) % 2 else eta_last
+            return ode_oracle.JostEstimate(c, 0.0, 10.0, theta)
+
+        return fake, landings
+
+    def test_secant_rings_best_iterate(self, monkeypatch):
+        zero = 1.5 - 0.05j
+        fake, landings = self._noise_floor_jost(zero, 1e-13, 1e-11)
+        monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
+        rec = find_resonance_ode((zero + 0.05, 0.1, 0.5), zero + 0.05,
+                                 max_iter=2)
+        # ring median is the ring radius 1e-4 |E|, so the last iterate
+        # (1e-11) fails the 1e-8 certificate and the best one (1e-13)
+        # passes it
+        assert len(landings) == 2
+        assert rec.E == landings[0] != landings[1]
+        assert rec.iterations == 4
+        assert rec.residual == pytest.approx(1e-13 / (1e-4 * abs(rec.E)),
+                                             rel=1e-6)
+
+    def test_best_iterate_above_certificate_fails(self, monkeypatch):
+        zero = 1.5 - 0.05j
+        fake, _ = self._noise_floor_jost(zero, 2e-12, 1e-11)
+        monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
+        with pytest.raises(NoConvergence):
+            find_resonance_ode((zero + 0.05, 0.1, 0.5), zero + 0.05,
+                               max_iter=2)
 
     def test_refine_ode_through_sweep(self, ode_root):
         band = Band(2.0, 2.1, h=0.1, nu_tilde_max=0.5)
