@@ -47,8 +47,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import elliprd, elliprf, elliprj
 
-from .errors import NoRealTurningPoints, TurningPointProximity
-from .model import ModelParams, _cardano_any, _match, cubic_roots
+from .errors import (
+    BranchAmbiguity,
+    NoRealTurningPoints,
+    TurningPointProximity,
+)
+from .model import _as_E_nu, _cardano_any, _match, cubic_roots
 from .quadrature import (
     adaptive_segment,
     polyline_sqrt_ref,
@@ -85,13 +89,6 @@ class ActionValue(NamedTuple):
     value: complex
     est_error: float
     n_evals: int
-
-
-def _unpack(params):
-    if isinstance(params, ModelParams):
-        return params.E, params.nu
-    E, nu = params
-    return complex(E), float(nu)
 
 
 def _labeled_roots(E, nu):
@@ -153,9 +150,11 @@ def action_S01_pair(params):
     about a digit at small nu.
 
     est_error is a roundoff bound and n_evals counts the Carlson-function
-    evaluations behind each value.
+    evaluations behind each value.  Raises BranchAmbiguity when a Carlson
+    value is not finite: scipy's R_J returns nan for some p off the
+    principal domain.
     """
-    E, nu = _unpack(params)
+    E, nu = _as_E_nu(params)
     x0, x1, x2 = _labeled_roots(E, nu)
     d = x0 - x1
     c = (x0 - x2) / (x1 - x2)
@@ -168,6 +167,11 @@ def action_S01_pair(params):
     rf = complex(elliprf(0.0, 1.0, c))
     rd = complex(elliprd(0.0, c, 1.0))
     rj = complex(elliprj(0.0, 1.0, c, p))
+    if not all(map(cmath.isfinite, (rf, rd, rj))):
+        raise BranchAmbiguity(
+            f"Carlson integrals not finite (R_F={rf}, R_D={rd}, R_J={rj}) "
+            f"at E={E}, nu={nu}"
+        )
     m0 = 2.0 * rf / s
     m1 = x1 * m0 + (2.0 / 3.0) * d * rd / s
     n = (2.0 * rf + (2.0 / 3.0) * (1.0 - p) * rj) / (s * x1)
@@ -342,7 +346,7 @@ def action_S2inf(params, tol=1e-10, route="compactified"):
     [0, 1]; "truncated" integrates x = r2 + s^2 up to a tail cutoff and
     folds the tail bound into est_error.
     """
-    E, nu = _unpack(params)
+    E, nu = _as_E_nu(params)
     x0, x1, x2 = _labeled_roots(E, nu) if nu != 0 else (0.0, E, E)
     r2 = np.sqrt(complex(x2))
     reg = (1j / 3.0) * (r2 ** 3 - 3.0 * E * r2)

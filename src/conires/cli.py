@@ -27,9 +27,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .actions import action_S01, action_S2inf
@@ -38,9 +36,10 @@ from .model import turning_points
 from .ode_oracle import find_resonance_ode
 from .quantization import (
     Band,
-    ResonanceRecord,
+    SweepFailure,
     _branch_coordinate,
-    _E_of_lambda,
+    _families,
+    _sweep_job,
     lattice_point,
     pplus_levels,
     resonance_set,
@@ -72,9 +71,7 @@ class RunConfig:
                                  f"got {value}")
         if self.band is not None:
             a, b = self.band
-            if not (0.0 < a < b):
-                raise ValueError(f"band must satisfy 0 < a < b, "
-                                 f"got {a}, {b}")
+            Band(a, b)  # raises ValueError unless 0 < a < b
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.fmt}")
 
@@ -153,24 +150,6 @@ def _write_text(path, text):
 
 # ------------------------------------------------------------------ helpers
 
-def _families(nt_min, nt_max):
-    out = []
-    nt = 0.5
-    while nt <= nt_max + 1e-12:
-        if nt >= nt_min - 1e-12:
-            out.append(nt)
-        nt += 1.0
-    return out
-
-
-def _thread_map(fn, jobs):
-    threads = int(os.environ.get("RES_LAT_THREADS", "1"))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
-
-
 _RES_COLUMNS = [
     ("k", int), ("nu_tilde", float), ("h", float),
     ("lambda_lat", complex), ("lambda", complex), ("E", complex),
@@ -179,20 +158,20 @@ _RES_COLUMNS = [
 ]
 
 
-def _record_row(rec, h):
+def _row(result, h):
+    """Table row of a ResonanceRecord or a SweepFailure at h."""
+    if isinstance(result, SweepFailure):
+        return {"k": result.k, "nu_tilde": result.nu_tilde, "h": h,
+                "lambda_lat": None, "lambda": None, "E": None,
+                "method": None, "residual": None, "iterations": None,
+                "error": result.error}
     return {
-        "k": rec.k, "nu_tilde": rec.nu_tilde, "h": h,
-        "lambda_lat": rec.lambda_lat, "lambda": rec.lam, "E": rec.E,
-        "method": rec.method,
-        "residual": None if math.isnan(rec.residual) else rec.residual,
-        "iterations": rec.iterations, "error": None,
+        "k": result.k, "nu_tilde": result.nu_tilde, "h": h,
+        "lambda_lat": result.lambda_lat, "lambda": result.lam,
+        "E": result.E, "method": result.method,
+        "residual": None if math.isnan(result.residual) else result.residual,
+        "iterations": result.iterations, "error": None,
     }
-
-
-def _failure_row(k, nt, h, error):
-    return {"k": k, "nu_tilde": nt, "h": h, "lambda_lat": None,
-            "lambda": None, "E": None, "method": None, "residual": None,
-            "iterations": None, "error": error}
 
 
 # ----------------------------------------------------------------- commands
@@ -245,72 +224,47 @@ def cmd_actions(config):
 
 def _resonance_band_jobs(config):
     a, b = config.band
-    hs = config.params["h_values"]
+    nt_min = config.params["nutilde_min"]
     rows = []
-    for h in hs:
+    for h in config.params["h_values"]:
         band = Band(a, b, h=h, nu_tilde_max=config.params["nutilde_max"])
         recs, failures = resonance_set(band, refine=config.refine,
                                        return_failures=True)
-        nt_min = config.params["nutilde_min"]
-        rows += [_record_row(r, h) for r in recs if r.nu_tilde >= nt_min]
-        rows += [_failure_row(f.k, f.nu_tilde, h, f.error)
-                 for f in failures if f.nu_tilde >= nt_min]
+        rows += [_row(r, h) for r in recs + failures if r.nu_tilde >= nt_min]
     return rows
 
 
 def _resonance_krange_jobs(config):
-    hs = config.params["h_values"]
     kmin, kmax = config.params["kmin"], config.params["kmax"]
-    families = _families(config.params["nutilde_min"],
-                         config.params["nutilde_max"])
+    families = _families(config.params["nutilde_max"],
+                         config.params["nutilde_min"])
     jobs = []
-    for h in hs:
+    for h in config.params["h_values"]:
         for nt in families:
             for k in range(kmin, kmax + 1):
                 try:
                     lat = lattice_point(k, nt, h)
                 except ValueError:
                     continue
-                jobs.append((k, nt, h, lat))
-
-    def solve_one(job):
-        k, nt, h, lat = job
-        try:
-            if config.refine == "lattice":
-                rec = ResonanceRecord(k=k, nu_tilde=nt, lambda_lat=lat,
-                                      lam=lat, E=_E_of_lambda(lat),
-                                      method="lattice",
-                                      residual=math.nan, iterations=0)
-            elif config.refine == "bs":
-                rec = solve_resonance(k, nt, h)
-            else:
-                E0 = complex(lat) ** (2.0 / 3.0)
-                rec = find_resonance_ode((E0, h, nt), E0)
-            return _record_row(rec, h)
-        except (ConiresError, ValueError) as exc:
-            return _failure_row(k, nt, h, f"{type(exc).__name__}: {exc}")
-
-    return _thread_map(solve_one, jobs)
+                # the ODE seed stays this power rather than the lattice
+                # record's E: the two differ in the last bit at some
+                # points, and the oracle's choice of zero can follow it
+                seed = (complex(lat) ** (2.0 / 3.0)
+                        if config.refine == "ode" else None)
+                jobs.append((k, nt, h, seed))
+    return [_row(_sweep_job(k, nt, h, seed, config.refine), h)
+            for k, nt, h, seed in jobs]
 
 
 def _resonance_seed_jobs(config):
     nt = config.params["nutilde"]
     h = config.params["h_values"][0]
-    seeds = config.params["seeds"]
-
-    def solve_one(E0):
+    jobs = []
+    for E0 in config.params["seeds"]:
         lam = cmath.exp(1.5 * cmath.log(complex(E0)))
-        k = round(_branch_coordinate(lam.real, nt, h))
-        try:
-            if config.refine == "bs":
-                rec = solve_resonance(k, nt, h, seed=E0)
-            else:
-                rec = find_resonance_ode((E0, h, nt), E0)
-            return _record_row(rec, h)
-        except (ConiresError, ValueError) as exc:
-            return _failure_row(k, nt, h, f"{type(exc).__name__}: {exc}")
-
-    return _thread_map(solve_one, seeds)
+        jobs.append((round(_branch_coordinate(lam.real, nt, h)), E0))
+    return [_row(_sweep_job(k, nt, h, E0, config.refine), h)
+            for k, E0 in jobs]
 
 
 _PLOT_SCRIPT = """\
@@ -367,7 +321,12 @@ def cmd_resonances(config):
                 data=fig_path, script=script_path,
                 series=" ".join(repr(s) for s in series))
 
-    code = 0 if n_ok >= 1 else 3
+    if n_ok == 0:
+        code = 3
+    elif n_ok < len(rows):
+        code = 4
+    else:
+        code = 0
     return doc, artifacts, code
 
 

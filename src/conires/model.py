@@ -26,8 +26,10 @@ beyond r2, and sqrt(g+ g-) in i R+ on both of those intervals.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,6 +84,59 @@ class ModelParams:
                 f"nu must equal nu_tilde * h = {product!r}, got {self.nu!r}"
             )
         object.__setattr__(self, "nu", product)
+
+
+class _Params(NamedTuple):
+    """Validated (E, h, nu_tilde, nu = nu_tilde * h) without ModelParams'
+    half-integer pin on nu_tilde."""
+
+    E: complex
+    h: float
+    nu_tilde: float
+    nu: float
+
+
+def _as_E_nu(params):
+    """(E, nu) from ModelParams or a plain (E, nu) pair."""
+    if isinstance(params, ModelParams):
+        return params.E, params.nu
+    E, nu = params
+    return complex(E), float(nu)
+
+
+def _check_h_nt(h, nu_tilde, rule="positive"):
+    """Float (h, nu_tilde) with h positive and finite and nu_tilde obeying
+    rule: "positive" (finite, > 0; the lattice and the WKB machinery are
+    generic in nu_tilde, and studies at fixed nu = nu_tilde * h need
+    off-lattice values), "half-integer" (1/2, 3/2, ..., the index the
+    Frobenius start needs) or "nonnegative" (finite, >= 0, enough for
+    the plain path integrator)."""
+    h, nt = float(h), float(nu_tilde)
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"h must be positive and finite, got {h}")
+    if rule == "half-integer":
+        if not (nt > 0.0 and abs(2.0 * nt - round(2.0 * nt)) < 1e-12
+                and round(2.0 * nt) % 2 == 1):
+            raise ValueError(
+                f"nu_tilde must be a positive half-integer, got {nt}")
+    elif rule == "nonnegative":
+        if not (nt >= 0.0 and math.isfinite(nt)):
+            raise ValueError(f"nu_tilde must be nonnegative, got {nt}")
+    elif not (nt > 0.0 and math.isfinite(nt)):
+        raise ValueError(f"nu_tilde must be positive and finite, got {nt}")
+    return h, nt
+
+
+def _as_params(params, rule="positive"):
+    """_Params from ModelParams, _Params or a loose (E, h, nu_tilde)
+    triple, with nu_tilde checked by rule (see _check_h_nt)."""
+    if isinstance(params, (ModelParams, _Params)):
+        E, h, nt = params.E, params.h, params.nu_tilde
+    else:
+        E, h, nt = params
+    E = complex(E)
+    h, nt = _check_h_nt(h, nt, rule)
+    return _Params(E, h, nt, nt * h)
 
 
 def discriminant(E, nu):
@@ -233,8 +288,11 @@ def cubic_roots(E, nu):
     Re E > 0 the labels are carried from Re E by analytic continuation along
     the straight segment in E (nearest-neighbor matching with step halving).
     Residuals are polished to <= 1e-12 * max(1, |E|^3) by guarded Newton steps.
+    Raises ValueError for a non-finite E.
     """
     E = complex(E)
+    if not cmath.isfinite(E):
+        raise ValueError(f"E must be finite, got {E}")
     nu = float(nu)
     d3 = discriminant(E, nu)
     deg_tol = 1e-12 * max(1.0, abs(E)) ** 6

@@ -44,7 +44,7 @@ from .errors import (
     StepUnderflow,
     WindowEmpty,
 )
-from .model import ModelParams, turning_points
+from .model import _as_params, turning_points
 from .quadrature import ComplexPath
 from .quantization import (
     ResonanceRecord,
@@ -64,29 +64,6 @@ def _deferred(module, name, *args, **kwargs):
 # module attributes because perfbench's tracer rebinds them here.
 solve_ivp = functools.partial(_deferred, "scipy.integrate", "solve_ivp")
 brentq = functools.partial(_deferred, "scipy.optimize", "brentq")
-
-
-def _as_triple(params, need_index=True):
-    """Accept ModelParams or an (E, h, nu_tilde) triple.
-
-    need_index demands the positive half-integer index required by the
-    Frobenius start; the plain path integrator only needs nu_tilde >= 0.
-    """
-    if isinstance(params, ModelParams):
-        E, h, nt = complex(params.E), float(params.h), float(params.nu_tilde)
-    else:
-        E, h, nt = params
-        E, h, nt = complex(E), float(h), float(nt)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h must be positive and finite, got {h}")
-    if need_index:
-        if not (nt > 0.0 and abs(2.0 * nt - round(2.0 * nt)) < 1e-12
-                and round(2.0 * nt) % 2 == 1):
-            raise ValueError(
-                f"nu_tilde must be a positive half-integer, got {nt}")
-    elif not (nt >= 0.0 and math.isfinite(nt)):
-        raise ValueError(f"nu_tilde must be nonnegative, got {nt}")
-    return E, h, nt
 
 
 def _coeff_matrix(x, E, nu):
@@ -139,10 +116,10 @@ def frobenius_init(params, eps=None, K=20):
 
     Raises SeriesDivergence when the terms fail to decay at eps.
     """
-    E, h, nt = _as_triple(params, need_index=True)
+    E, h, nt, nu = _as_params(params, "half-integer")
     if K < 8:
         raise ValueError(f"series order K must be at least 8, got {K}")
-    tp = turning_points(E, nt * h)
+    tp = turning_points(E, nu)
     r0 = abs(tp.r0)
     if eps is None:
         eps = 1e-3 * min(1.0, r0)
@@ -216,8 +193,7 @@ def integrate_system(params, path, u_start, rtol=1e-11, atol=None,
     budget is exceeded, or the solution leaves the representable range;
     ValueError for paths through the origin.
     """
-    E, h, nt = _as_triple(params, need_index=False)
-    nu = nt * h
+    E, h, nt, nu = _as_params(params, "nonnegative")
     if not isinstance(path, ComplexPath):
         path = ComplexPath(tuple(path))
     u0 = np.asarray(u_start, dtype=complex)
@@ -373,8 +349,7 @@ def jost_cplus(params, theta=0.5, R_max=None, eps=None, K=20, rtol=1e-11):
     Raises NoPlateau when the sampled quotient does not stabilize
     (raise R_max or theta).
     """
-    E, h, nt = _as_triple(params, need_index=True)
-    nu = nt * h
+    E, h, nt, nu = _as_params(params, "half-integer")
     if not 0.0 < theta < math.pi / 3.0:
         raise ValueError(f"theta must lie in (0, pi/3), got {theta}")
     s3 = math.sin(3.0 * theta)
@@ -437,7 +412,7 @@ def find_resonance_ode(params, E_seed, tol_rel=1e-8, max_iter=30,
     residual = |c+|/median(ring) and the seed's lattice index k.
     """
     E0_seed = complex(E_seed)
-    _, h, nt = _as_triple(params, need_index=True)
+    _, h, nt, _ = _as_params(params, "half-integer")
     lam_seed = cmath.exp(1.5 * cmath.log(E0_seed))
     dlam = 1.5 * math.pi * h
     ladder = [E0_seed,

@@ -46,12 +46,9 @@ class ComplexPath:
     """Piecewise-straight contour in the complex plane.
 
     vertices: ordered contour vertices (at least two).
-    tol:      optional per-path quadrature tolerance hint picked up by
-              consumers that integrate along the path.
     """
 
     vertices: tuple
-    tol: float | None = None
 
     def __post_init__(self):
         verts = tuple(complex(v) for v in self.vertices)

@@ -29,13 +29,12 @@ well under the default tolerance 1e-10.
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .actions import action_S01_pair
 from .errors import EmptyBand, NoConvergence, NonSimpleRoot
+from .model import _check_h_nt
 
 __all__ = [
     "Band",
@@ -116,21 +115,6 @@ class SweepFailure(NamedTuple):
     error: str
 
 
-def _as_hnu(params):
-    """Accept anything carrying h and nu_tilde (ModelParams does) or a
-    plain (h, nu_tilde) pair."""
-    if hasattr(params, "h") and hasattr(params, "nu_tilde"):
-        h, nt = float(params.h), float(params.nu_tilde)
-    else:
-        h, nt = params
-        h, nt = float(h), float(nt)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h must be positive and finite, got {h}")
-    if not (nt > 0.0 and math.isfinite(nt)):
-        raise ValueError(f"nu_tilde must be positive and finite, got {nt}")
-    return h, nt
-
-
 def _E_of_lambda(lam):
     return cmath.exp((2.0 / 3.0) * cmath.log(lam))
 
@@ -157,13 +141,19 @@ def _A_and_dE(E, h, nt):
 def bs_residual(E, params, k=None, tol=1e-10):
     """Quantization residual A(E) - i pi (2k + 1).
 
-    With k=None the nearest odd-multiple branch is used, so the returned
-    imaginary part always lies in (-pi, pi]; pass an explicit k to pin
-    the branch during root following.  A root of branch k means
-    e^{A} + 1 = 0 exactly.  tol bounds the error of the action S01; its
-    closed form meets any tol above roundoff (actions.action_S01).
+    params is anything carrying h and nu_tilde (ModelParams does) or a
+    plain (h, nu_tilde) pair.  With k=None the nearest odd-multiple
+    branch is used, so the returned imaginary part always lies in
+    (-pi, pi]; pass an explicit k to pin the branch during root
+    following.  A root of branch k means e^{A} + 1 = 0 exactly.  tol
+    bounds the error of the action S01; its closed form meets any tol
+    above roundoff (actions.action_S01).
     """
-    h, nt = _as_hnu(params)
+    if hasattr(params, "h") and hasattr(params, "nu_tilde"):
+        h, nt = params.h, params.nu_tilde
+    else:
+        h, nt = params
+    h, nt = _check_h_nt(h, nt)
     a = _A_and_dE(E, h, nt)[0]
     if k is None:
         k = round((a.imag / math.pi - 1.0) / 2.0)
@@ -173,7 +163,7 @@ def bs_residual(E, params, k=None, tol=1e-10):
 def lattice_point(k, nu_tilde, h):
     """Lattice prediction lambda for one (k, nu_tilde): the stated Re and
     Im parts of the asymptotic formula."""
-    h, nt = _as_hnu((h, nu_tilde))
+    h, nt = _check_h_nt(h, nu_tilde)
     bracket = 8 * int(k) + 5 - 4.0 * nt
     if bracket <= 0.0:
         raise ValueError(
@@ -192,10 +182,9 @@ def lattice(nu_tilde, h, band):
     band may be a Band or a plain (a, b) pair; the h argument always
     wins over band.h.  Raises EmptyBand when no branch index fits.
     """
-    h, nt = _as_hnu((h, nu_tilde))
+    h, nt = _check_h_nt(h, nu_tilde)
     a, b = (band.a, band.b) if isinstance(band, Band) else map(float, band)
-    if not 0.0 < a < b:
-        raise ValueError(f"band must satisfy 0 < a < b, got ({a}, {b})")
+    Band(a, b)  # raises ValueError unless 0 < a < b
     # a < SLOPE (8k + 5 - 4 nt) h < b
     lo = _branch_coordinate(a, nt, h)
     hi = _branch_coordinate(b, nt, h)
@@ -206,14 +195,16 @@ def lattice(nu_tilde, h, band):
             f"no lattice point with Re lambda in ({a}, {b}) for "
             f"nu_tilde={nt}, h={h}"
         )
-    out = []
-    for k in range(k_min, k_max + 1):
-        lam = lattice_point(k, nt, h)
-        out.append(ResonanceRecord(
-            k=k, nu_tilde=nt, lambda_lat=lam, lam=lam, E=_E_of_lambda(lam),
-            method="lattice", residual=math.nan, iterations=0,
-        ))
-    return out
+    return [_lattice_record(k, nt, h) for k in range(k_min, k_max + 1)]
+
+
+def _lattice_record(k, nt, h):
+    """Formula-only record of branch k: lam is the lattice point itself."""
+    lam = lattice_point(k, nt, h)
+    return ResonanceRecord(
+        k=k, nu_tilde=nt, lambda_lat=lam, lam=lam, E=_E_of_lambda(lam),
+        method="lattice", residual=math.nan, iterations=0,
+    )
 
 
 def solve_resonance(k, nu_tilde, h, seed=None, tol=1e-10, step_tol=1e-12,
@@ -223,8 +214,11 @@ def solve_resonance(k, nu_tilde, h, seed=None, tol=1e-10, step_tol=1e-12,
     Converged when |residual| < tol and the last step was below
     step_tol |E|.  Each iterate evaluates A and dA/dE together, from one
     root solve and one closed-form action pair (actions.action_S01_pair).
+    A seed whose iterate turns non-finite or whose dA/dE collapses gives
+    way to the next (the real-axis lattice seed); the last such error,
+    NoConvergence or NonSimpleRoot, is raised when no seed converges.
     """
-    h, nt = _as_hnu((h, nu_tilde))
+    h, nt = _check_h_nt(h, nu_tilde)
     k = int(k)
     lam_lat = lattice_point(k, nt, h)
     seeds = [complex(seed)] if seed is not None else [_E_of_lambda(lam_lat)]
@@ -253,13 +247,53 @@ def solve_resonance(k, nu_tilde, h, seed=None, tol=1e-10, step_tol=1e-12,
                 step = -r / dr
                 E = E + step
                 last_step = abs(step)
+                if not cmath.isfinite(E):
+                    raise NoConvergence(
+                        f"non-finite Newton iterate from seed {E0:.6g} "
+                        f"(branch k={k}, nu_tilde={nt})"
+                    )
             last_err = NoConvergence(
                 f"branch k={k}, nu_tilde={nt}, h={h}: |residual| = "
                 f"{abs(r):.2e} after {max_iter} iterations from seed {E0:.6g}"
             )
-        except NonSimpleRoot as exc:
+        except (NonSimpleRoot, NoConvergence) as exc:
             last_err = exc
     raise last_err
+
+
+def _families(nt_max, nt_min=0.5):
+    """Half-integer nu_tilde from nt_min to nt_max, ascending."""
+    out = []
+    nt = 0.5
+    while nt <= nt_max + 1e-12:
+        if nt >= nt_min - 1e-12:
+            out.append(nt)
+        nt += 1.0
+    return out
+
+
+def _sweep_job(k, nt, h, seed, refine, tol=1e-10, max_iter=50):
+    """One (k, nu_tilde) point of a sweep at h, refined as in
+    resonance_set from seed, or from the lattice point when seed is None.
+
+    Any exception of the solve comes back as a SweepFailure, so one bad
+    root never aborts a sweep; an unknown refine raises ValueError.
+    """
+    if refine not in ("lattice", "bs", "ode"):
+        raise ValueError(f"unknown refine method {refine!r}")
+    try:
+        if refine == "bs":
+            return solve_resonance(k, nt, h, seed=seed, tol=tol,
+                                   max_iter=max_iter)
+        rec = _lattice_record(k, nt, h)
+        if refine == "lattice":
+            return rec
+        from .ode_oracle import find_resonance_ode  # imports this module
+
+        E0 = rec.E if seed is None else seed
+        return find_resonance_ode((E0, h, nt), E0)
+    except Exception as exc:
+        return SweepFailure(k, nt, f"{type(exc).__name__}: {exc}")
 
 
 def resonance_set(band, refine="bs", tol=1e-10, max_iter=50,
@@ -270,68 +304,31 @@ def resonance_set(band, refine="bs", tol=1e-10, max_iter=50,
     refine: "lattice" keeps the formula values, "bs" runs the Newton
     solve, "ode" defers to the independent ODE oracle.  Per-root
     failures never abort the sweep; they are collected and returned
-    alongside the records when return_failures is set.  Distinct roots
-    are independent, so when RES_LAT_THREADS is set above 1 the solves
-    run in that many threads with deterministic ordered collection.
+    alongside the records when return_failures is set.
     """
     if band.h is None or band.nu_tilde_max is None:
         raise ValueError("resonance_set needs band.h and band.nu_tilde_max")
     h = band.h
-    nts = []
-    nt = 0.5
-    while nt <= band.nu_tilde_max + 1e-12:
-        nts.append(nt)
-        nt += 1.0
-
     jobs = []
-    empty = 0
-    for nt in nts:
+    for nt in _families(band.nu_tilde_max):
         try:
-            for rec in lattice(nt, h, band):
-                jobs.append((rec.k, nt, rec))
+            jobs += [(rec.k, nt) for rec in lattice(nt, h, band)]
         except EmptyBand:
-            empty += 1
+            pass
     if not jobs:
         raise EmptyBand(
             f"no lattice point in ({band.a}, {band.b}) for any nu_tilde "
             f"up to {band.nu_tilde_max} at h={h}"
         )
 
-    if refine == "lattice":
-        def solve_one(job):
-            return job[2]
-    elif refine == "bs":
-        def solve_one(job):
-            k, nt, _ = job
-            return solve_resonance(k, nt, h, tol=tol, max_iter=max_iter)
-    elif refine == "ode":
-        from .ode_oracle import find_resonance_ode
-
-        def solve_one(job):
-            k, nt, rec = job
-            return find_resonance_ode((rec.E, h, nt), rec.E)
-    else:
-        raise ValueError(f"unknown refine method {refine!r}")
-
-    def guarded(job):
-        try:
-            return solve_one(job), None
-        except Exception as exc:
-            return None, SweepFailure(job[0], job[1], f"{type(exc).__name__}: {exc}")
-
-    threads = int(os.environ.get("RES_LAT_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(guarded, jobs))
-    else:
-        results = [guarded(j) for j in jobs]
-
+    results = [_sweep_job(k, nt, h, None, refine, tol, max_iter)
+               for k, nt in jobs]
     records, failures = [], []
-    for rec, fail in results:
-        if fail is not None:
-            failures.append(fail)
-        elif all(abs(rec.lam - r.lam) >= 1e-8 for r in records):
-            records.append(rec)
+    for res in results:
+        if isinstance(res, SweepFailure):
+            failures.append(res)
+        elif all(abs(res.lam - r.lam) >= 1e-8 for r in records):
+            records.append(res)
     if return_failures:
         return records, failures
     return records

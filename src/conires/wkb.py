@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -51,8 +50,9 @@ from .errors import (
     TurningPointProximity,
 )
 from .model import (
-    ModelParams,
     SymbolBranch,
+    _as_E_nu,
+    _as_params,
     default_symbol_path,
     symbol_at,
     turning_points,
@@ -168,43 +168,7 @@ class NormalFormCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# parameter plumbing and small helpers
-
-
-class _WkbParams(NamedTuple):
-    E: complex
-    h: float
-    nu_tilde: float
-    nu: float
-
-
-def _as_params(params):
-    """Accept ModelParams or a loose (E, h, nu_tilde) triple.
-
-    ModelParams pins nu_tilde to the physical half-integers.  The loose
-    triple skips that check: the WKB machinery itself is generic in
-    nu_tilde, and studies that vary h at fixed nu = nu_tilde * h need
-    off-lattice values.
-    """
-    if isinstance(params, _WkbParams):
-        return params
-    if isinstance(params, ModelParams):
-        return _WkbParams(params.E, params.h, params.nu_tilde, params.nu)
-    E, h, nt = params
-    h = float(h)
-    nt = float(nt)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h must be positive and finite, got {h}")
-    if not (nt > 0.0 and math.isfinite(nt)):
-        raise ValueError(f"nu_tilde must be positive and finite, got {nt}")
-    return _WkbParams(complex(E), h, nt, nt * h)
-
-
-def _as_Enu(params):
-    if isinstance(params, ModelParams):
-        return params.E, params.nu
-    E, nu = params
-    return complex(E), float(nu)
+# small helpers
 
 
 def _exp_guard(w):
@@ -227,7 +191,7 @@ def dlog_H(x, params):
     x and needs no branch tracking.  Vectorized over x; poles sit at the
     six turning points +-r_i (and the apparent 1/x terms cancel at 0).
     """
-    E, nu = _as_Enu(params)
+    E, nu = _as_E_nu(params)
     x = np.asarray(x, dtype=complex)
     gp = nu / x - E + x * x
     gm = nu / x + E - x * x
@@ -253,7 +217,7 @@ def phase_z(x, base_point, params, path=None, tol=1e-10):
     (the integrand stays integrable there) but may not pass through one,
     and neither endpoint may sit at the origin pole.
     """
-    E, nu = _as_Enu(params)
+    E, nu = _as_E_nu(params)
     x = complex(x)
     b = complex(base_point)
     tp = turning_points(E, nu)

@@ -29,7 +29,11 @@ from conires.actions import (
     residue_R,
     tunnel_T,
 )
-from conires.errors import NoRealTurningPoints, TurningPointProximity
+from conires.errors import (
+    BranchAmbiguity,
+    NoRealTurningPoints,
+    TurningPointProximity,
+)
 from conires.model import ModelParams
 from conires.quadrature import sqrt_cubic_polyline
 
@@ -167,6 +171,12 @@ class TestClosedForm:
         s01, ds01 = action_S01_pair((E, nu))
         assert abs(s01.value - quad_s) <= 5e-14
         assert abs(ds01.value - quad_d) <= 5e-14
+
+    def test_carlson_nan_is_branch_ambiguity(self):
+        # p = x0/x1 = -1.03+0.53i here, where scipy's R_J returns nan
+        with pytest.raises(BranchAmbiguity):
+            action_S01_pair((0.4325114077600092 + 0.033128669051091936j,
+                             0.25))
 
     def test_pair_is_bit_identical_to_wrappers(self):
         for E, nu in [(1.3, 0.2), (0.9 + 0.1j, 0.15),

@@ -160,6 +160,11 @@ class TestCubicRoots:
                 assert abs(a - b) < 0.1
             prev = cur
 
+    def test_non_finite_energy_rejected(self):
+        for E in (complex(math.nan, 0.0), complex(1.0, math.inf)):
+            with pytest.raises(ValueError):
+                cubic_roots(E, 0.5)
+
     def test_negative_real_part_falls_back(self):
         cr = cubic_roots(-1.0 + 0.5j, 0.3)
         assert cr.degenerate  # modulus-ordered labels flagged as unlabeled

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conires.actions import action_S12
-from conires.errors import EmptyBand, NoConvergence
+from conires.errors import ConiresError, EmptyBand, NoConvergence
+from conires import quantization
 from conires.quantization import (
     Band,
     ResonanceRecord,
@@ -184,6 +185,36 @@ class TestSolveResonance:
         with pytest.raises(NoConvergence):
             solve_resonance(42, 0.5, 0.01, max_iter=1)
 
+    def test_carlson_gap_is_typed_failure(self):
+        # Newton from this lattice seed reaches an E where scipy's R_J has
+        # no value; the failure must be a package error, not a TypeError
+        with pytest.raises(ConiresError):
+            solve_resonance(1, 2.5, 0.1)
+
+    def test_non_finite_iterate_is_no_convergence(self, monkeypatch):
+        # a nan slope sends every seed's first step to E = nan
+        real = quantization._A_and_dE
+        monkeypatch.setattr(quantization, "_A_and_dE", lambda E, h, nt: (
+            real(E, h, nt)[0], complex(math.nan)))
+        with pytest.raises(NoConvergence):
+            solve_resonance(42, 0.5, 0.01)
+
+    def test_non_finite_iterate_moves_to_next_seed(self, monkeypatch):
+        # a nan slope on the very first iterate abandons the lattice
+        # seed; the real-axis seed still converges
+        real = quantization._A_and_dE
+        calls = []
+
+        def first_nan(E, h, nt):
+            calls.append(E)
+            a, dr = real(E, h, nt)
+            return (a, complex(math.nan)) if len(calls) == 1 else (a, dr)
+
+        monkeypatch.setattr(quantization, "_A_and_dE", first_nan)
+        rec = solve_resonance(42, 0.5, 0.01)
+        assert rec.residual <= 1e-10
+        assert abs(rec.lam - solve_resonance(42, 0.5, 0.01).lam) <= 1e-9
+
     def test_deterministic(self):
         assert solve_resonance(30, 2.5, 0.015) == solve_resonance(30, 2.5, 0.015)
 
@@ -227,11 +258,6 @@ class TestResonanceSet:
         assert recs == []
         assert len(fails) > 0
         assert fails[0].error.startswith("NoConvergence")
-
-    def test_threaded_sweep_identical(self, monkeypatch):
-        serial = resonance_set(self.BAND)
-        monkeypatch.setenv("RES_LAT_THREADS", "4")
-        assert resonance_set(self.BAND) == serial
 
     def test_lattice_mode(self):
         recs = resonance_set(Band(1.0, 4.0, h=0.01, nu_tilde_max=5.5),
