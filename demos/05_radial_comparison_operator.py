@@ -7,9 +7,10 @@ scalar radial operator with potential r plus centrifugal term.  Its
 eigenvalues admit a closed form through the same Bohr-Sommerfeld
 machinery, and the substitution r = h^{2/3} s removes h from the
 problem entirely: every eigenvalue is an h-free constant times
-h^{2/3}.  The demo shows the closed form, the independent shooting
-oracle, their agreement, and the scaling law that makes "error
-decreasing faster than h" impossible for any method.
+h^{2/3}.  The oracle uses exactly that: one Chebyshev eigensolve of
+the scaled problem, times h^{2/3}.  The demo shows the closed form,
+the eigensolve oracle, their agreement, and the scaling law that
+makes "error decreasing faster than h" impossible for any method.
 """
 
 from conires.ode_oracle import pplus_eigen_oracle
@@ -17,7 +18,7 @@ from conires.quantization import pplus_levels
 
 l, h = 1, 0.01
 
-# --- closed form vs shooting oracle ------------------------------------
+# --- closed form vs eigensolve oracle ----------------------------------
 # The lowest closed-form entry (k = 0) sits below the well bottom of
 # its own potential and matches nothing; physical eigenvalues pair with
 # the predictions one index up.
@@ -26,7 +27,7 @@ window = (0.5 * preds[0], 1.2 * preds[-1])
 eigs = pplus_eigen_oracle(l, h, window)
 print(f"l = {l}, h = {h}")
 print(f"closed form (k = 0..3): {[f'{p:.6f}' for p in preds]}")
-print(f"shooting oracle:        {[f'{e:.6f}' for e in eigs]}")
+print(f"eigensolve oracle:      {[f'{e:.6f}' for e in eigs]}")
 print("\n  oracle value   nearest prediction   |delta|")
 for ev in eigs[:3]:
     near = min(preds, key=lambda p: abs(p - ev))

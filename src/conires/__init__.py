@@ -31,7 +31,6 @@ from .errors import (
     ConiresError,
     ConvergenceFailure,
     EmptyBand,
-    MatchingFailure,
     MonotonicityViolation,
     NoConvergence,
     NonSimpleRoot,

@@ -52,7 +52,7 @@ from .errors import (
     NoRealTurningPoints,
     TurningPointProximity,
 )
-from .model import _as_E_nu, _cardano_any, _match, cubic_roots
+from .model import _as_E_nu, _cardano_any, _check_h_l, _match, cubic_roots
 from .quadrature import (
     adaptive_segment,
     polyline_sqrt_ref,
@@ -402,13 +402,10 @@ def action_S12(E, h, l, tol=1e-10):
     """Barrier action int_{alpha1}^{alpha2} sqrt(r - E + h^2(l^2-1/4)/r^2) dr
     of the scalar comparison operator; purely imaginary with positive
     imaginary part.  Requires three distinct real turning points."""
+    h, l = _check_h_l(h, l)
     E = float(E)
-    h = float(h)
-    l = int(l)
-    if l < 1:
-        raise ValueError("l must be a positive integer")
-    if E <= 0 or h <= 0:
-        raise ValueError("E and h must be positive")
+    if not E > 0:
+        raise ValueError(f"E must be positive, got {E}")
     mu = h * math.sqrt(l * l - 0.25) * E ** -1.5
     if mu >= MU_CRITICAL:
         raise NoRealTurningPoints(

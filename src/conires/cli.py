@@ -5,7 +5,7 @@ Five subcommands cover the pipeline stages: ``turning-points`` and
 sweeps with optional Bohr-Sommerfeld or ODE-oracle refinement,
 ``verify-ode`` puts the three routes for a single resonance side by
 side, and ``pplus`` compares the radial closed form against the
-shooting oracle.
+Chebyshev eigensolve of the scaled radial problem.
 
 Output is a table in CSV (default) or JSON.  Complex values become two
 CSV columns (``*_re``, ``*_im``) or a ``{"re", "im"}`` object in JSON.
@@ -370,7 +370,8 @@ def cmd_verify_ode(config):
 
 
 def cmd_pplus(config):
-    """Closed-form radial levels, optionally next to the shooting oracle."""
+    """Closed-form radial levels, optionally next to the oracle levels
+    from one Chebyshev eigensolve of the h-free scaled problem."""
     l = config.params["l"]
     h = config.params["h"]
     kmax = config.params["kmax"]
@@ -508,7 +509,7 @@ def _build_parser():
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--oracle", action="store_true",
-                   help="also run the shooting oracle and show deltas")
+                   help="also run the eigensolve oracle and show deltas")
     common(p)
 
     return parser

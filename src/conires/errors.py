@@ -74,8 +74,3 @@ class SpuriousZero(ConiresError):
 
 class WindowEmpty(ConiresError):
     """No eigenvalue was found in the requested energy window."""
-
-
-class MatchingFailure(ConiresError):
-    """Shooting solutions could not be matched (bracketing or refinement
-    failed)."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -104,6 +105,13 @@ def _as_E_nu(params):
     return complex(E), float(nu)
 
 
+def _check_h(h):
+    h = float(h)
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"h must be positive and finite, got {h}")
+    return h
+
+
 def _check_h_nt(h, nu_tilde, rule="positive"):
     """Float (h, nu_tilde) with h positive and finite and nu_tilde obeying
     rule: "positive" (finite, > 0; the lattice and the WKB machinery are
@@ -111,9 +119,7 @@ def _check_h_nt(h, nu_tilde, rule="positive"):
     off-lattice values), "half-integer" (1/2, 3/2, ..., the index the
     Frobenius start needs) or "nonnegative" (finite, >= 0, enough for
     the plain path integrator)."""
-    h, nt = float(h), float(nu_tilde)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h must be positive and finite, got {h}")
+    h, nt = _check_h(h), float(nu_tilde)
     if rule == "half-integer":
         if not (nt > 0.0 and abs(2.0 * nt - round(2.0 * nt)) < 1e-12
                 and round(2.0 * nt) % 2 == 1):
@@ -125,6 +131,15 @@ def _check_h_nt(h, nu_tilde, rule="positive"):
     elif not (nt > 0.0 and math.isfinite(nt)):
         raise ValueError(f"nu_tilde must be positive and finite, got {nt}")
     return h, nt
+
+
+def _check_h_l(h, l):
+    """Float h, positive and finite, and int l >= 1, the angular index of
+    the scalar radial comparison operator.  Bools and non-integral
+    numbers are rejected rather than truncated."""
+    if isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 1:
+        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    return _check_h(h), int(l)
 
 
 def _as_params(params, rule="positive"):

@@ -7,9 +7,10 @@ contours, and the outgoing Jost coefficient c+ is read off on a rotated
 ray where the e^{+i(x^3-3Ex)/3h} solution dominates. Resonances are
 located as zeros of c+ by secant iteration, certified by an
 argument-principle winding count on a surrounding circle. A separate
-real-axis shooting routine finds eigenvalues of the scalar radial
-comparison operator. None of this shares code or expansions with the
-WKB route, which is the point: the two routes check each other.
+Chebyshev eigensolve of the h-free scaled radial problem finds the
+eigenvalues of the scalar radial comparison operator. None of this
+shares code or expansions with the WKB route, which is the point: the
+two routes check each other.
 
 Contour layout for c+: a real segment from eps to x_mid (the geometric
 mean of the two outer turning-point moduli), a circular arc down to the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    MatchingFailure,
+    ConvergenceFailure,
     NoConvergence,
     NoPlateau,
     SeriesDivergence,
@@ -44,7 +45,7 @@ from .errors import (
     StepUnderflow,
     WindowEmpty,
 )
-from .model import _as_params, turning_points
+from .model import _as_params, _check_h_l, turning_points
 from .quadrature import ComplexPath
 from .quantization import (
     ResonanceRecord,
@@ -58,10 +59,11 @@ def _deferred(module, name, *args, **kwargs):
     return getattr(importlib.import_module(module), name)(*args, **kwargs)
 
 
-# scipy.integrate and scipy.optimize load on the first ODE solve or root
-# bracket, not on import: the package (and the CLI on its
-# Bohr-Sommerfeld path) never needs them otherwise.  Both names stay
-# module attributes because perfbench's tracer rebinds them here.
+# scipy.integrate loads on the first ODE solve, not on import: the
+# package, the CLI on its Bohr-Sommerfeld path and the radial eigensolve
+# never need it.  solve_ivp stays a module attribute because perfbench's
+# tracer rebinds it here; nothing calls brentq, which is kept only
+# because that tracer wraps it unconditionally.
 solve_ivp = functools.partial(_deferred, "scipy.integrate", "solve_ivp")
 brentq = functools.partial(_deferred, "scipy.optimize", "brentq")
 
@@ -488,91 +490,74 @@ def _secant_certified(E_start, h, nt, tol_rel, max_iter, theta,
                            residual=abs(c1) / med, iterations=evals)
 
 
-def _pplus_wronskian(E, l, h, eps, rtol=1e-11):
-    """Matching Wronskian of the outward and inward radial solutions.
+def _cheb(N):
+    """Chebyshev points x_j = cos(pi j / N), j = 0..N, and the
+    differentiation matrix on them (Trefethen, Spectral Methods in
+    MATLAB, cheb.m)."""
+    x = np.cos(math.pi * np.arange(N + 1) / N)
+    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
+    return D - np.diag(D.sum(axis=1)), x
 
-    Outward from eps with u ~ r^{l+1/2} (Frobenius-corrected), inward
-    from beyond the turning point with the decaying WKB seed
-    u ~ (r-E)^{-1/4} e^{-(2/3)(r-E)^{3/2}/h}; both meet at r = E.
-    Normalized so the returned value is O(1) away from eigenvalues.
+
+def _scaled_radial_levels(l, S, N):
+    """Real eigenvalues e of -u'' + ((l^2-1/4)/s^2 + s)u = e u on [0, S]
+    with u(S) = 0, by Chebyshev collocation of degree N.
+
+    In t = sqrt(s) the problem reads
+    -t^2 u_tt + t u_t + (4 l^2 - 1 + 4 t^6) u = 4 e t^4 u, whose regular
+    solution t^{2l+1} is a polynomial.  Dropping the collocation row and
+    column at t = 0 keeps that solution and discards the singular
+    t^{1-2l} one; dropping them at t = sqrt(S) imposes u(S) = 0.  The
+    weight 4 t^4 is positive on the interior nodes, so the generalized
+    problem reduces to a plain eigenvalue problem.
     """
-    alpha = l + 0.5
-    c = np.zeros(13)
-    c[0] = 1.0
-    for n in range(1, 13):
-        src = 0.0
-        if n >= 2:
-            src -= E * c[n - 2]
-        if n >= 3:
-            src += c[n - 3]
-        c[n] = src / (h * h * n * (n + 2 * l))
-    r = eps
-    powers = r ** np.arange(13)
-    u0 = (c * powers).sum() * r ** alpha
-    du0 = (c * (alpha + np.arange(13)) * powers).sum() * r ** alpha / r
-
-    def rhs(t, y):
-        q = (l * l - 0.25) / (t * t) + (t - E) / (h * h)
-        return [y[1], q * y[0]]
-
-    sol = solve_ivp(rhs, (eps, E), [u0, du0], method="DOP853",
-                    rtol=rtol, atol=1e-290)
-    if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-        raise MatchingFailure(f"outward shot failed at E={E}: "
-                              f"{sol.message}")
-    uo, duo = sol.y[:, -1]
-
-    X = (60.0 * h) ** (2.0 / 3.0)
-    R_out = E + X
-    ui0 = X ** (-0.25)
-    dui0 = (-math.sqrt(X) / h - 0.25 / X) * ui0
-    sol = solve_ivp(rhs, (R_out, E), [ui0, dui0], method="DOP853",
-                    rtol=rtol, atol=1e-290)
-    if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-        raise MatchingFailure(f"inward shot failed at E={E}: "
-                              f"{sol.message}")
-    ui, dui = sol.y[:, -1]
-    W = uo * dui - duo * ui
-    scale = abs(uo * dui) + abs(duo * ui) + 1e-290
-    return W / scale
+    D, x = _cheb(N)
+    T = math.sqrt(S)
+    t = 0.5 * T * (x[1:-1] + 1.0)
+    D1 = (2.0 / T) * D
+    D2 = (D1 @ D1)[1:-1, 1:-1]
+    A = (-(t * t)[:, None] * D2 + t[:, None] * D1[1:-1, 1:-1]
+         + np.diag(4.0 * l * l - 1.0 + 4.0 * t ** 6))
+    ev = np.linalg.eigvals(A / (4.0 * t ** 4)[:, None])
+    return np.sort(ev[ev.imag == 0.0].real)
 
 
-def pplus_eigen_oracle(l, h, E_window, grid_points=None):
+def pplus_eigen_oracle(l, h, E_window):
     """Eigenvalues of the radial comparison operator inside E_window.
 
-    Shooting method for -h^2(u'' + (1/4 - l^2)/r^2 u) + (r - E)u = 0 on
-    the half-line: the window is scanned for sign changes of the
-    matching Wronskian, each bracketed root is polished by bisection
-    (brentq). Eigenvalues of the self-adjoint problem are real and
-    simple, so sign changes capture them all for a fine enough grid;
-    the default spacing resolves a quarter of the local level distance.
+    -h^2(u'' + (1/4 - l^2)/r^2 u) + (r - E)u = 0 on the half-line
+    becomes h-free under r = h^{2/3} s, E = h^{2/3} e, so every level is
+    e h^{2/3} with e an eigenvalue of the scaled problem, found by one
+    Chebyshev eigensolve (_scaled_radial_levels).  The box [0, S] ends
+    25 units past the scaled window top, where every level in the
+    window has decayed by more than e^{-80}, and the degree
+    N = 12 S^{3/4} resolves those levels to about 1e-13.  The solve is
+    repeated at a third more nodes; the two must agree on the count
+    and to 1e-10 relative, or ConvergenceFailure is raised.
 
     Raises WindowEmpty when no eigenvalue lies in the window.
     """
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h must be positive and finite, got {h}")
+    h, l = _check_h_l(h, l)
     a, b = float(E_window[0]), float(E_window[1])
     if not 0.0 < a < b:
         raise ValueError(f"E_window must satisfy 0 < a < b, got ({a}, {b})")
-    eps = 1e-3 * min(1.0, a)
-    if grid_points is None:
-        spacing = math.pi * h / math.sqrt(b)
-        grid_points = max(8, int(math.ceil((b - a) / (0.25 * spacing))) + 1)
-    Es = np.linspace(a, b, grid_points)
-    Ws = np.array([_pplus_wronskian(E, l, h, eps) for E in Es])
-    roots = []
-    for i in range(len(Es) - 1):
-        if Ws[i] == 0.0:
-            roots.append(float(Es[i]))
-        elif Ws[i] * Ws[i + 1] < 0.0:
-            roots.append(brentq(lambda E: _pplus_wronskian(E, l, h, eps),
-                                Es[i], Es[i + 1], xtol=1e-14, rtol=1e-15))
-    if Ws[-1] == 0.0:
-        roots.append(float(Es[-1]))
-    if not roots:
+    h23 = h ** (2.0 / 3.0)
+    S = b / h23 + 25.0
+    N = math.ceil(12.0 * S ** 0.75)
+    Ns = (N, math.ceil(4.0 * N / 3.0))
+    levels = []
+    for n in Ns:
+        E = _scaled_radial_levels(l, S, n) * h23
+        levels.append(E[(E >= a) & (E <= b)])
+    coarse, fine = levels
+    if len(coarse) != len(fine) or np.any(
+            np.abs(coarse - fine) > 1e-10 * fine):
+        raise ConvergenceFailure(
+            f"radial eigensolves at N = {Ns} disagree in [{a}, {b}] at "
+            f"l={l}, h={h}: {len(coarse)} vs {len(fine)} levels")
+    if len(fine) == 0:
         raise WindowEmpty(
             f"no eigenvalue of the l={l} radial problem in "
             f"[{a}, {b}] at h={h}")
-    return sorted(roots)
+    return [float(E) for E in fine]

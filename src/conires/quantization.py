@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .actions import action_S01_pair
 from .errors import EmptyBand, NoConvergence, NonSimpleRoot
-from .model import _check_h_nt
+from .model import _check_h_l, _check_h_nt
 
 __all__ = [
     "Band",
@@ -338,12 +338,7 @@ def pplus_levels(h, l, k_range):
     """Closed-form eigenvalue predictions of the scalar comparison
     operator: E = [(3 pi/4)(2k + 1 - sqrt(l^2 - 1/4)) h]^{2/3} for every
     k in k_range with a positive bracket."""
-    h = float(h)
-    l = int(l)
-    if l < 1:
-        raise ValueError("l must be a positive integer")
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"h must be positive and finite, got {h}")
+    h, l = _check_h_l(h, l)
     root = math.sqrt(l * l - 0.25)
     out = []
     for k in k_range:

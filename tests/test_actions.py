@@ -313,6 +313,11 @@ class TestActionS12AndIplus:
         with pytest.raises(NoRealTurningPoints):
             action_S12(0.1, 0.05, 2)  # barrier gone: single real root
 
+    def test_s12_rejects_nan_h(self):
+        # numpy's LinAlgError is a ValueError too, so match the message
+        with pytest.raises(ValueError, match="h must be positive"):
+            action_S12(0.2, math.nan, 1)
+
 
 class TestErrorReporting:
     """Tightening the tolerance moves the value by no more than the sum of

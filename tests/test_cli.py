@@ -63,6 +63,22 @@ class TestImports:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_pplus_oracle_leaves_ode_solvers_unloaded(self, tmp_path):
+        # the radial oracle is one numpy eigensolve: no ODE solver, no
+        # root bracketing
+        src = str(Path(conires.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        table = tmp_path / "pplus.csv"
+        code = ("import sys; from conires.cli import main; "
+                f"code = main(['pplus', '--h', '0.01', '--l', '1', "
+                f"'--oracle', '--output', {str(table)!r}]); "
+                "print(code, sorted(m for m in ('scipy.integrate', "
+                "'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0 []"
+        assert len(rows_of(table.read_text())) == 4
+
     def test_package_names_resolve(self):
         assert conires.jost_cplus is conires.ode_oracle.jost_cplus
         assert conires.transfer_T1 is conires.wkb.transfer_T1

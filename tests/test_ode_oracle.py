@@ -1,11 +1,12 @@
 """Tests for the direct-integration oracle.
 
 Reference values here come from closed forms (diagonal constant-ν̃-free
-evolution, exact h^{2/3} scaling of the radial problem) and from an
+evolution, exact h^{2/3} scaling of the radial problem), from an
 independent shooting computation of the scaled radial eigenvalues
 (h-free form of the equation, endpoint sign bisection) whose results
-are frozen as literals; c+ references come from an all-Radau gauged
-ray at rtol 1e-13. The half-spacing offset between the Jost zeros
+are frozen as literals, and from a finite-difference solve of the same
+scaled problem run in the test; c+ references come from an all-Radau
+gauged ray at rtol 1e-13. The half-spacing offset between the Jost zeros
 and the quantization route is asserted as measured fact: with the
 A-matrix, the x^{ν̃}(1,-i) Frobenius seed, and the outgoing-coefficient
 convention used throughout this package, the zeros of c⁺ sit half a
@@ -19,7 +20,12 @@ import numpy as np
 import pytest
 
 from conires import ode_oracle
-from conires.errors import NoConvergence, NoPlateau, WindowEmpty
+from conires.errors import (
+    ConvergenceFailure,
+    NoConvergence,
+    NoPlateau,
+    WindowEmpty,
+)
 from conires.model import turning_points
 from conires.ode_oracle import (
     frobenius_init,
@@ -363,7 +369,51 @@ class TestPplusOracle:
         with pytest.raises(ValueError):
             pplus_eigen_oracle(True, 0.01, (0.1, 0.2))
 
-    def test_grid_override_deterministic(self):
-        a = pplus_eigen_oracle(1, 0.02, (0.1, 0.4), grid_points=41)
-        b = pplus_eigen_oracle(1, 0.02, (0.1, 0.4), grid_points=41)
+    def test_repeat_call_deterministic(self):
+        a = pplus_eigen_oracle(1, 0.02, (0.1, 0.4))
+        b = pplus_eigen_oracle(1, 0.02, (0.1, 0.4))
         assert a == b
+
+    @staticmethod
+    def _scaled_levels_fd(l, e_max, L=30.0, m=40000):
+        # second-order finite differences for -u'' + ((l^2-1/4)/s^2 + s)u
+        # on (0, L] at m and 2m interior points, one Richardson step
+        from scipy.linalg import eigh_tridiagonal
+
+        def levels(n):
+            ds = L / (n + 1)
+            s = ds * np.arange(1, n + 1)
+            diag = 2.0 / ds ** 2 + (l * l - 0.25) / s ** 2 + s
+            off = np.full(n - 1, -1.0 / ds ** 2)
+            return eigh_tridiagonal(diag, off, select="v",
+                                    select_range=(0.0, e_max),
+                                    eigvals_only=True)
+
+        coarse, fine = levels(m), levels(2 * m)
+        assert len(coarse) == len(fine)
+        return (4.0 * fine - coarse) / 3.0
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_high_levels_match_finite_differences(self, l):
+        # every level up to scaled e = 15 (12 at l = 1, 11 at l = 2);
+        # 15 sits at least 0.15 from the nearest level for both l
+        h = 0.008
+        h23 = h ** (2.0 / 3.0)
+        want = self._scaled_levels_fd(l, 15.0) * h23
+        got = pplus_eigen_oracle(l, h, (0.5 * h23, 15.0 * h23))
+        assert len(got) == len(want) >= 11
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-6 * w
+
+    @pytest.mark.parametrize("perturb", [
+        lambda e, N: e * (1.0 + 1e-9 * N),  # values drift with N
+        lambda e, N: e[1:] if N > 200 else e,  # finer solve drops a level
+    ], ids=["drift", "dropped-level"])
+    def test_node_count_disagreement_raises(self, monkeypatch, perturb):
+        # the window needs N = 160 and 214 nodes
+        solve = ode_oracle._scaled_radial_levels
+        monkeypatch.setattr(
+            ode_oracle, "_scaled_radial_levels",
+            lambda l, S, N: perturb(solve(l, S, N), N))
+        with pytest.raises(ConvergenceFailure):
+            pplus_eigen_oracle(1, 0.01, (0.01, 0.30))

@@ -289,6 +289,15 @@ class TestPplusLevels:
         with pytest.raises(ValueError):
             pplus_levels(0.01, 0, range(3))
 
+    def test_non_integer_l_rejected(self):
+        # not truncated to the l = 1 levels
+        with pytest.raises(ValueError):
+            pplus_levels(0.01, 1.7, range(3))
+
+    def test_bool_l_rejected(self):
+        with pytest.raises(ValueError):
+            pplus_levels(0.01, True, range(3))
+
     def test_bracket_filter(self):
         # l=2: 2k+1 must exceed sqrt(3.75) = 1.936, so k=0 drops out
         vals = pplus_levels(0.01, 2, range(3))
