@@ -107,21 +107,21 @@ def _imag_ref(E):
     return w / abs(w)
 
 
-def _sqrt_cubic_auto(ra, rb, rc, *, sign, weight, branch_ref, tol, power=1):
+def _sqrt_cubic_auto(ra, rb, rc, *, sign, weight, branch_ref, tol):
     """Straight segment between the roots ra, rb, with automatic midpoint
     deflection away from rc when rc comes too close to the segment."""
     gap = abs(rb - ra)
     prox = 0.05 * gap
     if float(segment_point_distance(ra, rb, [rc])[0]) >= prox:
         return sqrt_cubic_segment(ra, rb, rc, sign=sign, weight=weight,
-                                  branch_ref=branch_ref, tol=tol, power=power)
+                                  branch_ref=branch_ref, tol=tol)
     mid = 0.5 * (ra + rb)
     unit = (rb - ra) / gap
     normal = 1j * unit
     side = -1.0 if ((rc - mid) * np.conj(normal)).real >= 0.0 else 1.0
     via = mid + side * normal * max(4.0 * prox, 0.2 * gap)
     return sqrt_cubic_polyline(ra, rb, rc, [via], sign=sign, weight=weight,
-                               branch_ref=branch_ref, tol=tol, power=power)
+                               branch_ref=branch_ref, tol=tol)
 
 
 def action_S01_pair(params):
@@ -189,29 +189,39 @@ def action_S01_pair(params):
     return S, dS
 
 
-def action_S01(params, tol=1e-10):
+def action_S01(params):
     """Action integral between the turning points r0 and r1.
 
     For real E > 0 with subcritical nu the value is purely imaginary with
     positive imaginary part; complex E is handled by continuation of the
     turning points and of the square-root branch.  Closed form through
-    Carlson integrals, see action_S01_pair.  tol is an absolute accuracy
-    bound; the closed form meets it at roundoff level (est_error) and
-    nothing adapts to it.
+    Carlson integrals, see action_S01_pair: accurate to roundoff, with
+    est_error a roundoff bound, so there is no tolerance to set.
     """
     return action_S01_pair(params)[0]
 
 
-def action_S01_dE(params, tol=1e-10):
+def action_S01_dE(params):
     """Derivative of S01 with respect to E at fixed nu.
 
     Differentiating under the integral (endpoint terms vanish at the simple
     roots) gives dS01/dE = int (y - E) / (2 sqrt(nu^2 - y(E-y)^2)) dy on the
     same contour and branch as S01.  The half-residue term of S01 is
-    E-independent and drops out.  Closed form, see action_S01_pair; tol
-    as in action_S01.
+    E-independent and drops out.  Closed form to roundoff, as action_S01;
+    see action_S01_pair.
     """
     return action_S01_pair(params)[1]
+
+
+def _subcritical(mu):
+    """complex(mu), refused at or beyond the critical coupling."""
+    mu = complex(mu)
+    if abs(mu) >= MU_CRITICAL:
+        raise NoRealTurningPoints(
+            f"|mu| = {abs(mu):.4f} at or beyond the critical value "
+            f"{MU_CRITICAL:.4f}"
+        )
+    return mu
 
 
 def _traced_unit_roots(mu_abs, phis):
@@ -265,14 +275,9 @@ def action_I(mu, tol=1e-10):
     real positive near 2/3 for small positive mu and continued in arg(mu)
     from there.  I(0) = 2/3 exactly.
     """
-    mu = complex(mu)
+    mu = _subcritical(mu)
     if mu == 0:
         return ActionValue(2.0 / 3.0 + 0.0j, 0.0, 0)
-    if abs(mu) >= MU_CRITICAL:
-        raise NoRealTurningPoints(
-            f"|mu| = {abs(mu):.4f} at or beyond the critical value "
-            f"{MU_CRITICAL:.4f}"
-        )
     phi = cmath.phase(mu)
     if phi < 0.0:
         r = action_I(np.conj(mu), tol)
@@ -293,7 +298,6 @@ def action_I(mu, tol=1e-10):
     phis = np.linspace(0.0, phi, n + 1)
     traced = _traced_unit_roots(mu_abs, phis)
     anchor = 1.0 + 0.0j
-    evals = 0
     for k, ph in enumerate(phis):
         y0, y1, y2 = traced[k]
         via, ref_index = _mono_contour(float(ph), mu_abs)
@@ -307,9 +311,8 @@ def action_I(mu, tol=1e-10):
                                       weight=lambda y: 0.5 / y,
                                       branch_ref=anchor, ref_index=ref_index,
                                       tol=tol)
-            evals += res.n_evals
             return ActionValue(res.value + math.pi * mu, res.est_error,
-                               evals)
+                               res.n_evals)
 
 
 def residue_R(mu):
@@ -321,12 +324,7 @@ def residue_R(mu):
 def tunnel_T(mu, tol=1e-10):
     """Tunneling integral between y1(mu) and y2(mu); equals
     (i pi mu^2 / 4)(1 + O(mu^2)) for small mu."""
-    mu = complex(mu)
-    if abs(mu) >= MU_CRITICAL:
-        raise NoRealTurningPoints(
-            f"|mu| = {abs(mu):.4f} at or beyond the critical value "
-            f"{MU_CRITICAL:.4f}"
-        )
+    mu = _subcritical(mu)
     phi = cmath.phase(mu)
     n = max(1, int(math.ceil(abs(phi) / 0.1)))
     y0, y1, y2 = _traced_unit_roots(abs(mu), np.linspace(0.0, phi, n + 1))[-1]
@@ -425,14 +423,9 @@ def action_S12(E, h, l, tol=1e-10):
 def action_Iplus(mu, tol=1e-10):
     """Scaled barrier action I+(mu): S12 = i E^{3/2} I+(mu) with
     mu = h sqrt(l^2 - 1/4) E^{-3/2}.  I+(0) = 2/3 exactly."""
-    mu = complex(mu)
+    mu = _subcritical(mu)
     if mu == 0:
         return ActionValue(2.0 / 3.0 + 0.0j, 0.0, 0)
-    if abs(mu) >= MU_CRITICAL:
-        raise NoRealTurningPoints(
-            f"|mu| = {abs(mu):.4f} at or beyond the critical value "
-            f"{MU_CRITICAL:.4f}"
-        )
     roots = np.roots([1.0, -1.0, 0.0, mu * mu])
     b0, b1, b2 = sorted(roots, key=lambda z: z.real)
     res = sqrt_cubic_segment(b1, b2, b0, sign=-1, weight=lambda y: 1.0 / y,

@@ -22,7 +22,6 @@ others failed; failed rows carry an ``error`` column).
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -33,12 +32,13 @@ from dataclasses import dataclass, field
 from .actions import action_S01, action_S2inf
 from .errors import ConiresError
 from .model import turning_points
-from .ode_oracle import find_resonance_ode
+from .ode_oracle import find_resonance_ode, pplus_eigen_oracle
 from .quantization import (
     Band,
     SweepFailure,
     _branch_coordinate,
     _families,
+    _lambda_of_E,
     _sweep_job,
     lattice_point,
     pplus_levels,
@@ -202,13 +202,13 @@ def cmd_turning_points(config):
 
 
 def cmd_actions(config):
-    """S01 and S2inf with quadrature error estimates."""
+    """S01 (closed form) and S2inf (quadrature to tol) with error bounds."""
     E = config.params["E"]
     nu = config.params["nu"]
     tol = config.tolerances["tol"]
     rows = []
-    for name, fn in (("S01", action_S01), ("S2inf", action_S2inf)):
-        val = fn((E, nu), tol=tol)
+    for name, val in (("S01", action_S01((E, nu))),
+                      ("S2inf", action_S2inf((E, nu), tol=tol))):
         rows.append({"quantity": name, "value": val.value,
                      "est_error": val.est_error, "n_evals": val.n_evals})
     doc = {
@@ -261,7 +261,7 @@ def _resonance_seed_jobs(config):
     h = config.params["h_values"][0]
     jobs = []
     for E0 in config.params["seeds"]:
-        lam = cmath.exp(1.5 * cmath.log(complex(E0)))
+        lam = _lambda_of_E(complex(E0))
         jobs.append((round(_branch_coordinate(lam.real, nt, h)), E0))
     return [_row(_sweep_job(k, nt, h, E0, config.refine), h)
             for k, E0 in jobs]
@@ -385,7 +385,6 @@ def cmd_pplus(config):
     oracle_error = None
     code = 0
     if config.params["oracle"]:
-        from .ode_oracle import pplus_eigen_oracle
         lo = 0.5 * preds[0][1] if preds else 0.5 * h ** (2.0 / 3.0)
         hi = 1.3 * preds[-1][1] if preds else 8.0 * h ** (2.0 / 3.0)
         try:

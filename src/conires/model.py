@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))  # primitive cube root of unity
+_POLISH_STEPS = 2  # guarded Newton steps per cubic root
+_PROX_REL = 1e-6  # symbol_at's proximity tolerance, relative to |sqrt(E)|
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,7 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "E", complex(self.E))
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"h must be positive and finite, got {self.h}")
-        twice = 2.0 * self.nu_tilde
-        m = round(twice)
-        if abs(twice - m) > 1e-9 or m < 1 or m % 2 == 0:
-            raise ValueError(
-                f"nu_tilde must be a positive half-integer (1/2, 3/2, ...), "
-                f"got {self.nu_tilde}"
-            )
+        _check_h_nt(self.h, self.nu_tilde, "half-integer")
         product = self.nu_tilde * self.h
         if self.nu is not None and self.nu != product:
             raise ValueError(
@@ -121,7 +115,8 @@ def _check_h_nt(h, nu_tilde, rule="positive"):
     the plain path integrator)."""
     h, nt = _check_h(h), float(nu_tilde)
     if rule == "half-integer":
-        if not (nt > 0.0 and abs(2.0 * nt - round(2.0 * nt)) < 1e-12
+        if not (nt > 0.0 and math.isfinite(nt)
+                and abs(2.0 * nt - round(2.0 * nt)) < 1e-12
                 and round(2.0 * nt) % 2 == 1):
             raise ValueError(
                 f"nu_tilde must be a positive half-integer, got {nt}")
@@ -173,7 +168,7 @@ def _cubic_d(x, E):
     return 3.0 * x ** 2 - 4.0 * E * x + E ** 2
 
 
-def _polish(roots, E, nu, steps=2):
+def _polish(roots, E, nu):
     """Guarded Newton polish, then restoration of the exact root sum.
 
     Newton steps skip roots whose derivative collapses (near-double roots,
@@ -185,7 +180,7 @@ def _polish(roots, E, nu, steps=2):
     out = []
     scale = max(1.0, abs(E)) ** 2
     for x in roots:
-        for _ in range(steps):
+        for _ in range(_POLISH_STEPS):
             d = _cubic_d(x, E)
             if abs(d) < 1e-8 * scale:
                 break
@@ -423,8 +418,8 @@ class SymbolBranch:
             )
         self.tp = tp
         self.fa = FactorArgs((r0, r1, -r2, r2, -r0, -r1), start)
-        self.off_P = self.fa.offset_for(self._EXP_P, self._CONST, 0.0)
-        self.off_H4 = self.fa.offset_for(self._EXP_H4, self._CONST, 0.0)
+        self.off_P = self.fa.offset_for(self._EXP_P, self._CONST)
+        self.off_H4 = self.fa.offset_for(self._EXP_H4, self._CONST)
 
     @property
     def at(self):
@@ -510,18 +505,18 @@ def default_symbol_path(tp: TurningPoints, x, start=0.0 + 0.0j):
 
 
 def symbol_at(x, params: ModelParams, branch_state: SymbolBranch = None,
-              path: ComplexPath = None, prox_tol=None, return_state=False):
+              path: ComplexPath = None, return_state=False):
     """Symbol values g+, g-, H at x with the branch continued from H(0) = 1.
 
     With no branch_state the canonical normalization path from 0 is used
     (or `path`, which must then start at 0).  With a branch_state the branch
     is continued from its current point, along `path` if given, else along
     the straight segment.  Raises TurningPointProximity when |g+ g-| falls
-    below tol^2 (tol defaults to 1e-6 * |sqrt(E)|), ValueError at x = 0.
+    below tol^2 with tol = 1e-6 |sqrt(E)|, ValueError within tol of x = 0.
     """
     x = complex(x)
     E, nu = params.E, params.nu
-    tol = prox_tol if prox_tol is not None else 1e-6 * abs(np.sqrt(complex(E)))
+    tol = _PROX_REL * abs(np.sqrt(complex(E)))
     if abs(x) <= tol:
         raise ValueError("symbol_at: x is at (or too close to) the pole x = 0")
     gg = (nu ** 2 - x ** 2 * (E - x ** 2) ** 2) / x ** 2

@@ -46,11 +46,12 @@ from .errors import (
     WindowEmpty,
 )
 from .model import _as_params, _check_h_l, turning_points
-from .quadrature import ComplexPath
+from .quadrature import ComplexPath, segment_point_distance
 from .quantization import (
     ResonanceRecord,
     _branch_coordinate,
     _E_of_lambda,
+    _lambda_of_E,
     lattice_point,
 )
 
@@ -66,6 +67,15 @@ def _deferred(module, name, *args, **kwargs):
 # because that tracer wraps it unconditionally.
 solve_ivp = functools.partial(_deferred, "scipy.integrate", "solve_ivp")
 brentq = functools.partial(_deferred, "scipy.optimize", "brentq")
+
+_RTOL = 1e-11  # relative tolerance of every contour integration
+_ATOL = 1e-14  # absolute ODE tolerance; on the ray, times the start amplitude
+_MAX_STEPS = 2_000_000  # accepted-step budget of integrate_system
+_RAY_RTOL_CAP = 1e-10  # the ray runs at 0.1 min(rtol, cap), 1e-12 at _RTOL
+_THETA = 0.5  # angle of the extraction ray arg x = -theta
+_DOMINANCE_EFOLDS = 40.0  # decay of the recessive mode where c+ is read
+_PLATEAU_REL = 1e-6  # largest plateau variation, relative to |c+|
+_CERT_RATIO = 1e-8  # certified zero: |c+| below this times the ring median
 
 
 def _coeff_matrix(x, E, nu):
@@ -105,6 +115,10 @@ class JostEstimate:
     theta: float
 
 
+def _series_start(r0):  # default Frobenius start, well inside r0
+    return 1e-3 * min(1.0, abs(r0))
+
+
 def frobenius_init(params, eps=None, K=20):
     """Start the regular solution u ~ x^nu_tilde (1, -i) at x = eps.
 
@@ -121,11 +135,8 @@ def frobenius_init(params, eps=None, K=20):
     E, h, nt, nu = _as_params(params, "half-integer")
     if K < 8:
         raise ValueError(f"series order K must be at least 8, got {K}")
-    tp = turning_points(E, nu)
-    r0 = abs(tp.r0)
-    if eps is None:
-        eps = 1e-3 * min(1.0, r0)
-    eps = float(eps)
+    r0 = abs(turning_points(E, nu).r0)
+    eps = _series_start(r0) if eps is None else float(eps)
     if not 0.0 < eps <= 1e-2 * r0:
         raise ValueError(
             f"eps={eps} outside (0, {1e-2 * r0:.3e}]; the series start "
@@ -149,16 +160,6 @@ def frobenius_init(params, eps=None, K=20):
     return u, a
 
 
-def _segment_rejects_origin(a, b):
-    """Distance from the origin to segment [a, b], for the path check."""
-    d = b - a
-    L2 = (d * d.conjugate()).real
-    if L2 == 0.0:
-        return abs(a)
-    t = max(0.0, min(1.0, -((a * d.conjugate()).real) / L2))
-    return abs(a + t * d)
-
-
 def _phase_qr(M):
     """QR factorization with the diagonal of R made real positive."""
     Q, R = np.linalg.qr(M)
@@ -169,8 +170,7 @@ def _phase_qr(M):
     return Q * ph[None, :], R / ph[:, None]
 
 
-def integrate_system(params, path, u_start, rtol=1e-11, atol=None,
-                     max_steps=2_000_000):
+def integrate_system(params, path, u_start, rtol=_RTOL):
     """Integrate hD_x u = Au along a polyline in the complex plane.
 
     u_start may be a 2-vector or a 2x2 fundamental pair (columns). A
@@ -178,7 +178,8 @@ def integrate_system(params, path, u_start, rtol=1e-11, atol=None,
     column so the constant-Wronskian property of the trace-free system
     can be monitored; only the original vector is returned. The ODE is
     solved in the real arclength parameter of each segment, du/dt =
-    e (i/h) A(x) u with e the unit segment direction.
+    e (i/h) A(x) u with e the unit segment direction, by DOP853 at rtol,
+    absolute tolerance 1e-14 and at most 2e6 accepted steps.
 
     The Wronskian meter works on renormalized chunks: whenever the
     solution amplitude moves by six e-folds, the pair is
@@ -216,7 +217,7 @@ def integrate_system(params, path, u_start, rtol=1e-11, atol=None,
         return IntegrationResult(u0 if vector_input else M, 0.0, 0, path)
     scale = max(abs(v) for v in path.vertices)
     for a, b in segs:
-        if nu != 0.0 and _segment_rejects_origin(a, b) < 1e-12 * scale:
+        if nu != 0.0 and segment_point_distance(a, b, [0])[0] < 1e-12 * scale:
             raise ValueError("path passes through the origin")
 
     Q, R_acc = _phase_qr(M)
@@ -250,17 +251,16 @@ def integrate_system(params, path, u_start, rtol=1e-11, atol=None,
             shrank.terminal = True
             shrank.direction = -1
             sol = solve_ivp(f, (t_here, L), y, method="DOP853", rtol=rtol,
-                            atol=(atol if atol is not None else 1e-14),
-                            events=(grew, shrank))
+                            atol=_ATOL, events=(grew, shrank))
             if not sol.success:
                 raise StepUnderflow(
                     f"integration stalled on segment {a} -> {b}: "
                     f"{sol.message}; shorten the path or stay in the "
                     "h >= 0.05 regime")
             steps += len(sol.t) - 1
-            if steps > max_steps:
+            if steps > _MAX_STEPS:
                 raise StepUnderflow(
-                    f"accepted-step budget {max_steps} exceeded; shorten "
+                    f"accepted-step budget {_MAX_STEPS} exceeded; shorten "
                     "the path or stay in the h >= 0.05 regime")
             W = sol.y[0] * sol.y[3] - sol.y[1] * sol.y[2]
             drift += float(np.max(np.abs(W - W[0])) / abs(W[0]))
@@ -327,7 +327,7 @@ def _gauged_ray(E, h, nu, theta, t0, t_switch, t1, v0, t_eval, rtol):
         return np.block([[J.real, -J.imag], [J.imag, J.real]])
 
     y0 = np.array([v0[0].real, v0[1].real, v0[0].imag, v0[1].imag])
-    atol = 1e-14 * max(float(np.max(np.abs(v0))), 1e-290)
+    atol = _ATOL * max(float(np.max(np.abs(v0))), 1e-290)
     sol = solve_ivp(rhs, (t0, t_switch), y0, method="DOP853", rtol=rtol,
                     atol=atol)
     if sol.success:
@@ -338,18 +338,18 @@ def _gauged_ray(E, h, nu, theta, t0, t_switch, t1, v0, t_eval, rtol):
     return sol.y[0] + 1j * sol.y[2], atol
 
 
-def jost_cplus(params, theta=0.5, R_max=None, eps=None, K=20, rtol=1e-11):
+def jost_cplus(params, theta=_THETA, R_max=None, rtol=_RTOL):
     """Outgoing Jost coefficient of the regular solution.
 
-    Starts u ~ x^nu_tilde (1,-i) at eps, carries it along
-    [eps, x_mid], an arc down to arg x = -theta, and the rotated ray,
-    then reads c+ as the plateau of u_1 e^{-i(x^3-3Ex)/3h} over the
+    Starts u ~ x^nu_tilde (1,-i) at frobenius_init's default eps, carries
+    it along [eps, x_mid], an arc down to arg x = -theta, and the rotated
+    ray, then reads c+ as the plateau of u_1 e^{-i(x^3-3Ex)/3h} over the
     final decade. theta must lie in (0, pi/3) so the outgoing solution
     grows on the ray; R_max must keep sin(3 theta) R^3/(3h) >= 40 so
     the recessive component is dead at the extraction radius.
 
-    Raises NoPlateau when the sampled quotient does not stabilize
-    (raise R_max or theta).
+    Raises NoPlateau when the sampled quotient varies by more than
+    1e-6 |c+| (raise R_max or theta).
     """
     E, h, nt, nu = _as_params(params, "half-integer")
     if not 0.0 < theta < math.pi / 3.0:
@@ -357,25 +357,25 @@ def jost_cplus(params, theta=0.5, R_max=None, eps=None, K=20, rtol=1e-11):
     s3 = math.sin(3.0 * theta)
     tp = turning_points(E, nu)
     x_mid = math.sqrt(abs(tp.r1) * abs(tp.r2))
-    R_dom = (120.0 * h / s3) ** (1.0 / 3.0)
+    R_dom = (3.0 * _DOMINANCE_EFOLDS * h / s3) ** (1.0 / 3.0)
     if R_max is None:
         R_plateau = (3.4e8 * nt * nt * h) ** (1.0 / 3.0)
         R_max = max(R_dom, R_plateau, 12.0 * x_mid)
     R_max = float(R_max)
-    if s3 * R_max ** 3 / (3.0 * h) < 40.0:
+    if s3 * R_max ** 3 / (3.0 * h) < _DOMINANCE_EFOLDS:
         raise ValueError(
             f"R_max={R_max} leaves dominance margin "
-            f"{s3 * R_max ** 3 / (3.0 * h):.1f} < 40")
+            f"{s3 * R_max ** 3 / (3.0 * h):.1f} < {_DOMINANCE_EFOLDS:g}")
     if R_max <= 1.1 * x_mid:
         raise ValueError(f"R_max={R_max} does not clear the arc radius "
                          f"{x_mid:.3f}")
 
-    u_eps, _ = frobenius_init((E, h, nt), eps=eps, K=K)
-    eps_used = (1e-3 * min(1.0, abs(tp.r0))) if eps is None else float(eps)
+    eps = _series_start(tp.r0)
+    u_eps, _ = frobenius_init((E, h, nt), eps=eps)
     arc = [x_mid * cmath.exp(-1j * theta * s)
            for s in np.linspace(0.0, 1.0, 33)]
-    inner = integrate_system((E, h, nt), [eps_used, x_mid] + arc[1:],
-                             u_eps, rtol=rtol)
+    inner = integrate_system((E, h, nt), [eps, x_mid] + arc[1:], u_eps,
+                             rtol=rtol)
     xs = x_mid * cmath.exp(-1j * theta)
     gauge = cmath.exp(-1j * (xs ** 3 - 3.0 * E * xs) / (3.0 * h))
     v0 = inner.u_end * gauge
@@ -388,10 +388,10 @@ def jost_cplus(params, theta=0.5, R_max=None, eps=None, K=20, rtol=1e-11):
     # c+ noise floor just above the 1e-8 certificate
     t_switch = min(max(R_dom, x_mid), lo)
     q, atol_used = _gauged_ray(E, h, nu, theta, x_mid, t_switch, R_max, v0,
-                               t_eval, 0.1 * min(rtol, 1e-10))
+                               t_eval, 0.1 * min(rtol, _RAY_RTOL_CAP))
     c_plus = complex(q[-1])
     plateau_error = float(np.max(np.abs(q - c_plus)))
-    if plateau_error > max(1e-6 * abs(c_plus), 50.0 * atol_used):
+    if plateau_error > max(_PLATEAU_REL * abs(c_plus), 50.0 * atol_used):
         raise NoPlateau(
             f"quotient varies by {plateau_error:.3e} against "
             f"|c+|={abs(c_plus):.3e} over [{lo:.1f}, {R_max:.1f}]; "
@@ -399,23 +399,23 @@ def jost_cplus(params, theta=0.5, R_max=None, eps=None, K=20, rtol=1e-11):
     return JostEstimate(c_plus, plateau_error, R_max, theta)
 
 
-def find_resonance_ode(params, E_seed, tol_rel=1e-8, max_iter=30,
-                       theta=0.5, ring_points=16):
+def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     """Zero of c+(E) near E_seed, certified by a winding count.
 
-    Secant iteration on the full complex Jost coefficient; the seed is
-    expected to come from the lattice or a quantization solve. Because
-    a seed can land between two zeros (on a ridge of |c+|), the search
-    ladder also tries the two points half a lattice spacing away in
-    lambda = E^{3/2}. The secant iterate with the smallest |c+| is the
-    candidate, and convergence demands its |c+| below tol_rel times the
-    median |c+| on a ring around it; SpuriousZero reports a ring
-    winding number different from one. The returned record carries
-    residual = |c+|/median(ring) and the seed's lattice index k.
+    At most max_iter secant steps on the full complex Jost coefficient
+    (jost_cplus defaults); the seed is expected to come from the lattice
+    or a quantization solve. Because a seed can land between two zeros
+    (on a ridge of |c+|), the search ladder also tries the two points
+    half a lattice spacing away in lambda = E^{3/2}. The secant iterate
+    with the smallest |c+| is the candidate, and convergence demands its
+    |c+| below 1e-8 times the median |c+| on ring_points around it;
+    SpuriousZero reports a ring winding number different from one. The
+    returned record carries residual = |c+|/median(ring) and the seed's
+    lattice index k.
     """
     E0_seed = complex(E_seed)
     _, h, nt, _ = _as_params(params, "half-integer")
-    lam_seed = cmath.exp(1.5 * cmath.log(E0_seed))
+    lam_seed = _lambda_of_E(E0_seed)
     dlam = 1.5 * math.pi * h
     ladder = [E0_seed,
               _E_of_lambda(lam_seed + 0.5 * dlam),
@@ -423,18 +423,17 @@ def find_resonance_ode(params, E_seed, tol_rel=1e-8, max_iter=30,
     last_error = None
     for seed in ladder:
         try:
-            return _secant_certified(seed, h, nt, tol_rel, max_iter, theta,
-                                     ring_points, lam_seed)
+            return _secant_certified(seed, h, nt, max_iter, ring_points,
+                                     lam_seed)
         except (NoConvergence, SpuriousZero, NoPlateau,
                 StepUnderflow) as exc:
             last_error = exc
     raise last_error
 
 
-def _secant_certified(E_start, h, nt, tol_rel, max_iter, theta,
-                      ring_points, lam_seed):
+def _secant_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
     def c_of(E):
-        return jost_cplus((E, h, nt), theta=theta).c_plus
+        return jost_cplus((E, h, nt)).c_plus
 
     E0 = E_start
     E1 = E_start * (1.0 + 1e-4 * (0.7 - 0.7j))
@@ -468,9 +467,9 @@ def _secant_certified(E_start, h, nt, tol_rel, max_iter, theta,
                                                / ring_points))
                      for j in range(ring_points)])
     med = float(np.median(np.abs(ring)))
-    if not abs(c1) < tol_rel * med:
+    if not abs(c1) < _CERT_RATIO * med:
         raise NoConvergence(
-            f"|c+|={abs(c1):.3e} not below {tol_rel:.1e} x ring median "
+            f"|c+|={abs(c1):.3e} not below {_CERT_RATIO:.1e} x ring median "
             f"{med:.3e} after {evals} evaluations")
     ph = np.angle(ring)
     dph = np.diff(np.concatenate([ph, ph[:1]]))
@@ -479,7 +478,7 @@ def _secant_certified(E_start, h, nt, tol_rel, max_iter, theta,
     if winding != 1:
         raise SpuriousZero(
             f"ring winding {winding} != 1 around E={E1:.8f}")
-    lam = cmath.exp(1.5 * cmath.log(E1))
+    lam = _lambda_of_E(E1)
     k = round(_branch_coordinate(lam_seed.real, nt, h))
     try:
         lam_lat = lattice_point(k, nt, h)

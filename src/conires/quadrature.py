@@ -40,6 +40,10 @@ __all__ = [
 _X24, _W24 = np.polynomial.legendre.leggauss(24)
 _X48, _W48 = np.polynomial.legendre.leggauss(48)
 
+_MAX_DEPTH = 44  # bisection depth limit of adaptive_segment
+_AMBIGUOUS_DOT = 0.02  # sign refused below this |cos| to branch_ref
+_FACTOR_GUARD = 1e-12  # least path-to-factor-point distance, per 1 + length
+
 
 @dataclass(frozen=True)
 class ComplexPath:
@@ -97,7 +101,7 @@ def segment_point_distance(a, b, points):
     return np.abs(a + t * d - p)
 
 
-def adaptive_segment(f, a, b, tol, *, max_depth=44, max_evals=6_000_000):
+def adaptive_segment(f, a, b, tol, *, max_evals=6_000_000):
     """Integrate the vectorized callable f along the straight segment [a, b].
 
     Embedded 24/48-point Gauss-Legendre panels, bisected until the panel error
@@ -128,9 +132,9 @@ def adaptive_segment(f, a, b, tol, *, max_depth=44, max_evals=6_000_000):
             # magnitude; further splitting cannot improve it
             value += i48
             err_total += err
-        elif depth >= max_depth:
+        elif depth >= _MAX_DEPTH:
             raise QuadratureFailure(
-                f"max bisection depth {max_depth} reached with panel error "
+                f"max bisection depth {_MAX_DEPTH} reached with panel error "
                 f"{err:.3e} > {tl:.3e}"
             )
         else:
@@ -168,7 +172,7 @@ class SqrtCubicResult(NamedTuple):
 
 
 def sqrt_cubic_segment(ra, rb, rc, *, sign, weight, branch_ref, tol,
-                       power=1, return_ambiguous=False):
+                       power=1):
     """Integral of  (sign*(y-ra)*(y-rb)*(y-rc))**(power/2) * weight(y)  dy
     along the straight segment from ra to rb.
 
@@ -180,7 +184,8 @@ def sqrt_cubic_segment(ra, rb, rc, *, sign, weight, branch_ref, tol,
     The square root is taken continuous along the segment; the global sign of
     the branch is fixed by `branch_ref`: of the two continuous branches, the
     one whose midpoint value v satisfies Re(v * conj(branch_ref)) >= 0 is
-    used.  Returns the midpoint branch value so that continuation chains can
+    used (QuadratureFailure when branch_ref is too near orthogonal to v).
+    Returns the midpoint branch value so that continuation chains can
     feed it back in as the next reference.
 
     Implementation: with y(t) = ra + (rb-ra) t the radicand factors as
@@ -218,8 +223,7 @@ def sqrt_cubic_segment(ra, rb, rc, *, sign, weight, branch_ref, tol,
     sq_mid = 0.5 * complex(cont_sqrt_g(np.asarray([0.5]))[0])
     ref = complex(branch_ref)
     dot = (sq_mid * np.conj(ref)).real
-    ambiguous = abs(dot) < 0.02 * abs(sq_mid) * abs(ref)
-    if ambiguous and not return_ambiguous:
+    if abs(dot) < _AMBIGUOUS_DOT * abs(sq_mid) * abs(ref):
         raise QuadratureFailure(
             "branch reference nearly orthogonal to the sqrt midpoint value; "
             "cannot pin the branch sign reliably"
@@ -293,8 +297,7 @@ def polyline_sqrt_ref(ra, rb, rc, via, *, sign, ref_index=0):
 
 
 def sqrt_cubic_polyline(ra, rb, rc, via, *, sign, weight, branch_ref,
-                        ref_index=0, tol, power=1, return_ambiguous=False,
-                        **kwargs):
+                        ref_index=0, tol, power=1):
     """Like sqrt_cubic_segment, but along the polyline ra -> via[0] -> ...
     -> via[-1] -> rb instead of the straight segment.
 
@@ -311,10 +314,6 @@ def sqrt_cubic_polyline(ra, rb, rc, via, *, sign, weight, branch_ref,
     rb = complex(rb)
     rc = complex(rc)
     via = [complex(v) for v in via]
-    if not via:
-        return sqrt_cubic_segment(ra, rb, rc, sign=sign, weight=weight,
-                                  branch_ref=branch_ref, tol=tol, power=power,
-                                  return_ambiguous=return_ambiguous)
     if power not in (1, -1):
         raise ValueError("power must be +1 or -1")
     if not (0 <= ref_index < len(via)):
@@ -348,7 +347,7 @@ def sqrt_cubic_polyline(ra, rb, rc, via, *, sign, weight, branch_ref,
             y = ra + d1 * t * t
             return (2.0 * d1 / sq_d1) * weight(y) / u1(y)
 
-    v, e, n = adaptive_segment(f1, 0.0, 1.0, leg_tol, **kwargs)
+    v, e, n = adaptive_segment(f1, 0.0, 1.0, leg_tol)
     value += v
     err_total += e
     evals += n
@@ -373,7 +372,7 @@ def sqrt_cubic_polyline(ra, rb, rc, via, *, sign, weight, branch_ref,
         else:
             def fmid(y, _fa=leg_fa):
                 return weight(y) / (c_mid * p3(_fa, y))
-        v, e, n = adaptive_segment(fmid, a0, b0, leg_tol, **kwargs)
+        v, e, n = adaptive_segment(fmid, a0, b0, leg_tol)
         value += v
         err_total += e
         evals += n
@@ -404,14 +403,14 @@ def sqrt_cubic_polyline(ra, rb, rc, via, *, sign, weight, branch_ref,
             y = rb + df * t * t
             return -(2.0 * df / (c_f * sq_df)) * weight(y) / uf(y)
 
-    v, e, n = adaptive_segment(ff, 0.0, 1.0, leg_tol, **kwargs)
+    v, e, n = adaptive_segment(ff, 0.0, 1.0, leg_tol)
     value += v
     err_total += e
     evals += n
 
     ref = complex(branch_ref)
     dot = (ref_val * np.conj(ref)).real
-    if abs(dot) < 0.02 * abs(ref_val) * abs(ref) and not return_ambiguous:
+    if abs(dot) < _AMBIGUOUS_DOT * abs(ref_val) * abs(ref):
         raise QuadratureFailure(
             "branch reference nearly orthogonal to the continued sqrt value "
             "at the reference vertex; cannot pin the branch sign"
@@ -448,14 +447,14 @@ class FactorArgs:
         c.args = self.args.copy()
         return c
 
-    def advance(self, to, *, guard=1e-12):
+    def advance(self, to):
         """Move the current point along the straight segment to `to`."""
         to = complex(to)
         if to == self.at:
             return self
         dist = segment_point_distance(self.at, to, self.points)
         scale = 1.0 + abs(to - self.at)
-        if np.min(dist) < guard * scale:
+        if np.min(dist) < _FACTOR_GUARD * scale:
             raise ValueError(
                 "path segment passes through (or touches) a factor point; "
                 "reroute the path"
@@ -464,9 +463,9 @@ class FactorArgs:
         self.at = to
         return self
 
-    def advance_along(self, vertices, **kw):
+    def advance_along(self, vertices):
         for v in vertices:
-            self.advance(v, **kw)
+            self.advance(v)
         return self
 
     def node_args(self, nodes):
@@ -484,17 +483,17 @@ class FactorArgs:
         e = np.asarray(exponents, dtype=float)
         return float(np.angle(const) + np.dot(e, self.args))
 
-    def offset_for(self, exponents, const, target=0.0):
-        """2-pi multiple that makes the product argument equal `target` at the
-        current point.  The product value must genuinely have argument target
-        modulo 2 pi here; otherwise this raises."""
+    def offset_for(self, exponents, const):
+        """2-pi multiple that makes the product argument zero at the current
+        point.  The product value must genuinely be positive real here;
+        otherwise this raises."""
         raw = self.total_arg(exponents, const)
-        m = round((raw - target) / (2.0 * math.pi))
-        resid = raw - target - 2.0 * math.pi * m
+        m = round(raw / (2.0 * math.pi))
+        resid = raw - 2.0 * math.pi * m
         if abs(resid) > 1e-6:
             raise ValueError(
                 f"anchor argument mismatch: product argument {raw:.6f} is not "
-                f"{target:.6f} modulo 2 pi"
+                "0 modulo 2 pi"
             )
         return -2.0 * math.pi * m
 

@@ -24,7 +24,7 @@ together from one root solve, so each Newton iterate costs one cubic
 solve and three Carlson-function evaluations.  Their roundoff (about
 2e-15 in S01 against 34-digit quadrature) enters the residual amplified
 by 2/h: converged residuals of a sweep at h = 0.004 stay below 3e-12,
-well under the default tolerance 1e-10.
+well under the residual tolerance 1e-10.
 """
 
 import cmath
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .actions import action_S01_pair
 from .errors import EmptyBand, NoConvergence, NonSimpleRoot
-from .model import _check_h_l, _check_h_nt
+from .model import _check_h, _check_h_l, _check_h_nt
 
 __all__ = [
     "Band",
@@ -49,6 +49,12 @@ __all__ = [
 ]
 
 _SLOPE = 3.0 * math.pi / 16.0
+_LATTICE_OFFSET = 5  # the 5 of the lattice bracket 8k + 5 - 4 nu_t
+_BRANCH_PHASE = 1  # A(E) = i pi (2k + 1) on branch k, that is e^{A} = -1
+_BS_TOL = 1e-10  # Newton converges with |residual| below this ...
+_STEP_TOL = 1e-12  # ... and a last step below this times |E|
+_NEWTON_MAX_ITER = 50
+_DEDUP = 1e-8  # records closer than this in lambda are one resonance
 
 
 @dataclass(frozen=True)
@@ -66,8 +72,8 @@ class Band:
             raise ValueError(
                 f"band must satisfy 0 < a < b, got a={self.a}, b={self.b}"
             )
-        if self.h is not None and not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"band h must be positive, got {self.h}")
+        if self.h is not None:
+            _check_h(self.h)
         if self.nu_tilde_max is not None and self.nu_tilde_max < 0.5:
             raise ValueError(
                 f"nu_tilde_max must be at least 1/2, got {self.nu_tilde_max}"
@@ -119,10 +125,19 @@ def _E_of_lambda(lam):
     return cmath.exp((2.0 / 3.0) * cmath.log(lam))
 
 
+def _lambda_of_E(E):
+    return cmath.exp(1.5 * cmath.log(E))
+
+
 def _branch_coordinate(re_lam, nt, h):
     """Real k with SLOPE (8k + 5 - 4 nu_t) h = re_lam: the lattice real
     part inverted; rounded, it is the nearest branch index."""
-    return (re_lam / (_SLOPE * h) - 5.0 + 4.0 * nt) / 8.0
+    return (re_lam / (_SLOPE * h) - _LATTICE_OFFSET + 4.0 * nt) / 8.0
+
+
+def _branch_shift(k):
+    """The value i pi (2k + 1) of A(E) on quantization branch k."""
+    return 1j * math.pi * (2 * int(k) + _BRANCH_PHASE)
 
 
 def _A_and_dE(E, h, nt):
@@ -138,7 +153,7 @@ def _A_and_dE(E, h, nt):
     return a, -0.75 / E + 2.0 * ds01.value / h
 
 
-def bs_residual(E, params, k=None, tol=1e-10):
+def bs_residual(E, params, k=None, tol=_BS_TOL):
     """Quantization residual A(E) - i pi (2k + 1).
 
     params is anything carrying h and nu_tilde (ModelParams does) or a
@@ -146,8 +161,8 @@ def bs_residual(E, params, k=None, tol=1e-10):
     branch is used, so the returned imaginary part always lies in
     (-pi, pi]; pass an explicit k to pin the branch during root
     following.  A root of branch k means e^{A} + 1 = 0 exactly.  tol
-    bounds the error of the action S01; its closed form meets any tol
-    above roundoff (actions.action_S01).
+    is accepted and ignored: the action S01 comes in closed form, accurate
+    to roundoff (actions.action_S01).
     """
     if hasattr(params, "h") and hasattr(params, "nu_tilde"):
         h, nt = params.h, params.nu_tilde
@@ -156,15 +171,15 @@ def bs_residual(E, params, k=None, tol=1e-10):
     h, nt = _check_h_nt(h, nt)
     a = _A_and_dE(E, h, nt)[0]
     if k is None:
-        k = round((a.imag / math.pi - 1.0) / 2.0)
-    return a - 1j * math.pi * (2 * int(k) + 1)
+        k = round((a.imag / math.pi - _BRANCH_PHASE) / 2.0)
+    return a - _branch_shift(k)
 
 
 def lattice_point(k, nu_tilde, h):
     """Lattice prediction lambda for one (k, nu_tilde): the stated Re and
     Im parts of the asymptotic formula."""
     h, nt = _check_h_nt(h, nu_tilde)
-    bracket = 8 * int(k) + 5 - 4.0 * nt
+    bracket = 8 * int(k) + _LATTICE_OFFSET - 4.0 * nt
     if bracket <= 0.0:
         raise ValueError(
             f"branch k={k} does not exist for nu_tilde={nt}: "
@@ -185,10 +200,11 @@ def lattice(nu_tilde, h, band):
     h, nt = _check_h_nt(h, nu_tilde)
     a, b = (band.a, band.b) if isinstance(band, Band) else map(float, band)
     Band(a, b)  # raises ValueError unless 0 < a < b
-    # a < SLOPE (8k + 5 - 4 nt) h < b
+    # max(a, 0) < SLOPE (8k + 5 - 4 nt) h < b
     lo = _branch_coordinate(a, nt, h)
     hi = _branch_coordinate(b, nt, h)
-    k_min = max(math.floor(lo) + 1, math.ceil((4.0 * nt - 5.0) / 8.0 + 1e-12))
+    k_min = max(math.floor(lo) + 1,
+                math.ceil(_branch_coordinate(0.0, nt, h) + 1e-12))
     k_max = math.ceil(hi) - 1
     if k_min > k_max:
         raise EmptyBand(
@@ -207,13 +223,13 @@ def _lattice_record(k, nt, h):
     )
 
 
-def solve_resonance(k, nu_tilde, h, seed=None, tol=1e-10, step_tol=1e-12,
-                    max_iter=50):
+def solve_resonance(k, nu_tilde, h, seed=None, max_iter=_NEWTON_MAX_ITER):
     """Newton refinement of branch k from the lattice seed.
 
-    Converged when |residual| < tol and the last step was below
-    step_tol |E|.  Each iterate evaluates A and dA/dE together, from one
-    root solve and one closed-form action pair (actions.action_S01_pair).
+    Converged when |residual| < 1e-10 and the last step was below
+    1e-12 |E|, within max_iter iterates per seed.  Each iterate evaluates
+    A and dA/dE together, from one root solve and one closed-form action
+    pair (actions.action_S01_pair).
     A seed whose iterate turns non-finite or whose dA/dE collapses gives
     way to the next (the real-axis lattice seed); the last such error,
     NoConvergence or NonSimpleRoot, is raised when no seed converges.
@@ -223,7 +239,7 @@ def solve_resonance(k, nu_tilde, h, seed=None, tol=1e-10, step_tol=1e-12,
     lam_lat = lattice_point(k, nt, h)
     seeds = [complex(seed)] if seed is not None else [_E_of_lambda(lam_lat)]
     seeds.append(_E_of_lambda(complex(lam_lat.real)))
-    shift = 1j * math.pi * (2 * k + 1)
+    shift = _branch_shift(k)
 
     last_err = None
     for E0 in seeds:
@@ -233,8 +249,8 @@ def solve_resonance(k, nu_tilde, h, seed=None, tol=1e-10, step_tol=1e-12,
             for it in range(1, max_iter + 1):
                 a, dr = _A_and_dE(E, h, nt)
                 r = a - shift
-                if abs(r) < tol and last_step < step_tol * abs(E):
-                    lam = cmath.exp(1.5 * cmath.log(E))
+                if abs(r) < _BS_TOL and last_step < _STEP_TOL * abs(E):
+                    lam = _lambda_of_E(E)
                     return ResonanceRecord(
                         k=k, nu_tilde=nt, lambda_lat=lam_lat, lam=lam, E=E,
                         method="bs-newton", residual=abs(r), iterations=it,
@@ -272,7 +288,7 @@ def _families(nt_max, nt_min=0.5):
     return out
 
 
-def _sweep_job(k, nt, h, seed, refine, tol=1e-10, max_iter=50):
+def _sweep_job(k, nt, h, seed, refine):
     """One (k, nu_tilde) point of a sweep at h, refined as in
     resonance_set from seed, or from the lattice point when seed is None.
 
@@ -283,8 +299,7 @@ def _sweep_job(k, nt, h, seed, refine, tol=1e-10, max_iter=50):
         raise ValueError(f"unknown refine method {refine!r}")
     try:
         if refine == "bs":
-            return solve_resonance(k, nt, h, seed=seed, tol=tol,
-                                   max_iter=max_iter)
+            return solve_resonance(k, nt, h, seed=seed)
         rec = _lattice_record(k, nt, h)
         if refine == "lattice":
             return rec
@@ -296,13 +311,13 @@ def _sweep_job(k, nt, h, seed, refine, tol=1e-10, max_iter=50):
         return SweepFailure(k, nt, f"{type(exc).__name__}: {exc}")
 
 
-def resonance_set(band, refine="bs", tol=1e-10, max_iter=50,
-                  return_failures=False):
+def resonance_set(band, refine="bs", return_failures=False):
     """Union of refined records over nu_tilde in {1/2, 3/2, ...} up to
     band.nu_tilde_max, deduplicated by |delta lambda| < 1e-8.
 
     refine: "lattice" keeps the formula values, "bs" runs the Newton
-    solve, "ode" defers to the independent ODE oracle.  Per-root
+    solve, "ode" defers to the independent ODE oracle, each at its fixed
+    tolerances (solve_resonance, find_resonance_ode).  Per-root
     failures never abort the sweep; they are collected and returned
     alongside the records when return_failures is set.
     """
@@ -321,13 +336,12 @@ def resonance_set(band, refine="bs", tol=1e-10, max_iter=50,
             f"up to {band.nu_tilde_max} at h={h}"
         )
 
-    results = [_sweep_job(k, nt, h, None, refine, tol, max_iter)
-               for k, nt in jobs]
+    results = [_sweep_job(k, nt, h, None, refine) for k, nt in jobs]
     records, failures = [], []
     for res in results:
         if isinstance(res, SweepFailure):
             failures.append(res)
-        elif all(abs(res.lam - r.lam) >= 1e-8 for r in records):
+        elif all(abs(res.lam - r.lam) >= _DEDUP for r in records):
             records.append(res)
     if return_failures:
         return records, failures

@@ -53,6 +53,7 @@ from .model import (
     SymbolBranch,
     _as_E_nu,
     _as_params,
+    _check_h,
     default_symbol_path,
     symbol_at,
     turning_points,
@@ -596,11 +597,11 @@ def connection_c0(params, with_estimate=False, N=6):
 # transfer matrices
 
 
-def transfer_T1(params, tol=1e-10):
+def transfer_T1(params):
     """Diagonal transfer across the inner turning-point pair:
-    diag(e^{S01/h}, e^{-S01/h}), determinant exactly one."""
+    diag(e^{S01/h}, e^{-S01/h}), determinant exactly one (S01 closed-form)."""
     p = _as_params(params)
-    s01 = action_S01((p.E, p.nu), tol)
+    s01 = action_S01((p.E, p.nu))
     l11 = s01.value / p.h
     entries = ((_exp_guard(l11), 0.0 + 0.0j),
                (0.0 + 0.0j, _exp_guard(-l11)))
@@ -608,7 +609,7 @@ def transfer_T1(params, tol=1e-10):
         "T1", entries, log_diag=(l11, -l11),
         inputs={"E": p.E, "h": p.h, "nu_tilde": p.nu_tilde,
                 "S01": s01.value, "S01_est_error": s01.est_error},
-        error_model="exact up to the quadrature error of S01",
+        error_model="exact up to the roundoff of the closed-form S01",
     )
 
 
@@ -672,9 +673,7 @@ def branching_R(gamma, h):
     g = complex(gamma)
     if g == 0:
         raise ValueError("gamma must be nonzero")
-    h = float(h)
-    if not (h > 0.0):
-        raise ValueError(f"h must be positive, got {h}")
+    h = _check_h(h)
     xpar = abs(g) ** 2 / (2.0 * h)
     logc = ((0.5 - 1j * xpar) * math.log(h)
             + loggamma(1.0 - 1j * xpar)

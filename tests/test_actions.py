@@ -323,11 +323,6 @@ class TestErrorReporting:
     """Tightening the tolerance moves the value by no more than the sum of
     the reported error estimates."""
 
-    def test_s01(self):
-        a = action_S01((1.7, 0.35), tol=1e-8)
-        b = action_S01((1.7, 0.35), tol=2.5e-9)
-        assert abs(a.value - b.value) <= a.est_error + b.est_error + 1e-14
-
     def test_i_rotated(self):
         m = 0.06 * cmath.exp(0.8j * math.pi)
         a = action_I(m, tol=1e-8)

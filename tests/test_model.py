@@ -49,6 +49,13 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(E=1.0, h=0.1, nu_tilde=nt)
 
+    @pytest.mark.parametrize("nt", [0.5 + 2e-10, 1.5 - 5e-11, math.inf])
+    def test_half_integer_rule_shared_with_frobenius(self, nt):
+        # ModelParams holds the same half-integer rule as the Frobenius
+        # start, so nothing it accepts is refused further down the line
+        with pytest.raises(ValueError, match="half-integer"):
+            ModelParams(E=1.6, h=0.1, nu_tilde=nt)
+
     def test_frozen(self):
         p = ModelParams(E=1.0, h=0.1, nu_tilde=0.5)
         with pytest.raises(Exception):

@@ -158,10 +158,6 @@ class TestSqrtCubic:
             sqrt_cubic_segment(0.0, 1.0, 2.0, sign=1,
                                weight=lambda y: 1.0, branch_ref=1.0j,
                                tol=1e-12)
-        res = sqrt_cubic_segment(0.0, 1.0, 2.0, sign=1,
-                                 weight=lambda y: 1.0, branch_ref=1.0j,
-                                 tol=1e-12, return_ambiguous=True)
-        assert abs(abs(res.value) - self.I_PLAIN) < 1e-12
 
     def test_third_root_on_segment_rejected(self):
         with pytest.raises(QuadratureFailure):
@@ -190,7 +186,7 @@ class TestFactorArgs:
 
     def test_square_root_sign_flips_after_loop(self):
         fa = FactorArgs([0.0], 1.0)
-        off = fa.offset_for([1.0], 1.0, 0.0)
+        off = fa.offset_for([1.0], 1.0)
         before = fa.eval_product(np.array([1.0 + 0.0j]), [1.0], 1.0, off, 0.5)[0]
         fa.advance_along([1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j, 1.0])
         after = fa.eval_product(np.array([1.0 + 0.0j]), [1.0], 1.0, off, 0.5)[0]
@@ -210,19 +206,20 @@ class TestFactorArgs:
         # (x - 1)(x + 1) = -1 at x = 0 has argument pi, not 0
         fa = FactorArgs([1.0, -1.0], 0.0)
         with pytest.raises(ValueError):
-            fa.offset_for([1.0, 1.0], 1.0, 0.0)
-        off = fa.offset_for([1.0, 1.0], -1.0, 0.0)
+            fa.offset_for([1.0, 1.0], 1.0)
+        off = fa.offset_for([1.0, 1.0], -1.0)
         val = fa.eval_product(np.array([0.0j]), [1.0, 1.0], -1.0, off, 1.0)[0]
         assert abs(val - 1.0) < 1e-14
 
     def test_eval_product_matches_direct(self):
         pts = [0.5j, -1.0, 2.0]
         fa = FactorArgs(pts, 0.1)
-        off = fa.offset_for([1.0, 1.0, 1.0], 2.0,
-                            float(np.angle(2.0 * np.prod([0.1 - p for p in pts]))))
+        # the constant makes the product positive at the anchor 0.1
+        const = 2.0 * np.exp(-1j * np.angle(np.prod([0.1 - p for p in pts])))
+        off = fa.offset_for([1.0, 1.0, 1.0], const)
         nodes = np.array([0.1 + 0.0j, 0.3 + 0.2j])
-        got = fa.eval_product(nodes, [1.0, 1.0, 1.0], 2.0, off, 1.0)
-        want = 2.0 * np.prod(nodes[:, None] - np.array(pts)[None, :], axis=1)
+        got = fa.eval_product(nodes, [1.0, 1.0, 1.0], const, off, 1.0)
+        want = const * np.prod(nodes[:, None] - np.array(pts)[None, :], axis=1)
         assert np.allclose(got, want, atol=1e-13)
 
     def test_clone_is_independent(self):

@@ -51,6 +51,11 @@ class TestBand:
         with pytest.raises(ValueError):
             Band(1.0, 4.0, nu_tilde_max=0.2)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
+    def test_h_check_shared(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            Band(1.0, 4.0, h=h)
+
 
 class TestLatticePoint:
     def test_reference_values(self):
@@ -252,9 +257,11 @@ class TestResonanceSet:
             if len(fam) == 3:
                 assert fam[0.5] > fam[1.5] > fam[2.5]
 
-    def test_failures_collected_not_raised(self):
-        recs, fails = resonance_set(self.BAND, max_iter=1,
-                                    return_failures=True)
+    def test_failures_collected_not_raised(self, monkeypatch):
+        solve = quantization.solve_resonance
+        monkeypatch.setattr(quantization, "solve_resonance",
+                            lambda *a, **kw: solve(*a, **kw, max_iter=1))
+        recs, fails = resonance_set(self.BAND, return_failures=True)
         assert recs == []
         assert len(fails) > 0
         assert fails[0].error.startswith("NoConvergence")

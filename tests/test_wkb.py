@@ -445,6 +445,11 @@ class TestBranchingR:
         with pytest.raises(ValueError):
             branching_R(0.3, 0.0)
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_non_finite_h_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            branching_R(0.3, h)
+
 
 class TestNormalFormMaps:
     def test_phi_vanishes_at_turning_point(self):
