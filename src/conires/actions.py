@@ -52,7 +52,13 @@ from .errors import (
     NoRealTurningPoints,
     TurningPointProximity,
 )
-from .model import _as_E_nu, _cardano_any, _check_h_l, _match, cubic_roots
+from .model import (
+    _as_E_nu,
+    _check_h_l,
+    _cubic_roots_from,
+    _track_roots,
+    cubic_roots,
+)
 from .quadrature import (
     adaptive_segment,
     polyline_sqrt_ref,
@@ -91,8 +97,10 @@ class ActionValue(NamedTuple):
     n_evals: int
 
 
-def _labeled_roots(E, nu):
-    cr = cubic_roots(E, nu)
+def _labeled_roots(E, nu, prev=None):
+    """Non-degenerate labeled roots at (E, nu), continued from prev =
+    (E_prev, roots at E_prev) where model._cubic_roots_from allows."""
+    cr = _cubic_roots_from(prev, E, nu)
     if cr.degenerate:
         raise TurningPointProximity(
             f"turning points degenerate at E={E}, nu={nu}"
@@ -155,7 +163,12 @@ def action_S01_pair(params):
     principal domain.
     """
     E, nu = _as_E_nu(params)
-    x0, x1, x2 = _labeled_roots(E, nu)
+    return _s01_pair(E, nu, _labeled_roots(E, nu))
+
+
+def _s01_pair(E, nu, roots):
+    """action_S01_pair at complex E and float nu from the labeled roots."""
+    x0, x1, x2 = roots
     d = x0 - x1
     c = (x0 - x2) / (x1 - x2)
     if c.imag == 0.0 and c.real <= 0.0:
@@ -224,30 +237,34 @@ def _subcritical(mu):
     return mu
 
 
+def _phase_path(mu_abs, lo, hi):
+    """(point, rate) for model._track_roots along m = mu_abs e^{i phi} at
+    E = 1, phi rising from lo to hi as t runs from 0 to 1."""
+    span = hi - lo
+
+    def point(t):
+        phi = hi if t == 1.0 else lo + t * span
+        return 1.0 + 0.0j, mu_abs * cmath.exp(1j * phi)
+
+    def rate(t):
+        return 0.0, 1j * span * point(t)[1]
+
+    return point, rate
+
+
 def _traced_unit_roots(mu_abs, phis):
     """Labeled roots of y^3 - 2y^2 + y - m^2 for m = mu_abs e^{i phi} along
-    the phase schedule phis (phis[0] must be 0).  Nearest-neighbor tracking
-    with step halving."""
+    the phase schedule phis (phis[0] must be 0), continued from each
+    phase to the next by model._track_roots."""
     cur = list(cubic_roots(1.0, mu_abs).roots)
     out = [tuple(cur)]
-    for k in range(1, len(phis)):
-        lo, hi = phis[k - 1], phis[k]
-        t, dt = lo, hi - lo
-        while t < hi:
-            advanced = False
-            while abs(dt) > 1e-9:
-                tn = min(hi, t + dt)
-                m = mu_abs * cmath.exp(1j * tn)
-                cand = _cardano_any(1.0 + 0.0j, m)
-                matched, max_move = _match(cur, cand)
-                seps = [abs(cur[0] - cur[1]), abs(cur[0] - cur[2]),
-                        abs(cur[1] - cur[2])]
-                if max_move <= 0.4 * min(seps):
-                    cur, t = matched, tn
-                    advanced = True
-                    break
-                dt /= 2.0
-            if not advanced:
+    for lo, hi in zip(phis[:-1], phis[1:]):
+        # a schedule that does not rise (tunnel_T at arg mu <= 0) keeps
+        # the roots of mu_abs
+        if hi > lo:
+            cur, ok = _track_roots(cur, *_phase_path(mu_abs, lo, hi),
+                                   min_dt=1e-9 / (hi - lo))
+            if not ok:
                 raise TurningPointProximity(
                     "cubic roots collide during phase continuation of mu"
                 )

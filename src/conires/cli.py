@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -441,7 +442,12 @@ def _parse_triple(text):
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and a parser rebuilt on every call is a few hundred
+    objects of reference cycles that only a full garbage collection
+    frees."""
     parser = argparse.ArgumentParser(
         prog="conires",
         description="Semiclassical resonances of the two-level conical "

@@ -143,7 +143,7 @@ def adaptive_segment(f, a, b, tol, *, max_evals=6_000_000):
     return value, err_total, evals
 
 
-def adaptive_path(f, path, tol, **kwargs):
+def adaptive_path(f, path, tol):
     """Integrate f along a ComplexPath (or vertex sequence), sharing `tol`
     across segments in proportion to their length."""
     if not isinstance(path, ComplexPath):
@@ -157,7 +157,7 @@ def adaptive_path(f, path, tol, **kwargs):
     evals = 0
     for a, b in segs:
         share = tol * abs(b - a) / total_len
-        v, e, n = adaptive_segment(f, a, b, share, **kwargs)
+        v, e, n = adaptive_segment(f, a, b, share)
         value += v
         err += e
         evals += n

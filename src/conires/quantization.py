@@ -20,11 +20,14 @@ the scalar comparison operator.
 Newton uses the exact derivative dA/dE = -(3/4)/E + 2 S01'(E)/h rather
 than any differencing of A.  S01 and S01' are closed-form Carlson
 integrals (actions.action_S01_pair), accurate to roundoff and obtained
-together from one root solve, so each Newton iterate costs one cubic
-solve and three Carlson-function evaluations.  Their roundoff (about
-2e-15 in S01 against 34-digit quadrature) enters the residual amplified
-by 2/h: converged residuals of a sweep at h = 0.004 stay below 3e-12,
-well under the residual tolerance 1e-10.
+together from one root solve.  Their roundoff (about 2e-15 in S01
+against 34-digit quadrature) enters the residual amplified by 2/h:
+converged residuals of a sweep at h = 0.004 stay below 3e-12, well
+under the residual tolerance 1e-10.  The labeled roots of each iterate
+are continued from those of the previous one (model._cubic_roots_from),
+so an iterate costs one Cardano solve and three Carlson-function
+evaluations; the labels are those of the continuation from the real
+axis, so only the cost changes.
 """
 
 import cmath
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .actions import action_S01_pair
+from .actions import _labeled_roots, _s01_pair
 from .errors import EmptyBand, NoConvergence, NonSimpleRoot
 from .model import _check_h, _check_h_l, _check_h_nt
 
@@ -140,17 +143,21 @@ def _branch_shift(k):
     return 1j * math.pi * (2 * int(k) + _BRANCH_PHASE)
 
 
-def _A_and_dE(E, h, nt):
-    """A(E) and dA/dE from one closed-form action evaluation."""
-    E = complex(E)
-    s01, ds01 = action_S01_pair((E, nt * h))
+def _A_and_dE(E, h, nt, prev=None):
+    """A(E), dA/dE and the labeled cubic roots (E, roots) from one
+    closed-form action evaluation; the roots are continued from prev, the
+    roots of the previous Newton iterate, where that gives the labels of
+    cubic_roots (model._cubic_roots_from)."""
+    E, nu = complex(E), nt * h
+    roots = _labeled_roots(E, nu, prev)
+    s01, ds01 = _s01_pair(E, nu, roots)
     a = (
         math.log(math.sqrt(0.5 * math.pi * h) * nt)
         - 0.75 * cmath.log(E)
         - 0.25j * math.pi
         + 2.0 * s01.value / h
     )
-    return a, -0.75 / E + 2.0 * ds01.value / h
+    return a, -0.75 / E + 2.0 * ds01.value / h, (E, roots)
 
 
 def bs_residual(E, params, k=None, tol=_BS_TOL):
@@ -228,8 +235,8 @@ def solve_resonance(k, nu_tilde, h, seed=None, max_iter=_NEWTON_MAX_ITER):
 
     Converged when |residual| < 1e-10 and the last step was below
     1e-12 |E|, within max_iter iterates per seed.  Each iterate evaluates
-    A and dA/dE together, from one root solve and one closed-form action
-    pair (actions.action_S01_pair).
+    A and dA/dE together, from one closed-form action pair at roots
+    continued from the previous iterate (_A_and_dE).
     A seed whose iterate turns non-finite or whose dA/dE collapses gives
     way to the next (the real-axis lattice seed); the last such error,
     NoConvergence or NonSimpleRoot, is raised when no seed converges.
@@ -245,9 +252,10 @@ def solve_resonance(k, nu_tilde, h, seed=None, max_iter=_NEWTON_MAX_ITER):
     for E0 in seeds:
         E = E0
         last_step = math.inf
+        roots = None
         try:
             for it in range(1, max_iter + 1):
-                a, dr = _A_and_dE(E, h, nt)
+                a, dr, roots = _A_and_dE(E, h, nt, roots)
                 r = a - shift
                 if abs(r) < _BS_TOL and last_step < _STEP_TOL * abs(E):
                     lam = _lambda_of_E(E)
@@ -311,6 +319,25 @@ def _sweep_job(k, nt, h, seed, refine):
         return SweepFailure(k, nt, f"{type(exc).__name__}: {exc}")
 
 
+def _dedup(records):
+    """records in order, each dropped when it lies closer than _DEDUP in
+    lambda to one kept before it.  Kept records are binned in square
+    cells 2 _DEDUP wide, so that a closer one sits in the 3 x 3 cells
+    around a record's own even after the rounding of lambda / cell, and
+    each record is compared with those cells only."""
+    cell = 2.0 * _DEDUP
+    kept, grid = [], {}
+    for rec in records:
+        i = math.floor(rec.lam.real / cell)
+        j = math.floor(rec.lam.imag / cell)
+        if all(abs(rec.lam - r.lam) >= _DEDUP
+               for di in (-1, 0, 1) for dj in (-1, 0, 1)
+               for r in grid.get((i + di, j + dj), ())):
+            kept.append(rec)
+            grid.setdefault((i, j), []).append(rec)
+    return kept
+
+
 def resonance_set(band, refine="bs", return_failures=False):
     """Union of refined records over nu_tilde in {1/2, 3/2, ...} up to
     band.nu_tilde_max, deduplicated by |delta lambda| < 1e-8.
@@ -337,12 +364,9 @@ def resonance_set(band, refine="bs", return_failures=False):
         )
 
     results = [_sweep_job(k, nt, h, None, refine) for k, nt in jobs]
-    records, failures = [], []
-    for res in results:
-        if isinstance(res, SweepFailure):
-            failures.append(res)
-        elif all(abs(res.lam - r.lam) >= _DEDUP for r in records):
-            records.append(res)
+    failures = [res for res in results if isinstance(res, SweepFailure)]
+    records = _dedup(res for res in results
+                     if not isinstance(res, SweepFailure))
     if return_failures:
         return records, failures
     return records

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conires import actions, model, quantization
 from conires.errors import TurningPointProximity
 from conires.model import (
     ModelParams,
@@ -22,6 +23,7 @@ from conires.model import (
     symbol_at,
     turning_points,
 )
+from conires.quantization import Band, resonance_set, solve_resonance
 from conftest import companion_cubic_roots
 
 
@@ -176,6 +178,109 @@ class TestCubicRoots:
         cr = cubic_roots(-1.0 + 0.5j, 0.3)
         assert cr.degenerate  # modulus-ordered labels flagged as unlabeled
         assert abs(cr.roots[0]) <= abs(cr.roots[1]) <= abs(cr.roots[2])
+
+
+def _reference_roots(E, nu, n=4096):
+    """Labels of cubic_roots by brute force: n uniform steps up from the
+    real anchor, each matched to the last by least total displacement
+    over all six permutations, then polished as cubic_roots polishes."""
+    cur = model._cardano_labeled(complex(E.real), nu)
+    for j in range(1, n + 1):
+        E_j = E if j == n else complex(E.real, E.imag * j / n)
+        cur = model._match(cur, model._cardano_any(E_j, nu))
+    return tuple(complex(x) for x in model._polish(cur, E, nu))
+
+
+def _e_c(nu):
+    """Real branch point (27 nu^2 / 4)^{1/3}, where x1 and x2 collide."""
+    return (6.75 * nu * nu) ** (1.0 / 3.0)
+
+
+class TestContinuation:
+    """The predictor-corrector continuation gives the labels of the
+    step-by-step one exactly, whether from the real axis or from the
+    previous Newton iterate."""
+
+    @pytest.mark.parametrize("nu", [0.002, 0.0075, 0.015])
+    def test_matches_uniform_match_reference(self, nu):
+        e_c = _e_c(nu)
+        for re in (0.5 * e_c, 0.98 * e_c, 1.02 * e_c, 1.0, 3.9):
+            for im in (-1e-4, -0.02, -0.4):
+                E = complex(re, im)
+                cr = cubic_roots(E, nu)
+                assert not cr.degenerate
+                assert cr.roots == _reference_roots(E, nu), E
+
+    @given(st.floats(min_value=-4.0, max_value=-0.3),
+           st.floats(min_value=0.01, max_value=4.0),
+           st.floats(min_value=-6.0, max_value=0.0),
+           st.booleans(),
+           st.floats(min_value=0.01, max_value=4.0),
+           st.floats(min_value=-6.0, max_value=0.0),
+           st.floats(min_value=-3.0, max_value=0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_previous_iterate_shortcut_is_exact(self, lg_nu, re0, lg_im0,
+                                                near, u, v, lg_step):
+        nu = 10.0 ** lg_nu
+        E_prev = complex(re0, -10.0 ** lg_im0)
+        if near:
+            # a Newton-sized step: up to |Im E_prev| times a few
+            E = E_prev + complex(u - 2.0, v + 3.0) \
+                * abs(E_prev.imag) * 10.0 ** lg_step
+        else:
+            # an arbitrary second point, far away as often as not
+            E = complex(u, -10.0 ** v)
+        prev = cubic_roots(E_prev, nu)
+        e_c = _e_c(nu)
+        if (prev.degenerate or not E.imag < 0.0 < E.real
+                or (E_prev.real - e_c) * (E.real - e_c) <= 0.0):
+            return  # outside the guard: plain cubic_roots by construction
+        got = model._cubic_roots_from((E_prev, prev.roots), E, nu)
+        want = cubic_roots(E, nu)
+        assert (got.roots, got.degenerate) == (want.roots, want.degenerate)
+
+    def test_sweep_records_equal_without_shortcut(self, monkeypatch):
+        band = Band(1, 4, h=0.005, nu_tilde_max=2.5)
+        fast = resonance_set(band)
+        monkeypatch.setattr(actions, "_cubic_roots_from",
+                            lambda prev, E, nu: cubic_roots(E, nu))
+        assert resonance_set(band) == fast
+
+    def _count_cardano(self, monkeypatch):
+        calls = [0]
+        real = model._cardano_any
+
+        def counted(E, nu):
+            calls[0] += 1
+            return real(E, nu)
+
+        monkeypatch.setattr(model, "_cardano_any", counted)
+        return calls
+
+    def test_one_cardano_solve_per_newton_iterate(self, monkeypatch):
+        calls = self._count_cardano(monkeypatch)
+        per_iterate = []
+        real = quantization._A_and_dE
+
+        def counted(*args):
+            before = calls[0]
+            out = real(*args)
+            per_iterate.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(quantization, "_A_and_dE", counted)
+        for k, nt, h in ((40, 0.5, 0.005), (60, 2.5, 0.004), (25, 1.5, 0.006)):
+            per_iterate.clear()
+            rec = solve_resonance(k, nt, h)
+            assert len(per_iterate) == rec.iterations >= 3
+            assert per_iterate[1:] == [1] * (rec.iterations - 1)
+
+    def test_sweep_cardano_solves_per_root(self, monkeypatch):
+        # continuing every iterate from the real axis costs 21.6 per root
+        calls = self._count_cardano(monkeypatch)
+        recs = resonance_set(Band(1, 4, h=0.005, nu_tilde_max=2.5))
+        assert len(recs) == 381
+        assert calls[0] / len(recs) <= 4.0
 
 
 class TestTurningPoints:

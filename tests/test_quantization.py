@@ -199,8 +199,11 @@ class TestSolveResonance:
     def test_non_finite_iterate_is_no_convergence(self, monkeypatch):
         # a nan slope sends every seed's first step to E = nan
         real = quantization._A_and_dE
-        monkeypatch.setattr(quantization, "_A_and_dE", lambda E, h, nt: (
-            real(E, h, nt)[0], complex(math.nan)))
+        def nan_slope(E, h, nt, prev):
+            a, _, roots = real(E, h, nt, prev)
+            return a, complex(math.nan), roots
+
+        monkeypatch.setattr(quantization, "_A_and_dE", nan_slope)
         with pytest.raises(NoConvergence):
             solve_resonance(42, 0.5, 0.01)
 
@@ -210,10 +213,10 @@ class TestSolveResonance:
         real = quantization._A_and_dE
         calls = []
 
-        def first_nan(E, h, nt):
+        def first_nan(E, h, nt, prev):
             calls.append(E)
-            a, dr = real(E, h, nt)
-            return (a, complex(math.nan)) if len(calls) == 1 else (a, dr)
+            a, dr, roots = real(E, h, nt, prev)
+            return (a, complex(math.nan) if len(calls) == 1 else dr, roots)
 
         monkeypatch.setattr(quantization, "_A_and_dE", first_nan)
         rec = solve_resonance(42, 0.5, 0.01)
@@ -265,6 +268,23 @@ class TestResonanceSet:
         assert recs == []
         assert len(fails) > 0
         assert fails[0].error.startswith("NoConvergence")
+
+    def test_dedup_is_first_wins_pairwise_rule(self):
+        # the cell-binned dedup keeps exactly what comparing every record
+        # with every kept one keeps, also across cell boundaries
+        step = 0.6 * quantization._DEDUP
+        recs = [ResonanceRecord(k, 0.5, 0j, complex(1.0 + (k % 7) * step,
+                                                     -0.01 - (k // 7) * step),
+                                0j, "bs-newton", 0.0, 1)
+                for k in range(49)]
+        recs += recs[::-3]
+        want = []
+        for rec in recs:
+            if all(abs(rec.lam - r.lam) >= quantization._DEDUP
+                   for r in want):
+                want.append(rec)
+        assert quantization._dedup(recs) == want
+        assert 10 < len(want) < 49
 
     def test_lattice_mode(self):
         recs = resonance_set(Band(1.0, 4.0, h=0.01, nu_tilde_max=5.5),
