@@ -41,11 +41,11 @@ R(mu) = -pi mu.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import elliprd, elliprf, elliprj
 
 from .errors import (
     BranchAmbiguity,
@@ -166,8 +166,17 @@ def action_S01_pair(params):
     return _s01_pair(E, nu, _labeled_roots(E, nu))
 
 
+@functools.cache
+def _carlson():
+    """scipy's (R_F, R_D, R_J), imported on the first closed-form S01 so
+    that importing this module does not load scipy.special."""
+    from scipy.special import elliprd, elliprf, elliprj
+    return elliprf, elliprd, elliprj
+
+
 def _s01_pair(E, nu, roots):
     """action_S01_pair at complex E and float nu from the labeled roots."""
+    elliprf, elliprd, elliprj = _carlson()
     x0, x1, x2 = roots
     d = x0 - x1
     c = (x0 - x2) / (x1 - x2)
@@ -259,8 +268,8 @@ def _traced_unit_roots(mu_abs, phis):
     cur = list(cubic_roots(1.0, mu_abs).roots)
     out = [tuple(cur)]
     for lo, hi in zip(phis[:-1], phis[1:]):
-        # a schedule that does not rise (tunnel_T at arg mu <= 0) keeps
-        # the roots of mu_abs
+        # a zero-phase schedule (mu on the positive axis) keeps the roots
+        # of mu_abs
         if hi > lo:
             cur, ok = _track_roots(cur, *_phase_path(mu_abs, lo, hi),
                                    min_dt=1e-9 / (hi - lo))
@@ -340,10 +349,14 @@ def residue_R(mu):
 
 def tunnel_T(mu, tol=1e-10):
     """Tunneling integral between y1(mu) and y2(mu); equals
-    (i pi mu^2 / 4)(1 + O(mu^2)) for small mu."""
+    (i pi mu^2 / 4)(1 + O(mu^2)) for small mu.  T is imaginary on the
+    positive axis, so arg mu < 0 is reached by T(conj mu) = -conj T(mu)."""
     mu = _subcritical(mu)
     phi = cmath.phase(mu)
-    n = max(1, int(math.ceil(abs(phi) / 0.1)))
+    if phi < 0.0:
+        r = tunnel_T(np.conj(mu), tol)
+        return ActionValue(-np.conj(r.value), r.est_error, r.n_evals)
+    n = max(1, int(math.ceil(phi / 0.1)))
     y0, y1, y2 = _traced_unit_roots(abs(mu), np.linspace(0.0, phi, n + 1))[-1]
     res = _sqrt_cubic_auto(y1, y2, y0, sign=1, weight=lambda y: 0.5 / y,
                            branch_ref=1.0j, tol=tol)

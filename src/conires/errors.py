@@ -33,12 +33,8 @@ class ConvergenceFailure(ConiresError):
 
 
 class BranchAmbiguity(ConiresError):
-    """A closed-form branch (square root of the normal-form map) was requested
-    outside its principal neighborhood."""
-
-
-class OrderTooHigh(ConiresError):
-    """Truncated power-series arithmetic was asked to exceed its table budget."""
+    """The closed-form S01 left the principal domain of its Carlson integrals:
+    R_F, R_D or R_J came out non-finite."""
 
 
 class EmptyBand(ConiresError):

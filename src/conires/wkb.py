@@ -3,8 +3,7 @@
 Phase integrals and amplitude series along admissible paths, the amplitude
 series at the singular origin, Wronskians of assembled solutions, the
 connection objects linking the origin, turning-point, and infinity regions
-(c0, T1, T2, T3), the branching matrix R(p, q), and the normal-form maps
-phi, psi together with the coefficient recursion for gamma(E, h).
+(c0, T1, T2, T3), and the branching matrix R(p, q).
 
 Solutions of h D_x u = A(x) u are assembled as
 
@@ -28,6 +27,9 @@ high-order Runge-Kutta method, which keeps the exponential kernels in
 their stable direction on admissible paths and yields every order in a
 single sweep.  The same engine, seeded with the known power-law behavior
 at the Fuchs singularity, produces the series at the origin.
+
+scipy.integrate and scipy.special load inside the functions that call
+them, so importing this module, or the package, loads numpy only.
 """
 
 from __future__ import annotations
@@ -37,15 +39,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import loggamma
 
 from .actions import action_S01, action_S2inf
 from .errors import (
-    BranchAmbiguity,
     ConvergenceFailure,
     MonotonicityViolation,
-    OrderTooHigh,
     QuadratureFailure,
     TurningPointProximity,
 )
@@ -62,7 +60,6 @@ from .quadrature import ComplexPath, adaptive_segment, segment_point_distance
 
 __all__ = [
     "AmplitudePair",
-    "NormalFormCoeffs",
     "PhaseValue",
     "TransferMatrix",
     "amplitude_recurrence",
@@ -70,17 +67,19 @@ __all__ = [
     "branching_R",
     "connection_c0",
     "dlog_H",
-    "gamma_series",
     "origin_series",
     "phase_z",
-    "phi_map",
-    "psi_map",
     "transfer_T1",
     "transfer_T2",
     "transfer_T3",
     "wkb_solution",
     "wronskian",
 ]
+
+_RTOL = 1e-11  # relative tolerance of the amplitude ODE sweeps
+_MONO_SAMPLES = 64  # admissibility samples of sign * Re z per path segment
+_SEED_SCALE = 1e-3  # origin-series start s = eps as a fraction of its scale
+_C0_ORDER = 6  # origin-series order behind connection_c0's estimate
 
 
 # ---------------------------------------------------------------------------
@@ -146,26 +145,6 @@ class TransferMatrix:
         if self.log_diag is not None and b == 0 and c == 0:
             return cmath.exp(self.log_diag[0] + self.log_diag[1])
         return a * d - b * c
-
-
-@dataclass(frozen=True)
-class NormalFormCoeffs:
-    """Coefficients gamma_1..gamma_N of gamma(E, h) with the Taylor tables
-    of the auxiliary series q_n, m_n at y = 0 that generate them."""
-
-    gamma: tuple
-    q_tables: tuple
-    m_tables: tuple
-    E: complex
-    nu_tilde: float
-    order_budget: int
-
-    def gamma_poly(self, h):
-        """Truncated sum gamma_1 h + gamma_2 h^2 + ... + gamma_N h^N."""
-        acc = 0.0 + 0.0j
-        for n in range(len(self.gamma), 0, -1):
-            acc = (acc + self.gamma[n - 1]) * h
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -342,24 +321,22 @@ def _branch_states_along(tp, path):
 _GX16, _GW16 = np.polynomial.legendre.leggauss(16)
 
 
-def _phase_samples(path, seg_states, n_samples):
-    """Cumulative z at n_samples+1 equally spaced points per segment."""
+def _phase_samples(path, seg_states):
+    """Cumulative z at _MONO_SAMPLES+1 equally spaced points per segment."""
     zs = [0.0 + 0.0j]
     for (a, c), S in zip(path.segments(), seg_states):
-        ts = np.linspace(0.0, 1.0, n_samples + 1)
+        ts = np.linspace(0.0, 1.0, _MONO_SAMPLES + 1)
         mids = 0.5 * (ts[:-1] + ts[1:])
         half = 0.5 * (ts[1] - ts[0])
         nodes = a + (mids[:, None] + half * _GX16[None, :]) * (c - a)
-        vals = S.sqrt_gg_at(nodes.ravel()).reshape(n_samples, _GX16.size)
+        vals = S.sqrt_gg_at(nodes.ravel()).reshape(_MONO_SAMPLES, _GX16.size)
         incs = (vals @ _GW16) * half * (c - a)
         base = zs[-1]
         zs.extend((base + np.cumsum(incs)).tolist())
     return np.asarray(zs, dtype=complex)
 
 
-def amplitude_recurrence(path, params, N, sign=1, tol=1e-11,
-                         return_profile=False, profile_points=257,
-                         mono_samples=64):
+def amplitude_recurrence(path, params, N, sign=1, tol=_RTOL):
     """Amplitude corrections w_1 .. w_N along an admissible path.
 
     The corrections satisfy the triangular linear system
@@ -370,12 +347,11 @@ def amplitude_recurrence(path, params, N, sign=1, tol=1e-11,
     which is integrated in the path parameter in one sweep; the base values
     are w_0 = 1 and w_n(path.start) = 0 for n >= 1.  The path must keep
     clear of all turning points and of the origin, and sign * Re z must
-    increase along it (checked by sampling mono_samples points per
+    increase along it (checked by sampling _MONO_SAMPLES points per
     segment); otherwise the exponential kernel would grow unstably.
-
-    With return_profile=True a dict of dense samples (arc length, x, z and
-    the per-order w values) is returned alongside the pair.
     """
+    from scipy.integrate import solve_ivp
+
     p = _as_params(params)
     E, nu, h = p.E, p.nu, p.h
     sign = int(sign)
@@ -388,9 +364,8 @@ def amplitude_recurrence(path, params, N, sign=1, tol=1e-11,
         path = ComplexPath(tuple(path))
     segs = path.segments()
     if not segs:
-        pair = AmplitudePair(1.0 + 0.0j, 0.0 + 0.0j, N, path.start,
+        return AmplitudePair(1.0 + 0.0j, 0.0 + 0.0j, N, path.start,
                              tuple([1.0 + 0.0j] + [0.0 + 0.0j] * N), 0.0)
-        return (pair, {}) if return_profile else pair
 
     tp = turning_points(E, nu)
     specials = _specials(tp)
@@ -409,7 +384,7 @@ def amplitude_recurrence(path, params, N, sign=1, tol=1e-11,
     seg_states = _branch_states_along(tp, path)
 
     # admissibility: sign * Re z may not decrease between samples
-    zs = _phase_samples(path, seg_states, mono_samples)
+    zs = _phase_samples(path, seg_states)
     re = sign * zs.real
     span = float(re.max() - re.min())
     tol_mono = 1e-9 * (1.0 + span)
@@ -424,8 +399,6 @@ def amplitude_recurrence(path, params, N, sign=1, tol=1e-11,
 
     rate = 2.0 / h
     y = np.zeros(N + 1, dtype=complex)
-    profile = {"s": [], "x": [], "z": [], "w": []} if return_profile else None
-    arc0 = 0.0
     for (a, c), S in zip(segs, seg_states):
         dx = c - a
 
@@ -444,45 +417,27 @@ def amplitude_recurrence(path, params, N, sign=1, tol=1e-11,
                 prev = yv[n]
             return dy
 
-        t_eval = np.linspace(0.0, 1.0, profile_points) if return_profile else None
         sol = solve_ivp(rhs, (0.0, 1.0), y, method="DOP853",
-                        rtol=tol, atol=1e-2 * tol, t_eval=t_eval)
+                        rtol=tol, atol=1e-2 * tol)
         if not sol.success:
             raise QuadratureFailure(
                 f"amplitude integration failed on segment {a:.4g} -> "
                 f"{c:.4g}: {sol.message}"
             )
-        if return_profile:
-            profile["s"].append(arc0 + sol.t * abs(dx))
-            profile["x"].append(a + sol.t * dx)
-            profile["z"].append(sol.y[0])
-            profile["w"].append(sol.y[1:])
-            arc0 += abs(dx)
         y = sol.y[:, -1].copy()
 
     terms = [1.0 + 0.0j] + [complex(v) for v in y[1:]]
     w_even = sum(terms[0::2])
     w_odd = sum(terms[1::2])
     remainder = abs(terms[-1]) if N >= 1 else 0.0
-    pair = AmplitudePair(w_even, w_odd, N, path.start, tuple(terms), remainder)
-    if return_profile:
-        prof = {
-            "s": np.concatenate(profile["s"]),
-            "x": np.concatenate(profile["x"]),
-            "z": np.concatenate(profile["z"]),
-            "w": np.vstack([np.ones((1, sum(len(t) for t in profile["s"]))),
-                            np.hstack(profile["w"])]) if N >= 1 else
-                 np.ones((1, sum(len(t) for t in profile["s"]))),
-        }
-        return pair, prof
-    return pair
+    return AmplitudePair(w_even, w_odd, N, path.start, tuple(terms), remainder)
 
 
 # ---------------------------------------------------------------------------
 # amplitude series at the singular origin
 
 
-def origin_series(params, x_on_imag_axis, N, tol=1e-11, seed_scale=1e-3):
+def origin_series(params, x_on_imag_axis, N):
     """Amplitude series of the recessive solution at the origin, evaluated
     at a point x = iR on the positive imaginary axis.
 
@@ -498,6 +453,8 @@ def origin_series(params, x_on_imag_axis, N, tol=1e-11, seed_scale=1e-3):
     at order N, which happens once h tau^2 is too large for the factorial
     decay to have set in.
     """
+    from scipy.integrate import solve_ivp
+
     p = _as_params(params)
     E, nu, h, nt = p.E, p.nu, p.h, p.nu_tilde
     x = complex(x_on_imag_axis)
@@ -529,7 +486,7 @@ def origin_series(params, x_on_imag_axis, N, tol=1e-11, seed_scale=1e-3):
     def phi(s):
         return 1j * dlog_H(1j * s, (E, nu))
 
-    eps = seed_scale * min(R, abs(nu) / max(abs(E), 1.0))
+    eps = _SEED_SCALE * min(R, abs(nu) / max(abs(E), 1.0))
     rate = 2.0 / h
     y0 = np.zeros(N + 1, dtype=complex)
     if N >= 1:
@@ -550,7 +507,7 @@ def origin_series(params, x_on_imag_axis, N, tol=1e-11, seed_scale=1e-3):
         return dy
 
     sol = solve_ivp(rhs, (eps, R), y0, method="DOP853",
-                    rtol=tol, atol=1e-2 * tol)
+                    rtol=_RTOL, atol=1e-2 * _RTOL)
     if not sol.success:
         raise QuadratureFailure(
             f"origin-series integration failed on ({eps:.2e}, {R:.4g}): "
@@ -570,7 +527,7 @@ def origin_series(params, x_on_imag_axis, N, tol=1e-11, seed_scale=1e-3):
     return AmplitudePair(w_even, w_odd, N, 0.0 + 0.0j, tuple(terms), remainder)
 
 
-def connection_c0(params, with_estimate=False, N=6):
+def connection_c0(params, with_estimate=False):
     """Leading coefficients (c0_plus, c0_minus) = (1, -i) of the recessive
     origin solution on the exact WKB basis, with the overall normalization
     fixed to 1 (the common factor cancels from the resonance condition).
@@ -588,7 +545,7 @@ def connection_c0(params, with_estimate=False, N=6):
     if not with_estimate:
         return pair
     x_match = 1j * math.sqrt(p.nu) * abs(p.E) ** -0.25
-    ap = origin_series(p, x_match, N)
+    ap = origin_series(p, x_match, _C0_ORDER)
     est = abs(ap.w_odd) / max(abs(ap.w_even), 1e-300)
     return pair, est
 
@@ -639,12 +596,12 @@ def transfer_T2(params):
     )
 
 
-def transfer_T3(params, tol=1e-10, route="compactified"):
+def transfer_T3(params, route="compactified"):
     """Transfer from the outer turning point to the outgoing region:
     2 e^{-i pi/4} diag(e^{S2inf/h}, e^{-S2inf/h}) with the exponentially
     small off-diagonal entries set to zero."""
     p = _as_params(params)
-    s2 = action_S2inf((p.E, p.nu), tol, route=route)
+    s2 = action_S2inf((p.E, p.nu), route=route)
     c = math.log(2.0) - 0.25j * math.pi
     l11 = c + s2.value / p.h
     l22 = c - s2.value / p.h
@@ -670,6 +627,8 @@ def branching_R(gamma, h):
     computed through complex log-Gamma.  The exact identities
     |p|^2 - |q|^2 = 1, p conj(q) = conj(p) q and p/q = e^{pi x} hold.
     """
+    from scipy.special import loggamma
+
     g = complex(gamma)
     if g == 0:
         raise ValueError("gamma must be nonzero")
@@ -692,213 +651,6 @@ def branching_R(gamma, h):
 
 
 # ---------------------------------------------------------------------------
-# normal-form maps
-
-
-def phi_map(x, E):
-    """Normal-form coordinate near the simple turning point at sqrt(E):
-    phi(x) = (x - sqrt(E)) ((2/3)(x - sqrt(E)) + 2 sqrt(E))^{1/2}, with
-    phi(sqrt(E)) = 0 and phi(x) phi'(x) = x^2 - E."""
-    x = complex(x)
-    rt = cmath.sqrt(complex(E))
-    w = (2.0 / 3.0) * (x - rt) + 2.0 * rt
-    if w.real <= 0.0:
-        raise BranchAmbiguity(
-            f"phi is only defined on the principal branch; the radicand "
-            f"{w:.4g} at x = {x:.4g} has left the right half-plane"
-        )
-    return (x - rt) * cmath.sqrt(w)
-
-
-def _phi_inverse(y, E, max_iter=60):
-    y = complex(y)
-    rt = cmath.sqrt(complex(E))
-    x = rt + y / cmath.sqrt(2.0 * rt)
-    for _ in range(max_iter):
-        w = (2.0 / 3.0) * (x - rt) + 2.0 * rt
-        if w.real <= 0.0:
-            raise BranchAmbiguity(
-                f"inversion of phi left the principal neighborhood at "
-                f"x = {x:.4g} (for y = {y:.4g})"
-            )
-        sw = cmath.sqrt(w)
-        fval = (x - rt) * sw - y
-        dval = sw + (x - rt) / (3.0 * sw)
-        step = fval / dval
-        x -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
-            return x
-    raise BranchAmbiguity(
-        f"inversion of phi did not converge for y = {y:.4g}; the point is "
-        f"outside the principal neighborhood"
-    )
-
-
-def psi_map(y, E):
-    """Jacobian factor of the normal-form reduction, as a function of the
-    normal-form coordinate: psi(y) = sqrt((2/3)(x0 - sqrt(E)) + 2 sqrt(E))
-    / (x0 (x0 + sqrt(E))) at x0 = phi^{-1}(y).  psi(0) = E^{-3/4}/sqrt(2)
-    and psi(phi(x)) phi'(x) = 1/x."""
-    E = complex(E)
-    rt = cmath.sqrt(E)
-    x = _phi_inverse(y, E)
-    w = (2.0 / 3.0) * (x - rt) + 2.0 * rt
-    return cmath.sqrt(w) / (x * (x + rt))
-
-
-# ---------------------------------------------------------------------------
-# truncated Taylor-table arithmetic (internal to gamma_series)
-
-
-def _t_mul(a, b, M):
-    out = [0.0 + 0.0j] * (M + 1)
-    for i, ai in enumerate(a[: M + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: M + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _t_recip(a, M):
-    if a[0] == 0:
-        raise ZeroDivisionError("series has no reciprocal (zero constant)")
-    out = [0.0 + 0.0j] * (M + 1)
-    out[0] = 1.0 / a[0]
-    for k in range(1, M + 1):
-        acc = 0.0 + 0.0j
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * out[k - j]
-        out[k] = -acc / a[0]
-    return out
-
-
-def _t_compose(a, b, M):
-    """a(b(y)) truncated at order M; requires b[0] = 0."""
-    if b[0] != 0:
-        raise ValueError("composition needs a series with zero constant term")
-    out = [0.0 + 0.0j] * (M + 1)
-    for k in range(min(M, len(a) - 1), -1, -1):
-        out = _t_mul(out, b, M)
-        out[0] += a[k]
-    return out
-
-
-def _t_deriv(a):
-    return [k * a[k] for k in range(1, len(a))]
-
-
-def _t_integ(a, M):
-    out = [0.0 + 0.0j] * (M + 1)
-    for k in range(min(len(a), M)):
-        out[k + 1] = a[k] / (k + 1)
-    return out
-
-
-def _t_conj(a):
-    return [complex(v).conjugate() for v in a]
-
-
-def _series_invert(a, M):
-    """Compositional inverse of a series with a[0] = 0, a[1] != 0."""
-    b = [0.0 + 0.0j] * (M + 1)
-    b[1] = 1.0 / a[1]
-    for m in range(2, M + 1):
-        comp = _t_compose(a, b, m)
-        b[m] = -comp[m] / a[1]
-    return b
-
-
-def _psi_table(E, M):
-    """Taylor coefficients of psi at y = 0 to order M, built symbolically:
-    binomial series for sqrt((2/3)u + 2 sqrt(E)) in u = x - sqrt(E),
-    compositional inversion of phi, then composition and division."""
-    E = complex(E)
-    rt = cmath.sqrt(E)
-    s0 = cmath.sqrt(2.0 * rt)
-    # sqrt(w) = s0 (1 + u/(3E^{1/2}))^{1/2}: binomial coefficients
-    sq = [0.0 + 0.0j] * (M + 1)
-    coeff = 1.0 + 0.0j
-    for k in range(M + 1):
-        sq[k] = s0 * coeff / (3.0 * rt) ** k
-        coeff *= (0.5 - k) / (k + 1.0)
-    phi_u = [0.0 + 0.0j] + sq[:M]
-    u_of_y = _series_invert(phi_u, M)
-    sq_y = _t_compose(sq, u_of_y, M)
-    den_u = [2.0 * E, 3.0 * rt, 1.0 + 0.0j] + [0.0 + 0.0j] * max(0, M - 2)
-    den_y = _t_compose(den_u, u_of_y, M)
-    return _t_mul(sq_y, _t_recip(den_y, M), M)
-
-
-def gamma_series(E, nu_tilde, N, order_budget=None):
-    """Coefficients gamma_1 .. gamma_N of the normal-form invariant
-    gamma(E, h) ~ sum gamma_n h^n, by the triangular recursion on the
-    Taylor tables of the auxiliary series q_n, m_n at y = 0.
-
-    The recursion consumes two orders of y per step (one derivative, one
-    division by y), so the tables are built to order_budget (default
-    2N + 4) and truncated to their meaningful lengths on return.  Bars in
-    the recursion are coefficient-wise conjugations, exact for real E.
-    """
-    E = complex(E)
-    nt = float(nu_tilde)
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    M = int(order_budget) if order_budget is not None else 2 * N + 4
-    if M < 2 * N:
-        raise OrderTooHigh(
-            f"order budget {M} cannot support N = {N} gamma coefficients "
-            f"(each step consumes two orders; need at least {2 * N})"
-        )
-    psi = _psi_table(E, M)
-
-    gam = [nt * psi[0]]
-    # q1 = -(gamma_1 - nt psi(y)) / (2y): the constant terms cancel exactly
-    q1 = [0.5 * nt * psi[k + 1] for k in range(M)]
-    qs = [q1]
-    ms = []
-    integrand = [gam[0] * c for c in _t_conj(q1)]
-    for k, v in enumerate(_t_mul(psi, q1, M)):
-        if k < len(integrand):
-            integrand[k] += nt * v
-    m1 = [1j * c for c in _t_integ(integrand, M)]
-    ms.append(m1)
-
-    for n in range(1, N):
-        qn = qs[-1]
-        g_next = -1j * qn[1]
-        gam.append(g_next)
-        dq = _t_deriv(qn)
-        num = [0.0 + 0.0j] * (M + 1)
-        num[0] = g_next
-        for k, v in enumerate(dq[: M + 1]):
-            num[k] += 1j * v
-        for j in range(1, n + 1):
-            mbar = _t_conj(ms[n - j])
-            for k, v in enumerate(mbar[: M + 1]):
-                num[k] += gam[j - 1] * v
-        for k, v in enumerate(_t_mul(psi, ms[n - 1], M)):
-            num[k] -= nt * v
-        q_next = [-0.5 * num[k + 1] for k in range(M)]
-        qs.append(q_next)
-        integrand = [0.0 + 0.0j] * (M + 1)
-        for j in range(1, n + 2):
-            qbar = _t_conj(qs[n + 1 - j])
-            for k, v in enumerate(qbar[: M + 1]):
-                integrand[k] += gam[j - 1] * v
-        for k, v in enumerate(_t_mul(psi, q_next, M)):
-            integrand[k] += nt * v
-        ms.append([1j * c for c in _t_integ(integrand, M)])
-
-    q_tables = tuple(tuple(q[: max(1, M + 2 - 2 * (n + 1))])
-                     for n, q in enumerate(qs))
-    m_tables = tuple(tuple(m[: max(2, M + 3 - 2 * (n + 1))])
-                     for n, m in enumerate(ms))
-    return NormalFormCoeffs(tuple(gam), q_tables, m_tables, E, nt, M)
-
-
-# ---------------------------------------------------------------------------
 # Wronskians and solution assembly
 
 
@@ -918,7 +670,7 @@ def assembly_matrix(H, sign):
 
 
 def wkb_solution(x, params, phase_base, amp_base, sign, N=6,
-                 amp_path=None, phase_path=None, tol=1e-11):
+                 amp_path=None, phase_path=None, tol=_RTOL):
     """Assembled exact WKB solution u_pm(x; phase_base, amp_base).
 
     The phase is integrated from phase_base to x (canonical dodging route

@@ -245,7 +245,9 @@ class TestResidueAndTunnel:
         assert abs(got - T_REF[0.1]) <= 1e-10
 
     def test_tunnel_small_mu_law(self):
-        for mu in (0.05, 0.02):
+        # off the positive axis on both sides: T(conj mu) = -conj T(mu)
+        for mu in (0.05, 0.02, 0.05 * cmath.exp(0.4j),
+                   0.05 * cmath.exp(-0.4j)):
             t = tunnel_T(mu).value
             ratio = t / (1j * math.pi * mu * mu / 4.0)
             assert abs(ratio - 1.0) <= 0.01

@@ -52,20 +52,20 @@ def assert_valid_json(text):
 
 class TestImports:
     def test_cli_import_leaves_ode_solvers_unloaded(self):
-        # the Bohr-Sommerfeld path needs neither scipy.integrate nor
-        # scipy.optimize, so importing the CLI must not load them
+        # importing the CLI loads no scipy module: scipy.special loads on
+        # the first closed-form S01, the ODE solvers on the first ODE solve
         src = str(Path(conires.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, conires.cli; "
                 "print(sorted(m for m in ('scipy.integrate', "
-                "'scipy.optimize') if m in sys.modules))")
+                "'scipy.optimize', 'scipy.special') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
     def test_pplus_oracle_leaves_ode_solvers_unloaded(self, tmp_path):
         # the radial oracle is one numpy eigensolve: no ODE solver, no
-        # root bracketing
+        # root bracketing, no Carlson integral
         src = str(Path(conires.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         table = tmp_path / "pplus.csv"
@@ -73,7 +73,7 @@ class TestImports:
                 f"code = main(['pplus', '--h', '0.01', '--l', '1', "
                 f"'--oracle', '--output', {str(table)!r}]); "
                 "print(code, sorted(m for m in ('scipy.integrate', "
-                "'scipy.optimize') if m in sys.modules))")
+                "'scipy.optimize', 'scipy.special') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "0 []"
@@ -81,7 +81,8 @@ class TestImports:
 
     def test_package_names_resolve(self):
         assert conires.jost_cplus is conires.ode_oracle.jost_cplus
-        assert conires.transfer_T1 is conires.wkb.transfer_T1
+        for n in conires.wkb.__all__:
+            assert getattr(conires, n) is getattr(conires.wkb, n)
         with pytest.raises(AttributeError):
             conires.no_such_name
 

@@ -1,13 +1,12 @@
 """Tests for the exact WKB layer: phase integrals, amplitude recurrences
-along paths and at the origin, connection objects, transfer matrices, the
-branching matrix, and the normal-form maps.
+along paths and at the origin, connection objects, transfer matrices, and
+the branching matrix.
 
 Reference routes used below are independent of the module under test where
 that matters: first and second amplitude orders are recomputed with nested
 scipy quadrature of the integral recursion written out from scratch on the
 imaginary axis, the phase is cross-checked against the action integral of
-conires.actions (separate quadrature engine and contour), normal-form
-coefficients are checked against finite differences of psi_map, and the
+conires.actions (separate quadrature engine and contour), and the
 branching matrix against closed identities of the Gamma function.
 """
 
@@ -21,12 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conires.actions import action_S01, action_S2inf
-from conires.errors import (
-    BranchAmbiguity,
-    MonotonicityViolation,
-    OrderTooHigh,
-    TurningPointProximity,
-)
+from conires.errors import MonotonicityViolation, TurningPointProximity
 from conires.model import ModelParams, symbol_at, turning_points
 from conires.wkb import (
     amplitude_recurrence,
@@ -34,11 +28,8 @@ from conires.wkb import (
     branching_R,
     connection_c0,
     dlog_H,
-    gamma_series,
     origin_series,
     phase_z,
-    phi_map,
-    psi_map,
     transfer_T1,
     transfer_T2,
     transfer_T3,
@@ -248,33 +239,6 @@ class TestAmplitudeRecurrence:
         with pytest.raises(TurningPointProximity):
             amplitude_recurrence([r0 - 0.1, r0 + 0.1], p, 2, sign=+1)
 
-    def test_profile_satisfies_stated_recursions(self):
-        # The dense profile must satisfy the defining differential
-        # relations: dz/ds = |dx| sqrt(g+g-)/dx ... checked via finite
-        # differences of the returned samples only.
-        p = P_WIDE
-        pair, prof = amplitude_recurrence(
-            [0.25j, 1.1j], p, 2, sign=+1, return_profile=True,
-            profile_points=2049,
-        )
-        s, x, z, w = prof["s"], prof["x"], prof["z"], prof["w"]
-        E, nu = 1.3, p.h * p.nu_tilde
-        sv = x.imag
-        phi = np.array([_phi_axis(t, E, nu) for t in sv])
-        zp = np.array([_zprime_axis(t, E, nu) for t in sv])
-        dz = np.gradient(z, s)
-        assert np.max(np.abs(dz[2:-2] - zp[2:-2])) <= 1e-4 * np.max(zp)
-        dw1 = np.gradient(w[1], s)
-        rhs1 = -(2 / p.h) * zp * w[1] + phi * w[0]
-        scale1 = np.max(np.abs(rhs1))
-        assert np.max(np.abs(dw1[2:-2] - rhs1[2:-2])) <= 1e-3 * scale1
-        dw2 = np.gradient(w[2], s)
-        rhs2 = phi * w[1]
-        scale2 = np.max(np.abs(rhs2))
-        assert np.max(np.abs(dw2[2:-2] - rhs2[2:-2])) <= 1e-3 * scale2
-        assert abs(w[1][-1] - pair.terms[1]) <= 1e-12
-        assert abs(w[2][-1] - pair.terms[2]) <= 1e-12
-
 
 class TestOriginSeries:
     def test_at_zero_is_trivial(self):
@@ -449,79 +413,6 @@ class TestBranchingR:
     def test_non_finite_h_rejected(self, h):
         with pytest.raises(ValueError, match="h must be positive and finite"):
             branching_R(0.3, h)
-
-
-class TestNormalFormMaps:
-    def test_phi_vanishes_at_turning_point(self):
-        for E in (0.7, 1.3, 2.0):
-            assert abs(phi_map(math.sqrt(E), E)) <= 1e-14
-
-    def test_phi_squares_to_antiderivative_relation(self):
-        # phi phi' = x^2 - E, with phi' from central differences.
-        E = 1.3
-        d = 1e-6
-        for x in (1.2, 1.5, 0.9 + 0.1j, math.sqrt(E) + 0.3j):
-            fd = (phi_map(x + d, E) - phi_map(x - d, E)) / (2 * d)
-            assert abs(phi_map(x, E) * fd - (x * x - E)) <= 1e-8
-
-    def test_psi_at_origin(self):
-        for E in (0.8, 1.0, 1.7):
-            want = E ** -0.75 / math.sqrt(2)
-            assert abs(psi_map(0.0, E) - want) <= 1e-13
-
-    def test_psi_is_reciprocal_jacobian_over_x(self):
-        E = 1.3
-        d = 1e-6
-        for x in (1.2, 1.35, math.sqrt(E) + 0.2j):
-            y = phi_map(x, E)
-            fd = (phi_map(x + d, E) - phi_map(x - d, E)) / (2 * d)
-            assert abs(psi_map(y, E) * fd * x - 1) <= 1e-8
-
-    def test_branch_ambiguity_past_the_cut(self):
-        E = 1.3
-        # The square-root argument (2/3)(x - sqrt(E)) + 2 sqrt(E) changes
-        # sign at x = -2 sqrt(E); just inside is fine, past it is not.
-        phi_map(-2.0, E)
-        with pytest.raises(BranchAmbiguity):
-            phi_map(-3.0, E)
-
-
-class TestGammaSeries:
-    def test_leading_coefficient(self):
-        nf = gamma_series(1.0, 0.5, 3)
-        want = 0.5 * 1.0 ** -0.75 / math.sqrt(2)
-        assert abs(nf.gamma[0] - want) <= 1e-14
-
-    def test_first_moment_starts_at_zero(self):
-        nf = gamma_series(1.0, 0.5, 3)
-        assert abs(nf.m_tables[0][0]) <= 1e-14
-
-    def test_against_finite_differences_of_psi(self):
-        # q1 and gamma2 only involve the first Taylor coefficients of psi,
-        # so they can be rebuilt from pointwise psi_map values.
-        E, nt = 1.0, 0.5
-        nf = gamma_series(E, nt, 3)
-        d = 1e-4
-        psi0 = psi_map(0.0, E)
-        psi1 = (psi_map(d, E) - psi_map(-d, E)) / (2 * d)
-        psi2 = (psi_map(d, E) - 2 * psi0 + psi_map(-d, E)) / (d * d) / 2
-        assert abs(nf.q_tables[0][0] - nt * psi1 / 2) <= 1e-6
-        assert abs(nf.gamma[1] - (-1j) * nt * psi2 / 2) <= 1e-6
-
-    def test_polynomial_matches_transfer_prefactor(self):
-        p = ModelParams(1.0, 0.01, 0.5)
-        nf = gamma_series(1.0, 0.5, 2)
-        lead = transfer_T2(p).inputs["gamma_leading"]
-        assert abs(nf.gamma_poly(p.h) - lead) <= 5e-5 * abs(lead) + 2e-5
-
-    def test_growth_stays_factorially_tame(self):
-        nf = gamma_series(1.0, 0.5, 6)
-        for a, b in zip(nf.gamma, nf.gamma[1:]):
-            assert abs(b) <= 20 * max(abs(a), 1e-3)
-
-    def test_order_budget_guard(self):
-        with pytest.raises(OrderTooHigh):
-            gamma_series(1.0, 0.5, 4, order_budget=6)
 
 
 class TestSolutionsAndWronskians:
