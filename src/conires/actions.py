@@ -160,10 +160,16 @@ def action_S01_pair(params):
     est_error is a roundoff bound and n_evals counts the Carlson-function
     evaluations behind each value.  Raises BranchAmbiguity when a Carlson
     value is not finite: scipy's R_J returns nan for some p off the
-    principal domain.
+    principal domain.  For real E > 0 with mu = nu E^{-3/2} at or beyond
+    the critical coupling there are no real turning points, and
+    NoRealTurningPoints is raised as by action_I (TurningPointProximity
+    where the roots are degenerate, as at the critical coupling itself).
     """
     E, nu = _as_E_nu(params)
-    return _s01_pair(E, nu, _labeled_roots(E, nu))
+    roots = _labeled_roots(E, nu)
+    if E.imag == 0.0 and E.real > 0.0:
+        _subcritical(nu * E.real ** -1.5)
+    return _s01_pair(E, nu, roots)
 
 
 @functools.cache

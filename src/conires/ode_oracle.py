@@ -24,6 +24,16 @@ is dead and would otherwise throttle the step size. The quotient v_1
 converges to c+ with a relative tail nu^2/(6 h t^3), so the default
 R_max is chosen to push that tail below the plateau tolerance across
 the sampled final decade.
+
+The certification ring is evaluated as one batched ODE rather than one
+jost_cplus call per point: every ring energy runs on the contour of the
+ring centre with its own E in the right-hand side, the inner contour as
+one stack of fundamental pairs and the ray as one realified system with
+a block-diagonal Jacobian. No ring point is computed more loosely than
+jost_cplus would compute it: the DOP853 stages accept a step on the
+largest of the members' own error norms, and Radau, whose error norm is
+the RMS over all components, runs at rtol and atol divided by sqrt(m)
+for m members, so its batch norm bounds each member's own norm.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import functools
 import importlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +81,7 @@ brentq = functools.partial(_deferred, "scipy.optimize", "brentq")
 
 _RTOL = 1e-11  # relative tolerance of every contour integration
 _ATOL = 1e-14  # absolute ODE tolerance; on the ray, times the start amplitude
-_MAX_STEPS = 2_000_000  # accepted-step budget of integrate_system
+_MAX_STEPS = 2_000_000  # accepted-step budget of one inner contour
 _RAY_RTOL_CAP = 1e-10  # the ray runs at 0.1 min(rtol, cap), 1e-12 at _RTOL
 _THETA = 0.5  # angle of the extraction ray arg x = -theta
 _DOMINANCE_EFOLDS = 40.0  # decay of the recessive mode where c+ is read
@@ -161,13 +172,117 @@ def frobenius_init(params, eps=None, K=20):
 
 
 def _phase_qr(M):
-    """QR factorization with the diagonal of R made real positive."""
+    """QR factorization with the diagonal of R made real positive, of one
+    matrix or of a stack of them."""
     Q, R = np.linalg.qr(M)
-    d = np.diag(R)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
     if np.any(np.abs(d) == 0.0):
         raise StepUnderflow("fundamental pair collapsed to rank one")
     ph = d / np.abs(d)
-    return Q * ph[None, :], R / ph[:, None]
+    return Q * ph[..., None, :], R / ph[..., :, None]
+
+
+@functools.cache
+def _batch_dop853():
+    """scipy's DOP853 for a batch of independent systems stacked four
+    components each: a step is accepted on the largest of the members'
+    own error norms (scipy's formula per member), so every member passes
+    the test it would pass alone."""
+    base = importlib.import_module("scipy.integrate").DOP853
+
+    class BatchDOP853(base):
+        def _estimate_error_norm(self, K, h, scale):
+            err5 = (K.T @ self.E5 / scale).reshape(-1, 4)
+            err3 = (K.T @ self.E3 / scale).reshape(-1, 4)
+            a = np.sum(np.abs(err5) ** 2, axis=1)
+            denom = a + 0.01 * np.sum(np.abs(err3) ** 2, axis=1)
+            denom[denom == 0.0] = 1.0  # both errors zero: norm zero
+            return abs(h) * float(np.max(a / np.sqrt(4.0 * denom)))
+
+    return BatchDOP853
+
+
+def _dop853(m):
+    """solve_ivp method for m stacked 4-component systems: scipy's own
+    DOP853 for one member, whose norm is that member's already (the
+    batch formula would move the last bits of jost_cplus), and
+    _batch_dop853 for more."""
+    return "DOP853" if m == 1 else _batch_dop853()
+
+
+def _carry_pairs(segs, rhs_on, M, rtol):
+    """Carry fundamental pairs M, one 2x2 pair or a stack of m, along
+    the segments in renormalized chunks.
+
+    rhs_on(a, e) is the right-hand side on the flattened pairs in the
+    arclength t of the segment from a in unit direction e. A chunk ends
+    when any pair's amplitude moves by six e-folds; the pairs are then
+    orthonormalized and the triangular factors accumulated. DOP853 runs
+    at rtol and absolute tolerance 1e-14, every pair of a stack at its
+    own error norm (_dop853), with at most 2e6 accepted steps. Returns
+    the pairs at the last vertex, the accepted steps and the solve_ivp
+    solution of every chunk.
+    """
+    Q, R_acc = _phase_qr(M)
+    y = Q.reshape(-1)
+    method = _dop853(y.size // 4)
+    steps = 0
+    chunks = []
+    for a, b in segs:
+        L = abs(b - a)
+        f = rhs_on(a, (b - a) / L)
+        t_here = 0.0
+        for _ in range(100_000):
+            base = np.log(np.abs(y).reshape(-1, 4).sum(axis=1))
+
+            def moved(yy, base=base):
+                return np.log(np.abs(yy).reshape(-1, 4).sum(axis=1)) - base
+
+            def grew(t, yy):
+                return float(moved(yy).max()) - 6.0
+
+            def shrank(t, yy):
+                return float(moved(yy).min()) + 6.0
+
+            grew.terminal = True
+            grew.direction = 1
+            shrank.terminal = True
+            shrank.direction = -1
+            sol = solve_ivp(f, (t_here, L), y, method=method, rtol=rtol,
+                            atol=_ATOL, events=(grew, shrank))
+            if not sol.success:
+                raise StepUnderflow(
+                    f"integration stalled on segment {a} -> {b}: "
+                    f"{sol.message}; shorten the path or stay in the "
+                    "h >= 0.05 regime")
+            steps += len(sol.t) - 1
+            if steps > _MAX_STEPS:
+                raise StepUnderflow(
+                    f"accepted-step budget {_MAX_STEPS} exceeded; shorten "
+                    "the path or stay in the h >= 0.05 regime")
+            chunks.append(sol)
+            t_prev, t_here = t_here, float(sol.t[-1])
+            Q, R = _phase_qr(sol.y[:, -1].reshape(M.shape))
+            R_acc = R @ R_acc
+            if not np.all(np.isfinite(R_acc)):
+                raise StepUnderflow(
+                    "solution magnitude left the representable range; "
+                    "shorten the path")
+            y = Q.reshape(-1)
+            if sol.status == 0:
+                break
+            if t_here <= t_prev:
+                raise StepUnderflow(
+                    f"no progress at arclength {t_here} on segment "
+                    f"{a} -> {b}")
+        else:
+            raise StepUnderflow(f"renormalization budget exceeded on "
+                                f"segment {a} -> {b}")
+    M = y.reshape(M.shape) @ R_acc
+    if not np.all(np.isfinite(M)):
+        raise StepUnderflow("solution magnitude left the representable "
+                            "range; shorten the path")
+    return M, steps, chunks
 
 
 def integrate_system(params, path, u_start, rtol=_RTOL):
@@ -220,138 +335,42 @@ def integrate_system(params, path, u_start, rtol=_RTOL):
         if nu != 0.0 and segment_point_distance(a, b, [0])[0] < 1e-12 * scale:
             raise ValueError("path passes through the origin")
 
-    Q, R_acc = _phase_qr(M)
-    y = Q.reshape(4)
-    drift = 0.0
-    steps = 0
-    for a, b in segs:
-        L = abs(b - a)
-        e = (b - a) / L
-
+    def rhs_on(a, e):
         def f(t, yy):
             x = a + t * e
             return (e * (1j / h)) * (_coeff_matrix(x, E, nu)
                                      @ yy.reshape(2, 2)).reshape(4)
+        return f
 
-        t_here = 0.0
-        for _ in range(100_000):
-            base = math.log(float(np.abs(y).sum()))
-
-            def moved(t, yy, base=base):
-                return math.log(float(np.abs(yy).sum())) - base
-
-            def grew(t, yy):
-                return moved(t, yy) - 6.0
-
-            def shrank(t, yy):
-                return moved(t, yy) + 6.0
-
-            grew.terminal = True
-            grew.direction = 1
-            shrank.terminal = True
-            shrank.direction = -1
-            sol = solve_ivp(f, (t_here, L), y, method="DOP853", rtol=rtol,
-                            atol=_ATOL, events=(grew, shrank))
-            if not sol.success:
-                raise StepUnderflow(
-                    f"integration stalled on segment {a} -> {b}: "
-                    f"{sol.message}; shorten the path or stay in the "
-                    "h >= 0.05 regime")
-            steps += len(sol.t) - 1
-            if steps > _MAX_STEPS:
-                raise StepUnderflow(
-                    f"accepted-step budget {_MAX_STEPS} exceeded; shorten "
-                    "the path or stay in the h >= 0.05 regime")
-            W = sol.y[0] * sol.y[3] - sol.y[1] * sol.y[2]
-            drift += float(np.max(np.abs(W - W[0])) / abs(W[0]))
-            y = sol.y[:, -1]
-            t_prev, t_here = t_here, float(sol.t[-1])
-            Q, R = _phase_qr(y.reshape(2, 2))
-            R_acc = R @ R_acc
-            if not np.all(np.isfinite(R_acc)):
-                raise StepUnderflow(
-                    "solution magnitude left the representable range; "
-                    "shorten the path")
-            y = Q.reshape(4)
-            if sol.status == 0:
-                break
-            if t_here <= t_prev:
-                raise StepUnderflow(
-                    f"no progress at arclength {t_here} on segment "
-                    f"{a} -> {b}")
-        else:
-            raise StepUnderflow(f"renormalization budget exceeded on "
-                                f"segment {a} -> {b}")
-    M = y.reshape(2, 2) @ R_acc
-    if not np.all(np.isfinite(M)):
-        raise StepUnderflow("solution magnitude left the representable "
-                            "range; shorten the path")
+    M, steps, chunks = _carry_pairs(segs, rhs_on, M, rtol)
+    drift = 0.0
+    for sol in chunks:
+        W = sol.y[0] * sol.y[3] - sol.y[1] * sol.y[2]
+        drift += float(np.max(np.abs(W - W[0])) / abs(W[0]))
     u_end = M[:, 0] if vector_input else M
     return IntegrationResult(u_end, drift, steps, path)
 
 
-def _gauged_ray(E, h, nu, theta, t0, t_switch, t1, v0, t_eval, rtol):
-    """Integrate v' = e^{-i th}(i/h)(A - (x^2-E)I)v along x = t e^{-i th}.
+class _Contour(NamedTuple):
+    theta: float  # angle of the extraction ray arg x = -theta
+    eps: float  # Frobenius start on the real axis
+    x_mid: float  # end of the real segment, radius of the arc
+    path: list  # eps, x_mid, then the arc chords down to arg x = -theta
+    xs: complex  # x_mid e^{-i theta}, where the ray starts
+    t_switch: float  # DOP853 -> Radau switch on the ray
+    R_max: float  # extraction radius
+    t_eval: np.ndarray  # plateau samples, the final decade up to R_max
 
-    The realified system runs in two stages with one right-hand side
-    and one analytic Jacobian. On [t0, t_switch] the recessive
-    component still oscillates at frequency ~ 2 t^2 cos(3 th)/h and has
-    barely decayed: the problem is not stiff there, accuracy sets the
-    step, and explicit DOP853 crosses it in at most a few hundred steps
-    where Radau would spend most of its work. t_switch is the dominance radius, where the
-    recessive mode is down by 40 e-folds; beyond it the decay rate
-    ~ 2 t^2 sin(3 th)/h throttles any explicit method, while the
-    remaining dynamics is the slow 1/t^3 relaxation of the quotient, so
-    implicit Radau IIA takes over and strides to t1. LSODA's automatic
-    switching is not a substitute: near a zero of c+ its endpoint error
-    is ~1e-8 of |c+| on the certification ring even at rtol 1e-13, the
-    size of the certificate itself. Returns v_1 at t_eval and the absolute
-    tolerance used.
+
+def _contour(E, h, nt, nu, theta, R_max):
+    """The contour policy of c+ at energy E: the inner path for
+    integrate_system, the ray radii and the plateau samples.
+
+    theta must lie in (0, pi/3) so the outgoing solution grows on the
+    ray; R_max (None for the default) must keep
+    sin(3 theta) R^3/(3h) >= 40 so the recessive component is dead at
+    the extraction radius, and must clear the arc.
     """
-    w = cmath.exp(-1j * theta)
-    g = (1j / h) * w
-
-    def rhs(t, y):
-        v1 = y[0] + 1j * y[2]
-        v2 = y[1] + 1j * y[3]
-        x = t * w
-        om = nu / x
-        d1 = g * om * v2
-        d2 = g * (-om * v1 - 2.0 * (x * x - E) * v2)
-        return np.array([d1.real, d2.real, d1.imag, d2.imag])
-
-    def jac(t, y):
-        x = t * w
-        om = nu / x
-        J = np.array([[0.0, g * om], [-g * om, -2.0 * g * (x * x - E)]])
-        return np.block([[J.real, -J.imag], [J.imag, J.real]])
-
-    y0 = np.array([v0[0].real, v0[1].real, v0[0].imag, v0[1].imag])
-    atol = _ATOL * max(float(np.max(np.abs(v0))), 1e-290)
-    sol = solve_ivp(rhs, (t0, t_switch), y0, method="DOP853", rtol=rtol,
-                    atol=atol)
-    if sol.success:
-        sol = solve_ivp(rhs, (t_switch, t1), sol.y[:, -1], method="Radau",
-                        jac=jac, rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        raise StepUnderflow(f"ray integration stalled: {sol.message}")
-    return sol.y[0] + 1j * sol.y[2], atol
-
-
-def jost_cplus(params, theta=_THETA, R_max=None, rtol=_RTOL):
-    """Outgoing Jost coefficient of the regular solution.
-
-    Starts u ~ x^nu_tilde (1,-i) at frobenius_init's default eps, carries
-    it along [eps, x_mid], an arc down to arg x = -theta, and the rotated
-    ray, then reads c+ as the plateau of u_1 e^{-i(x^3-3Ex)/3h} over the
-    final decade. theta must lie in (0, pi/3) so the outgoing solution
-    grows on the ray; R_max must keep sin(3 theta) R^3/(3h) >= 40 so
-    the recessive component is dead at the extraction radius.
-
-    Raises NoPlateau when the sampled quotient varies by more than
-    1e-6 |c+| (raise R_max or theta).
-    """
-    E, h, nt, nu = _as_params(params, "half-integer")
     if not 0.0 < theta < math.pi / 3.0:
         raise ValueError(f"theta must lie in (0, pi/3), got {theta}")
     s3 = math.sin(3.0 * theta)
@@ -369,34 +388,175 @@ def jost_cplus(params, theta=_THETA, R_max=None, rtol=_RTOL):
     if R_max <= 1.1 * x_mid:
         raise ValueError(f"R_max={R_max} does not clear the arc radius "
                          f"{x_mid:.3f}")
-
     eps = _series_start(tp.r0)
-    u_eps, _ = frobenius_init((E, h, nt), eps=eps)
     arc = [x_mid * cmath.exp(-1j * theta * s)
            for s in np.linspace(0.0, 1.0, 33)]
-    inner = integrate_system((E, h, nt), [eps, x_mid] + arc[1:], u_eps,
-                             rtol=rtol)
-    xs = x_mid * cmath.exp(-1j * theta)
-    gauge = cmath.exp(-1j * (xs ** 3 - 3.0 * E * xs) / (3.0 * h))
-    v0 = inner.u_end * gauge
-
     lo = max(R_max / 10.0, 1.02 * x_mid)
-    t_eval = np.geomspace(lo, R_max, 33)
     # the switch stays inside [x_mid, lo] so every plateau sample comes
-    # from the Radau stage; the ray runs at a tenth of the contour
-    # tolerance because at h = 0.05 the secant otherwise stalls on the
-    # c+ noise floor just above the 1e-8 certificate
+    # from the Radau stage
     t_switch = min(max(R_dom, x_mid), lo)
-    q, atol_used = _gauged_ray(E, h, nu, theta, x_mid, t_switch, R_max, v0,
-                               t_eval, 0.1 * min(rtol, _RAY_RTOL_CAP))
+    return _Contour(theta, eps, x_mid, [eps, x_mid] + arc[1:],
+                    x_mid * cmath.exp(-1j * theta), t_switch, R_max,
+                    np.geomspace(lo, R_max, 33))
+
+
+def _gauged_ray(Es, h, nu, c, v0, rtol):
+    """Integrate v' = e^{-i th}(i/h)(A - (x^2-E)I)v along c's ray
+    x = t e^{-i th}, for each energy of Es from its start vector v0[j].
+
+    The members' realified systems are stacked as rows (Re v1, Re v2,
+    Im v1, Im v2) and run in two stages with one right-hand side and one
+    analytic, block-diagonal Jacobian. On [x_mid, t_switch] the
+    recessive component still oscillates at frequency
+    ~ 2 t^2 cos(3 th)/h and has barely decayed: the problem is not stiff
+    there, accuracy sets the step, and explicit DOP853 crosses it in at
+    most a few hundred steps where Radau would spend most of its work.
+    t_switch is the dominance radius, where the recessive mode is down
+    by 40 e-folds; beyond it the decay rate ~ 2 t^2 sin(3 th)/h
+    throttles any explicit method, while the remaining dynamics is the
+    slow 1/t^3 relaxation of the quotient, so implicit Radau IIA takes
+    over and strides to R_max. LSODA's automatic switching is not a
+    substitute: near a zero of c+ its endpoint error is ~1e-8 of |c+|
+    on the certification ring even at rtol 1e-13, the size of the
+    certificate itself.
+
+    The ray runs at a tenth of the contour tolerance rtol, because at
+    h = 0.05 the secant otherwise stalls on the c+ noise floor just
+    above the 1e-8 certificate, and member j at absolute tolerance
+    1e-14 max|v0[j]|. DOP853 takes each member's own error norm
+    (_dop853); Radau's norm is the RMS over all 4m components, so its
+    tolerances are divided by sqrt(m), which makes the batch norm bound
+    every member's own. Returns v_1 at c.t_eval, shape (m, 33), and
+    each member's undivided atol.
+    """
+    m = len(Es)
+    rtol = 0.1 * min(rtol, _RAY_RTOL_CAP)
+    w = cmath.exp(-1j * c.theta)
+    g = (1j / h) * w
+    members = np.arange(m)
+    # one member runs on numpy scalars: the vectorized complex multiply
+    # fuses multiply-adds, and its last-bit changes are enough to send
+    # the h = 0.05 secant of jost_cplus to the neighbouring zero
+    E = Es[0] if m == 1 else Es
+
+    def rhs(t, y):
+        v1r, v2r, v1i, v2i = y if m == 1 else y.reshape(m, 4).T
+        v1 = v1r + 1j * v1i
+        v2 = v2r + 1j * v2i
+        x = t * w
+        om = nu / x
+        d1 = g * om * v2
+        d2 = g * (-om * v1 - 2.0 * (x * x - E) * v2)
+        return np.array([d1.real, d2.real, d1.imag, d2.imag]).T.reshape(
+            4 * m)
+
+    def jac(t, y):
+        x = t * w
+        om = nu / x
+        J = np.zeros((m, 2, 2), dtype=complex)
+        J[:, 0, 1] = g * om
+        J[:, 1, 0] = -g * om
+        J[:, 1, 1] = -2.0 * g * (x * x - E)
+        blocks = np.block([[J.real, -J.imag], [J.imag, J.real]])
+        out = np.zeros((m, 4, m, 4))
+        out[members, :, members, :] = blocks
+        return out.reshape(4 * m, 4 * m)
+
+    y0 = np.stack([v0[:, 0].real, v0[:, 1].real, v0[:, 0].imag,
+                   v0[:, 1].imag], axis=1).reshape(4 * m)
+    atols = _ATOL * np.maximum(np.abs(v0).max(axis=1), 1e-290)
+    atol = np.repeat(atols, 4)
+    sol = solve_ivp(rhs, (c.x_mid, c.t_switch), y0, method=_dop853(m),
+                    rtol=rtol, atol=atol)
+    if sol.success:
+        root_m = math.sqrt(m)
+        sol = solve_ivp(rhs, (c.t_switch, c.R_max), sol.y[:, -1],
+                        method="Radau", jac=jac, rtol=rtol / root_m,
+                        atol=atol / root_m, t_eval=c.t_eval)
+    if not sol.success:
+        raise StepUnderflow(f"ray integration stalled: {sol.message}")
+    return sol.y[0::4] + 1j * sol.y[2::4], atols
+
+
+def _plateau(q, atol, contour):
+    """(c+, plateau error) from the ray quotient q at contour.t_eval;
+    NoPlateau when q varies by more than 1e-6 |c+| (or 50 atol)."""
     c_plus = complex(q[-1])
     plateau_error = float(np.max(np.abs(q - c_plus)))
-    if plateau_error > max(_PLATEAU_REL * abs(c_plus), 50.0 * atol_used):
+    if plateau_error > max(_PLATEAU_REL * abs(c_plus), 50.0 * atol):
         raise NoPlateau(
             f"quotient varies by {plateau_error:.3e} against "
-            f"|c+|={abs(c_plus):.3e} over [{lo:.1f}, {R_max:.1f}]; "
-            "raise R_max or theta")
-    return JostEstimate(c_plus, plateau_error, R_max, theta)
+            f"|c+|={abs(c_plus):.3e} over [{contour.t_eval[0]:.1f}, "
+            f"{contour.R_max:.1f}]; raise R_max or theta")
+    return c_plus, plateau_error
+
+
+def jost_cplus(params, theta=_THETA, R_max=None, rtol=_RTOL):
+    """Outgoing Jost coefficient of the regular solution.
+
+    Starts u ~ x^nu_tilde (1,-i) at frobenius_init's default eps, carries
+    it along [eps, x_mid], an arc down to arg x = -theta, and the rotated
+    ray, then reads c+ as the plateau of u_1 e^{-i(x^3-3Ex)/3h} over the
+    final decade. theta must lie in (0, pi/3) so the outgoing solution
+    grows on the ray; R_max must keep sin(3 theta) R^3/(3h) >= 40 so
+    the recessive component is dead at the extraction radius.
+
+    Raises NoPlateau when the sampled quotient varies by more than
+    1e-6 |c+| (raise R_max or theta).
+    """
+    E, h, nt, nu = _as_params(params, "half-integer")
+    c = _contour(E, h, nt, nu, theta, R_max)
+    u_eps, _ = frobenius_init((E, h, nt), eps=c.eps)
+    inner = integrate_system((E, h, nt), c.path, u_eps, rtol=rtol)
+    gauge = cmath.exp(-1j * (c.xs ** 3 - 3.0 * E * c.xs) / (3.0 * h))
+    q, atols = _gauged_ray(np.array([E]), h, nu, c,
+                           (inner.u_end * gauge)[None], rtol)
+    c_plus, plateau_error = _plateau(q[0], atols[0], c)
+    return JostEstimate(c_plus, plateau_error, c.R_max, theta)
+
+
+def _jost_ring(E_center, Es, h, nt):
+    """c+ at every energy of Es (the certification ring around E_center)
+    from one batched solve, as an array.
+
+    All members run on E_center's contour (c+ does not depend on the
+    path) with their own E in the right-hand side: the m fundamental
+    pairs of the inner contour as one (m, 2, 2) system in
+    integrate_system's renormalized chunks, then the m gauged ray
+    vectors as one 4m-dimensional _gauged_ray solve. Every member is
+    held to at least jost_cplus's tolerances: DOP853 accepts a step on
+    the largest of the members' own error norms, and the Radau stage
+    divides rtol and atol by sqrt(m). Each member passes jost_cplus's
+    plateau check or NoPlateau is raised.
+    """
+    E, h, nt, nu = _as_params((E_center, h, nt), "half-integer")
+    c = _contour(E, h, nt, nu, _THETA, None)
+    Es = np.asarray(Es, dtype=complex)
+    u_eps = np.array([frobenius_init((Ej, h, nt), eps=c.eps)[0]
+                      for Ej in Es])
+    comp = np.where((np.abs(u_eps[:, 0]) >= np.abs(u_eps[:, 1]))[:, None],
+                    [0.0, 1.0], [1.0, 0.0])
+
+    def rhs_on(a, e):
+        ge = e * (1j / h)
+
+        def f(t, yy):
+            x = a + t * e
+            d = (x * x - Es)[:, None]
+            o = nu / x
+            Y = yy.reshape(-1, 2, 2)
+            return (ge * np.stack([d * Y[:, 0] + o * Y[:, 1],
+                                   -o * Y[:, 0] - d * Y[:, 1]],
+                                  axis=1)).reshape(-1)
+        return f
+
+    pairs, _, _ = _carry_pairs(ComplexPath(tuple(c.path)).segments(),
+                               rhs_on, np.stack([u_eps, comp], axis=2),
+                               _RTOL)
+    gauge = np.exp(-1j * (c.xs ** 3 - 3.0 * Es * c.xs) / (3.0 * h))
+    q, atols = _gauged_ray(Es, h, nu, c, pairs[:, :, 0] * gauge[:, None],
+                           _RTOL)
+    return np.array([_plateau(qj, aj, c)[0] for qj, aj in zip(q, atols)])
 
 
 def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
@@ -410,8 +570,10 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     with the smallest |c+| is the candidate, and convergence demands its
     |c+| below 1e-8 times the median |c+| on ring_points around it;
     SpuriousZero reports a ring winding number different from one. The
-    returned record carries residual = |c+|/median(ring) and the seed's
-    lattice index k.
+    ring is one batched solve (_jost_ring), every point held to at least
+    jost_cplus's tolerances, and agrees with per-point jost_cplus to
+    about 3e-10 of the ring median at h = 0.1. The returned record
+    carries residual = |c+|/median(ring) and the seed's lattice index k.
     """
     E0_seed = complex(E_seed)
     _, h, nt, _ = _as_params(params, "half-integer")
@@ -463,18 +625,15 @@ def _secant_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
             break
     E1, c1 = best
     rho = max(1e-4 * abs(E1), 100.0 * step)
-    ring = np.array([c_of(E1 + rho * cmath.exp(2j * math.pi * j
-                                               / ring_points))
-                     for j in range(ring_points)])
+    ring = _jost_ring(E1, [E1 + rho * cmath.exp(2j * math.pi * j
+                                                 / ring_points)
+                           for j in range(ring_points)], h, nt)
     med = float(np.median(np.abs(ring)))
     if not abs(c1) < _CERT_RATIO * med:
         raise NoConvergence(
             f"|c+|={abs(c1):.3e} not below {_CERT_RATIO:.1e} x ring median "
             f"{med:.3e} after {evals} evaluations")
-    ph = np.angle(ring)
-    dph = np.diff(np.concatenate([ph, ph[:1]]))
-    winding = round(float(((dph + math.pi) % (2.0 * math.pi)
-                           - math.pi).sum() / (2.0 * math.pi)))
+    winding = _winding(ring)
     if winding != 1:
         raise SpuriousZero(
             f"ring winding {winding} != 1 around E={E1:.8f}")
@@ -487,6 +646,15 @@ def _secant_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
     return ResonanceRecord(k=k, nu_tilde=nt, lambda_lat=lam_lat, lam=lam,
                            E=E1, method="ode-oracle",
                            residual=abs(c1) / med, iterations=evals)
+
+
+def _winding(ring):
+    """Winding number of the closed polygon through the values of ring
+    around the origin."""
+    ph = np.angle(ring)
+    dph = np.diff(np.concatenate([ph, ph[:1]]))
+    return round(float(((dph + math.pi) % (2.0 * math.pi)
+                        - math.pi).sum() / (2.0 * math.pi)))
 
 
 def _cheb(N):

@@ -122,6 +122,15 @@ class TestActionS01:
         with pytest.raises(TurningPointProximity):
             action_S01((1.0, nu_crit))
 
+    @pytest.mark.parametrize("E, nu", [(1.0, 0.5), (2.0, 1.2), (0.5, 0.2)])
+    def test_supercritical_real_energy_refused(self, E, nu):
+        # mu = nu E^{-3/2} beyond the critical coupling: no real turning
+        # points, refused as by action_I rather than continued
+        with pytest.raises(NoRealTurningPoints):
+            action_S01_pair((E, nu))
+        with pytest.raises(NoRealTurningPoints):
+            action_I(nu * E ** -1.5)
+
 
 class TestActionS01dE:
     def test_reference_value(self):

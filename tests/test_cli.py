@@ -172,6 +172,14 @@ class TestActions:
         got = doc["rows"][0]["value"]
         assert abs(complex(got["re"], got["im"]) - want) <= 1e-14
 
+    def test_supercritical_coupling_has_no_turning_points(self, capsys):
+        # mu = nu E^{-3/2} = 0.5 is beyond the critical 0.385: refused
+        # like action_I, not as a non-finite Carlson value
+        assert main(["actions", "--E", "1", "--nu", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert "beyond the critical value" in err
+        assert "Carlson" not in err
+
 
 class TestResonances:
     def test_band_bs_matches_resonance_set(self, capsys):
@@ -352,6 +360,16 @@ class TestVerifyOde:
         assert abs(float(row["gap_ode_bs_over_h"]) - 0.75 * math.pi) <= 0.05
         assert float(row["residual_ode"]) <= 1e-8
         assert row["error"] == ""
+
+    def test_outputs_byte_identical(self, tmp_path, capsys):
+        argv = ["verify-ode", "--h", "0.2", "--nutilde", "0.5", "--k", "2",
+                "--format", "json"]
+        a, b = (tmp_path / n for n in ("a.json", "b.json"))
+        assert main(argv + ["--output", str(a)]) == 0
+        assert main(argv + ["--output", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+        assert_valid_json(a.read_text())
 
     def test_partial_failure_exits_4(self, capsys):
         # nu_tilde = 1 is fine for the BS route but not a half-integer,

@@ -260,6 +260,53 @@ class TestFindResonance:
             find_resonance_ode((bs_root.E, 0.1, 0.5), bs_root.E,
                                max_iter=0, ring_points=4)
 
+    @pytest.mark.parametrize("h", [0.2, 0.1])
+    def test_ring_matches_per_point_jost(self, h):
+        # the batched ring against 16 separate jost_cplus calls on the
+        # same energies, around the certified zero: values to 1e-8 of
+        # the ring median (measured 4.2e-11 and 3.0e-10), the same
+        # winding and the same certificate residual
+        E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
+        Es = [E + 1e-4 * abs(E) * cmath.exp(2j * math.pi * j / 16)
+              for j in range(16)]
+        ring = ode_oracle._jost_ring(E, Es, h, 0.5)
+        ref = np.array([jost_cplus((Ej, h, 0.5)).c_plus for Ej in Es])
+        med, med_ref = np.median(np.abs(ring)), np.median(np.abs(ref))
+        assert np.max(np.abs(ring - ref)) <= 1e-8 * med_ref
+        assert ode_oracle._winding(ring) == ode_oracle._winding(ref) == 1
+        c0 = abs(jost_cplus((E, h, 0.5)).c_plus)
+        assert c0 / med == pytest.approx(c0 / med_ref, rel=1e-6)
+
+    @pytest.mark.parametrize("member2", [(0.1, 100.0), (0.0, 0.0)],
+                             ids=["hidden", "zero"])
+    def test_batch_step_test_is_every_members_own(self, member2):
+        # the batched DOP853 accepts a step only if every member would
+        # accept it alone. scipy's norm over the whole stack does not,
+        # even at tolerances divided by sqrt(m): a member with a large
+        # 3rd-order error estimate hides one whose estimate is zero
+        from scipy.integrate import DOP853
+
+        def f(t, y):
+            return -y
+
+        batch = ode_oracle._batch_dop853()(f, 0.0, np.ones(8), 1.0)
+        single = DOP853(f, 0.0, np.ones(4), 1.0)
+        whole = DOP853(f, 0.0, np.ones(8), 1.0)
+        # stage derivatives K giving the chosen (5th, 3rd)-order error
+        # estimates on the first component of each member, scale 1
+        E53 = np.stack([batch.E5, batch.E3])
+        want = np.zeros((8, 2))
+        want[0], want[4] = (1.0, 0.0), member2
+        K = E53.T @ np.linalg.solve(E53 @ E53.T, want.T)
+        scale = np.ones(8)
+        own = [single._estimate_error_norm(K[:, j:j + 4], 0.1, scale[:4])
+               for j in (0, 4)]
+        assert batch._estimate_error_norm(K, 0.1, scale) == pytest.approx(
+            max(own), rel=1e-12)
+        if member2[1]:
+            assert whole._estimate_error_norm(
+                K, 0.1, scale / math.sqrt(2)) < 0.2 * max(own)
+
     @staticmethod
     def _noise_floor_jost(zero, eta_best, eta_last):
         """Synthetic c+ = E - zero, except that the two secant landings
@@ -277,10 +324,16 @@ class TestFindResonance:
 
         return fake, landings
 
+    @staticmethod
+    def _fake_ring(zero):
+        """Synthetic ring evaluator, c+ = E - zero at every ring point."""
+        return lambda E_center, Es, h, nt: np.asarray(Es) - zero
+
     def test_secant_rings_best_iterate(self, monkeypatch):
         zero = 1.5 - 0.05j
         fake, landings = self._noise_floor_jost(zero, 1e-13, 1e-11)
         monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
+        monkeypatch.setattr(ode_oracle, "_jost_ring", self._fake_ring(zero))
         rec = find_resonance_ode((zero + 0.05, 0.1, 0.5), zero + 0.05,
                                  max_iter=2)
         # ring median is the ring radius 1e-4 |E|, so the last iterate
@@ -296,6 +349,7 @@ class TestFindResonance:
         zero = 1.5 - 0.05j
         fake, _ = self._noise_floor_jost(zero, 2e-12, 1e-11)
         monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
+        monkeypatch.setattr(ode_oracle, "_jost_ring", self._fake_ring(zero))
         with pytest.raises(NoConvergence):
             find_resonance_ode((zero + 0.05, 0.1, 0.5), zero + 0.05,
                                max_iter=2)
