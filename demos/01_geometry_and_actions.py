@@ -57,8 +57,7 @@ for mu in (1e-1, 1e-2, 1e-3, 1e-4):
 
 # --- analytic continuation closes on itself ----------------------------
 # Continuing mu around a half turn picks up a computable residue term
-# and a tunneling term; the three-piece identity closes to quadrature
-# accuracy.
+# and a tunneling term; the three-piece identity closes to roundoff.
 mu = 0.05
 lhs = action_I(mu * cmath.exp(1j * math.pi)).value
 rhs = action_I(mu).value + residue_R(mu) + tunnel_T(mu).value

@@ -13,19 +13,21 @@ The five objects computed here:
 together with the residue R(mu) = -pi mu, the tunneling integral T(mu), and
 the derivative dS01/dE used by the quantization Newton steps.
 
-S01 and dS01/dE are complete elliptic integrals between two roots of the
-cubic and are evaluated in closed form through Carlson's symmetric
-integrals R_F, R_D, R_J (Carlson, Numer. Algorithms 10 (1995); DLMF
-19.29), both from one root solve (action_S01_pair).  The other actions
-integrate along contours by adaptive quadrature (quadrature module).
+Every action is closed form.  Each is an elliptic integral of a sqrt(cubic)
+between two of its roots (to infinity for S2inf), reduced to Carlson's
+symmetric integrals R_F, R_D, R_J (Carlson, Numer. Algorithms 10 (1995);
+DLMF 19.29) by one kernel, _segment, which returns the moments
+int dy/sqrt(P), int y dy/sqrt(P) and int dy/(y sqrt(P)) of a straight
+segment between two roots.  The values are exact to roundoff, and each
+est_error is a roundoff bound, so there is no tolerance to set.
 
 Branches: for real E > 0 and small nu, S01 and S12 are purely imaginary with
 positive imaginary part, I and I+ are real positive near 2/3.  All square
 roots are continued from those normalizations.  I(mu) for complex mu is
 reached by rotating arg(mu) stepwise from the positive real axis while the
-integration contour deforms with the cubic roots; one root winds around the
-pole of the weight at y = 0, which is what produces the monodromy
-I(e^{i pi} mu) = I(mu) + R(mu) + T(mu).
+straight segment between the roots follows them; one root winds around the
+pole of the weight at y = 0 and crosses the segment on the way, which is
+what produces the monodromy I(e^{i pi} mu) = I(mu) + R(mu) + T(mu).
 
 Contour normalization at the origin: the centrifugal pole at r = 0 carries
 residue nu (branch anchored positive there), and the action contours wrap
@@ -56,15 +58,9 @@ from .model import (
     _as_E_nu,
     _check_h_l,
     _cubic_roots_from,
+    _polish,
     _track_roots,
     cubic_roots,
-)
-from .quadrature import (
-    adaptive_segment,
-    polyline_sqrt_ref,
-    segment_point_distance,
-    sqrt_cubic_polyline,
-    sqrt_cubic_segment,
 )
 
 __all__ = [
@@ -84,10 +80,8 @@ __all__ = [
 # coupling strength at which the two relevant cubic roots collide
 MU_CRITICAL = math.sqrt(4.0 / 27.0)
 
-_ARC_RADIUS = 0.2  # unwinding radius around the weight pole at y = 0
-
-# relative roundoff bound of the closed-form S01 and dS01/dE, applied to
-# the moduli of the terms they sum
+# relative roundoff bound of the closed-form actions, applied to the moduli
+# of the terms they sum
 _ROUNDOFF = 16.0 * 2.0 ** -52
 
 
@@ -115,38 +109,125 @@ def _imag_ref(E):
     return w / abs(w)
 
 
-def _sqrt_cubic_auto(ra, rb, rc, *, sign, weight, branch_ref, tol):
-    """Straight segment between the roots ra, rb, with automatic midpoint
-    deflection away from rc when rc comes too close to the segment."""
-    gap = abs(rb - ra)
-    prox = 0.05 * gap
-    if float(segment_point_distance(ra, rb, [rc])[0]) >= prox:
-        return sqrt_cubic_segment(ra, rb, rc, sign=sign, weight=weight,
-                                  branch_ref=branch_ref, tol=tol)
-    mid = 0.5 * (ra + rb)
-    unit = (rb - ra) / gap
-    normal = 1j * unit
-    side = -1.0 if ((rc - mid) * np.conj(normal)).real >= 0.0 else 1.0
-    via = mid + side * normal * max(4.0 * prox, 0.2 * gap)
-    return sqrt_cubic_polyline(ra, rb, rc, [via], sign=sign, weight=weight,
-                               branch_ref=branch_ref, tol=tol)
+def _same_side(value, ref):
+    """+1 when value has a nonnegative projection on ref, else -1."""
+    return 1.0 if (value * ref.conjugate()).real >= 0.0 else -1.0
+
+
+@functools.cache
+def _carlson():
+    """scipy's (R_F, R_D, R_J), imported on the first closed-form action
+    so that importing this module does not load scipy.special."""
+    from scipy.special import elliprd, elliprf, elliprj
+    return elliprf, elliprd, elliprj
+
+
+def _rc1(e):
+    """R_C(1, 1 + e) = arctan(sqrt(e))/sqrt(e), by its Taylor series near
+    e = 0."""
+    if abs(e) < 1e-3:
+        return 1.0 - e / 3.0 + e * e / 5.0 - e ** 3 / 7.0 + e ** 4 / 9.0
+    r = cmath.sqrt(e)
+    return cmath.atan(r) / r
+
+
+def _rj(x, y, z, p):
+    """R_J(x, y, z, p): scipy's value, or where scipy returns nan (complex
+    arguments off its principal domain) Carlson's duplication algorithm in
+    complex arithmetic (Carlson 1995, Algorithm 3; DLMF 19.36.2), run
+    until the fifth-order series of the remainder is at roundoff."""
+    value = complex(_carlson()[2](x, y, z, p))
+    if cmath.isfinite(value):
+        return value
+    args = [complex(v) for v in (x, y, z, p)]
+    a0 = (args[0] + args[1] + args[2] + 2.0 * args[3]) / 5.0
+    delta = (args[3] - args[0]) * (args[3] - args[1]) * (args[3] - args[2])
+    q = (0.25 * 2.0 ** -52) ** (-1.0 / 6.0) * max(abs(a0 - v) for v in args)
+    a, f, tail = a0, 1.0, 0.0
+    while f * q >= abs(a):
+        sx, sy, sz, sp = map(cmath.sqrt, args)
+        lam = sx * sy + sy * sz + sz * sx
+        d = (sp + sx) * (sp + sy) * (sp + sz)
+        tail += f / d * _rc1(delta * f ** 3 / (d * d))
+        args = [(v + lam) / 4.0 for v in args]
+        a = (a + lam) / 4.0
+        f /= 4.0
+    X, Y, Z = ((a0 - complex(v)) * f / a for v in (x, y, z))
+    P = -0.5 * (X + Y + Z)
+    e2 = X * Y + X * Z + Y * Z - 3.0 * P * P
+    e3 = X * Y * Z + 2.0 * e2 * P + 4.0 * P ** 3
+    e4 = (2.0 * X * Y * Z + e2 * P + 3.0 * P ** 3) * P
+    e5 = X * Y * Z * P * P
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+              - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return f * a ** -1.5 * series + 6.0 * tail
+
+
+def _at(where):
+    """"E=..., nu=..." from where = ((name, value), ...), formatted only
+    for an error message."""
+    return ", ".join(f"{name}={value}" for name, value in where)
+
+
+def _check_finite(rf, rd, rj, where):
+    """BranchAmbiguity unless the three Carlson values are finite."""
+    if not all(map(cmath.isfinite, (rf, rd, rj))):
+        raise BranchAmbiguity(
+            f"Carlson integrals not finite (R_F={rf}, R_D={rd}, R_J={rj}) "
+            f"at {_at(where)}"
+        )
+
+
+def _segment(a, b, r, rj, where):
+    """Carlson moments of the straight segment from the root a to the root
+    b of P(y) = -(y-a)(y-b)(y-r), whose third root is r.
+
+    The substitution y = b + d/(1+u), d = a - b, maps the segment onto
+    u in [0, inf) and turns the moments M0 = int dy/sqrt(P),
+    M1 = int y dy/sqrt(P) and N = int dy/(y sqrt(P)) into Carlson
+    integrals with c = (a-r)/(b-r), p = a/b, s = sqrt(b-r):
+
+        M0 = 2 R_F(0,1,c)/s,
+        M1 = b M0 + (2/3) d R_D(0,c,1)/s,
+        N  = [2 R_F(0,1,c) + (2/3)(1-p) R_J(0,1,c,p)] / (s b),
+
+    on the branch of sqrt(P), continuous along the segment, that is a
+    positive multiple of -d s sqrt(u + c) at each u; the fourth value
+    returned, mid = -d s sqrt(1 + c), is its direction at the midpoint
+    u = 1.  Anchoring at b keeps p small when |a| << |b|.
+
+    rj evaluates R_J(x, y, z, p).  Raises TurningPointProximity where r
+    lies on the segment (c real and <= 0), and BranchAmbiguity when a
+    Carlson value is not finite; where, a tuple of (name, value) pairs,
+    names the point in the message.
+    """
+    elliprf, elliprd, _ = _carlson()
+    d = a - b
+    c = (a - r) / (b - r)
+    if c.imag == 0.0 and c.real <= 0.0:
+        raise TurningPointProximity(
+            f"a turning point lies on the integration segment at "
+            f"{_at(where)}"
+        )
+    p = a / b
+    s = cmath.sqrt(b - r)
+    rf = complex(elliprf(0.0, 1.0, c))
+    rd = complex(elliprd(0.0, c, 1.0))
+    rjv = complex(rj(0.0, 1.0, c, p))
+    _check_finite(rf, rd, rjv, where)
+    m0 = 2.0 * rf / s
+    m1 = b * m0 + (2.0 / 3.0) * d * rd / s
+    n = (2.0 * rf + (2.0 / 3.0) * (1.0 - p) * rjv) / (s * b)
+    return m0, m1, n, -d * s * cmath.sqrt(1.0 + c)
 
 
 def action_S01_pair(params):
     """S01 and dS01/dE at the same (E, nu) from one root solve, as a pair
     of ActionValue.
 
-    With P(y) = nu^2 - y (E - y)^2 = -(y-x0)(y-x1)(y-x2), the substitution
-    y = x1 + d/(1+u), d = x0 - x1, maps the straight segment from x0 to x1
-    onto u in [0, inf) and turns the moments M0 = int dy/sqrt(P),
-    M1 = int y dy/sqrt(P) and N = int dy/(y sqrt(P)) into Carlson
-    integrals with c = (x0-x2)/(x1-x2), p = x0/x1, s = sqrt(x1-x2):
-
-        M0 = 2 R_F(0,1,c)/s,
-        M1 = x1 M0 + (2/3) d R_D(0,c,1)/s,
-        N  = [2 R_F(0,1,c) + (2/3)(1-p) R_J(0,1,c,p)] / (s x1).
-
-    Since P/(2y) = -(y-E)^2/2 + nu^2/(2y) and int P'/sqrt(P) = 0 between
+    With P(y) = nu^2 - y (E - y)^2 = -(y-x0)(y-x1)(y-x2), the moments
+    M0, M1, N of the straight segment from x0 to x1 (_segment) give,
+    since P/(2y) = -(y-E)^2/2 + nu^2/(2y) and int P'/sqrt(P) = 0 between
     roots eliminates the second moment,
 
         dS01/dE = (M1 - E M0)/2,
@@ -160,7 +241,9 @@ def action_S01_pair(params):
     est_error is a roundoff bound and n_evals counts the Carlson-function
     evaluations behind each value.  Raises BranchAmbiguity when a Carlson
     value is not finite: scipy's R_J returns nan for some p off the
-    principal domain.  For real E > 0 with mu = nu E^{-3/2} at or beyond
+    principal domain, and S01 takes no other R_J there, because such a
+    p may sit on either side of a cut with no continuation to choose one.
+    For real E > 0 with mu = nu E^{-3/2} at or beyond
     the critical coupling there are no real turning points, and
     NoRealTurningPoints is raised as by action_I (TurningPointProximity
     where the roots are degenerate, as at the critical coupling itself).
@@ -172,40 +255,10 @@ def action_S01_pair(params):
     return _s01_pair(E, nu, roots)
 
 
-@functools.cache
-def _carlson():
-    """scipy's (R_F, R_D, R_J), imported on the first closed-form S01 so
-    that importing this module does not load scipy.special."""
-    from scipy.special import elliprd, elliprf, elliprj
-    return elliprf, elliprd, elliprj
-
-
 def _s01_pair(E, nu, roots):
     """action_S01_pair at complex E and float nu from the labeled roots."""
-    elliprf, elliprd, elliprj = _carlson()
-    x0, x1, x2 = roots
-    d = x0 - x1
-    c = (x0 - x2) / (x1 - x2)
-    if c.imag == 0.0 and c.real <= 0.0:
-        raise TurningPointProximity(
-            f"turning point x2 lies on the segment [x0, x1] at E={E}, nu={nu}"
-        )
-    p = x0 / x1
-    s = cmath.sqrt(x1 - x2)
-    rf = complex(elliprf(0.0, 1.0, c))
-    rd = complex(elliprd(0.0, c, 1.0))
-    rj = complex(elliprj(0.0, 1.0, c, p))
-    if not all(map(cmath.isfinite, (rf, rd, rj))):
-        raise BranchAmbiguity(
-            f"Carlson integrals not finite (R_F={rf}, R_D={rd}, R_J={rj}) "
-            f"at E={E}, nu={nu}"
-        )
-    m0 = 2.0 * rf / s
-    m1 = x1 * m0 + (2.0 / 3.0) * d * rd / s
-    n = (2.0 * rf + (2.0 / 3.0) * (1.0 - p) * rj) / (s * x1)
-    # sqrt(P) at the segment midpoint, up to a positive factor
-    mid = -d * s * cmath.sqrt(1.0 + c)
-    sigma = 1.0 if (mid * _imag_ref(E).conjugate()).real >= 0.0 else -1.0
+    m0, m1, n, mid = _segment(*roots, _carlson()[2], (("E", E), ("nu", nu)))
+    sigma = _same_side(mid, _imag_ref(E))
     half_nu2 = 0.5 * nu * nu
     m_scale = abs(m1) + abs(E * m0)
     dS = ActionValue(sigma * 0.5 * (m1 - E * m0),
@@ -267,10 +320,13 @@ def _phase_path(mu_abs, lo, hi):
     return point, rate
 
 
-def _traced_unit_roots(mu_abs, phis):
-    """Labeled roots of y^3 - 2y^2 + y - m^2 for m = mu_abs e^{i phi} along
-    the phase schedule phis (phis[0] must be 0), continued from each
-    phase to the next by model._track_roots."""
+def _unit_schedule(mu):
+    """Labeled roots of y^3 - 2y^2 + y - m^2 along the phase schedule
+    m = |mu| e^{i phi}, phi from 0 to arg mu (in [0, pi]) in steps of at
+    most 0.1, continued from each phase to the next by
+    model._track_roots; the roots at mu itself are Newton-polished."""
+    mu_abs, phi = abs(mu), cmath.phase(mu)
+    phis = np.linspace(0.0, phi, max(1, int(math.ceil(phi / 0.1))) + 1)
     cur = list(cubic_roots(1.0, mu_abs).roots)
     out = [tuple(cur)]
     for lo, hi in zip(phis[:-1], phis[1:]):
@@ -278,73 +334,71 @@ def _traced_unit_roots(mu_abs, phis):
         # of mu_abs
         if hi > lo:
             cur, ok = _track_roots(cur, *_phase_path(mu_abs, lo, hi),
-                                   min_dt=1e-9 / (hi - lo))
+                                   min_dt=min(1.0, 1e-9 / (hi - lo)))
             if not ok:
                 raise TurningPointProximity(
                     "cubic roots collide during phase continuation of mu"
                 )
         out.append(tuple(cur))
+    out[-1] = tuple(_polish(cur, 1.0, mu))
     return out
 
 
-def _mono_contour(phi, mu_abs):
-    """Interior vertices of the I(mu) continuation contour at phase phi, plus
-    the index of the on-axis reference vertex (the arc end at angle 0)."""
-    delta = max(2.0 * mu_abs, 0.02)
-    c_end = 1.0 - mu_abs * math.cos(phi) - 1j * delta
-    via = [_ARC_RADIUS * cmath.exp(2j * phi)]
-    if phi > 0.0:
-        n_arc = max(1, int(math.ceil(2.0 * phi / 0.3)))
-        for ang in np.linspace(2.0 * phi, 0.0, n_arc + 1)[1:]:
-            via.append(_ARC_RADIUS * cmath.exp(1j * ang))
-    ref_index = len(via) - 1
-    via.append(c_end)
-    return via, ref_index
+def _unit_action(mu, seg, sign):
+    """int sqrt(P)/(2y) dy at E = 1, nu = mu from _segment's moments on
+    the branch sign * (the moments' branch), with its roundoff bound."""
+    m0, m1, n, _ = seg
+    half_mu2 = 0.5 * mu * mu
+    value = sign * ((m1 - m0) / 3.0 + half_mu2 * n)
+    scale = (abs(m1) + abs(m0)) / 3.0 + abs(half_mu2 * n)
+    return value, _ROUNDOFF * scale
 
 
-def action_I(mu, tol=1e-10):
-    """Scaled action I(mu) = int_{y0}^{y1} sqrt(y(1-y)^2 - mu^2)/(2y) dy,
-    real positive near 2/3 for small positive mu and continued in arg(mu)
-    from there.  I(0) = 2/3 exactly.
+def action_I(mu):
+    """Scaled action I(mu) = int_{y0}^{y1} sqrt(y(1-y)^2 - mu^2)/(2y) dy
+    + pi mu, real positive near 2/3 for small positive mu and continued in
+    arg(mu) from there.  I(0) = 2/3 exactly.
+
+    The roots are continued in arg mu (_unit_schedule), and the integral
+    is the closed form of the straight segment from y0 to y1 (_segment)
+    with two corrections:
+
+    - Branch.  The sqrt is the one whose germ at y0 has a nonnegative
+      projection on i, its direction at mu > 0.  The continued germ stays
+      within 46 degrees of i over 0 <= arg mu <= pi and |mu| < MU_CRITICAL
+      (measured on a 30 x 40 grid), so this is the continued branch.  y2
+      lies below the segment (Im c < 0) for 0 < arg mu < pi and lands on
+      it at arg mu = pi; there it is placed below, the side the
+      continuation arrives from.
+    - Pole.  Each signed crossing of the weight pole y = 0 through the
+      segment, where p = y0/y1 passes the negative real axis along the
+      schedule, moves the segment integral by the residue pi mu, which
+      the continued contour does not cross: the term pi mu becomes
+      pi mu (1 - k) after k crossings.
+
+    est_error is a roundoff bound.
     """
     mu = _subcritical(mu)
     if mu == 0:
         return ActionValue(2.0 / 3.0 + 0.0j, 0.0, 0)
-    phi = cmath.phase(mu)
-    if phi < 0.0:
-        r = action_I(np.conj(mu), tol)
-        return ActionValue(np.conj(r.value), r.est_error, r.n_evals)
-    mu_abs = abs(mu)
-    if phi <= 0.35 * math.pi:
-        n = max(1, int(math.ceil(phi / 0.1)))
-        roots = _traced_unit_roots(mu_abs, np.linspace(0.0, phi, n + 1))[-1]
-        y0, y1, y2 = roots
-        res = _sqrt_cubic_auto(y0, y1, y2, sign=1, weight=lambda y: 0.5 / y,
-                               branch_ref=1.0, tol=tol)
-        return ActionValue(res.value + math.pi * mu, res.est_error,
-                           res.n_evals)
-
-    # large rotation: step the phase, dragging the contour with the roots
-    # and chaining the sqrt branch through the on-axis reference vertex
-    n = max(4, int(math.ceil(phi / 0.1)))
-    phis = np.linspace(0.0, phi, n + 1)
-    traced = _traced_unit_roots(mu_abs, phis)
-    anchor = 1.0 + 0.0j
-    for k, ph in enumerate(phis):
-        y0, y1, y2 = traced[k]
-        via, ref_index = _mono_contour(float(ph), mu_abs)
-        if k < len(phis) - 1:
-            ref_val = polyline_sqrt_ref(y0, y1, y2, via, sign=1,
-                                        ref_index=ref_index)
-            dot = (ref_val * np.conj(anchor)).real
-            anchor = ref_val if dot >= 0.0 else -ref_val
-        else:
-            res = sqrt_cubic_polyline(y0, y1, y2, via, sign=1,
-                                      weight=lambda y: 0.5 / y,
-                                      branch_ref=anchor, ref_index=ref_index,
-                                      tol=tol)
-            return ActionValue(res.value + math.pi * mu, res.est_error,
-                               res.n_evals)
+    if cmath.phase(mu) < 0.0:
+        r = action_I(mu.conjugate())
+        return ActionValue(r.value.conjugate(), r.est_error, r.n_evals)
+    traced = _unit_schedule(mu)
+    p = np.array([r0 / r1 for r0, r1, _ in traced])
+    crossings = round((np.unwrap(np.angle(p))[-1] - np.angle(p[-1]))
+                      / (2.0 * math.pi))
+    y0, y1, y2 = traced[-1]
+    c = (y0 - y2) / (y1 - y2)
+    if c.real < 0.0 and c.imag >= 0.0:
+        # y2 on or, by roundoff, above the segment: it lies below it
+        c = complex(c.real, -max(c.imag, _ROUNDOFF * abs(c)))
+        y2 = (y0 - c * y1) / (1.0 - c)
+    germ = (y1 - y0) * cmath.sqrt(y1 - y2) * cmath.sqrt(c)
+    value, err = _unit_action(mu, _segment(y0, y1, y2, _rj, (("mu", mu),)),
+                              _same_side(germ, 1j))
+    pole = math.pi * mu * (1 - crossings)
+    return ActionValue(-1j * value + pole, err + _ROUNDOFF * abs(pole), 3)
 
 
 def residue_R(mu):
@@ -353,32 +407,43 @@ def residue_R(mu):
     return -math.pi * complex(mu)
 
 
-def tunnel_T(mu, tol=1e-10):
-    """Tunneling integral between y1(mu) and y2(mu); equals
-    (i pi mu^2 / 4)(1 + O(mu^2)) for small mu.  T is imaginary on the
-    positive axis, so arg mu < 0 is reached by T(conj mu) = -conj T(mu)."""
+def tunnel_T(mu):
+    """Tunneling integral int_{y1}^{y2} sqrt(y(1-y)^2 - mu^2)/(2y) dy, on
+    the branch whose value at the midpoint of the straight segment has a
+    nonnegative projection on i; equals (i pi mu^2 / 4)(1 + O(mu^2)) for
+    small mu.  Closed form (_segment) with the roots continued in arg mu;
+    T is imaginary on the positive axis, so arg mu < 0 is reached by
+    T(conj mu) = -conj T(mu).  est_error is a roundoff bound."""
     mu = _subcritical(mu)
-    phi = cmath.phase(mu)
-    if phi < 0.0:
-        r = tunnel_T(np.conj(mu), tol)
-        return ActionValue(-np.conj(r.value), r.est_error, r.n_evals)
-    n = max(1, int(math.ceil(phi / 0.1)))
-    y0, y1, y2 = _traced_unit_roots(abs(mu), np.linspace(0.0, phi, n + 1))[-1]
-    res = _sqrt_cubic_auto(y1, y2, y0, sign=1, weight=lambda y: 0.5 / y,
-                           branch_ref=1.0j, tol=tol)
-    return ActionValue(res.value, res.est_error, res.n_evals)
+    if cmath.phase(mu) < 0.0:
+        r = tunnel_T(mu.conjugate())
+        return ActionValue(-r.value.conjugate(), r.est_error, r.n_evals)
+    y0, y1, y2 = _unit_schedule(mu)[-1]
+    seg = _segment(y1, y2, y0, _rj, (("mu", mu),))
+    *_, mid = seg
+    value, err = _unit_action(mu, seg, _same_side(mid, 1.0))
+    return ActionValue(1j * value, err, 3)
 
 
-def action_S2inf(params, tol=1e-10, route="compactified"):
-    """Regularized action from r2 to infinity.
+def action_S2inf(params):
+    """Regularized action from r2 to infinity,
 
-    The integrand sqrt(nu^2 - x^2(E - x^2)^2)/x - i(x^2 - E) is rewritten
-    exactly as -i nu^2 / (x (sqrt(A^2 - nu^2) + A)) with A = x(x^2 - E),
-    which is stable for large x and makes the absolute convergence explicit
-    (decay ~ nu^2/x^4); the boundary term i/3 (r2^3 - 3 E r2) is added in
-    closed form.  Routes: "compactified" maps x = r2/(1 - w^2) onto w in
-    [0, 1]; "truncated" integrates x = r2 + s^2 up to a tail cutoff and
-    folds the tail bound into est_error.
+        S2inf = int_{r2}^{inf} [sqrt(nu^2 - x^2(E - x^2)^2)/x - i(x^2 - E)] dx
+                + (i/3)(r2^3 - 3 E r2),
+
+    the sqrt continued from i x^3 at infinity.  In y = x^2 = x2 + t, with
+    a = x2 - x0, b = x2 - x1, R(t) = sqrt(t (t+a)(t+b)) and the integrand
+    rewritten by (y-E)^2 = (1/3) d(R^2)/dy - (2/3) E (y - E),
+
+        S2inf = -(iE/3) ((x2 - E) J0 + K1) - (i nu^2/2) Jn
+                + (2i/3)(r2^3 - 3 E r2),
+
+    where J0 = int dt/R = 2 R_F(0,a,b), Jn = int dt/((t + x2) R)
+    = (2/3) R_J(0,a,b,x2), and K1 = lim (int_0^T t dt/R - 2 sqrt(T))
+    = -a [2 R_F(0,a,b) + (2/3)(b - a) R_D(0,b,a)].  The path y = x2 + t
+    replaces the ray arg y = arg x2 of the x-integral; the two agree while
+    no root and no y = 0 lies between them, which holds for Re E > 0 and
+    small Im E.  est_error is a roundoff bound.
     """
     E, nu = _as_E_nu(params)
     x0, x1, x2 = _labeled_roots(E, nu) if nu != 0 else (0.0, E, E)
@@ -386,33 +451,19 @@ def action_S2inf(params, tol=1e-10, route="compactified"):
     reg = (1j / 3.0) * (r2 ** 3 - 3.0 * E * r2)
     if nu == 0.0:
         return ActionValue(reg, 0.0, 0)
-    nu2 = nu * nu
-
-    def f(x):
-        A = x * (x * x - E)
-        return -1j * nu2 / (x * (np.sqrt(A * A - nu2) + A))
-
-    if route == "compactified":
-        def g(w):
-            w = np.real(w)
-            x = r2 / (1.0 - w * w)
-            return f(x) * 2.0 * r2 * w / (1.0 - w * w) ** 2
-
-        val, err, n = adaptive_segment(g, 0.0, 1.0, tol)
-    elif route == "truncated":
-        big = max(10.0, 4.0 * abs(r2), (nu2 / tol) ** (1.0 / 3.0))
-        s_max = math.sqrt(big - r2.real) if big > r2.real else 1.0
-
-        def g(s):
-            s = np.real(s)
-            x = r2 + s * s
-            return f(x) * 2.0 * s
-
-        val, err, n = adaptive_segment(g, 0.0, s_max, tol)
-        err += nu2 / (6.0 * big ** 3)  # tail bound from |f| <= nu^2/(2 x^4)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return ActionValue(val + reg, err, n)
+    elliprf, elliprd, _ = _carlson()
+    a, b = x2 - x0, x2 - x1
+    rf = complex(elliprf(0.0, a, b))
+    rd = complex(elliprd(0.0, b, a))
+    rj = _rj(0.0, a, b, x2)
+    _check_finite(rf, rd, rj, (("E", E), ("nu", nu)))
+    j0 = 2.0 * rf
+    k1 = -a * (2.0 * rf + (2.0 / 3.0) * (b - a) * rd)
+    tail = (-1j * E / 3.0) * ((x2 - E) * j0 + k1)
+    pole = (-0.5j * nu * nu) * (2.0 / 3.0) * rj
+    err = _ROUNDOFF * (abs(E) * (abs((x2 - E) * j0) + abs(k1)) / 3.0
+                       + abs(pole) + 2.0 * abs(reg))
+    return ActionValue(tail + pole + 2.0 * reg, err, 3)
 
 
 def _s12_cubic_roots(E, h, l):
@@ -432,10 +483,16 @@ def _s12_cubic_roots(E, h, l):
     return sorted(out, key=lambda z: z.real)
 
 
-def action_S12(E, h, l, tol=1e-10):
+def action_S12(E, h, l):
     """Barrier action int_{alpha1}^{alpha2} sqrt(r - E + h^2(l^2-1/4)/r^2) dr
     of the scalar comparison operator; purely imaginary with positive
-    imaginary part.  Requires three distinct real turning points."""
+    imaginary part.  Requires three distinct real turning points.
+
+    With c0 = h^2 (l^2 - 1/4) and the cubic r^3 - E r^2 + c0 =
+    (r-a0)(r-a1)(r-a2), the integrand is sqrt(-P)/r for
+    P = -(r-a0)(r-a1)(r-a2), and int P/(r sqrt(P)) = (E/3) M1 - c0 N
+    in the moments of _segment (int P'/sqrt(P) = 0 removes the second
+    moment).  est_error is a roundoff bound."""
     h, l = _check_h_l(h, l)
     E = float(E)
     if not E > 0:
@@ -449,21 +506,32 @@ def action_S12(E, h, l, tol=1e-10):
     a0, a1, a2 = _s12_cubic_roots(E, h, l)
     if max(abs(a0.imag), abs(a1.imag), abs(a2.imag)) > 1e-8:
         raise NoRealTurningPoints("turning points failed to come out real")
-    res = sqrt_cubic_segment(a1.real, a2.real, a0.real, sign=1,
-                             weight=lambda y: 1.0 / y, branch_ref=1.0j,
-                             tol=tol)
+    c0 = h * h * (l * l - 0.25)
+    _, m1, n, mid = _segment(complex(a1.real), complex(a2.real),
+                             complex(a0.real), _rj,
+                             (("E", E), ("h", h), ("l", l)))
+    value = _same_side(mid, 1.0) * ((E / 3.0) * m1 - c0 * n)
     half_res = 1j * math.pi * h * math.sqrt(l * l - 0.25)
-    return ActionValue(res.value + half_res, res.est_error, res.n_evals)
+    err = _ROUNDOFF * (abs(E * m1) / 3.0 + abs(c0 * n))
+    return ActionValue(1j * value + half_res, err, 3)
 
 
-def action_Iplus(mu, tol=1e-10):
+def action_Iplus(mu):
     """Scaled barrier action I+(mu): S12 = i E^{3/2} I+(mu) with
-    mu = h sqrt(l^2 - 1/4) E^{-3/2}.  I+(0) = 2/3 exactly."""
+    mu = h sqrt(l^2 - 1/4) E^{-3/2}.  I+(0) = 2/3 exactly.
+
+    I+ = int_{b1}^{b2} sqrt(-(y-b0)(y-b1)(y-b2))/y dy + pi mu over the
+    roots of y^3 - y^2 + mu^2, closed form as in action_S12, on the branch
+    whose midpoint value has a nonnegative real part.  est_error is a
+    roundoff bound."""
     mu = _subcritical(mu)
     if mu == 0:
         return ActionValue(2.0 / 3.0 + 0.0j, 0.0, 0)
     roots = np.roots([1.0, -1.0, 0.0, mu * mu])
     b0, b1, b2 = sorted(roots, key=lambda z: z.real)
-    res = sqrt_cubic_segment(b1, b2, b0, sign=-1, weight=lambda y: 1.0 / y,
-                             branch_ref=1.0, tol=tol)
-    return ActionValue(res.value + math.pi * mu, res.est_error, res.n_evals)
+    _, m1, n, mid = _segment(complex(b1), complex(b2), complex(b0), _rj,
+                             (("mu", mu),))
+    mu2 = mu * mu
+    value = _same_side(mid, 1.0) * (m1 / 3.0 - mu2 * n)
+    err = _ROUNDOFF * (abs(m1) / 3.0 + abs(mu2 * n) + math.pi * abs(mu))
+    return ActionValue(value + math.pi * mu, err, 3)

@@ -28,7 +28,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .actions import action_S01, action_S2inf
 from .errors import ConiresError
@@ -53,23 +53,17 @@ class RunConfig:
     """Validated invocation: one subcommand plus its parameters.
 
     band is (a, b) in the lambda plane when the subcommand takes one;
-    tolerances maps names to positive floats; refine is one of
-    lattice, bs, ode where applicable.
+    refine is one of lattice, bs, ode where applicable.
     """
 
     subcommand: str
     params: dict
     band: tuple = None
-    tolerances: dict = field(default_factory=dict)
     fmt: str = "csv"
     output: str = None
     refine: str = None
 
     def __post_init__(self):
-        for name, value in self.tolerances.items():
-            if not (value > 0.0):
-                raise ValueError(f"tolerance {name} must be positive, "
-                                 f"got {value}")
         if self.band is not None:
             a, b = self.band
             Band(a, b)  # raises ValueError unless 0 < a < b
@@ -203,18 +197,17 @@ def cmd_turning_points(config):
 
 
 def cmd_actions(config):
-    """S01 (closed form) and S2inf (quadrature to tol) with error bounds."""
+    """S01 and S2inf, both closed form, with roundoff bounds."""
     E = config.params["E"]
     nu = config.params["nu"]
-    tol = config.tolerances["tol"]
     rows = []
     for name, val in (("S01", action_S01((E, nu))),
-                      ("S2inf", action_S2inf((E, nu), tol=tol))):
+                      ("S2inf", action_S2inf((E, nu)))):
         rows.append({"quantity": name, "value": val.value,
                      "est_error": val.est_error, "n_evals": val.n_evals})
     doc = {
         "command": "actions",
-        "params": {"E": E, "nu": nu, "tol": tol},
+        "params": {"E": E, "nu": nu},
         "meta": {},
         "rows": rows,
         "columns": [("quantity", str), ("value", complex),
@@ -473,7 +466,6 @@ def _build_parser():
     p.add_argument("--E", type=complex, required=True,
                    help="energy, real or complex like 1.5-0.1j")
     p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     common(p)
 
     p = sub.add_parser("resonances",
@@ -527,8 +519,7 @@ def _config_from_args(parser, args):
                          output=args.output)
     if sc == "actions":
         E = args.E.real if args.E.imag == 0.0 else args.E
-        return RunConfig(sc, {"E": E, "nu": args.nu},
-                         tolerances={"tol": args.tol}, fmt=args.format,
+        return RunConfig(sc, {"E": E, "nu": args.nu}, fmt=args.format,
                          output=args.output)
     if sc == "verify-ode":
         return RunConfig(sc, {"k": args.k, "nutilde": args.nutilde,

@@ -33,8 +33,8 @@ class ConvergenceFailure(ConiresError):
 
 
 class BranchAmbiguity(ConiresError):
-    """The closed-form S01 left the principal domain of its Carlson integrals:
-    R_F, R_D or R_J came out non-finite."""
+    """A closed-form action left the principal domain of its Carlson
+    integrals: R_F, R_D or R_J came out non-finite."""
 
 
 class EmptyBand(ConiresError):

@@ -76,7 +76,7 @@ __all__ = [
     "wronskian",
 ]
 
-_RTOL = 1e-11  # relative tolerance of the amplitude ODE sweeps
+_RTOL = 1e-11  # phase quadrature tolerance (absolute), amplitude ODE rtol
 _MONO_SAMPLES = 64  # admissibility samples of sign * Re z per path segment
 _SEED_SCALE = 1e-3  # origin-series start s = eps as a fraction of its scale
 _C0_ORDER = 6  # origin-series order behind connection_c0's estimate
@@ -187,7 +187,7 @@ def dlog_H(x, params):
 # phase integral
 
 
-def phase_z(x, base_point, params, path=None, tol=1e-10):
+def phase_z(x, base_point, params, path=None):
     """Phase integral z(x; base_point) of sqrt(g_plus g_minus).
 
     The square-root branch is the canonical one anchored at the origin
@@ -288,7 +288,7 @@ def phase_z(x, base_point, params, path=None, tol=1e-10):
         def f(nodes, S=seg_state):
             return S.sqrt_gg_at(nodes)
 
-        share = tol * abs(c - a) / total_len
+        share = _RTOL * abs(c - a) / total_len
         if forward:
             v, e, n = adaptive_segment(f, a, c, share)
         else:
@@ -336,7 +336,7 @@ def _phase_samples(path, seg_states):
     return np.asarray(zs, dtype=complex)
 
 
-def amplitude_recurrence(path, params, N, sign=1, tol=_RTOL):
+def amplitude_recurrence(path, params, N, sign=1):
     """Amplitude corrections w_1 .. w_N along an admissible path.
 
     The corrections satisfy the triangular linear system
@@ -418,7 +418,7 @@ def amplitude_recurrence(path, params, N, sign=1, tol=_RTOL):
             return dy
 
         sol = solve_ivp(rhs, (0.0, 1.0), y, method="DOP853",
-                        rtol=tol, atol=1e-2 * tol)
+                        rtol=_RTOL, atol=1e-2 * _RTOL)
         if not sol.success:
             raise QuadratureFailure(
                 f"amplitude integration failed on segment {a:.4g} -> "
@@ -596,12 +596,12 @@ def transfer_T2(params):
     )
 
 
-def transfer_T3(params, route="compactified"):
+def transfer_T3(params):
     """Transfer from the outer turning point to the outgoing region:
     2 e^{-i pi/4} diag(e^{S2inf/h}, e^{-S2inf/h}) with the exponentially
     small off-diagonal entries set to zero."""
     p = _as_params(params)
-    s2 = action_S2inf((p.E, p.nu), route=route)
+    s2 = action_S2inf((p.E, p.nu))
     c = math.log(2.0) - 0.25j * math.pi
     l11 = c + s2.value / p.h
     l22 = c - s2.value / p.h
@@ -670,7 +670,7 @@ def assembly_matrix(H, sign):
 
 
 def wkb_solution(x, params, phase_base, amp_base, sign, N=6,
-                 amp_path=None, phase_path=None, tol=_RTOL):
+                 amp_path=None, phase_path=None):
     """Assembled exact WKB solution u_pm(x; phase_base, amp_base).
 
     The phase is integrated from phase_base to x (canonical dodging route
@@ -681,12 +681,12 @@ def wkb_solution(x, params, phase_base, amp_base, sign, N=6,
     """
     p = _as_params(params)
     x = complex(x)
-    ph = phase_z(x, phase_base, (p.E, p.nu), path=phase_path, tol=max(tol, 1e-12))
+    ph = phase_z(x, phase_base, (p.E, p.nu), path=phase_path)
     if abs(x - complex(amp_base)) < 1e-14 * max(1.0, abs(x)):
         pair = AmplitudePair(1.0 + 0.0j, 0.0 + 0.0j, N, complex(amp_base))
     else:
         path = amp_path if amp_path is not None else ComplexPath((amp_base, x))
-        pair = amplitude_recurrence(path, p, N, sign=sign, tol=tol)
+        pair = amplitude_recurrence(path, p, N, sign=sign)
     Hval = symbol_at(x, p).H
     mat = assembly_matrix(Hval, sign)
     amp = mat @ np.array([pair.w_even, pair.w_odd], dtype=complex)

@@ -2,9 +2,10 @@
 asymptotics, monodromy, and error reporting.
 
 Reference literals were computed independently with mpmath tanh-sinh
-quadrature at 30 working digits (sorted polyroots of the relevant cubic,
-quadrature between turning points, plus the closed-form half-residue of the
-weight pole at the origin where applicable).
+quadrature at 30 or more working digits (sorted polyroots of the relevant
+cubic, quadrature between turning points, plus the closed-form half-residue
+of the weight pole at the origin where applicable), never through Carlson's
+integrals.
 """
 
 import cmath
@@ -17,8 +18,6 @@ from hypothesis import strategies as st
 
 from conires.actions import (
     MU_CRITICAL,
-    _imag_ref,
-    _labeled_roots,
     action_I,
     action_Iplus,
     action_S01,
@@ -35,7 +34,6 @@ from conires.errors import (
     TurningPointProximity,
 )
 from conires.model import ModelParams
-from conires.quadrature import sqrt_cubic_polyline
 
 # mpmath oracle values (30 digits, rounded to 17 significant figures)
 S01_REF = {
@@ -45,12 +43,43 @@ S01_REF = {
 }
 DS01_REF = {(1.3, 0.2): 1.1531508089096345j}
 I_REF = {0.1: 0.81648697060599267, 0.02: 0.69763329144416276}
+# I(mu) far from the positive axis: 34-digit mpmath tanh-sinh along the
+# continued contour of the phase rotation (the polyline that wraps the
+# weight pole, with the sqrt continued along it), the overall sign fixed
+# by the continuation.  Keys (|mu|, arg mu); mu = |mu| * cmath.exp(1j arg).
+# Arguments 1.14 and 1.43 at |mu| = 0.3 lie in the band where the pole
+# crosses the straight segment and scipy's R_J returns nan.
+I_PHASE_REF = {
+    (0.1, 0.5 * math.pi): 0.673819991666318675756974910947
+    + 0.153194481539612162802259098678j,
+    (0.1, 0.8 * math.pi): 0.543418846549608221662192579686
+    + 0.101096411420902789096633147775j,
+    (0.1, math.pi - 1e-9): 0.502327705263079438501875597338
+    + 0.00794227467986884367730328782855j,
+    (0.3, 0.5 * math.pi): 0.705199515799136690971506094364
+    + 0.438734766738563291439462172754j,
+    (0.3, 0.8 * math.pi): 0.330657398669827135049258692291
+    + 0.328147559001339285475640239657j,
+    (0.3, math.pi - 1e-9): 0.152974052017397073369312127062
+    + 0.0802294896226899571945472118587j,
+    (0.3, 1.14): 0.87235339743304929322470972743
+    + 0.382660032930124582109769398674j,
+    (0.3, 1.43): 0.762296063465025527948091415542
+    + 0.42758218919632348827054346019j,
+    (0.06, 0.8 * math.pi): 0.591638508333499827198422255886
+    + 0.0589983276922965293166222764833j,
+}
 IPLUS_REF = {0.05: 0.74296747700665767}
 T_REF = {0.1: 0.0079422745106873991j}
 # Sweep roots at h = 0.004134, where x1 and x2 nearly coalesce: 34-digit
 # mpmath tanh-sinh along the straight segment from x0 to x1 (roots from
-# polyroots), independent of the Carlson reduction.  (E, nu): (S01, dS01/dE)
+# polyroots), independent of the Carlson reduction.  The last four keys are
+# E = lam^{2/3}, nu = 0.005 nu_tilde at DEFLECTED_POINTS, with 34-digit
+# tanh-sinh along the polyline from x0 through the segment midpoint pushed
+# 0.2 |x1 - x0| away from x2 to x1.  (E, nu): (S01, dS01/dE)
 H_SWEEP = 0.004134
+DEFLECTED_POINTS = [(1.3 - 0.009j, 0.5), (2.2 - 0.004j, 1.5),
+                    (3.7 - 0.012j, 2.5), (1.05 - 0.002j, 2.5)]
 S01_SWEEP_REF = {
     (1.0005659957183286 - 0.00663735923702353j, 0.5 * H_SWEEP): (
         0.0066393106879620315 + 0.67046135195090178j,
@@ -61,14 +90,33 @@ S01_SWEEP_REF = {
     (2.5120656298355017 - 0.0029903594502958286j, 2.5 * H_SWEEP): (
         0.0047396359335772761 + 2.6705207707418698j,
         0.00094330201413803539 + 1.5849721653256646j),
+    (1.1911447684583378 - 0.0054975424448373954j, 0.0025): (
+        0.0060000485372439553 + 0.87058544469692722j,
+        0.0025184852148847945 + 1.0914075235560113j),
+    (1.6915387329403992 - 0.0020503487241352145j, 0.0075): (
+        0.0026667278086329897 + 1.4784076197803267j,
+        0.00078815669603246373 + 1.3006217447442439j),
+    (2.392222974478548 - 0.0051723639236818325j, 0.0125): (
+        0.0080001804444824302 + 2.4862354275791798j,
+        0.0016719165226215321 + 1.5467170673132363j),
+    (1.033061970598241 - 0.0013118238431900292j, 0.0125): (
+        0.0013336176291961112 + 0.71944853756937745j,
+        0.00064474517504854912 + 1.0166134838068576j),
 }
 S2INF_REF = {
     (2.0, 0.5): -1.9017565064682918j,
     (1.0, 0.3): -0.67634542714080991j,
+    # 34-digit mpmath tanh-sinh of the x-integral along the ray
+    # arg x = arg r2, as the closed form's path y = x2 + t is not
+    (1.5, 0.05): -1.2255122045769738j,
+    (1.5 - 0.1j, 0.05): -0.12245212512364304 - 1.2234692368728043j,
+    (2.2 - 0.01j, 0.05): -0.014830007819766417 - 2.1759374048686723j,
+    (1.2, 0.4): -0.88923403549037924j,
 }
 S12_REF = {
     (1.0, 0.01, 1): 0.68017024666605148j,
     (2.0, 0.05, 2): 2.0344301191712804j,
+    (1.4, 0.03, 2): 1.1935861778460475331j,
 }
 
 
@@ -158,28 +206,15 @@ class TestClosedForm:
             assert abs(s01.value - s_want) <= s01.est_error
             assert abs(ds01.value - d_want) <= ds01.est_error
 
-    @pytest.mark.parametrize("lam, nt", [
-        (1.3 - 0.009j, 0.5), (2.2 - 0.004j, 1.5), (3.7 - 0.012j, 2.5),
-        (1.05 - 0.002j, 2.5)])
+    @pytest.mark.parametrize("lam, nt", DEFLECTED_POINTS)
     def test_matches_deflected_polyline_quadrature(self, lam, nt):
-        # the quadrature route the sweep used before the closed form: the
-        # polyline through a midpoint pushed away from x2
+        # the route the sweep used before the closed form, as literals
         E = cmath.exp((2.0 / 3.0) * cmath.log(lam))
         nu = nt * 0.005
-        x0, x1, x2 = _labeled_roots(E, nu)
-        mid = 0.5 * (x0 + x1)
-        normal = 1j * (x1 - x0)
-        side = -1.0 if ((x2 - mid) * np.conj(normal)).real >= 0.0 else 1.0
-        via = [mid + side * 0.2 * normal]
-        quad_s = sqrt_cubic_polyline(
-            x0, x1, x2, via, sign=-1, weight=lambda y: 0.5 / y,
-            branch_ref=_imag_ref(E), tol=1e-14).value + 1j * math.pi * nu
-        quad_d = sqrt_cubic_polyline(
-            x0, x1, x2, via, sign=-1, weight=lambda y: 0.5 * (y - E),
-            branch_ref=_imag_ref(E), tol=1e-14, power=-1).value
+        s_want, d_want = S01_SWEEP_REF[(E, nu)]
         s01, ds01 = action_S01_pair((E, nu))
-        assert abs(s01.value - quad_s) <= 5e-14
-        assert abs(ds01.value - quad_d) <= 5e-14
+        assert abs(s01.value - s_want) <= 5e-14
+        assert abs(ds01.value - d_want) <= 5e-14
 
     def test_carlson_nan_is_branch_ambiguity(self):
         # p = x0/x1 = -1.03+0.53i here, where scipy's R_J returns nan
@@ -207,6 +242,20 @@ class TestActionI:
             got = action_I(mu).value
             assert abs(got - want) <= 1e-10
 
+    def test_large_phase_reference_values(self):
+        for (mu_abs, phi), want in I_PHASE_REF.items():
+            got = action_I(mu_abs * cmath.exp(1j * phi)).value
+            assert abs(got - want) <= 1e-10
+
+    def test_tiny_phase_is_continuous(self):
+        # a phase below the continuation's step floor takes one step
+        for mu in (0.1, 0.3):
+            on_axis = action_I(mu).value
+            for phi in (4.4e-16, -4.4e-16):
+                m = mu * cmath.exp(1j * phi)
+                assert abs(action_I(m).value - on_axis) <= 1e-14
+                assert abs(tunnel_T(m).value - tunnel_T(mu).value) <= 1e-14
+
     def test_two_term_asymptote(self):
         # I(mu) = 2/3 + (pi/2) mu + O(mu^2 (1 + |ln mu|)), constant below 10
         for mu in (1e-1, 1e-2, 1e-3, 1e-4):
@@ -231,6 +280,18 @@ class TestActionI:
             rhs = (action_I(mu).value + residue_R(mu)
                    + tunnel_T(mu).value)
             assert abs(lhs - rhs) <= 1e-8
+
+    @pytest.mark.parametrize("m", [1e-5 * cmath.exp(1j * math.pi),
+                                   1e-4 * cmath.exp(1j * math.pi),
+                                   0.37 * cmath.exp(1j * math.pi),
+                                   complex(-0.1, 0.0), complex(-0.3, 0.0)])
+    def test_monodromy_to_roundoff(self, m):
+        # small coupling, where the continued roots need their Newton
+        # polish; near the critical coupling, where y0 is far from the
+        # origin; and arg mu = pi exactly, where y2 sits on the segment
+        mu = abs(m)
+        rhs = action_I(mu).value + residue_R(mu) + tunnel_T(mu).value
+        assert abs(action_I(m).value - rhs) <= 1e-14
 
     def test_quarter_turn_continuation_consistency(self):
         # the sub-critical-phase direct route and a value reached through the
@@ -272,22 +333,12 @@ class TestActionS2inf:
             got = action_S2inf((E, nu))
             assert abs(got.value - want) <= 1e-10
 
-    def test_routes_agree_within_reported_errors(self):
-        for E, nu in [(1.0, 0.3), (2.0, 0.5), (1.5, 0.05)]:
-            a = action_S2inf((E, nu), route="compactified")
-            b = action_S2inf((E, nu), route="truncated")
-            assert abs(a.value - b.value) <= a.est_error + b.est_error + 1e-12
-
     def test_zero_coupling_closed_form(self):
         for E in (0.5, 1.0, 2.0):
             got = action_S2inf((E, 0.0))
             want = -(2.0 / 3.0) * 1j * E ** 1.5
             assert abs(got.value - want) <= 1e-14
             assert got.n_evals == 0
-
-    def test_unknown_route_rejected(self):
-        with pytest.raises(ValueError):
-            action_S2inf((1.0, 0.3), route="laplace")
 
 
 class TestActionS12AndIplus:
@@ -330,25 +381,31 @@ class TestActionS12AndIplus:
             action_S12(0.2, math.nan, 1)
 
 
+def _reference_cases():
+    cases = [(f"I({mu})", lambda mu=mu: action_I(mu), want)
+             for mu, want in I_REF.items()]
+    cases += [(f"I({mu_abs}e^{phi:.4f}i)",
+               lambda m=mu_abs * cmath.exp(1j * phi): action_I(m), want)
+              for (mu_abs, phi), want in I_PHASE_REF.items()]
+    cases += [(f"T({mu})", lambda mu=mu: tunnel_T(mu), want)
+              for mu, want in T_REF.items()]
+    cases += [(f"Iplus({mu})", lambda mu=mu: action_Iplus(mu), want)
+              for mu, want in IPLUS_REF.items()]
+    cases += [(f"S12{key}", lambda key=key: action_S12(*key), want)
+              for key, want in S12_REF.items()]
+    cases += [(f"S2inf{key}", lambda key=key: action_S2inf(key), want)
+              for key, want in S2INF_REF.items()]
+    return [pytest.param(fn, want, id=name) for name, fn, want in cases]
+
+
 class TestErrorReporting:
-    """Tightening the tolerance moves the value by no more than the sum of
-    the reported error estimates."""
+    """The reported est_error, a roundoff bound of the closed forms,
+    covers the actual error."""
 
-    def test_i_rotated(self):
-        m = 0.06 * cmath.exp(0.8j * math.pi)
-        a = action_I(m, tol=1e-8)
-        b = action_I(m, tol=2.5e-9)
-        assert abs(a.value - b.value) <= a.est_error + b.est_error + 1e-14
-
-    def test_s2inf_truncated(self):
-        a = action_S2inf((1.2, 0.4), tol=1e-8, route="truncated")
-        b = action_S2inf((1.2, 0.4), tol=2.5e-9, route="truncated")
-        assert abs(a.value - b.value) <= a.est_error + b.est_error + 1e-14
-
-    def test_s12(self):
-        a = action_S12(1.4, 0.03, 2, tol=1e-8)
-        b = action_S12(1.4, 0.03, 2, tol=2.5e-9)
-        assert abs(a.value - b.value) <= a.est_error + b.est_error + 1e-14
+    @pytest.mark.parametrize("action, want", _reference_cases())
+    def test_est_error_bounds_reference(self, action, want):
+        got = action()
+        assert abs(got.value - want) <= got.est_error
 
     def test_evals_are_counted(self):
         got = action_S01((1.3, 0.2))

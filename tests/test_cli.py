@@ -79,6 +79,23 @@ class TestImports:
         assert out.stdout.strip() == "0 []"
         assert len(rows_of(table.read_text())) == 4
 
+    def test_actions_leave_mpmath_unloaded(self):
+        # mpmath is a test-only dependency: every closed-form action,
+        # including I(mu) at arg mu = 0.9 pi, where scipy's R_J is nan and
+        # the duplication fallback runs, and S2inf at complex E, stays
+        # clear of it
+        src = str(Path(conires.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import cmath, math, sys; from conires import actions as a; "
+                "a.action_S01_pair((1.3, 0.2)); a.tunnel_T(0.1); "
+                "a.action_I(0.1 * cmath.exp(0.9j * math.pi)); "
+                "a.action_Iplus(0.05); a.action_S12(1.0, 0.01, 1); "
+                "a.action_S2inf((1.5 - 0.1j, 0.05)); "
+                "print('mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_package_names_resolve(self):
         assert conires.jost_cplus is conires.ode_oracle.jost_cplus
         for n in conires.wkb.__all__:
@@ -88,10 +105,6 @@ class TestImports:
 
 
 class TestRunConfig:
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            RunConfig("actions", {}, tolerances={"tol": 0.0})
-
     def test_rejects_bad_band(self):
         with pytest.raises(ValueError):
             RunConfig("resonances", {}, band=(2.0, 1.0))

@@ -191,6 +191,17 @@ class TestJostCplus:
         b = jost_cplus(P_DESK, theta=0.6)
         assert abs(a.c_plus - b.c_plus) <= 1e-5 * abs(a.c_plus)
 
+    def test_scaling_law(self):
+        # x -> a x, E -> a^2 E, h -> a^3 h leaves h D_x u = A(x) u
+        # invariant and multiplies the regular start x^nu_tilde by
+        # a^nu_tilde, so c+ scales by that factor: its zero set is
+        # lambda = h Lambda(k, nu_tilde)
+        E, h, nt = 1.6 - 0.02j, 0.1, 1.5
+        a = 2.0 ** (1.0 / 3.0)
+        base = a ** nt * jost_cplus((E, h, nt)).c_plus
+        scaled = jost_cplus((a * a * E, a ** 3 * h, nt)).c_plus
+        assert abs(scaled - base) <= 1e-6 * abs(base)
+
     def test_dip_at_ode_zero_not_at_bs_root(self, bs_root, ode_root):
         at_zero = abs(jost_cplus((ode_root.E, 0.1, 0.5)).c_plus)
         at_bs = abs(jost_cplus((bs_root.E, 0.1, 0.5)).c_plus)

@@ -1,9 +1,4 @@
-"""Tests for the adaptive quadrature core and branch bookkeeping.
-
-Reference values for the sqrt-cubic integrals were computed independently
-with mpmath's adaptive quadrature at 30 significant digits and are frozen
-here as literals.
-"""
+"""Tests for the adaptive quadrature core and branch bookkeeping."""
 
 import math
 
@@ -18,7 +13,6 @@ from conires.quadrature import (
     adaptive_path,
     adaptive_segment,
     segment_point_distance,
-    sqrt_cubic_segment,
 )
 
 
@@ -95,79 +89,6 @@ class TestComplexPath:
 def test_segment_point_distance():
     d = segment_point_distance(0.0, 2.0, [1.0 + 1.0j, -1.0, 3.0 + 0.0j])
     assert np.allclose(d, [1.0, 1.0, 1.0])
-
-
-class TestSqrtCubic:
-    # int_0^1 sqrt(t (1-t) (2-t)) dt, mpmath 30-digit reference
-    I_PLAIN = 0.47925609389423688
-
-    # same with weight 1/(2y)
-    I_WEIGHTED = 1.0360797097498161
-
-    # inverse square root: int_0^1 dt / sqrt(t (1-t) (2-t))
-    I_INVERSE = 2.6220575542921198
-
-    # third root at c = 0.5 + 0.8j: int_0^1 sqrt(t (1-t) (t-c)) dt on the
-    # branch continuous on [0, 1] with midpoint value in e^{-i pi/4} R+
-    I_COMPLEX = 0.25123173354659433 * (1.0 - 1.0j)
-
-    def test_plain(self):
-        res = sqrt_cubic_segment(0.0, 1.0, 2.0, sign=1,
-                                 weight=lambda y: 1.0, branch_ref=1.0,
-                                 tol=1e-14)
-        assert abs(res.value - self.I_PLAIN) < 1e-13
-
-    def test_weighted(self):
-        res = sqrt_cubic_segment(0.0, 1.0, 2.0, sign=1,
-                                 weight=lambda y: 0.5 / y, branch_ref=1.0,
-                                 tol=1e-14)
-        assert abs(res.value - self.I_WEIGHTED) < 1e-13
-
-    def test_inverse_power(self):
-        res = sqrt_cubic_segment(0.0, 1.0, 2.0, sign=1,
-                                 weight=lambda y: 1.0, branch_ref=1.0,
-                                 tol=1e-14, power=-1)
-        assert abs(res.value - self.I_INVERSE) < 1e-12
-
-    def test_complex_third_root(self):
-        ref = np.exp(-0.25j * np.pi)
-        res = sqrt_cubic_segment(0.0, 1.0, 0.5 + 0.8j, sign=-1,
-                                 weight=lambda y: 1.0, branch_ref=ref,
-                                 tol=1e-14)
-        assert abs(res.value - self.I_COMPLEX) < 1e-13
-
-    def test_branch_flip(self):
-        res = sqrt_cubic_segment(0.0, 1.0, 2.0, sign=1,
-                                 weight=lambda y: 1.0, branch_ref=-1.0,
-                                 tol=1e-14)
-        assert abs(res.value + self.I_PLAIN) < 1e-13
-
-    def test_sqrt_mid_squares_to_radicand(self):
-        res = sqrt_cubic_segment(0.0, 1.0, 2.0, sign=1,
-                                 weight=lambda y: 1.0, branch_ref=1.0,
-                                 tol=1e-12)
-        y = 0.5
-        radicand = (y - 0.0) * (y - 1.0) * (y - 2.0)
-        assert abs(res.sqrt_mid ** 2 - radicand) < 1e-12
-        assert (res.sqrt_mid * np.conj(1.0)).real > 0
-
-    def test_ambiguous_reference(self):
-        # midpoint sqrt is real here, so a purely imaginary reference cannot
-        # pin the sign
-        with pytest.raises(QuadratureFailure):
-            sqrt_cubic_segment(0.0, 1.0, 2.0, sign=1,
-                               weight=lambda y: 1.0, branch_ref=1.0j,
-                               tol=1e-12)
-
-    def test_third_root_on_segment_rejected(self):
-        with pytest.raises(QuadratureFailure):
-            sqrt_cubic_segment(0.0, 1.0, 0.5, sign=1,
-                               weight=lambda y: 1.0, branch_ref=1.0, tol=1e-10)
-
-    def test_bad_power(self):
-        with pytest.raises(ValueError):
-            sqrt_cubic_segment(0.0, 1.0, 2.0, sign=1, weight=lambda y: 1.0,
-                               branch_ref=1.0, tol=1e-10, power=2)
 
 
 class TestFactorArgs:

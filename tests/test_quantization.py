@@ -227,6 +227,20 @@ class TestSolveResonance:
         assert solve_resonance(30, 2.5, 0.015) == solve_resonance(30, 2.5, 0.015)
 
 
+class TestScalingLaw:
+    """x = h^{1/3} y, E = h^{2/3} e with nu_tilde fixed removes h from the
+    model, so every resonance is lambda = h Lambda(k, nu_tilde)."""
+
+    @pytest.mark.parametrize("k, nt", [(4, 0.5), (6, 1.5), (9, 2.5)])
+    def test_lambda_over_h_is_h_free(self, k, nt):
+        hs = (0.1, 0.05, 0.004134)
+        lat = [lattice_point(k, nt, h) / h for h in hs]
+        bs = [solve_resonance(k, nt, h).lam / h for h in hs]
+        for values in (lat, bs):
+            assert max(abs(v - values[0]) for v in values) \
+                <= 1e-13 * abs(values[0])
+
+
 class TestResonanceSet:
     BAND = Band(1.0, 4.0, h=0.02, nu_tilde_max=2.5)
 
