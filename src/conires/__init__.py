@@ -61,7 +61,7 @@ from .ode_oracle import (
     jost_cplus,
     pplus_eigen_oracle,
 )
-from .quadrature import ComplexPath, adaptive_path, adaptive_segment
+from .quadrature import ComplexPath, adaptive_segment
 from .quantization import (
     Band,
     ResonanceRecord,

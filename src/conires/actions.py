@@ -8,7 +8,7 @@ The five objects computed here:
     S2inf       regularized action from r2 to infinity,
     S12         barrier action of the scalar comparison operator,
     I(mu)       scaled version of S01: S01 = i E^{3/2} I(nu E^{-3/2}),
-    I+(mu)      scaled version of S12,
+    I+(mu)      scaled version of S12, which is computed from it,
 
 together with the residue R(mu) = -pi mu, the tunneling integral T(mu), and
 the derivative dS01/dE used by the quantization Newton steps.
@@ -466,33 +466,13 @@ def action_S2inf(params):
     return ActionValue(tail + pole + 2.0 * reg, err, 3)
 
 
-def _s12_cubic_roots(E, h, l):
-    """Real-sorted roots of r^3 - E r^2 + h^2 (l^2 - 1/4), polished by
-    Newton."""
-    c0 = h * h * (l * l - 0.25)
-    roots = np.roots([1.0, -E, 0.0, c0])
-    roots = np.sort_complex(roots)
-    out = []
-    for r in roots:
-        for _ in range(2):
-            d = 3.0 * r * r - 2.0 * E * r
-            if abs(d) < 1e-12:
-                break
-            r = r - (r ** 3 - E * r * r + c0) / d
-        out.append(r)
-    return sorted(out, key=lambda z: z.real)
-
-
 def action_S12(E, h, l):
     """Barrier action int_{alpha1}^{alpha2} sqrt(r - E + h^2(l^2-1/4)/r^2) dr
     of the scalar comparison operator; purely imaginary with positive
     imaginary part.  Requires three distinct real turning points.
 
-    With c0 = h^2 (l^2 - 1/4) and the cubic r^3 - E r^2 + c0 =
-    (r-a0)(r-a1)(r-a2), the integrand is sqrt(-P)/r for
-    P = -(r-a0)(r-a1)(r-a2), and int P/(r sqrt(P)) = (E/3) M1 - c0 N
-    in the moments of _segment (int P'/sqrt(P) = 0 removes the second
-    moment).  est_error is a roundoff bound."""
+    Computed as S12 = i E^{3/2} I+(mu) with mu = h sqrt(l^2 - 1/4)
+    E^{-3/2} (action_Iplus).  est_error is a roundoff bound."""
     h, l = _check_h_l(h, l)
     E = float(E)
     if not E > 0:
@@ -503,17 +483,9 @@ def action_S12(E, h, l):
             f"mu = {mu:.4f} >= {MU_CRITICAL:.4f}: the cubic has a single "
             "real root; no barrier exists"
         )
-    a0, a1, a2 = _s12_cubic_roots(E, h, l)
-    if max(abs(a0.imag), abs(a1.imag), abs(a2.imag)) > 1e-8:
-        raise NoRealTurningPoints("turning points failed to come out real")
-    c0 = h * h * (l * l - 0.25)
-    _, m1, n, mid = _segment(complex(a1.real), complex(a2.real),
-                             complex(a0.real), _rj,
-                             (("E", E), ("h", h), ("l", l)))
-    value = _same_side(mid, 1.0) * ((E / 3.0) * m1 - c0 * n)
-    half_res = 1j * math.pi * h * math.sqrt(l * l - 0.25)
-    err = _ROUNDOFF * (abs(E * m1) / 3.0 + abs(c0 * n))
-    return ActionValue(1j * value + half_res, err, 3)
+    ip = action_Iplus(mu)
+    scale = E ** 1.5
+    return ActionValue(1j * scale * ip.value, scale * ip.est_error, ip.n_evals)
 
 
 def action_Iplus(mu):
@@ -521,9 +493,11 @@ def action_Iplus(mu):
     mu = h sqrt(l^2 - 1/4) E^{-3/2}.  I+(0) = 2/3 exactly.
 
     I+ = int_{b1}^{b2} sqrt(-(y-b0)(y-b1)(y-b2))/y dy + pi mu over the
-    roots of y^3 - y^2 + mu^2, closed form as in action_S12, on the branch
-    whose midpoint value has a nonnegative real part.  est_error is a
-    roundoff bound."""
+    roots of y^3 - y^2 + mu^2, on the branch whose midpoint value has a
+    nonnegative real part.  With P = -(y-b0)(y-b1)(y-b2), the integrand is
+    sqrt(P)/y and int P/(y sqrt(P)) = M1/3 - mu^2 N in the moments of
+    _segment (int P'/sqrt(P) = 0 removes the second moment).  est_error
+    is a roundoff bound."""
     mu = _subcritical(mu)
     if mu == 0:
         return ActionValue(2.0 / 3.0 + 0.0j, 0.0, 0)

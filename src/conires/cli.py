@@ -37,13 +37,13 @@ from .ode_oracle import find_resonance_ode, pplus_eigen_oracle
 from .quantization import (
     Band,
     SweepFailure,
+    _band_sweep,
     _branch_coordinate,
     _families,
     _lambda_of_E,
     _sweep_job,
     lattice_point,
     pplus_levels,
-    resonance_set,
     solve_resonance,
 )
 
@@ -218,13 +218,12 @@ def cmd_actions(config):
 
 def _resonance_band_jobs(config):
     a, b = config.band
-    nt_min = config.params["nutilde_min"]
+    families = _families(config.params["nutilde_max"],
+                         config.params["nutilde_min"])
     rows = []
     for h in config.params["h_values"]:
-        band = Band(a, b, h=h, nu_tilde_max=config.params["nutilde_max"])
-        recs, failures = resonance_set(band, refine=config.refine,
-                                       return_failures=True)
-        rows += [_row(r, h) for r in recs + failures if r.nu_tilde >= nt_min]
+        recs, failures = _band_sweep(Band(a, b, h=h), families, config.refine)
+        rows += [_row(r, h) for r in recs + failures]
     return rows
 
 
@@ -541,6 +540,8 @@ def _config_from_args(parser, args):
             parser.error("--h-sweep needs 0 < lo < hi and n >= 2")
         ratio = (hi / lo) ** (1.0 / (n - 1))
         h_values = [lo * ratio ** i for i in range(n)]
+    if not all(0.0 < h < math.inf for h in h_values):
+        parser.error("h must be positive and finite")
 
     params = {"h_values": h_values, "nutilde_min": args.nutilde_min,
               "figure_data": args.figure_data,
@@ -573,6 +574,12 @@ def _config_from_args(parser, args):
 
     if args.nutilde_max is None:
         parser.error("resonances needs --nutilde-max (or --seed-file)")
+    if not args.nutilde_max >= 0.5:
+        parser.error(f"--nutilde-max must be at least 1/2, got "
+                     f"{args.nutilde_max}")
+    if args.nutilde_min > args.nutilde_max:
+        parser.error(f"--nutilde-min {args.nutilde_min} exceeds "
+                     f"--nutilde-max {args.nutilde_max}")
     params["nutilde_max"] = args.nutilde_max
 
     band_mode = args.band is not None

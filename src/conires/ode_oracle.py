@@ -59,6 +59,7 @@ from .errors import (
 from .model import _as_params, _check_h_l, turning_points
 from .quadrature import ComplexPath, segment_point_distance
 from .quantization import (
+    _SLOPE,
     ResonanceRecord,
     _branch_coordinate,
     _E_of_lambda,
@@ -578,7 +579,7 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     E0_seed = complex(E_seed)
     _, h, nt, _ = _as_params(params, "half-integer")
     lam_seed = _lambda_of_E(E0_seed)
-    dlam = 1.5 * math.pi * h
+    dlam = 8.0 * _SLOPE * h
     ladder = [E0_seed,
               _E_of_lambda(lam_seed + 0.5 * dlam),
               _E_of_lambda(lam_seed - 0.5 * dlam)]

@@ -25,7 +25,6 @@ from .errors import QuadratureFailure
 __all__ = [
     "ComplexPath",
     "FactorArgs",
-    "adaptive_path",
     "adaptive_segment",
     "segment_point_distance",
 ]
@@ -68,17 +67,6 @@ class ComplexPath:
     @property
     def end(self):
         return self.vertices[-1]
-
-    def length(self):
-        return sum(abs(b - a) for a, b in self.segments())
-
-    def sample(self, per_segment=64):
-        """Uniform sample points on every segment (endpoints included once)."""
-        pts = [self.vertices[0]]
-        for a, b in self.segments():
-            t = np.linspace(0.0, 1.0, per_segment + 1)[1:]
-            pts.extend(a + t * (b - a))
-        return np.asarray(pts, dtype=complex)
 
 
 def segment_point_distance(a, b, points):
@@ -134,27 +122,6 @@ def adaptive_segment(f, a, b, tol, *, max_evals=6_000_000):
             stack.append((a0, mid, 0.5 * tl, depth + 1))
             stack.append((mid, b0, 0.5 * tl, depth + 1))
     return value, err_total, evals
-
-
-def adaptive_path(f, path, tol):
-    """Integrate f along a ComplexPath (or vertex sequence), sharing `tol`
-    across segments in proportion to their length."""
-    if not isinstance(path, ComplexPath):
-        path = ComplexPath(tuple(path))
-    segs = path.segments()
-    if not segs:
-        return 0.0 + 0.0j, 0.0, 0
-    total_len = sum(abs(b - a) for a, b in segs)
-    value = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    for a, b in segs:
-        share = tol * abs(b - a) / total_len
-        v, e, n = adaptive_segment(f, a, b, share)
-        value += v
-        err += e
-        evals += n
-    return value, err, evals
 
 
 class FactorArgs:

@@ -17,8 +17,8 @@ with lambda_k the dimensionless Re part over h, seeds the solves and is
 also exposed on its own, plus the closed-form eigenvalue prediction for
 the scalar comparison operator.
 
-Newton uses the exact derivative dA/dE = -(3/4)/E + 2 S01'(E)/h rather
-than any differencing of A.  S01 and S01' are closed-form Carlson
+Newton uses the exact derivative dA/dE = -(3/4)/E + 2 S01'(E)/h, not a
+difference of A; the T2 terms of both come from wkb._log_minus_t.  S01 and S01' are closed-form Carlson
 integrals (actions.action_S01_pair), accurate to roundoff and obtained
 together from one root solve.  Their roundoff (about 2e-15 in S01
 against 34-digit quadrature) enters the residual amplified by 2/h:
@@ -38,6 +38,7 @@ from typing import NamedTuple
 from .actions import _labeled_roots, _s01_pair
 from .errors import EmptyBand, NoConvergence, NonSimpleRoot
 from .model import _check_h, _check_h_l, _check_h_nt
+from .wkb import _log_minus_t
 
 __all__ = [
     "Band",
@@ -52,8 +53,10 @@ __all__ = [
 ]
 
 _SLOPE = 3.0 * math.pi / 16.0
-_LATTICE_OFFSET = 5  # the 5 of the lattice bracket 8k + 5 - 4 nu_t
 _BRANCH_PHASE = 1  # A(E) = i pi (2k + 1) on branch k, that is e^{A} = -1
+# the 5 of the lattice bracket 8k + 5 - 4 nu_t: 4 (2k + _BRANCH_PHASE) from
+# the branch shift, 1 from the -i pi/4 of the T2 factor
+_LATTICE_OFFSET = 4 * _BRANCH_PHASE + 1
 _BS_TOL = 1e-10  # Newton converges with |residual| below this ...
 _STEP_TOL = 1e-12  # ... and a last step below this times |E|
 _NEWTON_MAX_ITER = 50
@@ -102,21 +105,6 @@ class ResonanceRecord:
     residual: float
     iterations: int
 
-    def as_dict(self):
-        def c(z):
-            return {"re": z.real, "im": z.imag}
-
-        return {
-            "k": self.k,
-            "nu_tilde": self.nu_tilde,
-            "lambda_lat": c(self.lambda_lat),
-            "lambda": c(self.lam),
-            "E": c(self.E),
-            "method": self.method,
-            "residual": None if math.isnan(self.residual) else self.residual,
-            "iterations": self.iterations,
-        }
-
 
 class SweepFailure(NamedTuple):
     k: int
@@ -151,13 +139,9 @@ def _A_and_dE(E, h, nt, prev=None):
     E, nu = complex(E), nt * h
     roots = _labeled_roots(E, nu, prev)
     s01, ds01 = _s01_pair(E, nu, roots)
-    a = (
-        math.log(math.sqrt(0.5 * math.pi * h) * nt)
-        - 0.75 * cmath.log(E)
-        - 0.25j * math.pi
-        + 2.0 * s01.value / h
-    )
-    return a, -0.75 / E + 2.0 * ds01.value / h, (E, roots)
+    log_t, dlog_t = _log_minus_t(E, h, nt)
+    return (log_t + 2.0 * s01.value / h, dlog_t + 2.0 * ds01.value / h,
+            (E, roots))
 
 
 def bs_residual(E, params, k=None, tol=_BS_TOL):
@@ -338,6 +322,23 @@ def _dedup(records):
     return kept
 
 
+def _band_sweep(band, families, refine):
+    """(records, failures) of the lattice points in band of the given
+    nu_tilde families at band.h, refined as in resonance_set; empty lists
+    when no family has a point in the band."""
+    jobs = []
+    for nt in families:
+        try:
+            jobs += [(rec.k, nt) for rec in lattice(nt, band.h, band)]
+        except EmptyBand:
+            pass
+    results = [_sweep_job(k, nt, band.h, None, refine) for k, nt in jobs]
+    failures = [res for res in results if isinstance(res, SweepFailure)]
+    records = _dedup(res for res in results
+                     if not isinstance(res, SweepFailure))
+    return records, failures
+
+
 def resonance_set(band, refine="bs", return_failures=False):
     """Union of refined records over nu_tilde in {1/2, 3/2, ...} up to
     band.nu_tilde_max, deduplicated by |delta lambda| < 1e-8.
@@ -350,23 +351,13 @@ def resonance_set(band, refine="bs", return_failures=False):
     """
     if band.h is None or band.nu_tilde_max is None:
         raise ValueError("resonance_set needs band.h and band.nu_tilde_max")
-    h = band.h
-    jobs = []
-    for nt in _families(band.nu_tilde_max):
-        try:
-            jobs += [(rec.k, nt) for rec in lattice(nt, h, band)]
-        except EmptyBand:
-            pass
-    if not jobs:
+    records, failures = _band_sweep(band, _families(band.nu_tilde_max),
+                                    refine)
+    if not records and not failures:
         raise EmptyBand(
             f"no lattice point in ({band.a}, {band.b}) for any nu_tilde "
-            f"up to {band.nu_tilde_max} at h={h}"
+            f"up to {band.nu_tilde_max} at h={band.h}"
         )
-
-    results = [_sweep_job(k, nt, h, None, refine) for k, nt in jobs]
-    failures = [res for res in results if isinstance(res, SweepFailure)]
-    records = _dedup(res for res in results
-                     if not isinstance(res, SweepFailure))
     if return_failures:
         return records, failures
     return records

@@ -318,22 +318,46 @@ def _branch_states_along(tp, path):
     return states
 
 
-_GX16, _GW16 = np.polynomial.legendre.leggauss(16)
+def _amplitude_pair(y, base_point):
+    """AmplitudePair at a sweep state y = (z, w_1, .., w_N), with w_0 = 1;
+    y = 0 gives the base values."""
+    terms = (1.0 + 0.0j,) + tuple(complex(v) for v in y[1:])
+    N = len(terms) - 1
+    return AmplitudePair(sum(terms[0::2], 0.0j), sum(terms[1::2], 0.0j), N,
+                         base_point, terms, abs(terms[-1]) if N else 0.0)
 
 
-def _phase_samples(path, seg_states):
-    """Cumulative z at _MONO_SAMPLES+1 equally spaced points per segment."""
-    zs = [0.0 + 0.0j]
-    for (a, c), S in zip(path.segments(), seg_states):
-        ts = np.linspace(0.0, 1.0, _MONO_SAMPLES + 1)
-        mids = 0.5 * (ts[:-1] + ts[1:])
-        half = 0.5 * (ts[1] - ts[0])
-        nodes = a + (mids[:, None] + half * _GX16[None, :]) * (c - a)
-        vals = S.sqrt_gg_at(nodes.ravel()).reshape(_MONO_SAMPLES, _GX16.size)
-        incs = (vals @ _GW16) * half * (c - a)
-        base = zs[-1]
-        zs.extend((base + np.cumsum(incs)).tolist())
-    return np.asarray(zs, dtype=complex)
+def _triangular_sweep(coeffs, t_span, y0, sign, h, where, check=None):
+    """One DOP853 sweep of y = (z, w_1, .., w_N) over t_span in the
+    triangular system of amplitude_recurrence, coeffs(t) = (dz/dt,
+    d log H/dt); check sees the dense solution before a failure raises."""
+    from scipy.integrate import solve_ivp
+
+    N = len(y0) - 1
+    rate = 2.0 / h
+
+    def rhs(t, yv):
+        zr, phv = coeffs(t)
+        dy = np.empty_like(yv)
+        dy[0] = zr
+        prev = 1.0 + 0.0j
+        for n in range(1, N + 1):
+            if n % 2 == 1:
+                dy[n] = -sign * rate * zr * yv[n] + phv * prev
+            else:
+                dy[n] = phv * prev
+            prev = yv[n]
+        return dy
+
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=_RTOL,
+                    atol=1e-2 * _RTOL, dense_output=check is not None)
+    if check is not None:
+        check(sol)
+    if not sol.success:
+        raise QuadratureFailure(
+            f"amplitude integration failed on {where}: {sol.message}"
+        )
+    return sol
 
 
 def amplitude_recurrence(path, params, N, sign=1):
@@ -347,11 +371,9 @@ def amplitude_recurrence(path, params, N, sign=1):
     which is integrated in the path parameter in one sweep; the base values
     are w_0 = 1 and w_n(path.start) = 0 for n >= 1.  The path must keep
     clear of all turning points and of the origin, and sign * Re z must
-    increase along it (checked by sampling _MONO_SAMPLES points per
-    segment); otherwise the exponential kernel would grow unstably.
+    increase along it (checked at _MONO_SAMPLES points per segment of the
+    sweep's own z); otherwise the exponential kernel would grow unstably.
     """
-    from scipy.integrate import solve_ivp
-
     p = _as_params(params)
     E, nu, h = p.E, p.nu, p.h
     sign = int(sign)
@@ -364,8 +386,7 @@ def amplitude_recurrence(path, params, N, sign=1):
         path = ComplexPath(tuple(path))
     segs = path.segments()
     if not segs:
-        return AmplitudePair(1.0 + 0.0j, 0.0 + 0.0j, N, path.start,
-                             tuple([1.0 + 0.0j] + [0.0 + 0.0j] * N), 0.0)
+        return _amplitude_pair(np.zeros(N + 1, dtype=complex), path.start)
 
     tp = turning_points(E, nu)
     specials = _specials(tp)
@@ -381,56 +402,34 @@ def amplitude_recurrence(path, params, N, sign=1):
                 f"free region"
             )
 
-    seg_states = _branch_states_along(tp, path)
+    samples = np.linspace(0.0, 1.0, _MONO_SAMPLES + 1)[1:]
+    re = [0.0]
 
-    # admissibility: sign * Re z may not decrease between samples
-    zs = _phase_samples(path, seg_states)
-    re = sign * zs.real
-    span = float(re.max() - re.min())
-    tol_mono = 1e-9 * (1.0 + span)
-    drops = np.diff(re)
-    worst = float(drops.min()) if drops.size else 0.0
-    if worst < -tol_mono:
-        k = int(np.argmin(drops))
-        raise MonotonicityViolation(
-            f"sign*Re z decreases by {-worst:.3e} near sample {k} "
-            f"(of {len(re)}); the path is not admissible for sign={sign:+d}"
-        )
+    def admissible(sol):
+        # sign * Re z may not decrease between samples
+        re.extend(sign * sol.sol(samples[samples <= sol.t[-1]])[0].real)
+        drops = np.diff(re)
+        if drops.size and drops.min() < -1e-9 * (1.0 + max(re) - min(re)):
+            k = int(np.argmin(drops))
+            raise MonotonicityViolation(
+                f"sign*Re z decreases by {-drops[k]:.3e} near sample {k} "
+                f"(of {len(re)}); the path is not admissible for "
+                f"sign={sign:+d}"
+            )
 
-    rate = 2.0 / h
     y = np.zeros(N + 1, dtype=complex)
-    for (a, c), S in zip(segs, seg_states):
+    for (a, c), S in zip(segs, _branch_states_along(tp, path)):
         dx = c - a
 
-        def rhs(t, yv, S=S, dx=dx, a=a):
+        def coeffs(t, S=S, dx=dx, a=a):
             xnode = a + t * dx
-            zr = complex(S.sqrt_gg_at([xnode])[0]) * dx
-            phv = complex(dlog_H(xnode, (E, nu))) * dx
-            dy = np.empty_like(yv)
-            dy[0] = zr
-            prev = 1.0 + 0.0j
-            for n in range(1, N + 1):
-                if n % 2 == 1:
-                    dy[n] = -sign * rate * zr * yv[n] + phv * prev
-                else:
-                    dy[n] = phv * prev
-                prev = yv[n]
-            return dy
+            return (complex(S.sqrt_gg_at([xnode])[0]) * dx,
+                    complex(dlog_H(xnode, (E, nu))) * dx)
 
-        sol = solve_ivp(rhs, (0.0, 1.0), y, method="DOP853",
-                        rtol=_RTOL, atol=1e-2 * _RTOL)
-        if not sol.success:
-            raise QuadratureFailure(
-                f"amplitude integration failed on segment {a:.4g} -> "
-                f"{c:.4g}: {sol.message}"
-            )
+        sol = _triangular_sweep(coeffs, (0.0, 1.0), y, sign, h,
+                                f"segment {a:.4g} -> {c:.4g}", admissible)
         y = sol.y[:, -1].copy()
-
-    terms = [1.0 + 0.0j] + [complex(v) for v in y[1:]]
-    w_even = sum(terms[0::2])
-    w_odd = sum(terms[1::2])
-    remainder = abs(terms[-1]) if N >= 1 else 0.0
-    return AmplitudePair(w_even, w_odd, N, path.start, tuple(terms), remainder)
+    return _amplitude_pair(y, path.start)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +452,6 @@ def origin_series(params, x_on_imag_axis, N):
     at order N, which happens once h tau^2 is too large for the factorial
     decay to have set in.
     """
-    from scipy.integrate import solve_ivp
-
     p = _as_params(params)
     E, nu, h, nt = p.E, p.nu, p.h, p.nu_tilde
     x = complex(x_on_imag_axis)
@@ -462,8 +459,7 @@ def origin_series(params, x_on_imag_axis, N):
     if N < 0:
         raise ValueError("N must be nonnegative")
     if x == 0:
-        return AmplitudePair(1.0 + 0.0j, 0.0 + 0.0j, N, 0.0 + 0.0j,
-                             tuple([1.0 + 0.0j] + [0.0 + 0.0j] * N), 0.0)
+        return _amplitude_pair(np.zeros(N + 1, dtype=complex), 0.0 + 0.0j)
     if not (x.imag > 0.0) or abs(x.real) > 1e-12 * abs(x):
         raise ValueError(
             f"evaluation point must lie on the positive imaginary axis, "
@@ -486,45 +482,24 @@ def origin_series(params, x_on_imag_axis, N):
     def phi(s):
         return 1j * dlog_H(1j * s, (E, nu))
 
+    def coeffs(s):
+        return cmath.sqrt(radicand(s)) / s, complex(phi(s))
+
     eps = _SEED_SCALE * min(R, abs(nu) / max(abs(E), 1.0))
-    rate = 2.0 / h
     y0 = np.zeros(N + 1, dtype=complex)
     if N >= 1:
         y0[1] = complex(phi(eps)) * eps / (1.0 + 2.0 * nt)
-
-    def rhs(s, yv):
-        zr = cmath.sqrt(radicand(s)) / s
-        phv = complex(phi(s))
-        dy = np.empty_like(yv)
-        dy[0] = zr
-        prev = 1.0 + 0.0j
-        for n in range(1, N + 1):
-            if n % 2 == 1:
-                dy[n] = -rate * zr * yv[n] + phv * prev
-            else:
-                dy[n] = phv * prev
-            prev = yv[n]
-        return dy
-
-    sol = solve_ivp(rhs, (eps, R), y0, method="DOP853",
-                    rtol=_RTOL, atol=1e-2 * _RTOL)
-    if not sol.success:
-        raise QuadratureFailure(
-            f"origin-series integration failed on ({eps:.2e}, {R:.4g}): "
-            f"{sol.message}"
-        )
-    y = sol.y[:, -1]
-    terms = [1.0 + 0.0j] + [complex(v) for v in y[1:]]
-    w_even = sum(terms[0::2])
-    w_odd = sum(terms[1::2])
+    sol = _triangular_sweep(coeffs, (eps, R), y0, 1, h,
+                            f"({eps:.2e}, {R:.4g})")
+    pair = _amplitude_pair(sol.y[:, -1], 0.0 + 0.0j)
+    terms = pair.terms
     if N >= 3 and abs(terms[N]) > abs(terms[N - 2]) and \
-            abs(terms[N]) > 1e-13 * (1.0 + abs(w_even)):
+            abs(terms[N]) > 1e-13 * (1.0 + abs(pair.w_even)):
         raise ConvergenceFailure(
             f"origin series still growing at order {N}: |w_{N}| = "
             f"{abs(terms[N]):.3e} > |w_{N - 2}| = {abs(terms[N - 2]):.3e}"
         )
-    remainder = abs(terms[-1]) if N >= 1 else 0.0
-    return AmplitudePair(w_even, w_odd, N, 0.0 + 0.0j, tuple(terms), remainder)
+    return pair
 
 
 def connection_c0(params, with_estimate=False):
@@ -570,6 +545,14 @@ def transfer_T1(params):
     )
 
 
+def _log_minus_t(E, h, nt):
+    """log(-t) = log(sqrt(pi h/2) nu_tilde) - (3/4) log E - i pi/4 of the T2
+    entry t and its E-derivative; quantization._A_and_dE adds 2 S01/h."""
+    return (math.log(math.sqrt(0.5 * math.pi * h) * nt)
+            - 0.75 * cmath.log(E)
+            - 0.25j * math.pi), -0.75 / E
+
+
 def transfer_T2(params):
     """Turning-point transfer at sqrt(E) in the leading semiclassical order.
 
@@ -582,11 +565,8 @@ def transfer_T2(params):
     """
     p = _as_params(params)
     E, h, nt = p.E, p.h, p.nu_tilde
-    pref = math.sqrt(math.pi * h / 2.0) * nt * cmath.exp(-0.75 * cmath.log(E))
-    t = -pref * cmath.exp(-0.25j * math.pi)
-    t_dual = pref * cmath.exp(0.25j * math.pi)
-    s = -1.0j
-    entries = ((t, s), (-1.0j, t_dual))
+    t = -cmath.exp(_log_minus_t(E, h, nt)[0])
+    entries = ((t, -1.0j), (-1.0j, -1.0j * t))
     gamma_leading = nt * cmath.exp(-0.75 * cmath.log(E)) * h / math.sqrt(2.0)
     return TransferMatrix(
         "T2", entries,
@@ -683,7 +663,7 @@ def wkb_solution(x, params, phase_base, amp_base, sign, N=6,
     x = complex(x)
     ph = phase_z(x, phase_base, (p.E, p.nu), path=phase_path)
     if abs(x - complex(amp_base)) < 1e-14 * max(1.0, abs(x)):
-        pair = AmplitudePair(1.0 + 0.0j, 0.0 + 0.0j, N, complex(amp_base))
+        pair = _amplitude_pair(np.zeros(N + 1, complex), complex(amp_base))
     else:
         path = amp_path if amp_path is not None else ComplexPath((amp_base, x))
         pair = amplitude_recurrence(path, p, N, sign=sign)

@@ -328,6 +328,48 @@ class TestResonances:
         capsys.readouterr()
         assert code == 3
 
+    @staticmethod
+    def _usage_error_in_every_mode(params, capsys):
+        for selector in (["--band", "1,2"], ["--kmin", "1", "--kmax", "3"]):
+            with pytest.raises(SystemExit) as err:
+                main(["resonances"] + params + selector)
+            assert err.value.code == 2
+            capsys.readouterr()
+
+    def test_nonpositive_h_is_usage_error(self, capsys):
+        for h in ("0", "-0.1", "nan", "inf"):
+            self._usage_error_in_every_mode(
+                ["--h", h, "--nutilde-max", "1.5"], capsys)
+
+    def test_nutilde_max_below_half_is_usage_error(self, capsys):
+        self._usage_error_in_every_mode(
+            ["--h", "0.1", "--nutilde-max", "0.2"], capsys)
+
+    def test_nutilde_min_above_max_is_usage_error(self, capsys):
+        self._usage_error_in_every_mode(
+            ["--h", "0.1", "--nutilde-min", "2.5", "--nutilde-max", "1.5"],
+            capsys)
+
+    def test_band_solves_no_family_below_min(self, capsys, monkeypatch):
+        argv = ["resonances", "--h", "0.1", "--nutilde-max", "2.5",
+                "--band", "2.0,4.0", "--refine", "bs"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        want = [r for r in rows_of(out) if float(r["nu_tilde"]) >= 1.5]
+        solved = []
+        job = quantization._sweep_job
+
+        def counted(k, nt, *args):
+            solved.append(nt)
+            return job(k, nt, *args)
+
+        monkeypatch.setattr(quantization, "_sweep_job", counted)
+        code, out = run_cli(argv + ["--nutilde-min", "1.5"], capsys)
+        assert code == 0
+        assert solved and min(solved) == 1.5
+        assert len(solved) == len(want)
+        assert rows_of(out) == want
+
     def test_selector_usage_errors(self, capsys):
         bad = [
             ["resonances", "--nutilde-max", "0.5", "--band", "1,2"],

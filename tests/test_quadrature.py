@@ -10,7 +10,6 @@ from conires.errors import QuadratureFailure
 from conires.quadrature import (
     ComplexPath,
     FactorArgs,
-    adaptive_path,
     adaptive_segment,
     segment_point_distance,
 )
@@ -45,22 +44,6 @@ class TestAdaptiveSegment:
         exact = 1.0 - math.cos(2.0)
         assert abs(val - exact) <= max(10.0 * err, 1e-13)
 
-
-class TestAdaptivePath:
-    def test_path_independence(self):
-        # two homotopic paths for an entire function agree
-        f = lambda z: np.exp(z) * z
-        p1 = ComplexPath((0.0, 2.0 + 1.0j))
-        p2 = ComplexPath((0.0, 1.0 - 1.0j, 0.5 + 2.0j, 2.0 + 1.0j))
-        v1, _, _ = adaptive_path(f, p1, 1e-13)
-        v2, _, _ = adaptive_path(f, p2, 1e-13)
-        assert abs(v1 - v2) < 1e-12
-
-    def test_vertex_sequence_accepted(self):
-        v, _, _ = adaptive_path(lambda z: np.ones_like(z), [0.0, 1.0, 1.0 + 1.0j],
-                                1e-13)
-        assert abs(v - (1.0 + 1.0j)) < 1e-13
-
     @given(st.integers(min_value=0, max_value=6))
     @settings(max_examples=7, deadline=None)
     def test_polynomial_exact(self, k):
@@ -78,12 +61,6 @@ class TestComplexPath:
     def test_segments_drop_zero_length(self):
         p = ComplexPath((0.0, 0.0, 1.0))
         assert p.segments() == [(0.0 + 0.0j, 1.0 + 0.0j)]
-        assert p.length() == 1.0
-
-    def test_sample_endpoints(self):
-        p = ComplexPath((0.0, 1.0j))
-        s = p.sample(per_segment=4)
-        assert s[0] == 0.0 and s[-1] == 1.0j and len(s) == 5
 
 
 def test_segment_point_distance():

@@ -116,13 +116,6 @@ class TestLattice:
         recs = lattice(0.5, 0.01, band)
         assert abs(len(recs) - 3.0 / (1.5 * math.pi * 0.01)) <= 1.0
 
-    def test_serialization_shape(self):
-        d = lattice(0.5, 0.02, (1.0, 2.0))[0].as_dict()
-        assert set(d) == {"k", "nu_tilde", "lambda_lat", "lambda", "E",
-                          "method", "residual", "iterations"}
-        assert d["residual"] is None
-        assert set(d["lambda"]) == {"re", "im"}
-
 
 class TestBsResidual:
     def test_nearest_branch_imag_in_principal_window(self):
