@@ -48,7 +48,6 @@ from .model import (
     cubic_roots,
     default_symbol_path,
     discriminant,
-    energy_surface_rho2,
     symbol_at,
     turning_points,
 )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .actions import action_S01, action_S2inf
 from .errors import ConiresError
-from .model import turning_points
+from .model import _check_h_nt, turning_points
 from .ode_oracle import find_resonance_ode, pplus_eigen_oracle
 from .quantization import (
     Band,
@@ -511,6 +511,14 @@ def _build_parser():
     return parser
 
 
+def _check_nutilde(parser, h, nt, rule):
+    """Usage error unless (h, nt) passes _check_h_nt under rule."""
+    try:
+        _check_h_nt(h, nt, rule)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _config_from_args(parser, args):
     sc = args.subcommand
     if sc == "turning-points":
@@ -521,6 +529,7 @@ def _config_from_args(parser, args):
         return RunConfig(sc, {"E": E, "nu": args.nu}, fmt=args.format,
                          output=args.output)
     if sc == "verify-ode":
+        _check_nutilde(parser, args.h, args.nutilde, "half-integer")
         return RunConfig(sc, {"k": args.k, "nutilde": args.nutilde,
                               "h": args.h}, fmt=args.format,
                          output=args.output)
@@ -559,6 +568,9 @@ def _config_from_args(parser, args):
             parser.error("--seed-file requires --refine bs or ode")
         if len(h_values) != 1:
             parser.error("--seed-file requires a single --h")
+        # the ODE oracle's Frobenius start needs a half-integer
+        _check_nutilde(parser, h_values[0], args.nutilde,
+                       "half-integer" if args.refine == "ode" else "positive")
         try:
             with open(args.seed_file, encoding="utf-8") as fh:
                 raw = json.load(fh)

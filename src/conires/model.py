@@ -1,5 +1,5 @@
-"""Model parameters, the turning-point cubic, energy surfaces, and the
-branch-tracked symbol functions.
+"""Model parameters, the turning-point cubic, and the branch-tracked symbol
+functions.
 
 The reduced one-dimensional model is the 2x2 system h D_x u = A(x) u with
 
@@ -27,6 +27,7 @@ beyond r2, and sqrt(g+ g-) in i R+ on both of those intervals.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TurningPointProximity
-from .quadrature import ComplexPath, FactorArgs, segment_point_distance
+from .quadrature import ComplexPath, segment_point_distance
 
 __all__ = [
     "CubicRoots",
@@ -46,7 +47,6 @@ __all__ = [
     "cubic_roots",
     "default_symbol_path",
     "discriminant",
-    "energy_surface_rho2",
     "symbol_at",
     "turning_points",
 ]
@@ -54,6 +54,7 @@ __all__ = [
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))  # primitive cube root of unity
 _POLISH_STEPS = 2  # guarded Newton steps per cubic root
 _PROX_REL = 1e-6  # symbol_at's proximity tolerance, relative to |sqrt(E)|
+_FACTOR_GUARD = 1e-12  # least path-to-turning-point distance, per 1 + length
 
 
 @dataclass(frozen=True)
@@ -478,92 +479,113 @@ def turning_points(E, nu):
     return TurningPoints(tuple(cr.roots), r, discriminant(E, nu), cr.degenerate)
 
 
-def energy_surface_rho2(E, nu, r):
-    """Radial energy-surface function rho^2(r) = (E - r^2)^2 - nu^2 / r^2.
-
-    Vanishes exactly at the (real) turning points; rejects r <= 0.
-    """
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r}")
-    return (float(E) - r * r) ** 2 - float(nu) ** 2 / (r * r)
-
-
 @dataclass(frozen=True)
 class SymbolValue:
-    """Symbol data at one point: g_plus, g_minus, the branch-tracked quarter
-    power H, and the accumulated continuous argument of H^4."""
+    """Symbol data at one point: g_plus, g_minus and the branch-tracked
+    quarter power H."""
 
     g_plus: complex
     g_minus: complex
     H: complex
-    branch_phase: float
 
 
 class SymbolBranch:
     """Continuous-branch state for H = (N/D)^{1/4} and sqrt(g+ g-), anchored
-    at x = 0 with H(0) = 1 and sqrt(g+ g-) = +nu / x * x ... i.e. the branch
-    of sqrt(P) positive on (0, r0), where P(x) = nu^2 - x^2 (E - x^2)^2.
+    at x = 0 with H(0) = 1 and sqrt(g+ g-) = sqrt(P)/x, i.e. the branch of
+    sqrt(P) positive on (0, r0), where P(x) = nu^2 - x^2 (E - x^2)^2.
 
     Factor layout: P(x)  = -(x-r0)(x-r1)(x+r2)(x-r2)(x+r0)(x+r1)
                    H^4   = N/D with N = -(x-r2)(x+r0)(x+r1),
                                     D =  (x-r0)(x-r1)(x+r2).
-    One argument vector serves both products.
+    The state is the current point and one continuous argument per factor
+    point, which serves both products.  Along a straight segment that does
+    not pass through a point p, the continuous change of arg(x - p) equals
+    the principal argument of (x_end - p)/(x_start - p): a straight segment
+    subtends an angle below pi from any point off it.  The 2 pi ambiguity
+    of each product is pinned once, at x = 0, where both products are
+    positive.  SymbolBranch(tp, to) carries the branch from 0 to `to`
+    along default_symbol_path.
     """
 
     _EXP_P = np.ones(6)
     _EXP_H4 = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-    _CONST = -1.0 + 0.0j
 
-    def __init__(self, tp: TurningPoints, start=0.0 + 0.0j):
+    __slots__ = ("points", "at", "args", "off_P", "off_H4")
+
+    def __init__(self, tp: TurningPoints, to=0.0 + 0.0j):
         r0, r1, r2 = tp.r
         if min(abs(r0), abs(r1), abs(r2)) < 1e-13 or tp.degenerate:
             raise TurningPointProximity(
                 "symbol branch undefined for (near-)degenerate turning points"
             )
-        self.tp = tp
-        self.fa = FactorArgs((r0, r1, -r2, r2, -r0, -r1), start)
-        self.off_P = self.fa.offset_for(self._EXP_P, self._CONST)
-        self.off_H4 = self.fa.offset_for(self._EXP_H4, self._CONST)
+        self.points = np.asarray((r0, r1, -r2, r2, -r0, -r1), dtype=complex)
+        self.at = 0.0 + 0.0j
+        self.args = np.angle(self.at - self.points)
+        self.off_P = self._anchor_offset(self._EXP_P)
+        self.off_H4 = self._anchor_offset(self._EXP_H4)
+        self.advance_along(default_symbol_path(tp, to).vertices[1:])
 
-    @property
-    def at(self):
-        return self.fa.at
+    @staticmethod
+    def _arg(args, exponents):
+        """Continuous argument of -prod (x - p_j)^(e_j) from the factor
+        arguments, before the 2 pi offset."""
+        return args @ exponents + np.angle(-1.0 + 0.0j)
+
+    def _anchor_offset(self, exponents):
+        """2 pi multiple that makes the product's argument zero at x = 0;
+        raises unless the product is positive real there."""
+        raw = float(self._arg(self.args, exponents))
+        m = round(raw / (2.0 * math.pi))
+        if abs(raw - 2.0 * math.pi * m) > 1e-6:
+            raise ValueError(
+                f"anchor argument mismatch: product argument {raw:.6f} is not "
+                "0 modulo 2 pi"
+            )
+        return -2.0 * math.pi * m
 
     def clone(self):
-        c = SymbolBranch.__new__(SymbolBranch)
-        c.tp = self.tp
-        c.fa = self.fa.clone()
-        c.off_P = self.off_P
-        c.off_H4 = self.off_H4
-        return c
+        """Independent copy; advance rebinds args rather than mutating it."""
+        return copy.copy(self)
 
     def advance(self, to):
-        self.fa.advance(to)
+        """Move the current point along the straight segment to `to`."""
+        to = complex(to)
+        if to == self.at:
+            return self
+        dist = segment_point_distance(self.at, to, self.points)
+        if np.min(dist) < _FACTOR_GUARD * (1.0 + abs(to - self.at)):
+            raise ValueError(
+                "path segment passes through (or touches) a turning point; "
+                "reroute the path"
+            )
+        self.args = self.args + np.angle((to - self.points) / (self.at - self.points))
+        self.at = to
         return self
 
     def advance_along(self, vertices):
-        self.fa.advance_along(vertices)
+        for v in vertices:
+            self.advance(v)
         return self
+
+    def _power(self, nodes, exponents, offset, frac):
+        """(-prod (x - p_j)^(e_j))^frac on the tracked branch at nodes on a
+        straight segment starting at the current point."""
+        nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
+        diffs = nodes[:, None] - self.points[None, :]
+        args = self.args[None, :] + np.angle(diffs / (self.at - self.points)[None, :])
+        log_abs = np.log(np.abs(diffs)) @ exponents
+        arg_tot = self._arg(args, exponents) + offset
+        return np.exp(frac * log_abs) * np.exp(1j * frac * arg_tot)
 
     def H_at(self, nodes):
         """H at nodes on a straight segment starting at the current point."""
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
-        return self.fa.eval_product(nodes, self._EXP_H4, self._CONST,
-                                    self.off_H4, 0.25)
-
-    def H4_arg_at(self, node):
-        """Continuous argument of H^4 at one such node."""
-        _, args = self.fa.node_args(np.asarray([complex(node)]))
-        return float(args[0] @ self._EXP_H4 + np.angle(self._CONST) + self.off_H4)
+        return self._power(nodes, self._EXP_H4, self.off_H4, 0.25)
 
     def sqrt_gg_at(self, nodes):
         """sqrt(g+ g-) = sqrt(P)/x at nodes on a straight segment starting at
         the current point (x = 0 excluded by the caller)."""
         nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
-        sp = self.fa.eval_product(nodes, self._EXP_P, self._CONST,
-                                  self.off_P, 0.5)
-        return sp / nodes
+        return self._power(nodes, self._EXP_P, self.off_P, 0.5) / nodes
 
 
 # dodge sides of the canonical normalization path: below r0, above r1,
@@ -609,15 +631,11 @@ def default_symbol_path(tp: TurningPoints, x, start=0.0 + 0.0j):
     return ComplexPath(tuple(out))
 
 
-def symbol_at(x, params: ModelParams, branch_state: SymbolBranch = None,
-              path: ComplexPath = None, return_state=False):
-    """Symbol values g+, g-, H at x with the branch continued from H(0) = 1.
-
-    With no branch_state the canonical normalization path from 0 is used
-    (or `path`, which must then start at 0).  With a branch_state the branch
-    is continued from its current point, along `path` if given, else along
-    the straight segment.  Raises TurningPointProximity when |g+ g-| falls
-    below tol^2 with tol = 1e-6 |sqrt(E)|, ValueError within tol of x = 0.
+def symbol_at(x, params: ModelParams):
+    """Symbol values g+, g-, H at x with the branch continued from H(0) = 1
+    along the canonical normalization path.  Raises TurningPointProximity
+    when |g+ g-| falls below tol^2 with tol = 1e-6 |sqrt(E)|, ValueError
+    within tol of x = 0.
     """
     x = complex(x)
     E, nu = params.E, params.nu
@@ -629,25 +647,5 @@ def symbol_at(x, params: ModelParams, branch_state: SymbolBranch = None,
         raise TurningPointProximity(
             f"|g+ g-| = {abs(gg):.3e} below tolerance {tol ** 2:.3e} at x = {x}"
         )
-    tp = turning_points(E, nu)
-    if branch_state is None:
-        state = SymbolBranch(tp)
-        use_path = path if path is not None else default_symbol_path(tp, x)
-        if abs(use_path.start - state.at) > 1e-12:
-            raise ValueError("path must start at the anchor x = 0")
-    else:
-        state = branch_state.clone()
-        use_path = path if path is not None else ComplexPath((state.at, x))
-        if abs(use_path.start - state.at) > 1e-12:
-            raise ValueError("path must start at the branch state's point")
-    if abs(use_path.end - x) > 1e-12:
-        raise ValueError("path must end at x")
-    state.advance_along(use_path.vertices[1:])
-    h_val = complex(state.H_at([x])[0])
-    phase = state.H4_arg_at(x)
-    g_plus = nu / x - E + x * x
-    g_minus = nu / x + E - x * x
-    val = SymbolValue(g_plus, g_minus, h_val, phase)
-    if return_state:
-        return val, state
-    return val
+    h_val = complex(SymbolBranch(turning_points(E, nu), x).H_at([x])[0])
+    return SymbolValue(nu / x - E + x * x, nu / x + E - x * x, h_val)

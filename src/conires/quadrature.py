@@ -1,21 +1,14 @@
-"""Adaptive complex-contour quadrature and continuous-branch bookkeeping.
+"""Adaptive complex-contour quadrature.
 
-Everything in this module is geometry-free infrastructure: straight-segment
-Gauss-Legendre panels with recursive bisection, and a small class that carries
-continuous arguments of linear factors along piecewise-straight paths so that
-fractional powers of rational functions can be evaluated on a single
-consistent branch.  (The action integrals are closed form; see actions.)
-
-Branch convention used throughout: along a straight segment that does not pass
-through a point p, the continuous change of arg(z - p) equals the principal
-argument of the ratio (z_end - p)/(z_start - p).  This is exact because a
-straight segment subtends an angle of less than pi when viewed from any point
-not on the segment.
+Everything in this module is geometry-free infrastructure: piecewise-straight
+contours, segment-to-point distances, and straight-segment Gauss-Legendre
+panels with recursive bisection.  (The action integrals are closed form; see
+actions.  The continuous branch that phase integrands need is carried by
+model.SymbolBranch.)
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +17,6 @@ from .errors import QuadratureFailure
 
 __all__ = [
     "ComplexPath",
-    "FactorArgs",
     "adaptive_segment",
     "segment_point_distance",
 ]
@@ -34,7 +26,6 @@ _X24, _W24 = np.polynomial.legendre.leggauss(24)
 _X48, _W48 = np.polynomial.legendre.leggauss(48)
 
 _MAX_DEPTH = 44  # bisection depth limit of adaptive_segment
-_FACTOR_GUARD = 1e-12  # least path-to-factor-point distance, per 1 + length
 
 
 @dataclass(frozen=True)
@@ -122,91 +113,3 @@ def adaptive_segment(f, a, b, tol, *, max_evals=6_000_000):
             stack.append((a0, mid, 0.5 * tl, depth + 1))
             stack.append((mid, b0, 0.5 * tl, depth + 1))
     return value, err_total, evals
-
-
-class FactorArgs:
-    """Continuous arguments of the linear factors (x - p_j) along a path.
-
-    The state is the current point and one continuous argument per factor.
-    Advancing along a straight segment adds the principal argument of the
-    endpoint ratio per factor (exact off the factor points, see module
-    docstring).  Fractional powers of products C * prod (x - p_j)^(e_j) are
-    then evaluated with `eval_product`, where the integer 2-pi ambiguity is
-    pinned once per product by `offset_for`.
-    """
-
-    __slots__ = ("points", "at", "args")
-
-    def __init__(self, points, start):
-        self.points = np.asarray(points, dtype=complex)
-        self.at = complex(start)
-        diffs = self.at - self.points
-        if np.any(np.abs(diffs) == 0.0):
-            raise ValueError("start point coincides with a factor point")
-        self.args = np.angle(diffs)
-
-    def clone(self):
-        c = FactorArgs.__new__(FactorArgs)
-        c.points = self.points
-        c.at = self.at
-        c.args = self.args.copy()
-        return c
-
-    def advance(self, to):
-        """Move the current point along the straight segment to `to`."""
-        to = complex(to)
-        if to == self.at:
-            return self
-        dist = segment_point_distance(self.at, to, self.points)
-        scale = 1.0 + abs(to - self.at)
-        if np.min(dist) < _FACTOR_GUARD * scale:
-            raise ValueError(
-                "path segment passes through (or touches) a factor point; "
-                "reroute the path"
-            )
-        self.args = self.args + np.angle((to - self.points) / (self.at - self.points))
-        self.at = to
-        return self
-
-    def advance_along(self, vertices):
-        for v in vertices:
-            self.advance(v)
-        return self
-
-    def node_args(self, nodes):
-        """Continuous factor arguments at nodes lying on a straight segment
-        that starts at the current point.  Returns (diffs, args) with shape
-        (n_nodes, n_factors)."""
-        nodes = np.asarray(nodes, dtype=complex)
-        diffs = nodes[:, None] - self.points[None, :]
-        args = self.args[None, :] + np.angle(diffs / (self.at - self.points)[None, :])
-        return diffs, args
-
-    def total_arg(self, exponents, const):
-        """Continuous argument of C * prod (at - p_j)^(e_j) at the current
-        point, before any 2-pi normalization."""
-        e = np.asarray(exponents, dtype=float)
-        return float(np.angle(const) + np.dot(e, self.args))
-
-    def offset_for(self, exponents, const):
-        """2-pi multiple that makes the product argument zero at the current
-        point.  The product value must genuinely be positive real here;
-        otherwise this raises."""
-        raw = self.total_arg(exponents, const)
-        m = round(raw / (2.0 * math.pi))
-        resid = raw - 2.0 * math.pi * m
-        if abs(resid) > 1e-6:
-            raise ValueError(
-                f"anchor argument mismatch: product argument {raw:.6f} is not "
-                "0 modulo 2 pi"
-            )
-        return -2.0 * math.pi * m
-
-    def eval_product(self, nodes, exponents, const, offset, frac):
-        """Evaluate  (C * prod (x - p_j)^(e_j))^frac  on a consistent branch at
-        nodes lying on a straight segment that starts at the current point."""
-        e = np.asarray(exponents, dtype=float)
-        diffs, args = self.node_args(nodes)
-        log_abs = np.log(np.abs(diffs)) @ e + math.log(abs(const))
-        arg_tot = args @ e + np.angle(const) + offset
-        return np.exp(frac * log_abs) * np.exp(1j * frac * arg_tot)

@@ -265,14 +265,15 @@ def phase_z(x, base_point, params, path=None):
 
     # canonical branch brought to the base point (with a small standoff if
     # the base point itself is a turning point)
-    state = SymbolBranch(tp)
-    canon = list(default_symbol_path(tp, b).vertices)
     if near_special(b):
+        canon = default_symbol_path(tp, b).vertices
         a0, b0 = canon[-2], canon[-1]
         leg = abs(b0 - a0)
         stand = t_anchor if leg > 2.0 * t_anchor else 0.5 * leg
-        canon[-1] = b0 - (b0 - a0) / leg * stand
-    state.advance_along(canon[1:])
+        state = SymbolBranch(tp).advance_along(
+            canon[1:-1] + (b0 - (b0 - a0) / leg * stand,))
+    else:
+        state = SymbolBranch(tp, b)
 
     total_len = sum(abs(c - a) for a, c in segs)
     value = 0.0 + 0.0j
@@ -307,8 +308,7 @@ def phase_z(x, base_point, params, path=None):
 def _branch_states_along(tp, path):
     """Branch states anchored at each segment start, continued canonically
     from the origin to path.start and then along the path itself."""
-    state = SymbolBranch(tp)
-    state.advance_along(default_symbol_path(tp, path.start).vertices[1:])
+    state = SymbolBranch(tp, path.start)
     states = []
     for a, c in path.segments():
         if state.at != a:
@@ -649,24 +649,22 @@ def assembly_matrix(H, sign):
     return c * np.array([[a - b, a + b], [-a - b, -a + b]], dtype=complex)
 
 
-def wkb_solution(x, params, phase_base, amp_base, sign, N=6,
-                 amp_path=None, phase_path=None):
+def wkb_solution(x, params, phase_base, amp_base, sign, N=6):
     """Assembled exact WKB solution u_pm(x; phase_base, amp_base).
 
-    The phase is integrated from phase_base to x (canonical dodging route
-    unless phase_path is given); the amplitude pair is integrated from
-    amp_base to x along amp_path (default: the straight segment), which
-    must be admissible for the requested sign.  When amp_base coincides
-    with x the amplitudes are the base values (1, 0) exactly.
+    The phase is integrated from phase_base to x along the canonical
+    dodging route; the amplitude pair is integrated from amp_base to x
+    along the straight segment, which must be admissible for the requested
+    sign.  When amp_base coincides with x the amplitudes are the base
+    values (1, 0) exactly.
     """
     p = _as_params(params)
     x = complex(x)
-    ph = phase_z(x, phase_base, (p.E, p.nu), path=phase_path)
+    ph = phase_z(x, phase_base, (p.E, p.nu))
     if abs(x - complex(amp_base)) < 1e-14 * max(1.0, abs(x)):
         pair = _amplitude_pair(np.zeros(N + 1, complex), complex(amp_base))
     else:
-        path = amp_path if amp_path is not None else ComplexPath((amp_base, x))
-        pair = amplitude_recurrence(path, p, N, sign=sign)
+        pair = amplitude_recurrence([amp_base, x], p, N, sign=sign)
     Hval = symbol_at(x, p).H
     mat = assembly_matrix(Hval, sign)
     amp = mat @ np.array([pair.w_even, pair.w_odd], dtype=complex)

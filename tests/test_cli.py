@@ -388,6 +388,19 @@ class TestResonances:
             assert err.value.code == 2
             capsys.readouterr()
 
+    @pytest.mark.parametrize("nutilde, refine", [("0.7", "ode"),
+                                                 ("-0.5", "bs")])
+    def test_seed_nutilde_rejected_by_route_is_usage_error(
+            self, tmp_path, capsys, nutilde, refine):
+        # the ODE oracle takes half-integers only, BS any positive value
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text("[1.9]")
+        with pytest.raises(SystemExit) as err:
+            main(["resonances", "--h", "0.1", "--nutilde", nutilde,
+                  "--seed-file", str(seeds), "--refine", refine])
+        assert err.value.code == 2
+        capsys.readouterr()
+
     def test_bad_seed_file_is_usage_error(self, tmp_path, capsys):
         seeds = tmp_path / "seeds.json"
         seeds.write_text("not json")
@@ -426,18 +439,28 @@ class TestVerifyOde:
         assert a.read_bytes() == b.read_bytes()
         assert_valid_json(a.read_text())
 
-    def test_partial_failure_exits_4(self, capsys):
-        # nu_tilde = 1 is fine for the BS route but not a half-integer,
-        # so the ODE oracle refuses it; the table still carries the BS
-        # and lattice columns.
+    def test_partial_failure_exits_4(self, capsys, monkeypatch):
+        # an ODE-route failure leaves the lattice and BS columns in the
+        # table and turns the exit code to 4
+        def fail(*args, **kwargs):
+            raise errors.NoPlateau("no plateau")
+
+        monkeypatch.setattr("conires.cli.find_resonance_ode", fail)
         code, out = run_cli(
-            ["verify-ode", "--h", "0.1", "--nutilde", "1.0", "--k", "4"],
+            ["verify-ode", "--h", "0.1", "--nutilde", "1.5", "--k", "4"],
             capsys)
         assert code == 4
         row = rows_of(out)[0]
         assert row["lambda_bs_re"] != ""
         assert row["lambda_ode_re"] == ""
-        assert "ValueError" in row["error"]
+        assert "NoPlateau" in row["error"]
+
+    def test_non_half_integer_nutilde_is_usage_error(self, capsys):
+        # the ODE oracle refuses it, so no route runs
+        with pytest.raises(SystemExit) as err:
+            main(["verify-ode", "--h", "0.1", "--nutilde", "0.7", "--k", "3"])
+        assert err.value.code == 2
+        capsys.readouterr()
 
 
 class TestPplus:

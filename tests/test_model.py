@@ -19,7 +19,6 @@ from conires.model import (
     cubic_roots,
     default_symbol_path,
     discriminant,
-    energy_surface_rho2,
     symbol_at,
     turning_points,
 )
@@ -304,23 +303,6 @@ class TestTurningPoints:
         assert 0 < r0 < r1 < sqE < r2
 
 
-class TestEnergySurface:
-    def test_vanishes_at_turning_points(self):
-        E, nu = 2.0, 0.5
-        tp = turning_points(E, nu)
-        for r in tp.r:
-            assert abs(energy_surface_rho2(E, nu, r.real)) < 1e-10
-
-    def test_direct_formula(self):
-        assert abs(energy_surface_rho2(2.0, 0.5, 1.0) -
-                   ((2.0 - 1.0) ** 2 - 0.25)) < 1e-14
-
-    @pytest.mark.parametrize("r", [0.0, -1.0])
-    def test_rejects_nonpositive(self, r):
-        with pytest.raises(ValueError):
-            energy_surface_rho2(2.0, 0.5, r)
-
-
 class TestSymbolBranch:
     PARAMS = ModelParams(E=2.0, h=0.1, nu_tilde=2.5)  # nu = 1/4
 
@@ -373,23 +355,6 @@ class TestSymbolBranch:
         assert abs(abs(fac) - 1.0) < 1e-12
         assert abs(fac - (-1.0j)) < 1e-10
 
-    def test_branch_state_reuse(self):
-        x1, x2 = 1.0 + 0.2j, 1.2 + 0.6j
-        v1, state = symbol_at(x1, self.PARAMS, return_state=True)
-        v2 = symbol_at(x2, self.PARAMS, branch_state=state)
-        # direct evaluation along the composite path agrees
-        tp = turning_points(self.PARAMS.E, self.PARAMS.nu)
-        path = default_symbol_path(tp, x1)
-        from conires.quadrature import ComplexPath
-        full = ComplexPath(path.vertices + (x2,))
-        v2_direct = symbol_at(x2, self.PARAMS, path=full)
-        assert abs(v2.H - v2_direct.H) < 1e-12 * abs(v2.H)
-
-    def test_phase_accumulates(self):
-        _, xs = self._intervals()
-        v = symbol_at(xs[3], self.PARAMS)
-        assert abs(v.branch_phase - math.pi) < 1e-10
-
     def test_errors(self):
         with pytest.raises(ValueError):
             symbol_at(0.0, self.PARAMS)
@@ -401,9 +366,42 @@ class TestSymbolBranch:
         with pytest.raises(TurningPointProximity):
             symbol_at(1.0, ModelParams(E=2.0, h=h, nu_tilde=2.5))
 
-    def test_path_must_connect(self):
-        from conires.quadrature import ComplexPath
+    def test_loop_around_r0_winds_one_factor(self):
+        # a counterclockwise loop around r0 alone adds 2 pi to the argument
+        # of x - r0, leaves the others, and flips the sign of sqrt(P)
+        tp, xs = self._intervals()
+        x_base = xs[1]
+        b = SymbolBranch(tp, x_base)
+        args0 = b.args.copy()
+        before = complex(b.sqrt_gg_at([x_base])[0])
+        r0 = tp.r0.real
+        s = 0.4 * min(r0, x_base - r0)
+        b.advance_along([x_base + 1j * s, r0 - s + 1j * s, r0 - s - 1j * s,
+                         x_base - 1j * s, x_base])
+        winding = (b.args - args0) / (2.0 * math.pi)
+        assert np.allclose(winding, [1, 0, 0, 0, 0, 0], atol=1e-14)
+        after = complex(b.sqrt_gg_at([x_base])[0])
+        assert abs(after + before) < 1e-14 * abs(before)
+
+    def test_segment_touching_turning_point_rejected(self):
+        tp, xs = self._intervals()
+        b = SymbolBranch(tp, xs[0])
         with pytest.raises(ValueError):
-            symbol_at(1.0, self.PARAMS, path=ComplexPath((0.5, 1.0)))
+            b.advance(xs[1])  # straight through r0
         with pytest.raises(ValueError):
-            symbol_at(1.0, self.PARAMS, path=ComplexPath((0.0, 2.0)))
+            SymbolBranch(tp).advance(tp.r0)
+
+    def test_anchor_must_be_positive(self):
+        # x0 x1 x2 = nu^2 > 0 makes both products positive at x = 0; turning
+        # points without that identity cannot anchor the branch
+        tp = model.TurningPoints((), (1j, 2.0 + 0j, 3.0 + 0j), 1.0, False)
+        with pytest.raises(ValueError):
+            SymbolBranch(tp)
+
+    def test_clone_is_independent(self):
+        tp, xs = self._intervals()
+        b = SymbolBranch(tp, xs[0])
+        c = b.clone()
+        c.advance(xs[0] + 0.1j)
+        assert b.at == xs[0] and c.at == xs[0] + 0.1j
+        assert np.array_equal(b.args, SymbolBranch(tp, xs[0]).args)

@@ -1,4 +1,4 @@
-"""Tests for the adaptive quadrature core and branch bookkeeping."""
+"""Tests for the adaptive quadrature core and contour helpers."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from conires.errors import QuadratureFailure
 from conires.quadrature import (
     ComplexPath,
-    FactorArgs,
     adaptive_segment,
     segment_point_distance,
 )
@@ -66,62 +65,3 @@ class TestComplexPath:
 def test_segment_point_distance():
     d = segment_point_distance(0.0, 2.0, [1.0 + 1.0j, -1.0, 3.0 + 0.0j])
     assert np.allclose(d, [1.0, 1.0, 1.0])
-
-
-class TestFactorArgs:
-    def test_straight_advance_matches_principal(self):
-        fa = FactorArgs([1.0j], 0.0)
-        fa.advance(2.0)
-        assert abs(fa.args[0] - np.angle(2.0 - 1.0j)) < 1e-15
-
-    def test_winding_accumulates(self):
-        # counterclockwise square around p = 0 starting at 1
-        fa = FactorArgs([0.0], 1.0)
-        a0 = fa.args[0]
-        fa.advance_along([1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j,
-                          1.0 - 1.0j, 1.0])
-        assert abs(fa.args[0] - a0 - 2.0 * math.pi) < 1e-14
-
-    def test_square_root_sign_flips_after_loop(self):
-        fa = FactorArgs([0.0], 1.0)
-        off = fa.offset_for([1.0], 1.0)
-        before = fa.eval_product(np.array([1.0 + 0.0j]), [1.0], 1.0, off, 0.5)[0]
-        fa.advance_along([1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j, 1.0])
-        after = fa.eval_product(np.array([1.0 + 0.0j]), [1.0], 1.0, off, 0.5)[0]
-        assert abs(before - 1.0) < 1e-14
-        assert abs(after + 1.0) < 1e-14
-
-    def test_guard_rejects_collision(self):
-        fa = FactorArgs([0.5], 0.0)
-        with pytest.raises(ValueError):
-            fa.advance(1.0)
-
-    def test_start_on_point_rejected(self):
-        with pytest.raises(ValueError):
-            FactorArgs([1.0, 2.0], 2.0)
-
-    def test_offset_for_validates_anchor(self):
-        # (x - 1)(x + 1) = -1 at x = 0 has argument pi, not 0
-        fa = FactorArgs([1.0, -1.0], 0.0)
-        with pytest.raises(ValueError):
-            fa.offset_for([1.0, 1.0], 1.0)
-        off = fa.offset_for([1.0, 1.0], -1.0)
-        val = fa.eval_product(np.array([0.0j]), [1.0, 1.0], -1.0, off, 1.0)[0]
-        assert abs(val - 1.0) < 1e-14
-
-    def test_eval_product_matches_direct(self):
-        pts = [0.5j, -1.0, 2.0]
-        fa = FactorArgs(pts, 0.1)
-        # the constant makes the product positive at the anchor 0.1
-        const = 2.0 * np.exp(-1j * np.angle(np.prod([0.1 - p for p in pts])))
-        off = fa.offset_for([1.0, 1.0, 1.0], const)
-        nodes = np.array([0.1 + 0.0j, 0.3 + 0.2j])
-        got = fa.eval_product(nodes, [1.0, 1.0, 1.0], const, off, 1.0)
-        want = const * np.prod(nodes[:, None] - np.array(pts)[None, :], axis=1)
-        assert np.allclose(got, want, atol=1e-13)
-
-    def test_clone_is_independent(self):
-        fa = FactorArgs([0.0], 1.0)
-        c = fa.clone()
-        c.advance(2.0)
-        assert fa.at == 1.0 and c.at == 2.0
