@@ -366,21 +366,29 @@ class TestSymbolBranch:
         with pytest.raises(TurningPointProximity):
             symbol_at(1.0, ModelParams(E=2.0, h=h, nu_tilde=2.5))
 
-    def test_loop_around_r0_winds_one_factor(self):
-        # a counterclockwise loop around r0 alone adds 2 pi to the argument
-        # of x - r0, leaves the others, and flips the sign of sqrt(P)
-        tp, xs = self._intervals()
-        x_base = xs[1]
-        b = SymbolBranch(tp, x_base)
-        args0 = b.args.copy()
-        before = complex(b.sqrt_gg_at([x_base])[0])
-        r0 = tp.r0.real
+    def _loop_around_r0(self, b, x_base):
+        # counterclockwise rectangle around r0 alone, from x_base back to it
+        r0 = b.points[0].real
         s = 0.4 * min(r0, x_base - r0)
         b.advance_along([x_base + 1j * s, r0 - s + 1j * s, r0 - s - 1j * s,
                          x_base - 1j * s, x_base])
+
+    def test_winding_accumulates(self):
+        # a loop around r0 alone adds 2 pi to the argument of x - r0 and
+        # leaves the other five factors
+        tp, xs = self._intervals()
+        b = SymbolBranch(tp, xs[1])
+        args0 = b.args.copy()
+        self._loop_around_r0(b, xs[1])
         winding = (b.args - args0) / (2.0 * math.pi)
         assert np.allclose(winding, [1, 0, 0, 0, 0, 0], atol=1e-14)
-        after = complex(b.sqrt_gg_at([x_base])[0])
+
+    def test_square_root_sign_flips_after_loop(self):
+        tp, xs = self._intervals()
+        b = SymbolBranch(tp, xs[1])
+        before = complex(b.sqrt_gg_at([xs[1]])[0])
+        self._loop_around_r0(b, xs[1])
+        after = complex(b.sqrt_gg_at([xs[1]])[0])
         assert abs(after + before) < 1e-14 * abs(before)
 
     def test_segment_touching_turning_point_rejected(self):
