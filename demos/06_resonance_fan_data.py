@@ -7,19 +7,18 @@ plane: one ladder per nu-tilde family, widths |Im lambda| shrinking as
 the family index grows.  The command-line layer emits that picture as
 a plot-ready CSV plus an optional gnuplot companion script, with
 byte-identical output for identical invocations.  This demo drives the
-CLI in-process and then verifies the fan ordering directly from the
+CLI in-process, writes fan.csv, fan.gp and table.csv into the working
+directory, and then verifies the fan ordering directly from the
 emitted file.
 """
 
 import csv
-import tempfile
 from pathlib import Path
 
 from conires.cli import main
 
-out = Path(tempfile.mkdtemp(prefix="conires_fan_"))
-fig = out / "fan.csv"
-script = out / "fan.gp"
+fig = Path("fan.csv")
+script = Path("fan.gp")
 
 # k from 11 to 60, five families, h sweeping three decades: the same
 # grid as the reference picture, in formula-only (lattice) mode.
@@ -31,7 +30,7 @@ code = main([
     "--refine", "lattice",
     "--figure-data", str(fig),
     "--plot-script", str(script),
-    "--output", str(out / "table.csv"),
+    "--output", "table.csv",
 ])
 print(f"CLI exit code: {code}")
 print(f"figure data:   {fig}")

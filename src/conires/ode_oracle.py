@@ -5,12 +5,13 @@ equation and nothing more: a Frobenius series starts the regular
 solution at the origin, an adaptive integrator carries it along complex
 contours, and the outgoing Jost coefficient c+ is read off on a rotated
 ray where the e^{+i(x^3-3Ex)/3h} solution dominates. Resonances are
-located as zeros of c+ by secant iteration, certified by an
-argument-principle winding count on a surrounding circle. A separate
-Chebyshev eigensolve of the h-free scaled radial problem finds the
-eigenvalues of the scalar radial comparison operator. None of this
-shares code or expansions with the WKB route, which is the point: the
-two routes check each other.
+zeros of c+: the complex-scaled eigenproblem of spectral.locate_zero
+places each one from its seed without a single Jost evaluation, a
+secant on c+ refines it, and an argument-principle winding count on a
+surrounding circle certifies it. A separate Chebyshev eigensolve of the
+h-free scaled radial problem finds the eigenvalues of the scalar radial
+comparison operator. None of this shares code or expansions with the
+WKB route, which is the point: the two routes check each other.
 
 Contour layout for c+: a real segment from eps to x_mid (the geometric
 mean of the two outer turning-point moduli), a circular arc down to the
@@ -66,6 +67,7 @@ from .quantization import (
     _lambda_of_E,
     lattice_point,
 )
+from .spectral import _cheb, locate_zero
 
 
 def _deferred(module, name, *args, **kwargs):
@@ -563,18 +565,23 @@ def _jost_ring(E_center, Es, h, nt):
 def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     """Zero of c+(E) near E_seed, certified by a winding count.
 
-    At most max_iter secant steps on the full complex Jost coefficient
-    (jost_cplus defaults); the seed is expected to come from the lattice
-    or a quantization solve. Because a seed can land between two zeros
-    (on a ridge of |c+|), the search ladder also tries the two points
-    half a lattice spacing away in lambda = E^{3/2}. The secant iterate
-    with the smallest |c+| is the candidate, and convergence demands its
-    |c+| below 1e-8 times the median |c+| on ring_points around it;
-    SpuriousZero reports a ring winding number different from one. The
-    ring is one batched solve (_jost_ring), every point held to at least
-    jost_cplus's tolerances, and agrees with per-point jost_cplus to
-    about 3e-10 of the ring median at h = 0.1. The returned record
-    carries residual = |c+|/median(ring) and the seed's lattice index k.
+    The seed is expected to come from the lattice or a quantization
+    solve. Because a seed can land between two zeros (on a ridge of
+    |c+|), the search ladder also tries the two points half a lattice
+    spacing away in lambda = E^{3/2}. Each ladder seed first goes to
+    spectral.locate_zero, at most max_iter inverse-iteration solves of
+    the complex-scaled problem and no Jost evaluation: a ridge seed
+    fails there and the ladder moves on. The located eigenvalue starts
+    at most max_iter secant steps on the full complex Jost coefficient
+    (jost_cplus defaults). The secant iterate with the smallest |c+| is
+    the candidate, and convergence demands its |c+| below 1e-8 times
+    the median |c+| on ring_points around it; SpuriousZero reports a
+    ring winding number different from one. The ring is one batched
+    solve (_jost_ring), every point held to at least jost_cplus's
+    tolerances, and agrees with per-point jost_cplus to about 3e-10 of
+    the ring median at h = 0.1. The returned record carries
+    residual = |c+|/median(ring), the Jost evaluations of the secant as
+    iterations and the seed's lattice index k.
     """
     E0_seed = complex(E_seed)
     _, h, nt, _ = _as_params(params, "half-integer")
@@ -586,7 +593,8 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     last_error = None
     for seed in ladder:
         try:
-            return _secant_certified(seed, h, nt, max_iter, ring_points,
+            E_start = locate_zero((seed, h, nt), max_iter)
+            return _secant_certified(E_start, h, nt, max_iter, ring_points,
                                      lam_seed)
         except (NoConvergence, SpuriousZero, NoPlateau,
                 StepUnderflow) as exc:
@@ -656,16 +664,6 @@ def _winding(ring):
     dph = np.diff(np.concatenate([ph, ph[:1]]))
     return round(float(((dph + math.pi) % (2.0 * math.pi)
                         - math.pi).sum() / (2.0 * math.pi)))
-
-
-def _cheb(N):
-    """Chebyshev points x_j = cos(pi j / N), j = 0..N, and the
-    differentiation matrix on them (Trefethen, Spectral Methods in
-    MATLAB, cheb.m)."""
-    x = np.cos(math.pi * np.arange(N + 1) / N)
-    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
-    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
-    return D - np.diag(D.sum(axis=1)), x
 
 
 def _scaled_radial_levels(l, S, N):

@@ -57,7 +57,7 @@ class TestImports:
         src = str(Path(conires.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, conires.cli; "
-                "print(sorted(m for m in ('scipy.integrate', "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', "
                 "'scipy.optimize', 'scipy.special') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
@@ -73,7 +73,8 @@ class TestImports:
                 f"code = main(['pplus', '--h', '0.01', '--l', '1', "
                 f"'--oracle', '--output', {str(table)!r}]); "
                 "print(code, sorted(m for m in ('scipy.integrate', "
-                "'scipy.optimize', 'scipy.special') if m in sys.modules))")
+                "'scipy.linalg', 'scipy.optimize', 'scipy.special') "
+                "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "0 []"

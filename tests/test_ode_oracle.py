@@ -35,25 +35,32 @@ from conires.ode_oracle import (
     pplus_eigen_oracle,
 )
 from conires.quantization import (
+    _SLOPE,
     Band,
     lattice_point,
     pplus_levels,
     resonance_set,
     solve_resonance,
 )
+from conires.spectral import locate_zero
 
 P_DESK = (2.0 ** (2.0 / 3.0), 0.1, 0.5)
 
 # The ODE zeros that find_resonance_ode reaches from the BS seeds of
 # acceptance criterion 5, (h, k) = (0.2, 2), (0.1, 4), (0.05, 8). Each
 # seed sits on a ridge between two zeros, so a solver change can hop to
-# the neighbour and still pass every other check.  At h = 0.05 the
-# secant's last iterate can sit above the certificate while an earlier
-# one is below it; the search rings the best evaluated point, which
-# reaches the upper neighbour from this seed.
+# the neighbour and still pass every other check.  The complex-scaled
+# locator cannot settle on that ridge, so the search reaches the upper
+# neighbour from the ladder seed half a spacing above the BS root, at
+# every h.  The values were frozen from the Jost secant alone, before
+# the locator existed; with it they hold to 5e-12 (at h = 0.05).
 LAM_ODE = {0.2: complex(2.7084132879886424, -0.266666586365009),
            0.1: complex(2.296713902883714, -0.15290658806028087),
            0.05: complex(2.0908961950236815, -0.08761487040461918)}
+# The lower neighbours, which the ladder seed half a spacing below the
+# BS root reaches; frozen from the Jost secant alone, as LAM_ODE.
+LAM_BELOW = {0.2: complex(1.7661977307715468, -0.23524419635590801),
+             0.1: complex(1.8254463227515232, -0.14438130941676852)}
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +343,12 @@ class TestFindResonance:
         return fake, landings
 
     @staticmethod
+    def _seed_as_zero(params, max_iter):
+        """Locator stand-in that returns its seed, so the secant starts
+        where it would without a locator."""
+        return complex(params[0])
+
+    @staticmethod
     def _fake_ring(zero):
         """Synthetic ring evaluator, c+ = E - zero at every ring point."""
         return lambda E_center, Es, h, nt: np.asarray(Es) - zero
@@ -343,6 +356,7 @@ class TestFindResonance:
     def test_secant_rings_best_iterate(self, monkeypatch):
         zero = 1.5 - 0.05j
         fake, landings = self._noise_floor_jost(zero, 1e-13, 1e-11)
+        monkeypatch.setattr(ode_oracle, "locate_zero", self._seed_as_zero)
         monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
         monkeypatch.setattr(ode_oracle, "_jost_ring", self._fake_ring(zero))
         rec = find_resonance_ode((zero + 0.05, 0.1, 0.5), zero + 0.05,
@@ -359,6 +373,7 @@ class TestFindResonance:
     def test_best_iterate_above_certificate_fails(self, monkeypatch):
         zero = 1.5 - 0.05j
         fake, _ = self._noise_floor_jost(zero, 2e-12, 1e-11)
+        monkeypatch.setattr(ode_oracle, "locate_zero", self._seed_as_zero)
         monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
         monkeypatch.setattr(ode_oracle, "_jost_ring", self._fake_ring(zero))
         with pytest.raises(NoConvergence):
@@ -371,6 +386,54 @@ class TestFindResonance:
         assert len(recs) == 1
         assert recs[0].method == "ode-oracle"
         assert abs(recs[0].lam - ode_root.lam) <= 1e-8
+
+
+class TestLocateZero:
+    def test_ridge_seed_fails_without_jost(self, bs_root, monkeypatch):
+        # inverse iteration at the BS root, halfway between two zeros,
+        # is still 6e-2 from the nearer one after 30 solves and fails
+        # typed; the ladder moves on, so every Jost evaluation of the
+        # search belongs to the secant that certifies the zero
+        calls = []
+
+        def counted(params, **kwargs):
+            calls.append(params[0])
+            return jost_cplus(params, **kwargs)
+
+        monkeypatch.setattr(ode_oracle, "jost_cplus", counted)
+        with pytest.raises(NoConvergence):
+            locate_zero((bs_root.E, 0.1, 0.5), 30)
+        assert calls == []
+        rec = find_resonance_ode((bs_root.E, 0.1, 0.5), bs_root.E)
+        assert abs(rec.lam - LAM_ODE[0.1]) <= 1e-9
+        assert len(calls) == rec.iterations <= 5
+
+    @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
+    def test_half_spacing_seeds(self, h, k):
+        # the ladder's own seeds, half a spacing either side of the BS
+        # root, each certify a zero after 4 Jost evaluations (7 to 8
+        # with the secant started at the seed)
+        lam_bs = solve_resonance(k, 0.5, h).lam
+        for sign, want in ((1, LAM_ODE[h]), (-1, LAM_BELOW[h])):
+            E = cmath.exp((2.0 / 3.0) * cmath.log(
+                lam_bs + sign * 4.0 * _SLOPE * h))
+            rec = find_resonance_ode((E, h, 0.5), E)
+            assert abs(rec.lam - want) <= 1e-9, sign
+            assert rec.iterations <= 5, sign
+            assert rec.residual <= 1e-8, sign
+
+    def test_scaling_law(self):
+        # the scaled problem is h-free at fixed Lambda = lambda/h, node
+        # count included: the located Lambda agrees across h to 1e-12
+        # relative (measured 6e-15) and is the certified zero of
+        # LAM_ODE[0.1] to 1e-11 relative (measured 4.6e-13), the
+        # locator's own precision at this Lambda
+        lam_seed = 23.0 - 1.5j
+        got = [cmath.exp(1.5 * cmath.log(locate_zero(
+            (cmath.exp((2.0 / 3.0) * cmath.log(h * lam_seed)), h, 0.5),
+            30))) / h for h in (0.2, 0.1, 0.05)]
+        assert max(abs(g - got[0]) for g in got) <= 1e-12 * abs(got[0])
+        assert abs(got[1] - LAM_ODE[0.1] / 0.1) <= 1e-11 * abs(got[1])
 
 
 class TestPplusOracle:

@@ -15,7 +15,7 @@ import importlib
 import inspect
 
 MODULES = ("model", "quadrature", "actions", "quantization", "ode_oracle",
-           "cli", "wkb")
+           "spectral", "cli", "wkb")
 LEDGER = 48
 
 
