@@ -55,10 +55,11 @@ print(f"theta spread: {abs(est4.c_plus - est6.c_plus) / abs(est4.c_plus):.1e}"
 print("note |c+| is order one AT the BS root: the zero lives elsewhere")
 
 # --- the certified zero and the half-spacing offset --------------------
-# Seeded at the BS root, the secant ladder lands on the nearest genuine
-# zero of c+ (winding number 1 on a surrounding ring).  Its distance to
-# the BS root, in units of h, approaches 3 pi / 4: exactly half the
-# lattice spacing.
+# Seeded at the BS root, the search ladder lands on a neighbouring
+# genuine zero of c+ (placed by the complex-scaled eigensolve, refined
+# by Newton steps whose slope comes from a surrounding ring, winding
+# number 1 on that ring).  Its distance to the BS root, in units of h,
+# approaches 3 pi / 4: exactly half the lattice spacing.
 print("\n  h      k    |lambda_ode - lambda_BS| / h    Im_ode      Im_BS")
 for hh, k in ((0.2, 2), (0.1, 4), (0.05, 8)):
     b = solve_resonance(k, nt, hh)

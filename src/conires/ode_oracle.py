@@ -6,12 +6,13 @@ solution at the origin, an adaptive integrator carries it along complex
 contours, and the outgoing Jost coefficient c+ is read off on a rotated
 ray where the e^{+i(x^3-3Ex)/3h} solution dominates. Resonances are
 zeros of c+: the complex-scaled eigenproblem of spectral.locate_zero
-places each one from its seed without a single Jost evaluation, a
-secant on c+ refines it, and an argument-principle winding count on a
-surrounding circle certifies it. A separate Chebyshev eigensolve of the
-h-free scaled radial problem finds the eigenvalues of the scalar radial
-comparison operator. None of this shares code or expansions with the
-WKB route, which is the point: the two routes check each other.
+places each one from its seed without a single Jost evaluation, the
+trapezoidal Cauchy sums of a ring of c+ values around it give c+ and
+its slope for Newton steps, and the ring's winding count certifies the
+zero. A separate Chebyshev eigensolve of the h-free scaled radial
+problem finds the eigenvalues of the scalar radial comparison operator.
+None of this shares code or expansions with the WKB route, which is the
+point: the two routes check each other.
 
 Contour layout for c+: a real segment from eps to x_mid (the geometric
 mean of the two outer turning-point moduli), a circular arc down to the
@@ -424,13 +425,13 @@ def _gauged_ray(Es, h, nu, c, v0, rtol):
     certificate itself.
 
     The ray runs at a tenth of the contour tolerance rtol, because at
-    h = 0.05 the secant otherwise stalls on the c+ noise floor just
-    above the 1e-8 certificate, and member j at absolute tolerance
-    1e-14 max|v0[j]|. DOP853 takes each member's own error norm
-    (_dop853); Radau's norm is the RMS over all 4m components, so its
-    tolerances are divided by sqrt(m), which makes the batch norm bound
-    every member's own. Returns v_1 at c.t_eval, shape (m, 33), and
-    each member's undivided atol.
+    h = 0.05 the c+ noise floor otherwise sits just above the 1e-8
+    certificate, and member j at absolute tolerance 1e-14 max|v0[j]|.
+    DOP853 takes each member's own error norm (_dop853); Radau's norm is
+    the RMS over all 4m components, so its tolerances are divided by
+    sqrt(m), which makes the batch norm bound every member's own.
+    Returns v_1 at c.t_eval, shape (m, 33), and each member's undivided
+    atol.
     """
     m = len(Es)
     rtol = 0.1 * min(rtol, _RAY_RTOL_CAP)
@@ -438,8 +439,7 @@ def _gauged_ray(Es, h, nu, c, v0, rtol):
     g = (1j / h) * w
     members = np.arange(m)
     # one member runs on numpy scalars: the vectorized complex multiply
-    # fuses multiply-adds, and its last-bit changes are enough to send
-    # the h = 0.05 secant of jost_cplus to the neighbouring zero
+    # fuses multiply-adds, which would move the last bits of jost_cplus
     E = Es[0] if m == 1 else Es
 
     def rhs(t, y):
@@ -571,17 +571,20 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     spacing away in lambda = E^{3/2}. Each ladder seed first goes to
     spectral.locate_zero, at most max_iter inverse-iteration solves of
     the complex-scaled problem and no Jost evaluation: a ridge seed
-    fails there and the ladder moves on. The located eigenvalue starts
-    at most max_iter secant steps on the full complex Jost coefficient
-    (jost_cplus defaults). The secant iterate with the smallest |c+| is
-    the candidate, and convergence demands its |c+| below 1e-8 times
-    the median |c+| on ring_points around it; SpuriousZero reports a
-    ring winding number different from one. The ring is one batched
-    solve (_jost_ring), every point held to at least jost_cplus's
-    tolerances, and agrees with per-point jost_cplus to about 3e-10 of
-    the ring median at h = 0.1. The returned record carries
-    residual = |c+|/median(ring), the Jost evaluations of the secant as
-    iterations and the seed's lattice index k.
+    fails there and the ladder moves on. The located E_c centres a ring
+    of ring_points energies at radius rho = 1e-4 |E_c|, one batched
+    solve (_jost_ring) that agrees with per-point jost_cplus to about
+    3e-10 of the ring median at h = 0.1. Its trapezoidal Cauchy sums
+    give c+ and its slope at E_c, and fixed-slope Newton steps from the
+    predicted zero, one jost_cplus call each, stop when |c+| falls
+    below 1e-13 of the ring median or the next step below 1e-12 |E|.
+    The evaluated point of smallest |c+| is certified when it lies
+    within rho/2 of the centre, its |c+| is below 1e-8 times the ring
+    median, and the ring winds once (SpuriousZero otherwise); a best
+    point further out gets a new ring, which shares max_iter with the
+    Jost calls. If every seed fails, the last failure's type is raised
+    with every seed's message. The record carries the residual
+    |c+|/median(ring), the Jost calls as iterations and the seed's k.
     """
     E0_seed = complex(E_seed)
     _, h, nt, _ = _as_params(params, "half-integer")
@@ -590,54 +593,51 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     ladder = [E0_seed,
               _E_of_lambda(lam_seed + 0.5 * dlam),
               _E_of_lambda(lam_seed - 0.5 * dlam)]
-    last_error = None
+    # messages only: a kept exception would hold its failed seed's
+    # frames alive through a traceback cycle with this frame
+    failures = []
     for seed in ladder:
         try:
-            E_start = locate_zero((seed, h, nt), max_iter)
-            return _secant_certified(E_start, h, nt, max_iter, ring_points,
-                                     lam_seed)
+            E_c = locate_zero((seed, h, nt), max_iter)
+            return _ring_certified(E_c, h, nt, max_iter, ring_points,
+                                   lam_seed)
         except (NoConvergence, SpuriousZero, NoPlateau,
                 StepUnderflow) as exc:
-            last_error = exc
-    raise last_error
+            failures.append((type(exc), f"seed E={seed:.6f}: {exc}"))
+    raise failures[-1][0]("; ".join(msg for _, msg in failures))
 
 
-def _secant_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
-    def c_of(E):
-        return jost_cplus((E, h, nt)).c_plus
-
-    E0 = E_start
-    E1 = E_start * (1.0 + 1e-4 * (0.7 - 0.7j))
-    c0, c1 = c_of(E0), c_of(E1)
-    c_scale = max(abs(c0), abs(c1))
-    # at the noise floor of the ray the secant can step off its best
-    # point, so the ring is centred on the best point evaluated
-    best = min((E0, c0), (E1, c1), key=lambda ec: abs(ec[1]))
-    evals = 2
-    step = abs(E1 - E0)
-    for _ in range(max_iter):
-        denom = c1 - c0
-        if denom == 0:
+def _ring_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
+    roots = np.exp(2j * math.pi * np.arange(ring_points) / ring_points)
+    E_c, budget, evals, best = E_start, max_iter, 0, None
+    while True:
+        rho = 1e-4 * abs(E_c)
+        ring = _jost_ring(E_c, E_c + rho * roots, h, nt)
+        med = float(np.median(np.abs(ring)))
+        # trapezoidal Cauchy sums: c+(E_c) and c+'(E_c)
+        slope = complex(np.mean(ring * roots.conj())) / rho
+        E = E_c - complex(np.mean(ring)) / slope
+        while budget > 0:
+            if abs(E - E_start) > 0.6 * abs(E_start):
+                raise NoConvergence(
+                    f"Newton step left the search region: E={E:.6f}")
+            c = jost_cplus((E, h, nt)).c_plus
+            evals += 1
+            budget -= 1
+            best = min(best or (E, c), (E, c), key=lambda ec: abs(ec[1]))
+            step = c / slope
+            if abs(c) < 1e-13 * med or abs(step) < 1e-12 * abs(E):
+                break
+            E -= step
+        if best is not None and abs(best[0] - E_c) <= 0.5 * rho:
             break
-        dE = -c1 * (E1 - E0) / denom
-        E0, c0 = E1, c1
-        E1 = E1 + dE
-        if abs(E1 - E_start) > 0.6 * abs(E_start):
+        if budget == 0:
             raise NoConvergence(
-                f"secant left the search region: E={E1:.6f}")
-        c1 = c_of(E1)
-        evals += 1
-        if abs(c1) < abs(best[1]):
-            best = (E1, c1)
-        step = abs(dE)
-        if step < 1e-12 * abs(E1) or abs(c1) < 1e-13 * c_scale:
-            break
+                f"no evaluated point within {0.5 * rho:.1e} of the ring "
+                f"centre E={E_c:.8f} after {evals} evaluations")
+        budget -= 1
+        E_c = best[0]
     E1, c1 = best
-    rho = max(1e-4 * abs(E1), 100.0 * step)
-    ring = _jost_ring(E1, [E1 + rho * cmath.exp(2j * math.pi * j
-                                                 / ring_points)
-                           for j in range(ring_points)], h, nt)
-    med = float(np.median(np.abs(ring)))
     if not abs(c1) < _CERT_RATIO * med:
         raise NoConvergence(
             f"|c+|={abs(c1):.3e} not below {_CERT_RATIO:.1e} x ring median "
@@ -645,7 +645,7 @@ def _secant_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
     winding = _winding(ring)
     if winding != 1:
         raise SpuriousZero(
-            f"ring winding {winding} != 1 around E={E1:.8f}")
+            f"ring winding {winding} != 1 around E={E_c:.8f}")
     lam = _lambda_of_E(E1)
     k = round(_branch_coordinate(lam_seed.real, nt, h))
     try:

@@ -187,31 +187,23 @@ def dlog_H(x, params):
 # phase integral
 
 
-def phase_z(x, base_point, params, path=None):
+def phase_z(x, base_point, params):
     """Phase integral z(x; base_point) of sqrt(g_plus g_minus).
 
     The square-root branch is the canonical one anchored at the origin
-    (sqrt(g+ g-) -> +nu/x as x -> 0+, H(0) = 1) and continued along `path`,
-    which defaults to the dodging route of default_symbol_path from
-    base_point to x.  A path may start or end exactly at a turning point
-    (the integrand stays integrable there) but may not pass through one,
-    and neither endpoint may sit at the origin pole.
+    (sqrt(g+ g-) -> +nu/x as x -> 0+, H(0) = 1) and continued along the
+    dodging route of default_symbol_path from base_point to x.  Either
+    end may sit exactly at a turning point (the integrand stays
+    integrable there), but the route may not pass through one, and
+    neither end may sit at the origin pole.
     """
     E, nu = _as_E_nu(params)
     x = complex(x)
     b = complex(base_point)
     tp = turning_points(E, nu)
-    if path is None:
-        if x == b:
-            return PhaseValue(0.0 + 0.0j, b, ComplexPath((b, x)))
-        path = default_symbol_path(tp, x, start=b)
-    else:
-        if not isinstance(path, ComplexPath):
-            path = ComplexPath(tuple(path))
-        if abs(path.start - b) > 1e-12 * max(1.0, abs(b)):
-            raise ValueError("path must start at the base point")
-        if abs(path.end - x) > 1e-12 * max(1.0, abs(x)):
-            raise ValueError("path must end at x")
+    if x == b:
+        return PhaseValue(0.0 + 0.0j, b, ComplexPath((b, x)))
+    path = default_symbol_path(tp, x, start=b)
 
     scale = max(1.0, abs(tp.r2))
     d_unsafe = 1e-7 * scale
@@ -221,13 +213,11 @@ def phase_z(x, base_point, params, path=None):
             "(the phase integral diverges logarithmically there)"
         )
     specials = _specials(tp)
-
     segs = path.segments()
-    if not segs:
-        return PhaseValue(0.0 + 0.0j, b, path)
 
-    # interior clearance: a segment may touch a turning point only at a
-    # terminus of the whole path
+    # interior clearance: the dodging route can still rise straight
+    # through a turning point (or cross the origin); a segment may touch
+    # one only at an end of the whole route
     for k, (a, c) in enumerate(segs):
         dist = segment_point_distance(a, c, specials)
         for j in range(len(specials)):
@@ -240,7 +230,7 @@ def phase_z(x, base_point, params, path=None):
             if not terminal:
                 raise TurningPointProximity(
                     f"path passes within {d_unsafe:.1e} of the turning point "
-                    f"{s:.6g} away from its endpoints; deform the path"
+                    f"{s:.6g} away from its endpoints; move an endpoint"
                 )
 
     t_anchor = 1e-5 * scale

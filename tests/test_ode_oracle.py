@@ -14,7 +14,9 @@ lattice spacing from the Bohr-Sommerfeld roots, |Δλ|/h → 3π/4.
 """
 
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -52,13 +54,14 @@ P_DESK = (2.0 ** (2.0 / 3.0), 0.1, 0.5)
 # the neighbour and still pass every other check.  The complex-scaled
 # locator cannot settle on that ridge, so the search reaches the upper
 # neighbour from the ladder seed half a spacing above the BS root, at
-# every h.  The values were frozen from the Jost secant alone, before
-# the locator existed; with it they hold to 5e-12 (at h = 0.05).
+# every h.  The values were frozen from a Jost secant alone, before the
+# locator existed; the ring-first Newton steps reproduce them to 3e-14
+# at h = 0.2 and 0.1 and to 6e-12 at h = 0.05.
 LAM_ODE = {0.2: complex(2.7084132879886424, -0.266666586365009),
            0.1: complex(2.296713902883714, -0.15290658806028087),
            0.05: complex(2.0908961950236815, -0.08761487040461918)}
 # The lower neighbours, which the ladder seed half a spacing below the
-# BS root reaches; frozen from the Jost secant alone, as LAM_ODE.
+# BS root reaches; frozen from a Jost secant alone, as LAM_ODE.
 LAM_BELOW = {0.2: complex(1.7661977307715468, -0.23524419635590801),
              0.1: complex(1.8254463227515232, -0.14438130941676852)}
 
@@ -255,7 +258,7 @@ class TestFindResonance:
         assert ode_root.residual < 1e-8
         assert ode_root.lam.imag < 0
         assert ode_root.k == 4
-        assert ode_root.iterations >= 3
+        assert ode_root.iterations == 1
 
     def test_half_spacing_offset_from_bs(self, bs_root, ode_root):
         off = abs(ode_root.lam - bs_root.lam) / 0.1
@@ -325,60 +328,122 @@ class TestFindResonance:
             assert whole._estimate_error_norm(
                 K, 0.1, scale / math.sqrt(2)) < 0.2 * max(own)
 
-    @staticmethod
-    def _noise_floor_jost(zero, eta_best, eta_last):
-        """Synthetic c+ = E - zero, except that the two secant landings
-        next to the zero read eta_best and then the larger eta_last, as
-        when the secant steps off its best point at the noise floor."""
+    def _noise_floor_search(self, monkeypatch, values):
+        """Fakes around zero = 1.5 - 0.05i. Every ladder seed is located
+        at the zero; jost_cplus reads values[n] at its n-th call
+        (cyclically), as on the noise floor of the ray, where the Newton
+        steps can leave their best point; the ring reads
+        c+ = d + (0.9/rho) d^2, d = E - zero. Its Cauchy sums place the
+        Newton start on the zero with slope 1, while the curvature lifts
+        the ring median to 1.35 rho, so a |c+| between the Newton stop
+        1e-12 |E| and the certificate 1e-8 median neither stops the
+        steps nor fails."""
+        zero = 1.5 - 0.05j
         landings = []
 
         def fake(params, theta=0.5):
-            E = params[0]
-            c = E - zero
-            if abs(c) < 1e-9:
-                landings.append(E)
-                c = eta_best if len(landings) % 2 else eta_last
-            return ode_oracle.JostEstimate(c, 0.0, 10.0, theta)
+            landings.append(params[0])
+            return ode_oracle.JostEstimate(
+                values[(len(landings) - 1) % len(values)], 0.0, 10.0, theta)
 
-        return fake, landings
+        def ring(E_center, Es, h, nt):
+            d = np.asarray(Es) - zero
+            return d + (0.9 / (1e-4 * abs(E_center))) * d * d
 
-    @staticmethod
-    def _seed_as_zero(params, max_iter):
-        """Locator stand-in that returns its seed, so the secant starts
-        where it would without a locator."""
-        return complex(params[0])
-
-    @staticmethod
-    def _fake_ring(zero):
-        """Synthetic ring evaluator, c+ = E - zero at every ring point."""
-        return lambda E_center, Es, h, nt: np.asarray(Es) - zero
+        monkeypatch.setattr(ode_oracle, "locate_zero", lambda p, n: zero)
+        monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
+        monkeypatch.setattr(ode_oracle, "_jost_ring", ring)
+        med = np.median(np.abs(ring(zero, zero + 1e-4 * abs(zero) * np.exp(
+            2j * np.pi * np.arange(16) / 16), 0.1, 0.5)))
+        assert 1e-12 * abs(zero) < 1.75e-12 < 1e-8 * med < 2.5e-12
+        return zero, landings, med
 
     def test_secant_rings_best_iterate(self, monkeypatch):
-        zero = 1.5 - 0.05j
-        fake, landings = self._noise_floor_jost(zero, 1e-13, 1e-11)
-        monkeypatch.setattr(ode_oracle, "locate_zero", self._seed_as_zero)
-        monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
-        monkeypatch.setattr(ode_oracle, "_jost_ring", self._fake_ring(zero))
-        rec = find_resonance_ode((zero + 0.05, 0.1, 0.5), zero + 0.05,
-                                 max_iter=2)
-        # ring median is the ring radius 1e-4 |E|, so the last iterate
-        # (1e-11) fails the 1e-8 certificate and the best one (1e-13)
-        # passes it
+        # the first landing passes the certificate without stopping the
+        # steps, the second fails it; max_iter ends the steps and the
+        # best point is certified, not the last
+        zero, landings, med = self._noise_floor_search(monkeypatch,
+                                                       [1.75e-12, 1e-11])
+        rec = find_resonance_ode((zero, 0.1, 0.5), zero, max_iter=2)
         assert len(landings) == 2
         assert rec.E == landings[0] != landings[1]
-        assert rec.iterations == 4
-        assert rec.residual == pytest.approx(1e-13 / (1e-4 * abs(rec.E)),
-                                             rel=1e-6)
+        assert abs(rec.E - zero) <= 1e-15
+        assert rec.iterations == 2
+        assert rec.residual == pytest.approx(1.75e-12 / med, rel=1e-12)
 
     def test_best_iterate_above_certificate_fails(self, monkeypatch):
-        zero = 1.5 - 0.05j
-        fake, _ = self._noise_floor_jost(zero, 2e-12, 1e-11)
-        monkeypatch.setattr(ode_oracle, "locate_zero", self._seed_as_zero)
-        monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
-        monkeypatch.setattr(ode_oracle, "_jost_ring", self._fake_ring(zero))
+        _, landings, _ = self._noise_floor_search(monkeypatch,
+                                                  [2.5e-12, 1e-11])
         with pytest.raises(NoConvergence):
-            find_resonance_ode((zero + 0.05, 0.1, 0.5), zero + 0.05,
+            find_resonance_ode((1.5 - 0.05j, 0.1, 0.5), 1.5 - 0.05j,
                                max_iter=2)
+        assert len(landings) == 6  # max_iter on each ladder seed
+
+    @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
+    def test_one_jost_call_per_zero(self, h, k, monkeypatch):
+        # the ring's Cauchy sums start the Newton steps on the zero, so
+        # the first jost_cplus call already meets the stop rule
+        calls = []
+
+        def counted(params, **kwargs):
+            calls.append(params[0])
+            return jost_cplus(params, **kwargs)
+
+        monkeypatch.setattr(ode_oracle, "jost_cplus", counted)
+        bs = solve_resonance(k, 0.5, h)
+        rec = find_resonance_ode((bs.E, h, 0.5), bs.E)
+        assert abs(rec.lam - LAM_ODE[h]) <= 1e-9
+        assert len(calls) == rec.iterations == 1
+
+    def test_poor_start_recentres_the_ring(self, monkeypatch):
+        # a ring centre 1e-3 |E| off the zero, ten ring radii, does not
+        # enclose it; the Newton steps reach the zero from there, and a
+        # second ring around the best point certifies it
+        E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[0.1]))
+        rings = []
+
+        def off_zero(params, max_iter):
+            return E + 1e-3 * abs(E) * cmath.exp(0.3j)
+
+        def counted_ring(E_center, Es, h, nt):
+            rings.append(E_center)
+            return ring(E_center, Es, h, nt)
+
+        ring = ode_oracle._jost_ring
+        monkeypatch.setattr(ode_oracle, "locate_zero", off_zero)
+        monkeypatch.setattr(ode_oracle, "_jost_ring", counted_ring)
+        rec = find_resonance_ode((E, 0.1, 0.5), E)
+        assert abs(rec.lam - LAM_ODE[0.1]) <= 1e-9
+        assert rec.residual <= 1e-8
+        assert len(rings) >= 2
+        assert abs(rings[-1] - rec.E) <= 0.5e-4 * abs(rings[-1])
+
+    def test_failed_search_frees_its_seeds(self, monkeypatch):
+        # with the cyclic collector off, nothing of a failed ladder seed
+        # outlives the search: the raised error names every seed's
+        # failure but holds none of their tracebacks
+        class Probe:
+            pass
+
+        refs = []
+
+        def failing(params, max_iter):
+            probe = Probe()
+            refs.append(weakref.ref(probe))
+            raise NoConvergence(f"seed {params[0]:.6f} stalls")
+
+        monkeypatch.setattr(ode_oracle, "locate_zero", failing)
+        gc.disable()
+        try:
+            try:
+                find_resonance_ode((2.0, 0.1, 0.5), 2.0)
+            except NoConvergence as exc:
+                message = str(exc)
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert alive == [False, False, False]
+        assert message.count("stalls") == 3
 
     def test_refine_ode_through_sweep(self, ode_root):
         band = Band(2.0, 2.1, h=0.1, nu_tilde_max=0.5)
@@ -393,7 +458,7 @@ class TestLocateZero:
         # inverse iteration at the BS root, halfway between two zeros,
         # is still 6e-2 from the nearer one after 30 solves and fails
         # typed; the ladder moves on, so every Jost evaluation of the
-        # search belongs to the secant that certifies the zero
+        # search belongs to the Newton steps that certify the zero
         calls = []
 
         def counted(params, **kwargs):
@@ -411,8 +476,7 @@ class TestLocateZero:
     @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
     def test_half_spacing_seeds(self, h, k):
         # the ladder's own seeds, half a spacing either side of the BS
-        # root, each certify a zero after 4 Jost evaluations (7 to 8
-        # with the secant started at the seed)
+        # root, each certify a zero after one Jost evaluation
         lam_bs = solve_resonance(k, 0.5, h).lam
         for sign, want in ((1, LAM_ODE[h]), (-1, LAM_BELOW[h])):
             E = cmath.exp((2.0 / 3.0) * cmath.log(
