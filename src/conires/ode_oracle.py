@@ -27,15 +27,17 @@ converges to c+ with a relative tail nu^2/(6 h t^3), so the default
 R_max is chosen to push that tail below the plateau tolerance across
 the sampled final decade.
 
-The certification ring is evaluated as one batched ODE rather than one
-jost_cplus call per point: every ring energy runs on the contour of the
-ring centre with its own E in the right-hand side, the inner contour as
-one stack of fundamental pairs and the ray as one realified system with
-a block-diagonal Jacobian. No ring point is computed more loosely than
-jost_cplus would compute it: the DOP853 stages accept a step on the
-largest of the members' own error norms, and Radau, whose error norm is
-the RMS over all components, runs at rtol and atol divided by sqrt(m)
-for m members, so its batch norm bounds each member's own norm.
+Every c+ comes from one batched solve over m energies (_jost_batch):
+each member runs on the contour of a centre energy with its own E in
+the right-hand side, the inner contour as one stack of fundamental
+pairs and the ray as one realified system with a block-diagonal
+Jacobian. jost_cplus is its one-member case, on E's own contour; the
+certification ring is its ring_points-member case, on the contour of
+the ring centre. No member is computed more loosely than it would be
+alone: the DOP853 stages accept a step on the largest of the members'
+own error norms, and Radau, whose error norm is the RMS over all
+components, runs at rtol and atol divided by sqrt(m), so its batch
+norm bounds each member's own norm.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ _THETA = 0.5  # angle of the extraction ray arg x = -theta
 _DOMINANCE_EFOLDS = 40.0  # decay of the recessive mode where c+ is read
 _PLATEAU_REL = 1e-6  # largest plateau variation, relative to |c+|
 _CERT_RATIO = 1e-8  # certified zero: |c+| below this times the ring median
-
-
-def _coeff_matrix(x, E, nu):
-    return np.array([[x * x - E, nu / x], [-nu / x, E - x * x]],
-                    dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -206,30 +203,50 @@ def _batch_dop853():
     return BatchDOP853
 
 
-def _dop853(m):
-    """solve_ivp method for m stacked 4-component systems: scipy's own
-    DOP853 for one member, whose norm is that member's already (the
-    batch formula would move the last bits of jost_cplus), and
-    _batch_dop853 for more."""
-    return "DOP853" if m == 1 else _batch_dop853()
+def _companion(u):
+    """Fundamental pairs (..., 2, 2) of the vectors u, shape (..., 2), and
+    the unit vector on the smaller component of each u as second column."""
+    comp = np.where(abs(u[..., :1]) >= abs(u[..., 1:]), [0.0, 1.0],
+                    [1.0, 0.0])
+    return np.stack([u, comp], axis=-1)
+
+
+def _pairs_rhs(Es, h, nu):
+    """rhs_on(a, e) of _carry_pairs for a stack of fundamental pairs, pair
+    j at energy Es[j]: dU/dt = e (i/h) A(x) U as one batched
+    (m, 2, 2) @ (m, 2, 2) product."""
+
+    def rhs_on(a, e):
+        ge = e * (1j / h)
+
+        def f(t, yy):
+            x = a + t * e
+            A = np.empty((Es.size, 2, 2), dtype=complex)
+            A[:, 0, 0] = x * x - Es
+            A[:, 1, 1] = -A[:, 0, 0]
+            A[:, 0, 1] = nu / x
+            A[:, 1, 0] = -A[:, 0, 1]
+            return (ge * (A @ yy.reshape(-1, 2, 2))).reshape(-1)
+        return f
+    return rhs_on
 
 
 def _carry_pairs(segs, rhs_on, M, rtol):
-    """Carry fundamental pairs M, one 2x2 pair or a stack of m, along
+    """Carry the stack M of m fundamental pairs, shape (m, 2, 2), along
     the segments in renormalized chunks.
 
     rhs_on(a, e) is the right-hand side on the flattened pairs in the
-    arclength t of the segment from a in unit direction e. A chunk ends
-    when any pair's amplitude moves by six e-folds; the pairs are then
-    orthonormalized and the triangular factors accumulated. DOP853 runs
-    at rtol and absolute tolerance 1e-14, every pair of a stack at its
-    own error norm (_dop853), with at most 2e6 accepted steps. Returns
-    the pairs at the last vertex, the accepted steps and the solve_ivp
-    solution of every chunk.
+    arclength t of the segment from a in unit direction e (_pairs_rhs).
+    A chunk ends when any pair's amplitude moves by six e-folds; the
+    pairs are then orthonormalized and the triangular factors
+    accumulated. DOP853 runs at rtol and absolute tolerance 1e-14, every
+    pair at its own error norm (_batch_dop853), with at most 2e6
+    accepted steps. Returns the pairs at the last vertex, the accepted
+    steps and the solve_ivp solution of every chunk.
     """
     Q, R_acc = _phase_qr(M)
     y = Q.reshape(-1)
-    method = _dop853(y.size // 4)
+    method = _batch_dop853()
     steps = 0
     chunks = []
     for a, b in segs:
@@ -289,7 +306,7 @@ def _carry_pairs(segs, rhs_on, M, rtol):
     return M, steps, chunks
 
 
-def integrate_system(params, path, u_start, rtol=_RTOL):
+def integrate_system(params, path, u_start):
     """Integrate hD_x u = Au along a polyline in the complex plane.
 
     u_start may be a 2-vector or a 2x2 fundamental pair (columns). A
@@ -297,8 +314,9 @@ def integrate_system(params, path, u_start, rtol=_RTOL):
     column so the constant-Wronskian property of the trace-free system
     can be monitored; only the original vector is returned. The ODE is
     solved in the real arclength parameter of each segment, du/dt =
-    e (i/h) A(x) u with e the unit segment direction, by DOP853 at rtol,
-    absolute tolerance 1e-14 and at most 2e6 accepted steps.
+    e (i/h) A(x) u with e the unit segment direction, by DOP853 at
+    relative tolerance 1e-11, absolute tolerance 1e-14 and at most 2e6
+    accepted steps: _carry_pairs on a stack of one pair.
 
     The Wronskian meter works on renormalized chunks: whenever the
     solution amplitude moves by six e-folds, the pair is
@@ -321,9 +339,7 @@ def integrate_system(params, path, u_start, rtol=_RTOL):
     u0 = np.asarray(u_start, dtype=complex)
     vector_input = u0.shape == (2,)
     if vector_input:
-        comp = np.array([0.0, 1.0]) if abs(u0[0]) >= abs(u0[1]) \
-            else np.array([1.0, 0.0])
-        M = np.column_stack([u0, comp]).astype(complex)
+        M = _companion(u0)
     elif u0.shape == (2, 2):
         M = u0.copy()
     else:
@@ -339,19 +355,13 @@ def integrate_system(params, path, u_start, rtol=_RTOL):
         if nu != 0.0 and segment_point_distance(a, b, [0])[0] < 1e-12 * scale:
             raise ValueError("path passes through the origin")
 
-    def rhs_on(a, e):
-        def f(t, yy):
-            x = a + t * e
-            return (e * (1j / h)) * (_coeff_matrix(x, E, nu)
-                                     @ yy.reshape(2, 2)).reshape(4)
-        return f
-
-    M, steps, chunks = _carry_pairs(segs, rhs_on, M, rtol)
+    rhs_on = _pairs_rhs(np.array([E]), h, nu)
+    M, steps, chunks = _carry_pairs(segs, rhs_on, M[None], _RTOL)
     drift = 0.0
     for sol in chunks:
         W = sol.y[0] * sol.y[3] - sol.y[1] * sol.y[2]
         drift += float(np.max(np.abs(W - W[0])) / abs(W[0]))
-    u_end = M[:, 0] if vector_input else M
+    u_end = M[0, :, 0] if vector_input else M[0]
     return IntegrationResult(u_end, drift, steps, path)
 
 
@@ -367,8 +377,8 @@ class _Contour(NamedTuple):
 
 
 def _contour(E, h, nt, nu, theta, R_max):
-    """The contour policy of c+ at energy E: the inner path for
-    integrate_system, the ray radii and the plateau samples.
+    """The contour policy of c+ at energy E: the inner path, the ray
+    radii and the plateau samples.
 
     theta must lie in (0, pi/3) so the outgoing solution grows on the
     ray; R_max (None for the default) must keep
@@ -408,9 +418,10 @@ def _gauged_ray(Es, h, nu, c, v0, rtol):
     """Integrate v' = e^{-i th}(i/h)(A - (x^2-E)I)v along c's ray
     x = t e^{-i th}, for each energy of Es from its start vector v0[j].
 
-    The members' realified systems are stacked as rows (Re v1, Re v2,
-    Im v1, Im v2) and run in two stages with one right-hand side and one
-    analytic, block-diagonal Jacobian. On [x_mid, t_switch] the
+    Member j is stored as the four reals (Re v1, Im v1, Re v2, Im v2), so
+    the right-hand side works on y viewed as m complex pairs; the stack
+    runs in two stages with one right-hand side and one analytic,
+    block-diagonal Jacobian. On [x_mid, t_switch] the
     recessive component still oscillates at frequency
     ~ 2 t^2 cos(3 th)/h and has barely decayed: the problem is not stiff
     there, accuracy sets the step, and explicit DOP853 crosses it in at
@@ -427,58 +438,58 @@ def _gauged_ray(Es, h, nu, c, v0, rtol):
     The ray runs at a tenth of the contour tolerance rtol, because at
     h = 0.05 the c+ noise floor otherwise sits just above the 1e-8
     certificate, and member j at absolute tolerance 1e-14 max|v0[j]|.
-    DOP853 takes each member's own error norm (_dop853); Radau's norm is
-    the RMS over all 4m components, so its tolerances are divided by
-    sqrt(m), which makes the batch norm bound every member's own.
-    Returns v_1 at c.t_eval, shape (m, 33), and each member's undivided
-    atol.
+    DOP853 takes each member's own error norm (_batch_dop853); Radau's
+    norm is the RMS over all 4m components, so its tolerances are
+    divided by sqrt(m), which makes the batch norm bound every member's
+    own. Returns v_1 at c.t_eval, shape (m, 33), and each member's
+    undivided atol.
     """
     m = len(Es)
     rtol = 0.1 * min(rtol, _RAY_RTOL_CAP)
     w = cmath.exp(-1j * c.theta)
     g = (1j / h) * w
+    g2_Es = 2.0 * g * Es
     members = np.arange(m)
-    # one member runs on numpy scalars: the vectorized complex multiply
-    # fuses multiply-adds, which would move the last bits of jost_cplus
-    E = Es[0] if m == 1 else Es
+
+    def coeffs(t):
+        # v' = J v with J = [[0, g_om], [-g_om, j11]]; x is a Python
+        # complex, whose arithmetic costs less than numpy scalars'
+        x = float(t) * w
+        return g * (nu / x), g2_Es - 2.0 * g * x * x
 
     def rhs(t, y):
-        v1r, v2r, v1i, v2i = y if m == 1 else y.reshape(m, 4).T
-        v1 = v1r + 1j * v1i
-        v2 = v2r + 1j * v2i
-        x = t * w
-        om = nu / x
-        d1 = g * om * v2
-        d2 = g * (-om * v1 - 2.0 * (x * x - E) * v2)
-        return np.array([d1.real, d2.real, d1.imag, d2.imag]).T.reshape(
-            4 * m)
+        v = y.view(complex).reshape(m, 2)
+        g_om, j11 = coeffs(t)
+        dv = g_om * v[:, ::-1]  # (g_om v2, g_om v1)
+        dv[:, 1] = j11 * v[:, 1] - dv[:, 1]
+        return dv.view(float).reshape(4 * m)
 
     def jac(t, y):
-        x = t * w
-        om = nu / x
+        g_om, j11 = coeffs(t)
         J = np.zeros((m, 2, 2), dtype=complex)
-        J[:, 0, 1] = g * om
-        J[:, 1, 0] = -g * om
-        J[:, 1, 1] = -2.0 * g * (x * x - E)
-        blocks = np.block([[J.real, -J.imag], [J.imag, J.real]])
+        J[:, 0, 1] = g_om
+        J[:, 1, 0] = -g_om
+        J[:, 1, 1] = j11
+        p = [0, 2, 1, 3]  # (Re v1, Re v2, Im v1, Im v2) -> y's order
+        blocks = np.block([[J.real, -J.imag], [J.imag, J.real]])[:, p][:, :, p]
         out = np.zeros((m, 4, m, 4))
         out[members, :, members, :] = blocks
         return out.reshape(4 * m, 4 * m)
 
-    y0 = np.stack([v0[:, 0].real, v0[:, 1].real, v0[:, 0].imag,
-                   v0[:, 1].imag], axis=1).reshape(4 * m)
     atols = _ATOL * np.maximum(np.abs(v0).max(axis=1), 1e-290)
     atol = np.repeat(atols, 4)
-    sol = solve_ivp(rhs, (c.x_mid, c.t_switch), y0, method=_dop853(m),
+    y0 = np.ascontiguousarray(v0, dtype=complex).view(float).reshape(4 * m)
+    sol = solve_ivp(rhs, (c.x_mid, c.t_switch), y0, method=_batch_dop853(),
                     rtol=rtol, atol=atol)
     if sol.success:
         root_m = math.sqrt(m)
-        sol = solve_ivp(rhs, (c.t_switch, c.R_max), sol.y[:, -1],
+        # a contiguous start: rhs views y as complex
+        sol = solve_ivp(rhs, (c.t_switch, c.R_max), sol.y[:, -1].copy(),
                         method="Radau", jac=jac, rtol=rtol / root_m,
                         atol=atol / root_m, t_eval=c.t_eval)
     if not sol.success:
         raise StepUnderflow(f"ray integration stalled: {sol.message}")
-    return sol.y[0::4] + 1j * sol.y[2::4], atols
+    return np.ascontiguousarray(sol.y.T).view(complex)[:, 0::2].T, atols
 
 
 def _plateau(q, atol, contour):
@@ -494,72 +505,55 @@ def _plateau(q, atol, contour):
     return c_plus, plateau_error
 
 
+def _jost_batch(E_center, Es, h, nt, theta, R_max, rtol):
+    """JostEstimate of c+ at every energy of Es, from one batched solve.
+
+    All members run on E_center's contour (c+ does not depend on the
+    path) with their own E in the right-hand side: the m fundamental
+    pairs of the inner contour as one (m, 2, 2) system in _carry_pairs's
+    renormalized chunks at rtol, then the m gauged ray vectors as one
+    4m-dimensional _gauged_ray solve, each member at least as tight as
+    alone. Each member passes the plateau check or NoPlateau is raised.
+    """
+    E, h, nt, nu = _as_params((E_center, h, nt), "half-integer")
+    c = _contour(E, h, nt, nu, theta, R_max)
+    Es = np.asarray(Es, dtype=complex)
+    u_eps = np.array([frobenius_init((Ej, h, nt), eps=c.eps)[0]
+                      for Ej in Es])
+    pairs, _, _ = _carry_pairs(ComplexPath(tuple(c.path)).segments(),
+                               _pairs_rhs(Es, h, nu), _companion(u_eps),
+                               rtol)
+    gauge = np.exp(-1j * (c.xs ** 3 - 3.0 * Es * c.xs) / (3.0 * h))
+    q, atols = _gauged_ray(Es, h, nu, c, pairs[:, :, 0] * gauge[:, None],
+                           rtol)
+    return [JostEstimate(*_plateau(qj, aj, c), c.R_max, theta)
+            for qj, aj in zip(q, atols)]
+
+
 def jost_cplus(params, theta=_THETA, R_max=None, rtol=_RTOL):
     """Outgoing Jost coefficient of the regular solution.
 
     Starts u ~ x^nu_tilde (1,-i) at frobenius_init's default eps, carries
     it along [eps, x_mid], an arc down to arg x = -theta, and the rotated
     ray, then reads c+ as the plateau of u_1 e^{-i(x^3-3Ex)/3h} over the
-    final decade. theta must lie in (0, pi/3) so the outgoing solution
+    final decade: the one-member case of _jost_batch, on E's own
+    contour. theta must lie in (0, pi/3) so the outgoing solution
     grows on the ray; R_max must keep sin(3 theta) R^3/(3h) >= 40 so
     the recessive component is dead at the extraction radius.
 
     Raises NoPlateau when the sampled quotient varies by more than
     1e-6 |c+| (raise R_max or theta).
     """
-    E, h, nt, nu = _as_params(params, "half-integer")
-    c = _contour(E, h, nt, nu, theta, R_max)
-    u_eps, _ = frobenius_init((E, h, nt), eps=c.eps)
-    inner = integrate_system((E, h, nt), c.path, u_eps, rtol=rtol)
-    gauge = cmath.exp(-1j * (c.xs ** 3 - 3.0 * E * c.xs) / (3.0 * h))
-    q, atols = _gauged_ray(np.array([E]), h, nu, c,
-                           (inner.u_end * gauge)[None], rtol)
-    c_plus, plateau_error = _plateau(q[0], atols[0], c)
-    return JostEstimate(c_plus, plateau_error, c.R_max, theta)
+    E, h, nt, _ = _as_params(params, "half-integer")
+    return _jost_batch(E, [E], h, nt, theta, R_max, rtol)[0]
 
 
 def _jost_ring(E_center, Es, h, nt):
-    """c+ at every energy of Es (the certification ring around E_center)
-    from one batched solve, as an array.
-
-    All members run on E_center's contour (c+ does not depend on the
-    path) with their own E in the right-hand side: the m fundamental
-    pairs of the inner contour as one (m, 2, 2) system in
-    integrate_system's renormalized chunks, then the m gauged ray
-    vectors as one 4m-dimensional _gauged_ray solve. Every member is
-    held to at least jost_cplus's tolerances: DOP853 accepts a step on
-    the largest of the members' own error norms, and the Radau stage
-    divides rtol and atol by sqrt(m). Each member passes jost_cplus's
-    plateau check or NoPlateau is raised.
-    """
-    E, h, nt, nu = _as_params((E_center, h, nt), "half-integer")
-    c = _contour(E, h, nt, nu, _THETA, None)
-    Es = np.asarray(Es, dtype=complex)
-    u_eps = np.array([frobenius_init((Ej, h, nt), eps=c.eps)[0]
-                      for Ej in Es])
-    comp = np.where((np.abs(u_eps[:, 0]) >= np.abs(u_eps[:, 1]))[:, None],
-                    [0.0, 1.0], [1.0, 0.0])
-
-    def rhs_on(a, e):
-        ge = e * (1j / h)
-
-        def f(t, yy):
-            x = a + t * e
-            d = (x * x - Es)[:, None]
-            o = nu / x
-            Y = yy.reshape(-1, 2, 2)
-            return (ge * np.stack([d * Y[:, 0] + o * Y[:, 1],
-                                   -o * Y[:, 0] - d * Y[:, 1]],
-                                  axis=1)).reshape(-1)
-        return f
-
-    pairs, _, _ = _carry_pairs(ComplexPath(tuple(c.path)).segments(),
-                               rhs_on, np.stack([u_eps, comp], axis=2),
-                               _RTOL)
-    gauge = np.exp(-1j * (c.xs ** 3 - 3.0 * Es * c.xs) / (3.0 * h))
-    q, atols = _gauged_ray(Es, h, nu, c, pairs[:, :, 0] * gauge[:, None],
-                           _RTOL)
-    return np.array([_plateau(qj, aj, c)[0] for qj, aj in zip(q, atols)])
+    """c+ at every energy of Es (the certification ring around E_center),
+    as an array: the len(Es)-member case of _jost_batch on E_center's
+    contour, at jost_cplus's default theta, R_max and rtol."""
+    return np.array([est.c_plus for est in
+                     _jost_batch(E_center, Es, h, nt, _THETA, None, _RTOL)])
 
 
 def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
@@ -573,9 +567,10 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     the complex-scaled problem and no Jost evaluation: a ridge seed
     fails there and the ladder moves on. The located E_c centres a ring
     of ring_points energies at radius rho = 1e-4 |E_c|, one batched
-    solve (_jost_ring) that agrees with per-point jost_cplus to about
-    3e-10 of the ring median at h = 0.1. Its trapezoidal Cauchy sums
-    give c+ and its slope at E_c, and fixed-slope Newton steps from the
+    solve (_jost_ring) on E_c's contour that agrees with per-point
+    jost_cplus to about 3e-10 of the ring median at h = 0.1. Its
+    trapezoidal Cauchy sums give c+ and its slope at E_c, and
+    fixed-slope Newton steps from the
     predicted zero, one jost_cplus call each, stop when |c+| falls
     below 1e-13 of the ring median or the next step below 1e-12 |E|.
     The evaluated point of smallest |c+| is certified when it lies

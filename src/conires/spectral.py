@@ -31,8 +31,12 @@ eigenvalue is a start point, not a result: |c+| there is 2.4e-9 and
 |Lambda| ~ 42, against the 1e-8 winding certificate, so
 find_resonance_ode centres the Jost ring on it and refines it by Newton
 steps on c+.
-Like the Jost oracle, the rotated problem loses precision past
+At theta = 0.35 and 0.45 the rotated problem loses precision past
 |Lambda| ~ 45, to double-precision non-normality rather than resolution.
+That was measured only at those angles and is no limit of the problem,
+whose pseudospectra widen with theta: between theta = 0.12 and 0.15 the
+spread of the full eigensolve stays at or below 1e-12 up to
+Lambda = 74.8. The Jost oracle's floor near |Lambda| ~ 45 is its own.
 """
 
 from __future__ import annotations

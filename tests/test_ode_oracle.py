@@ -237,6 +237,14 @@ class TestJostCplus:
             c = jost_cplus((Ep, 0.1, 0.5)).c_plus
             assert abs(c - self.C_REF[name]) <= bound, name
 
+    def test_one_member_ring_is_jost_cplus(self):
+        # one c+ code path: jost_cplus is the one-member batched solve on
+        # E's own contour, so the two agree bit for bit
+        for h in (0.2, 0.1):
+            for E in (1.0, 1.6 - 0.02j, 1.2 - 0.05j):
+                ring = ode_oracle._jost_ring(E, [E], h, 0.5)
+                assert jost_cplus((E, h, 0.5)).c_plus == ring[0], (h, E)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             jost_cplus(P_DESK, theta=0.0)
@@ -285,7 +293,7 @@ class TestFindResonance:
     def test_ring_matches_per_point_jost(self, h):
         # the batched ring against 16 separate jost_cplus calls on the
         # same energies, around the certified zero: values to 1e-8 of
-        # the ring median (measured 4.2e-11 and 3.0e-10), the same
+        # the ring median (measured 3.7e-11 and 3.3e-10), the same
         # winding and the same certificate residual
         E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
         Es = [E + 1e-4 * abs(E) * cmath.exp(2j * math.pi * j / 16)

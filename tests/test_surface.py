@@ -16,7 +16,7 @@ import inspect
 
 MODULES = ("model", "quadrature", "actions", "quantization", "ode_oracle",
            "spectral", "cli", "wkb")
-LEDGER = 47
+LEDGER = 46
 
 
 def _settable(fn):
