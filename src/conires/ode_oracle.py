@@ -6,11 +6,14 @@ solution at the origin, an adaptive integrator carries it along complex
 contours, and the outgoing Jost coefficient c+ is read off on a rotated
 ray where the e^{+i(x^3-3Ex)/3h} solution dominates. Resonances are
 zeros of c+: the complex-scaled eigenproblem of spectral.locate_zero
-places each one from its seed without a single Jost evaluation, the
-trapezoidal Cauchy sums of a ring of c+ values around it give c+ and
-its slope for Newton steps, and the ring's winding count certifies the
-zero. A separate Chebyshev eigensolve of the h-free scaled radial
-problem finds the eigenvalues of the scalar radial comparison operator.
+places each one from its seed without a single Jost evaluation, and
+the located eigenvalue is solved for c+ together with a ring of c+
+values around it. It is the certified zero when its |c+| meets the
+certificate and the ring winds once; otherwise the trapezoidal Cauchy
+sums of the ring give c+ and its slope for Newton steps, and the
+ring's winding count certifies their best point. A separate Chebyshev
+eigensolve of the h-free scaled radial problem finds the eigenvalues
+of the scalar radial comparison operator.
 None of this shares code or expansions with the WKB route, which is the
 point: the two routes check each other.
 
@@ -32,11 +35,12 @@ each member runs on the contour of a centre energy with its own E in
 the right-hand side, the inner contour as one stack of fundamental
 pairs and the ray as one realified system with a block-diagonal
 Jacobian. jost_cplus is its one-member case, on E's own contour; the
-certification ring is its ring_points-member case, on the contour of
-the ring centre. No member is computed more loosely than it would be
-alone: the DOP853 stages accept a step on the largest of the members'
-own error norms, and Radau, whose error norm is the RMS over all
-components, runs at rtol and atol divided by sqrt(m), so its batch
+certification ring is its (ring_points + 1)-member case, the ring
+points and the centre itself, on the centre's contour. No member is
+computed more loosely than it would be alone: the DOP853 stages accept
+a step on the largest of the members' own error norms, and Radau,
+whose error norm is the RMS over all components, runs at rtol and atol
+divided by sqrt(m), so its batch
 norm bounds each member's own norm.
 """
 
@@ -566,20 +570,24 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     spectral.locate_zero, at most max_iter inverse-iteration solves of
     the complex-scaled problem and no Jost evaluation: a ridge seed
     fails there and the ladder moves on. The located E_c centres a ring
-    of ring_points energies at radius rho = 1e-4 |E_c|, one batched
-    solve (_jost_ring) on E_c's contour that agrees with per-point
-    jost_cplus to about 3e-10 of the ring median at h = 0.1. Its
-    trapezoidal Cauchy sums give c+ and its slope at E_c, and
+    of ring_points energies at radius rho = 1e-4 |E_c|, and is itself a
+    member of the same batched solve (_jost_ring) on E_c's contour;
+    the ring points agree with per-point jost_cplus to about 3e-10 of
+    the ring median at h = 0.1, the centre to about 2e-11. E_c is
+    certified directly, with no jost_cplus call, when its |c+| is below
+    1e-8 times the ring median and the ring winds once. Otherwise the
+    ring's trapezoidal Cauchy sums give c+ and its slope at E_c, and
     fixed-slope Newton steps from the
     predicted zero, one jost_cplus call each, stop when |c+| falls
     below 1e-13 of the ring median or the next step below 1e-12 |E|.
-    The evaluated point of smallest |c+| is certified when it lies
-    within rho/2 of the centre, its |c+| is below 1e-8 times the ring
-    median, and the ring winds once (SpuriousZero otherwise); a best
-    point further out gets a new ring, which shares max_iter with the
-    Jost calls. If every seed fails, the last failure's type is raised
-    with every seed's message. The record carries the residual
-    |c+|/median(ring), the Jost calls as iterations and the seed's k.
+    The evaluated point of smallest |c+|, the centre included, is
+    certified when it lies within rho/2 of the centre, its |c+| is
+    below 1e-8 times the ring median, and the ring winds once
+    (SpuriousZero otherwise); a best point further out gets a new ring,
+    which shares max_iter with the Jost calls. If every seed fails, the
+    last failure's type is raised with every seed's message. The record
+    carries the residual |c+|/median(ring), the jost_cplus calls as
+    iterations (0 for a directly certified zero) and the seed's k.
     """
     E0_seed = complex(E_seed)
     _, h, nt, _ = _as_params(params, "half-integer")
@@ -607,8 +615,13 @@ def _ring_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
     E_c, budget, evals, best = E_start, max_iter, 0, None
     while True:
         rho = 1e-4 * abs(E_c)
-        ring = _jost_ring(E_c, E_c + rho * roots, h, nt)
+        # the centre rides along as the last member, on its own contour
+        ring = _jost_ring(E_c, np.append(E_c + rho * roots, E_c), h, nt)
+        ring, c = ring[:-1], complex(ring[-1])
         med = float(np.median(np.abs(ring)))
+        best = min(best or (E_c, c), (E_c, c), key=lambda ec: abs(ec[1]))
+        if abs(c) < _CERT_RATIO * med and _winding(ring) == 1:
+            break
         # trapezoidal Cauchy sums: c+(E_c) and c+'(E_c)
         slope = complex(np.mean(ring * roots.conj())) / rho
         E = E_c - complex(np.mean(ring)) / slope
@@ -619,12 +632,12 @@ def _ring_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
             c = jost_cplus((E, h, nt)).c_plus
             evals += 1
             budget -= 1
-            best = min(best or (E, c), (E, c), key=lambda ec: abs(ec[1]))
+            best = min(best, (E, c), key=lambda ec: abs(ec[1]))
             step = c / slope
             if abs(c) < 1e-13 * med or abs(step) < 1e-12 * abs(E):
                 break
             E -= step
-        if best is not None and abs(best[0] - E_c) <= 0.5 * rho:
+        if abs(best[0] - E_c) <= 0.5 * rho:
             break
         if budget == 0:
             raise NoConvergence(

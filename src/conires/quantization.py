@@ -93,7 +93,12 @@ class ResonanceRecord:
     lam is lambda = E^{3/2}; E uses the branch continuous from the
     positive reals (principal power).  residual is the modulus of the
     quantization residual at lam for the solver methods and nan for the
-    formula-only lattice method, which performs no quadrature.
+    formula-only lattice method, which performs no quadrature.  For
+    method "ode-oracle" it is |c+|/median(|c+| on the certification
+    ring) at the certified zero, and iterations counts the jost_cplus
+    calls after the ring solve: 0 when the located eigenvalue is
+    certified directly.  For "bs-newton" it counts the residual
+    evaluations of the Newton solve, and it is 0 for the lattice.
     """
 
     k: int

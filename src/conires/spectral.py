@@ -25,12 +25,12 @@ at the seed sigma and runs inverse iteration at that fixed shift, which
 converges to the eigenvalue nearest sigma at the rate
 |E_1 - sigma|/|E_2 - sigma| of the two nearest ones. A seed halfway
 between two zeros has a rate near one and raises NoConvergence instead
-of sliding to one neighbour as Rayleigh-quotient shifts would. The
-eigenvalue is a start point, not a result: |c+| there is 2.4e-9 and
-3.1e-9 of |c+| at E + 1e-4|E| at |Lambda| ~ 14 and 23 but 3.2e-7 at
-|Lambda| ~ 42, against the 1e-8 winding certificate, so
-find_resonance_ode centres the Jost ring on it and refines it by Newton
-steps on c+.
+of sliding to one neighbour as Rayleigh-quotient shifts would.
+find_resonance_ode centres the Jost ring on the eigenvalue and solves
+c+ at the eigenvalue in the same batch. |c+| there is 2.4e-9 and 3.1e-9
+of |c+| at E + 1e-4|E| at |Lambda| ~ 14 and 23, inside the 1e-8
+winding certificate, so the eigenvalue is the certified zero; at
+|Lambda| ~ 42 it is 3.2e-7, and Newton steps on c+ refine it.
 At theta = 0.35 and 0.45 the rotated problem loses precision past
 |Lambda| ~ 45, to double-precision non-normality rather than resolution.
 That was measured only at those angles and is no limit of the problem,

@@ -55,8 +55,9 @@ P_DESK = (2.0 ** (2.0 / 3.0), 0.1, 0.5)
 # locator cannot settle on that ridge, so the search reaches the upper
 # neighbour from the ladder seed half a spacing above the BS root, at
 # every h.  The values were frozen from a Jost secant alone, before the
-# locator existed; the ring-first Newton steps reproduce them to 3e-14
-# at h = 0.2 and 0.1 and to 6e-12 at h = 0.05.
+# locator existed.  At h = 0.2 and 0.1 the located eigenvalue itself is
+# certified and reproduces them to 5e-13 relative; at h = 0.05 the
+# Newton steps that follow the ring land within 1e-11.
 LAM_ODE = {0.2: complex(2.7084132879886424, -0.266666586365009),
            0.1: complex(2.296713902883714, -0.15290658806028087),
            0.05: complex(2.0908961950236815, -0.08761487040461918)}
@@ -64,6 +65,14 @@ LAM_ODE = {0.2: complex(2.7084132879886424, -0.266666586365009),
 # BS root reaches; frozen from a Jost secant alone, as LAM_ODE.
 LAM_BELOW = {0.2: complex(1.7661977307715468, -0.23524419635590801),
              0.1: complex(1.8254463227515232, -0.14438130941676852)}
+
+
+def _ladder_seed_above(h, k):
+    """Criterion 5's BS root E and find_resonance_ode's ladder seed half
+    a lattice spacing above it, computed as the search computes it."""
+    E = solve_resonance(k, 0.5, h).E
+    return E, ode_oracle._E_of_lambda(
+        ode_oracle._lambda_of_E(E) + 0.5 * (8.0 * _SLOPE * h))
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +275,7 @@ class TestFindResonance:
         assert ode_root.residual < 1e-8
         assert ode_root.lam.imag < 0
         assert ode_root.k == 4
-        assert ode_root.iterations == 1
+        assert ode_root.iterations == 0
 
     def test_half_spacing_offset_from_bs(self, bs_root, ode_root):
         off = abs(ode_root.lam - bs_root.lam) / 0.1
@@ -345,7 +354,9 @@ class TestFindResonance:
         Newton start on the zero with slope 1, while the curvature lifts
         the ring median to 1.35 rho, so a |c+| between the Newton stop
         1e-12 |E| and the certificate 1e-8 median neither stops the
-        steps nor fails."""
+        steps nor fails. The ring's centre member reads 1e-10, above
+        the certificate and above every value, so the Newton steps run
+        and the centre is never the best point."""
         zero = 1.5 - 0.05j
         landings = []
 
@@ -355,8 +366,10 @@ class TestFindResonance:
                 values[(len(landings) - 1) % len(values)], 0.0, 10.0, theta)
 
         def ring(E_center, Es, h, nt):
-            d = np.asarray(Es) - zero
-            return d + (0.9 / (1e-4 * abs(E_center))) * d * d
+            Es = np.asarray(Es)
+            d = Es - zero
+            return np.where(Es == E_center, 1e-10,
+                            d + (0.9 / (1e-4 * abs(E_center))) * d * d)
 
         monkeypatch.setattr(ode_oracle, "locate_zero", lambda p, n: zero)
         monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
@@ -387,10 +400,10 @@ class TestFindResonance:
                                max_iter=2)
         assert len(landings) == 6  # max_iter on each ladder seed
 
-    @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
-    def test_one_jost_call_per_zero(self, h, k, monkeypatch):
-        # the ring's Cauchy sums start the Newton steps on the zero, so
-        # the first jost_cplus call already meets the stop rule
+    @staticmethod
+    def _counted_search(h, k, monkeypatch):
+        """The search from criterion 5's BS seed with jost_cplus counted,
+        and the ladder seed where it settles."""
         calls = []
 
         def counted(params, **kwargs):
@@ -398,10 +411,41 @@ class TestFindResonance:
             return jost_cplus(params, **kwargs)
 
         monkeypatch.setattr(ode_oracle, "jost_cplus", counted)
-        bs = solve_resonance(k, 0.5, h)
-        rec = find_resonance_ode((bs.E, h, 0.5), bs.E)
+        E_bs, seed = _ladder_seed_above(h, k)
+        rec = find_resonance_ode((E_bs, h, 0.5), E_bs)
+        return rec, calls, seed
+
+    @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
+    def test_no_jost_call_per_zero(self, h, k, monkeypatch):
+        # the located eigenvalue, the ring's centre member, already
+        # meets the certificate: it is the zero, bit for bit, and no
+        # jost_cplus call follows the ring solve
+        rec, calls, seed = self._counted_search(h, k, monkeypatch)
         assert abs(rec.lam - LAM_ODE[h]) <= 1e-9
-        assert len(calls) == rec.iterations == 1
+        assert len(calls) == rec.iterations == 0
+        assert rec.E == locate_zero((seed, h, 0.5), 30)
+
+    def test_newton_fallback_on_the_noise_floor(self, monkeypatch):
+        # at h = 0.05 the centre member reads about 3e-7 of the ring
+        # median, above the certificate, so the Newton steps run
+        rec, calls, _ = self._counted_search(0.05, 8, monkeypatch)
+        assert abs(rec.lam - LAM_ODE[0.05]) <= 1e-9
+        assert rec.residual <= 1e-8
+        assert len(calls) == rec.iterations >= 1
+
+    @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
+    def test_centre_member_matches_jost_cplus(self, h, k):
+        # the 17th ring member, the located eigenvalue on its own
+        # contour, against a separate jost_cplus call there: to 1e-10
+        # of the ring median (measured 9.6e-12 and 1.8e-11)
+        E_c = locate_zero((_ladder_seed_above(h, k)[1], h, 0.5), 30)
+        Es = np.append(E_c + 1e-4 * abs(E_c) * np.exp(
+            2j * np.pi * np.arange(16) / 16), E_c)
+        vals = ode_oracle._jost_ring(E_c, Es, h, 0.5)
+        med = np.median(np.abs(vals[:-1]))
+        ref = jost_cplus((E_c, h, 0.5)).c_plus
+        assert abs(vals[-1] - ref) <= 1e-10 * med
+        assert abs(vals[-1]) < 1e-8 * med
 
     def test_poor_start_recentres_the_ring(self, monkeypatch):
         # a ring centre 1e-3 |E| off the zero, ten ring radii, does not
@@ -484,7 +528,7 @@ class TestLocateZero:
     @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
     def test_half_spacing_seeds(self, h, k):
         # the ladder's own seeds, half a spacing either side of the BS
-        # root, each certify a zero after one Jost evaluation
+        # root, each certify a zero with at most a few Jost evaluations
         lam_bs = solve_resonance(k, 0.5, h).lam
         for sign, want in ((1, LAM_ODE[h]), (-1, LAM_BELOW[h])):
             E = cmath.exp((2.0 / 3.0) * cmath.log(
