@@ -56,10 +56,10 @@ from .errors import (
 )
 from .model import (
     _as_E_nu,
+    _cardano_any,
     _check_h_l,
-    _cubic_roots_from,
+    _label,
     _polish,
-    _track_roots,
     cubic_roots,
 )
 
@@ -91,10 +91,9 @@ class ActionValue(NamedTuple):
     n_evals: int
 
 
-def _labeled_roots(E, nu, prev=None):
-    """Non-degenerate labeled roots at (E, nu), continued from prev =
-    (E_prev, roots at E_prev) where model._cubic_roots_from allows."""
-    cr = _cubic_roots_from(prev, E, nu)
+def _labeled_roots(E, nu):
+    """Non-degenerate labeled roots at (E, nu) (model.cubic_roots)."""
+    cr = cubic_roots(E, nu)
     if cr.degenerate:
         raise TurningPointProximity(
             f"turning points degenerate at E={E}, nu={nu}"
@@ -305,42 +304,19 @@ def _subcritical(mu):
     return mu
 
 
-def _phase_path(mu_abs, lo, hi):
-    """(point, rate) for model._track_roots along m = mu_abs e^{i phi} at
-    E = 1, phi rising from lo to hi as t runs from 0 to 1."""
-    span = hi - lo
-
-    def point(t):
-        phi = hi if t == 1.0 else lo + t * span
-        return 1.0 + 0.0j, mu_abs * cmath.exp(1j * phi)
-
-    def rate(t):
-        return 0.0, 1j * span * point(t)[1]
-
-    return point, rate
-
-
 def _unit_schedule(mu):
     """Labeled roots of y^3 - 2y^2 + y - m^2 along the phase schedule
     m = |mu| e^{i phi}, phi from 0 to arg mu (in [0, pi]) in steps of at
-    most 0.1, continued from each phase to the next by
-    model._track_roots; the roots at mu itself are Newton-polished."""
+    most 0.1: the real-axis labels at |mu|, then Cardano's roots at each
+    phase in the closed-form labels (model._label); the roots at mu
+    itself are Newton-polished."""
     mu_abs, phi = abs(mu), cmath.phase(mu)
-    phis = np.linspace(0.0, phi, max(1, int(math.ceil(phi / 0.1))) + 1)
-    cur = list(cubic_roots(1.0, mu_abs).roots)
-    out = [tuple(cur)]
-    for lo, hi in zip(phis[:-1], phis[1:]):
-        # a zero-phase schedule (mu on the positive axis) keeps the roots
-        # of mu_abs
-        if hi > lo:
-            cur, ok = _track_roots(cur, *_phase_path(mu_abs, lo, hi),
-                                   min_dt=min(1.0, 1e-9 / (hi - lo)))
-            if not ok:
-                raise TurningPointProximity(
-                    "cubic roots collide during phase continuation of mu"
-                )
-        out.append(tuple(cur))
-    out[-1] = tuple(_polish(cur, 1.0, mu))
+    out = [cubic_roots(1.0, mu_abs).roots]
+    if phi > 0.0:
+        for hi in np.linspace(0.0, phi, int(math.ceil(phi / 0.1)) + 1)[1:]:
+            m = mu_abs * cmath.exp(1j * hi)
+            out.append(_label(1.0 + 0.0j, m, _cardano_any(1.0 + 0.0j, m)))
+    out[-1] = tuple(_polish(out[-1], 1.0, mu))
     return out
 
 
@@ -359,9 +335,10 @@ def action_I(mu):
     + pi mu, real positive near 2/3 for small positive mu and continued in
     arg(mu) from there.  I(0) = 2/3 exactly.
 
-    The roots are continued in arg mu (_unit_schedule), and the integral
-    is the closed form of the straight segment from y0 to y1 (_segment)
-    with two corrections:
+    The roots carry the labels of the continuation in arg mu from the
+    positive axis, given in closed form at each phase of a schedule
+    (_unit_schedule), and the integral is the closed form of the straight
+    segment from y0 to y1 (_segment) with two corrections:
 
     - Branch.  The sqrt is the one whose germ at y0 has a nonnegative
       projection on i, its direction at mu > 0.  The continued germ stays
@@ -411,7 +388,7 @@ def tunnel_T(mu):
     """Tunneling integral int_{y1}^{y2} sqrt(y(1-y)^2 - mu^2)/(2y) dy, on
     the branch whose value at the midpoint of the straight segment has a
     nonnegative projection on i; equals (i pi mu^2 / 4)(1 + O(mu^2)) for
-    small mu.  Closed form (_segment) with the roots continued in arg mu;
+    small mu.  Closed form (_segment) with the roots of action_I at mu;
     T is imaginary on the positive axis, so arg mu < 0 is reached by
     T(conj mu) = -conj T(mu).  est_error is a roundoff bound."""
     mu = _subcritical(mu)

@@ -12,8 +12,11 @@ whose semiclassical symbol factors through
 
 and the quarter-power ratio H(x) = (g_minus/g_plus)^(1/4) normalized by
 H(0) = 1.  Turning points are the zeros of g_plus * g_minus: with y = x^2 they
-solve the cubic y^3 - 2 E y^2 + E^2 y - nu^2 = 0, whose labeled roots
-(x0 -> 0 and x1, x2 -> E as nu -> 0) come from Cardano's formula.
+solve the cubic y^3 - 2 E y^2 + E^2 y - nu^2 = 0, whose roots come from
+Cardano's formula.  Their labels (x0 -> 0 and x1, x2 -> E as nu -> 0) are
+Cardano's own on the real axis and, for complex E, those of the
+continuation from the real axis, which the trigonometric form of the
+roots gives in closed form (_label).
 
 Branch convention (the one every downstream phase and transfer matrix relies
 on): continuous-argument tracking of the six linear factors of
@@ -244,7 +247,7 @@ def _cardano_labeled(E, nu):
 
 
 def _cardano_any(E, nu):
-    """Unlabeled root set (the corrector of the continuation)."""
+    """Unlabeled root set, the values that _label puts in order."""
     p, q, c1 = _cardano_core(E, nu)
     s = _cbrt_candidates(c1)[0]
     if s == 0:
@@ -258,114 +261,40 @@ def _cardano_any(E, nu):
     ]
 
 
-_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+def _label(E, nu, candidates):
+    """candidates, Cardano's three roots at (E, nu), in the labels
+    (x0, x1, x2) of the continuation from the real axis.
 
-
-def _match(prev, cand):
-    """Permutation of cand minimizing total displacement from prev."""
-    best = min(_PERMS, key=lambda perm: sum(
-        abs(prev[i] - cand[perm[i]]) for i in range(3)))
-    return [cand[best[i]] for i in range(3)]
-
-
-def _separation(roots):
-    """Smallest distance between two of the three roots."""
-    return min(abs(roots[0] - roots[1]), abs(roots[0] - roots[2]),
-               abs(roots[1] - roots[2]))
-
-
-def _near_match(pred, cand):
-    """cand in the order of pred when every candidate lies within 0.4 times
-    pred's smallest separation of a predicted root, no two of them near
-    the same one; else None.  Those discs are disjoint, and the order is
-    then the unique permutation minimizing total displacement from pred:
-    any other one pairs at least two candidates with roots more than 0.6
-    separations away."""
-    radius = 0.4 * _separation(pred)
-    out = [None, None, None]
-    for c in cand:
-        for i in range(3):
-            if abs(c - pred[i]) <= radius:
-                if out[i] is not None:
-                    return None
-                out[i] = c
-                break
-        else:
-            return None
-    return out
-
-
-def _velocities(roots, E, nu, dE, dnu):
-    """dx/dt = (2 nu dnu/dt - 2 x (E - x) dE/dt) / P'(x) of each root x,
-    from P(x) = 0 differentiated along a path in (E, nu); None when P'
-    vanishes at a root."""
-    derivs = [_cubic_d(x, E) for x in roots]
-    if not all(derivs):
-        return None
-    return [(2.0 * nu * dnu - 2.0 * x * (E - x) * dE) / d
-            for x, d in zip(roots, derivs)]
-
-
-def _track_roots(cur, point, rate, min_dt=1e-6):
-    """Carry the labeled roots cur of the cubic at point(0) to point(1)
-    by predictor-corrector continuation along a path in (E, nu).
-
-    point(t) gives (E, nu) on the path (exactly the end point at t = 1),
-    rate(t) the derivatives (dE/dt, dnu/dt); nu may be complex.  A step
-    of length dt moves each root along its velocity (_velocities) and
-    takes the Cardano roots at the step end in the order of the predicted
-    roots they lie near (_near_match).  It is accepted when, besides,
-    the change dt |v_end - v_start| of every root's predicted move stays
-    within the same 0.4 of the smallest predicted separation: that is
-    twice the Euler error estimate, and it keeps a long step from taking
-    one root's continuation for another's when the prediction itself is
-    off by a separation.  A rejected step halves, an accepted
-    one doubles the next, up to the whole path.  Returns (Cardano's roots
-    at point(1), True); or, when the step falls below min_dt (the roots
-    nearly collide on the way) or P' vanishes at a root, (those roots
-    matched to the last accepted ones, False).
+    With y = E w^2 the cubic becomes w^3 - w + mu = 0, mu = nu E^{-3/2}
+    (principal branch), whose roots w_k = (2/sqrt 3) cos((theta - 2 pi k)/3),
+    theta = arccos(-(3 sqrt 3/2) mu), are analytic in mu for |mu| below
+    the critical coupling sqrt(4/27); k = 1, 0, 2 give x0, x1, x2 as
+    E w_k^2.  For Re E > 0 theta is analytic in E off the real segment
+    (0, E_c], E_c = (27 nu^2/4)^{1/3}, where mu lies on the cut of arccos
+    and the real-axis labels are the limit from below; above the real
+    axis with Re E < E_c the continuation from there is 2 pi - theta.
+    Each label takes the candidate nearest to its closed form, so the
+    values stay Cardano's.  nu may be complex at real E (the phase
+    schedule of actions.action_I).
     """
-    t, dt = 0.0, 1.0
-    vel = _velocities(cur, *point(0.0), *rate(0.0))
-    while t < 1.0 and vel is not None:
-        while dt >= min_dt:
-            tn = min(1.0, t + dt)
-            step = tn - t
-            pred = [x + v * step for x, v in zip(cur, vel)]
-            matched = _near_match(pred, _cardano_any(*point(tn)))
-            if matched is not None:
-                vel_end = _velocities(matched, *point(tn), *rate(tn))
-                bound = 0.4 * _separation(pred)
-                if vel_end is not None and all(
-                        step * abs(a - b) <= bound
-                        for a, b in zip(vel, vel_end)):
-                    cur, vel, t = matched, vel_end, tn
-                    dt = min(2.0 * dt, 1.0)
-                    break
-            dt /= 2.0
-        else:
-            break
-    if t == 1.0:
-        return cur, True
-    return _match(cur, _cardano_any(*point(1.0))), False
-
-
-def _continue_roots(cur, E_from, E, nu):
-    """Roots of the cubic at E in the labels of cur, the labeled roots at
-    E_from, continued along the straight segment from E_from to E
-    (_track_roots)."""
-    dE = E - E_from
-    return _track_roots(
-        cur, lambda t: (E if t == 1.0 else E_from + t * dE, nu),
-        lambda t: (dE, 0.0))
+    theta = cmath.acos(-1.5 * math.sqrt(3.0) * nu * E ** -1.5)
+    if E.imag > 0.0 and E.real < (6.75 * nu * nu) ** (1.0 / 3.0):
+        theta = 2.0 * math.pi - theta
+    out = []
+    for k in (1, 0, 2):
+        w = cmath.cos((theta - 2.0 * math.pi * k) / 3.0) * 2.0 / math.sqrt(3.0)
+        out.append(min(candidates, key=lambda x: abs(x - E * w * w)))
+    return out
 
 
 class CubicRoots:
     """Labeled roots (x0, x1, x2) of the turning-point cubic.
 
     degenerate is a flag, not an error: it is set when the discriminant is
-    below tolerance (or no real-E continuation anchor exists) and the labels
-    fall back to modulus ordering.
+    below tolerance, or off the real axis when Re E <= 0 (no real-axis
+    anchor for the labels) or |mu| = nu |E|^{-3/2} exceeds 1e150 (E
+    negligible next to the roots), and the labels fall back to modulus
+    ordering.
     """
 
     __slots__ = ("roots", "degenerate")
@@ -388,16 +317,9 @@ def cubic_roots(E, nu):
     """Labeled roots of x^3 - 2 E x^2 + E^2 x - nu^2.
 
     For real E the Cardano labeling applies directly; for complex E with
-    Re E > 0 the labels are carried from Re E by analytic continuation
-    along the straight segment in E (_continue_roots).  Each step is a
-    predictor move of every root along dx/dE = -2 x (E - x) / P'(x) and
-    a Cardano solve at the step end, whose roots are taken in the order
-    of the predicted roots they lie within 0.4 smallest separations of
-    (one candidate per root), and the step halves when that or the
-    consistency of the predicted move fails.  Newton iterates reach the
-    same labels from the previous iterate instead (_cubic_roots_from),
-    when both lie below the real axis with Re E on the same side of the
-    real branch point (27 nu^2 / 4)^{1/3}.  Residuals are polished to
+    Re E > 0 the roots are Cardano's in the labels of the analytic
+    continuation from Re E along the straight segment in E, which
+    _label gives in closed form.  Residuals are polished to
     <= 1e-12 * max(1, |E|^3) by guarded Newton steps.  Raises ValueError
     for a non-finite E.
     """
@@ -412,39 +334,15 @@ def cubic_roots(E, nu):
     if E.imag == 0.0:
         return CubicRoots(_polish(_cardano_labeled(E, nu), E, nu), False)
 
-    if E.real <= 0.0:
-        # no real-axis anchor for the asymptotic labels; report by modulus
+    if E.real <= 0.0 or abs(E) ** 3 * 1e300 < nu * nu:
+        # no real-axis anchor for the asymptotic labels, or |mu| =
+        # nu |E|^{-3/2} above 1e150, where _label would overflow; report
+        # by modulus
         roots = sorted(_cardano_any(E, nu), key=abs)
         return CubicRoots(_polish(roots, E, nu), True)
 
-    anchor = complex(E.real)
-    roots, ok = _continue_roots(_cardano_labeled(anchor, nu), anchor, E, nu)
-    return CubicRoots(_polish(roots, E, nu), not ok)
-
-
-def _cubic_roots_from(prev, E, nu):
-    """cubic_roots(E, nu), with the labels continued from prev = (E_prev,
-    labeled roots at E_prev; None for no previous roots) when E_prev and
-    E both lie below the real axis, with Re E > 0 on the same side of the
-    real branch point E_c = (27 nu^2 / 4)^{1/3}.  Then the segment from
-    E_prev to E, the vertical ones from both to the real axis and the
-    real axis between them enclose no root collision, and the labels are
-    those of the continuation from the real axis.  Otherwise, or when
-    the continuation meets a near collision, the roots come from
-    cubic_roots itself.
-    """
-    if prev is not None:
-        E_prev, cur = prev
-        E, nu = complex(E), float(nu)
-        e_c = (6.75 * nu * nu) ** (1.0 / 3.0)
-        if (cmath.isfinite(E) and E_prev.imag < 0.0 and E.imag < 0.0
-                and E_prev.real > 0.0 and E.real > 0.0
-                and (E_prev.real - e_c) * (E.real - e_c) > 0.0
-                and not _degenerate(E, nu)):
-            roots, ok = _continue_roots(cur, E_prev, E, nu)
-            if ok:
-                return CubicRoots(_polish(roots, E, nu), False)
-    return cubic_roots(E, nu)
+    return CubicRoots(_polish(_label(E, nu, _cardano_any(E, nu)), E, nu),
+                      False)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,9 @@ together from one root solve.  Their roundoff (about 2e-15 in S01
 against 34-digit quadrature) enters the residual amplified by 2/h:
 converged residuals of a sweep at h = 0.004 stay below 3e-12, well
 under the residual tolerance 1e-10.  The labeled roots of each iterate
-are continued from those of the previous one (model._cubic_roots_from),
-so an iterate costs one Cardano solve and three Carlson-function
-evaluations; the labels are those of the continuation from the real
-axis, so only the cost changes.
+come from model.cubic_roots, whose closed-form labels are those of the
+continuation from the real axis, so an iterate costs one Cardano solve
+and three Carlson-function evaluations.
 """
 
 import cmath
@@ -136,17 +135,12 @@ def _branch_shift(k):
     return 1j * math.pi * (2 * int(k) + _BRANCH_PHASE)
 
 
-def _A_and_dE(E, h, nt, prev=None):
-    """A(E), dA/dE and the labeled cubic roots (E, roots) from one
-    closed-form action evaluation; the roots are continued from prev, the
-    roots of the previous Newton iterate, where that gives the labels of
-    cubic_roots (model._cubic_roots_from)."""
+def _A_and_dE(E, h, nt):
+    """A(E) and dA/dE from one closed-form action evaluation."""
     E, nu = complex(E), nt * h
-    roots = _labeled_roots(E, nu, prev)
-    s01, ds01 = _s01_pair(E, nu, roots)
+    s01, ds01 = _s01_pair(E, nu, _labeled_roots(E, nu))
     log_t, dlog_t = _log_minus_t(E, h, nt)
-    return (log_t + 2.0 * s01.value / h, dlog_t + 2.0 * ds01.value / h,
-            (E, roots))
+    return log_t + 2.0 * s01.value / h, dlog_t + 2.0 * ds01.value / h
 
 
 def bs_residual(E, params, k=None, tol=_BS_TOL):
@@ -224,8 +218,7 @@ def solve_resonance(k, nu_tilde, h, seed=None, max_iter=_NEWTON_MAX_ITER):
 
     Converged when |residual| < 1e-10 and the last step was below
     1e-12 |E|, within max_iter iterates per seed.  Each iterate evaluates
-    A and dA/dE together, from one closed-form action pair at roots
-    continued from the previous iterate (_A_and_dE).
+    A and dA/dE together, from one closed-form action pair (_A_and_dE).
     A seed whose iterate turns non-finite or whose dA/dE collapses gives
     way to the next (the real-axis lattice seed); the last such error,
     NoConvergence or NonSimpleRoot, is raised when no seed converges.
@@ -241,10 +234,9 @@ def solve_resonance(k, nu_tilde, h, seed=None, max_iter=_NEWTON_MAX_ITER):
     for E0 in seeds:
         E = E0
         last_step = math.inf
-        roots = None
         try:
             for it in range(1, max_iter + 1):
-                a, dr, roots = _A_and_dE(E, h, nt, roots)
+                a, dr = _A_and_dE(E, h, nt)
                 r = a - shift
                 if abs(r) < _BS_TOL and last_step < _STEP_TOL * abs(E):
                     lam = _lambda_of_E(E)

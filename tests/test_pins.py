@@ -2,8 +2,9 @@
 
 Each pin is the SHA-256 digest of what one CLI invocation prints, or of
 the repr of a library value: the amplitude terms that acceptance
-criterion 7 computes, phase integrals, the branch-tracked quarter power
-and one assembled WKB solution.
+criterion 7 computes, phase integrals, the branch-tracked quarter power,
+one assembled WKB solution, the labeled cubic roots at complex E and the
+scaled actions I and T at complex mu.
 They hold a refactoring to its promise of unchanged output bytes: a
 change that only restructures code leaves every digest as it is.
 
@@ -12,14 +13,16 @@ in CHANGES.md: which outputs move, by how much, and why the new values
 are the right ones.
 """
 
+import cmath
 import contextlib
 import hashlib
 import io
 
 import pytest
 
+from conires.actions import action_I, tunnel_T
 from conires.cli import main
-from conires.model import ModelParams, symbol_at, turning_points
+from conires.model import ModelParams, cubic_roots, symbol_at, turning_points
 from conires.wkb import (
     amplitude_recurrence,
     origin_series,
@@ -126,3 +129,47 @@ def test_wkb_solution_bits():
                      amp_base=0.2j, sign=+1, N=6)
     text = repr(tuple(complex(c) for c in u))
     assert _digest(text) == WKB_SOLUTION_PIN, text
+
+
+# repr of the cubic_roots(E, nu).roots at E = f E_c + i im for f in
+# LABEL_RE and im in LABEL_IM, E_c = (27 nu^2 / 4)^{1/3} the real branch
+# point, keyed by nu: both half-planes, both sides of E_c
+LABEL_RE = (0.5, 0.98, 1.02, 2.0)
+LABEL_IM = (-0.4, -0.02, 0.02, 0.4)
+LABEL_PINS = {
+    0.002: "ca6401670061ebbc0515c29c91398ef877ece08c9b488bd74fe72abd38c79ad1",
+    0.1: "b1b787f8c7d4f86b6a0beb506639fd6b5e4e83f45bc0fdd5446daefb2e532541",
+    1.0: "779b7f761a3f4adb10df2cf94ef9c67b9103a32e52b7a950afeac02cc2ff926d",
+}
+# repr of the ActionValues at mu = |mu| e^{i a} for a in MU_ARGS, keyed
+# by |mu|
+MU_ARGS = (0.5, 2.0, 3.1)
+ACTION_I_PINS = {
+    0.05: "d410c1e3b30462e27590b926af503ce4fc9621bd689fa8e985a3828b07da8370",
+    0.3: "2e7b9d3b0b1bf7e762b27e74023834da4aeff87bbcd4e42922a8da24e1698225",
+    0.38: "487874c5aa116b343b4790c3bbe9c0c0f9be6f1c1f702b557ea96229a26dcdf7",
+}
+TUNNEL_T_PINS = {
+    0.05: "28e43bf0995236a68bffe08865475a7310a082cb2036f3b4c5127a25e5980f1e",
+    0.3: "32d3f3ccf4567f19f84f072209e4ff73406088acdbaee52229d8fba33f3e2fb2",
+    0.38: "5b506c78022d4c1d0976be8ef631a17922954f028af97bd55ba2e3d14bdb1842",
+}
+
+
+@pytest.mark.parametrize("nu", LABEL_PINS)
+def test_cubic_root_labels_bits(nu):
+    e_c = (6.75 * nu * nu) ** (1.0 / 3.0)
+    crs = [cubic_roots(complex(f * e_c, im), nu)
+           for f in LABEL_RE for im in LABEL_IM]
+    assert not any(cr.degenerate for cr in crs)
+    text = repr(tuple(cr.roots for cr in crs))
+    assert _digest(text) == LABEL_PINS[nu], text
+
+
+@pytest.mark.parametrize("fn, pins", [(action_I, ACTION_I_PINS),
+                                      (tunnel_T, TUNNEL_T_PINS)],
+                         ids=["action_I", "tunnel_T"])
+@pytest.mark.parametrize("mu_abs", ACTION_I_PINS)
+def test_unit_actions_bits(fn, pins, mu_abs):
+    text = repr(tuple(fn(mu_abs * cmath.exp(1j * a)) for a in MU_ARGS))
+    assert _digest(text) == pins[mu_abs], text

@@ -192,9 +192,9 @@ class TestSolveResonance:
     def test_non_finite_iterate_is_no_convergence(self, monkeypatch):
         # a nan slope sends every seed's first step to E = nan
         real = quantization._A_and_dE
-        def nan_slope(E, h, nt, prev):
-            a, _, roots = real(E, h, nt, prev)
-            return a, complex(math.nan), roots
+        def nan_slope(E, h, nt):
+            a, _ = real(E, h, nt)
+            return a, complex(math.nan)
 
         monkeypatch.setattr(quantization, "_A_and_dE", nan_slope)
         with pytest.raises(NoConvergence):
@@ -206,10 +206,10 @@ class TestSolveResonance:
         real = quantization._A_and_dE
         calls = []
 
-        def first_nan(E, h, nt, prev):
+        def first_nan(E, h, nt):
             calls.append(E)
-            a, dr, roots = real(E, h, nt, prev)
-            return (a, complex(math.nan) if len(calls) == 1 else dr, roots)
+            a, dr = real(E, h, nt)
+            return a, complex(math.nan) if len(calls) == 1 else dr
 
         monkeypatch.setattr(quantization, "_A_and_dE", first_nan)
         rec = solve_resonance(42, 0.5, 0.01)

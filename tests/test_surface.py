@@ -16,7 +16,7 @@ import inspect
 
 MODULES = ("model", "quadrature", "actions", "quantization", "ode_oracle",
            "spectral", "cli", "wkb")
-LEDGER = 46
+LEDGER = 43
 
 
 def _settable(fn):
