@@ -353,7 +353,9 @@ def action_I(mu):
       the continued contour does not cross: the term pi mu becomes
       pi mu (1 - k) after k crossings.
 
-    est_error is a roundoff bound.
+    Where mu^2 underflows (|mu| below ~1e-162) the value is the series
+    2/3 + (pi/2) mu, exact to double precision there.  est_error is a
+    roundoff bound.
     """
     mu = _subcritical(mu)
     if mu == 0:
@@ -366,6 +368,10 @@ def action_I(mu):
     crossings = round((np.unwrap(np.angle(p))[-1] - np.angle(p[-1]))
                       / (2.0 * math.pi))
     y0, y1, y2 = traced[-1]
+    if y0 == 0.0:
+        # mu^2 underflowed (|mu| below ~1e-162): R_J(0, 1, c, y0/y1)
+        # diverges, and I = 2/3 + (pi/2) mu + O(mu^2 log mu) is exact
+        return ActionValue(2.0 / 3.0 + 0.5 * math.pi * mu, _ROUNDOFF, 0)
     c = (y0 - y2) / (y1 - y2)
     if c.real < 0.0 and c.imag >= 0.0:
         # y2 on or, by roundoff, above the segment: it lies below it

@@ -166,8 +166,16 @@ def discriminant(E, nu):
 
 def _degenerate(E, nu):
     """True when the discriminant is below 1e-12 max(1, |E|)^6: the labels
-    of a (near-)double root are not defined."""
-    return abs(discriminant(E, nu)) <= 1e-12 * max(1.0, abs(E)) ** 6
+    of a (near-)double root are not defined.  Past |E| ~ 1.3e51 that
+    scale overflows, and Cardano's data with it: TurningPointProximity
+    reports the turning points as degenerate there."""
+    try:
+        scale = max(1.0, abs(E)) ** 6
+    except OverflowError:
+        raise TurningPointProximity(
+            f"turning points degenerate at E={E}, nu={nu}: |E|^6 leaves "
+            "the floating-point range") from None
+    return abs(discriminant(E, nu)) <= 1e-12 * scale
 
 
 def _cubic(x, E, nu):
@@ -321,7 +329,8 @@ def cubic_roots(E, nu):
     continuation from Re E along the straight segment in E, which
     _label gives in closed form.  Residuals are polished to
     <= 1e-12 * max(1, |E|^3) by guarded Newton steps.  Raises ValueError
-    for a non-finite E.
+    for a non-finite E, and TurningPointProximity past |E| ~ 1.3e51
+    (_degenerate).
     """
     E = complex(E)
     if not cmath.isfinite(E):

@@ -32,9 +32,12 @@ the sampled final decade.
 
 Every c+ comes from one batched solve over m energies (_jost_batch):
 each member runs on the contour of a centre energy with its own E in
-the right-hand side, the inner contour as one stack of fundamental
-pairs and the ray as one realified system with a block-diagonal
-Jacobian. jost_cplus is its one-member case, on E's own contour; the
+the right-hand side. The Frobenius start is one recurrence over the
+stack, the inner contour one stack of fundamental pairs, and the ray
+one realified system with a block-diagonal Jacobian, whose Radau stage
+factors only the m diagonal 4x4 blocks of each Newton matrix, as one
+batched inverse (_batch_radau), and takes scipy's dense Radau's steps.
+jost_cplus is its one-member case, on E's own contour; the
 certification ring is its (ring_points + 1)-member case, the ring
 points and the centre itself, on the centre's contour. No member is
 computed more loosely than it would be alone: the DOP853 stages accept
@@ -145,6 +148,7 @@ def frobenius_init(params, eps=None, K=20):
     order-n linear system has determinant n(n + 2 nu_tilde), nonzero
     for every n >= 1 because the index is a positive half-integer, so
     the series is clean (no logarithms, no second-solution mixing).
+    This is the one-member case of _frobenius_stack.
 
     Raises SeriesDivergence when the terms fail to decay at eps.
     """
@@ -157,22 +161,40 @@ def frobenius_init(params, eps=None, K=20):
         raise ValueError(
             f"eps={eps} outside (0, {1e-2 * r0:.3e}]; the series start "
             "must sit well inside the innermost turning point")
-    a = np.zeros((K + 1, 2), dtype=complex)
-    a[0] = (1.0, -1.0j)
+    u, a = _frobenius_stack(np.array([E]), h, nt, eps, K)
+    return u[0], a[0]
+
+
+def _frobenius_stack(Es, h, nt, eps, K):
+    """frobenius_init's series at every energy of Es from one recurrence
+    over the stack: u(eps), shape (m, 2), and the coefficient tables,
+    shape (m, K + 1, 2). eps and K are not checked here.
+
+    Raises SeriesDivergence when any member's terms fail to decay.
+    """
+    a = np.zeros((len(Es), K + 1, 2), dtype=complex)
+    a[:, 0] = (1.0, -1.0j)
     ih = 1j / h
+    ihE = ih * Es
     for n in range(1, K + 1):
-        rhs = ih * E * np.array([-a[n - 1][0], a[n - 1][1]])
+        rhs0 = ihE * -a[:, n - 1, 0]
+        rhs1 = ihE * a[:, n - 1, 1]
         if n >= 3:
-            rhs = rhs + ih * np.array([a[n - 3][0], -a[n - 3][1]])
+            rhs0 = rhs0 + ih * a[:, n - 3, 0]
+            rhs1 = rhs1 + ih * -a[:, n - 3, 1]
         det = n * (n + 2.0 * nt)
-        a[n, 0] = ((n + nt) * rhs[0] + 1j * nt * rhs[1]) / det
-        a[n, 1] = (-1j * nt * rhs[0] + (n + nt) * rhs[1]) / det
-    terms = np.abs(a).max(axis=1) * eps ** np.arange(K + 1)
-    if terms[-1] > terms[-2] or terms[-1] > 1e-6 * terms.max():
+        a[:, n, 0] = ((n + nt) * rhs0 + 1j * nt * rhs1) / det
+        a[:, n, 1] = (-1j * nt * rhs0 + (n + nt) * rhs1) / det
+    powers = eps ** np.arange(K + 1)
+    terms = np.abs(a).max(axis=2) * powers
+    last = terms[:, -1]
+    bad = (last > terms[:, -2]) | (last > 1e-6 * terms.max(axis=1))
+    if bad.any():
+        j = int(np.argmax(bad))
         raise SeriesDivergence(
             f"series terms fail to decay at eps={eps}: last ratios "
-            f"{terms[-2]:.3e} -> {terms[-1]:.3e}")
-    u = (a * (eps ** np.arange(K + 1))[:, None]).sum(axis=0) * eps ** nt
+            f"{terms[j, -2]:.3e} -> {terms[j, -1]:.3e}")
+    u = (a * powers[:, None]).sum(axis=1) * eps ** nt
     return u, a
 
 
@@ -207,6 +229,37 @@ def _batch_dop853():
     return BatchDOP853
 
 
+@functools.cache
+def _batch_radau():
+    """scipy's Radau IIA for a batch of independent systems stacked four
+    components each, whose Jacobian is block-diagonal: each Newton
+    matrix MU/h I - J is factored as the stack of its m diagonal 4x4
+    blocks, inverted by one batched np.linalg.inv, and every collocation
+    solve is one batched product with that stack, in place of a dense
+    LU of the 4m x 4m matrix. The steps, the Newton iterations and the
+    nlu count are scipy's."""
+    base = importlib.import_module("scipy.integrate").Radau
+
+    class BatchRadau(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            m = self.n // 4
+            members = np.arange(m)
+
+            def lu(A):
+                self.nlu += 1
+                return np.linalg.inv(
+                    A.reshape(m, 4, m, 4)[members, :, members, :])
+
+            def solve_lu(LU, b):
+                return (LU @ b.reshape(m, 4, 1)).reshape(-1)
+
+            self.lu = lu
+            self.solve_lu = solve_lu
+
+    return BatchRadau
+
+
 def _companion(u):
     """Fundamental pairs (..., 2, 2) of the vectors u, shape (..., 2), and
     the unit vector on the smaller component of each u as second column."""
@@ -217,20 +270,22 @@ def _companion(u):
 
 def _pairs_rhs(Es, h, nu):
     """rhs_on(a, e) of _carry_pairs for a stack of fundamental pairs, pair
-    j at energy Es[j]: dU/dt = e (i/h) A(x) U as one batched
-    (m, 2, 2) @ (m, 2, 2) product."""
+    j at energy Es[j]: dU/dt = g A(x) U with g = e i/h, in the broadcast
+    form (g x^2 s - g E s) U + (g nu/x) s U~, where s = diag(1, -1) acts
+    on the rows of each pair and U~ is the pair with its rows swapped.
+    g E s is set once per segment; a call forms no A(x) and no matrix
+    product."""
+    s = np.array([[1.0], [-1.0]])
 
     def rhs_on(a, e):
         ge = e * (1j / h)
+        gEs = (ge * Es)[:, None, None] * s
 
         def f(t, yy):
-            x = a + t * e
-            A = np.empty((Es.size, 2, 2), dtype=complex)
-            A[:, 0, 0] = x * x - Es
-            A[:, 1, 1] = -A[:, 0, 0]
-            A[:, 0, 1] = nu / x
-            A[:, 1, 0] = -A[:, 0, 1]
-            return (ge * (A @ yy.reshape(-1, 2, 2))).reshape(-1)
+            x = a + float(t) * e
+            U = yy.reshape(-1, 2, 2)
+            return ((ge * x * x * s - gEs) * U
+                    + (ge * nu / x * s) * U[:, ::-1]).reshape(-1)
         return f
     return rhs_on
 
@@ -418,39 +473,19 @@ def _contour(E, h, nt, nu, theta, R_max):
                     np.geomspace(lo, R_max, 33))
 
 
-def _gauged_ray(Es, h, nu, c, v0, rtol):
-    """Integrate v' = e^{-i th}(i/h)(A - (x^2-E)I)v along c's ray
-    x = t e^{-i th}, for each energy of Es from its start vector v0[j].
+def _ray_system(Es, h, nu, theta):
+    """Right-hand side and analytic Jacobian of the gauged ray system
+    v' = e^{-i th}(i/h)(A - (x^2-E)I)v in the arclength t of the ray
+    x = t e^{-i th}, one member for each energy of Es.
 
     Member j is stored as the four reals (Re v1, Im v1, Re v2, Im v2), so
-    the right-hand side works on y viewed as m complex pairs; the stack
-    runs in two stages with one right-hand side and one analytic,
-    block-diagonal Jacobian. On [x_mid, t_switch] the
-    recessive component still oscillates at frequency
-    ~ 2 t^2 cos(3 th)/h and has barely decayed: the problem is not stiff
-    there, accuracy sets the step, and explicit DOP853 crosses it in at
-    most a few hundred steps where Radau would spend most of its work.
-    t_switch is the dominance radius, where the recessive mode is down
-    by 40 e-folds; beyond it the decay rate ~ 2 t^2 sin(3 th)/h
-    throttles any explicit method, while the remaining dynamics is the
-    slow 1/t^3 relaxation of the quotient, so implicit Radau IIA takes
-    over and strides to R_max. LSODA's automatic switching is not a
-    substitute: near a zero of c+ its endpoint error is ~1e-8 of |c+|
-    on the certification ring even at rtol 1e-13, the size of the
-    certificate itself.
-
-    The ray runs at a tenth of the contour tolerance rtol, because at
-    h = 0.05 the c+ noise floor otherwise sits just above the 1e-8
-    certificate, and member j at absolute tolerance 1e-14 max|v0[j]|.
-    DOP853 takes each member's own error norm (_batch_dop853); Radau's
-    norm is the RMS over all 4m components, so its tolerances are
-    divided by sqrt(m), which makes the batch norm bound every member's
-    own. Returns v_1 at c.t_eval, shape (m, 33), and each member's
-    undivided atol.
+    the right-hand side works on y viewed as m complex pairs. The
+    Jacobian is block-diagonal; it is returned as the dense 4m x 4m
+    array scipy expects, with the m 4x4 blocks written onto its
+    diagonal, and _batch_radau factors only those blocks.
     """
     m = len(Es)
-    rtol = 0.1 * min(rtol, _RAY_RTOL_CAP)
-    w = cmath.exp(-1j * c.theta)
+    w = cmath.exp(-1j * theta)
     g = (1j / h) * w
     g2_Es = 2.0 * g * Es
     members = np.arange(m)
@@ -469,17 +504,59 @@ def _gauged_ray(Es, h, nu, c, v0, rtol):
         return dv.view(float).reshape(4 * m)
 
     def jac(t, y):
+        # member j's block is the realified J: z w becomes
+        # [[Re z, -Im z], [Im z, Re z]] on (Re w, Im w)
         g_om, j11 = coeffs(t)
-        J = np.zeros((m, 2, 2), dtype=complex)
-        J[:, 0, 1] = g_om
-        J[:, 1, 0] = -g_om
-        J[:, 1, 1] = j11
-        p = [0, 2, 1, 3]  # (Re v1, Re v2, Im v1, Im v2) -> y's order
-        blocks = np.block([[J.real, -J.imag], [J.imag, J.real]])[:, p][:, :, p]
+        gr, gi = g_om.real, g_om.imag
+        blocks = np.zeros((m, 4, 4))
+        blocks[:, 0, 2:] = gr, -gi
+        blocks[:, 1, 2:] = gi, gr
+        blocks[:, 2, :2] = -gr, gi
+        blocks[:, 3, :2] = -gi, -gr
+        blocks[:, 2, 2] = blocks[:, 3, 3] = j11.real
+        blocks[:, 3, 2] = j11.imag
+        blocks[:, 2, 3] = -j11.imag
         out = np.zeros((m, 4, m, 4))
         out[members, :, members, :] = blocks
         return out.reshape(4 * m, 4 * m)
 
+    return rhs, jac
+
+
+def _gauged_ray(Es, h, nu, c, v0, rtol):
+    """Integrate the gauged ray system (_ray_system) along c's ray from
+    x_mid to R_max, for each energy of Es from its start vector v0[j].
+
+    The stack runs in two stages with one right-hand side and one
+    analytic, block-diagonal Jacobian. On [x_mid, t_switch] the
+    recessive component still oscillates at frequency
+    ~ 2 t^2 cos(3 th)/h and has barely decayed: the problem is not stiff
+    there, accuracy sets the step, and explicit DOP853 crosses it in at
+    most a few hundred steps where Radau would spend most of its work.
+    t_switch is the dominance radius, where the recessive mode is down
+    by 40 e-folds; beyond it the decay rate ~ 2 t^2 sin(3 th)/h
+    throttles any explicit method, while the remaining dynamics is the
+    slow 1/t^3 relaxation of the quotient, so implicit Radau IIA takes
+    over and strides to R_max. Its Newton matrices are factored block
+    by block (_batch_radau): m 4x4 inverses in one batched call, where
+    scipy's dense Radau would LU-factor the whole 4m x 4m matrix; the
+    steps and the factorization count are the same. LSODA's automatic
+    switching is not a substitute: near a zero of c+ its endpoint error
+    is ~1e-8 of |c+| on the certification ring even at rtol 1e-13, the
+    size of the certificate itself.
+
+    The ray runs at a tenth of the contour tolerance rtol, because at
+    h = 0.05 the c+ noise floor otherwise sits just above the 1e-8
+    certificate, and member j at absolute tolerance 1e-14 max|v0[j]|.
+    DOP853 takes each member's own error norm (_batch_dop853); Radau's
+    norm is the RMS over all 4m components, so its tolerances are
+    divided by sqrt(m), which makes the batch norm bound every member's
+    own. Returns v_1 at c.t_eval, shape (m, 33), and each member's
+    undivided atol.
+    """
+    m = len(Es)
+    rtol = 0.1 * min(rtol, _RAY_RTOL_CAP)
+    rhs, jac = _ray_system(Es, h, nu, c.theta)
     atols = _ATOL * np.maximum(np.abs(v0).max(axis=1), 1e-290)
     atol = np.repeat(atols, 4)
     y0 = np.ascontiguousarray(v0, dtype=complex).view(float).reshape(4 * m)
@@ -489,7 +566,7 @@ def _gauged_ray(Es, h, nu, c, v0, rtol):
         root_m = math.sqrt(m)
         # a contiguous start: rhs views y as complex
         sol = solve_ivp(rhs, (c.t_switch, c.R_max), sol.y[:, -1].copy(),
-                        method="Radau", jac=jac, rtol=rtol / root_m,
+                        method=_batch_radau(), jac=jac, rtol=rtol / root_m,
                         atol=atol / root_m, t_eval=c.t_eval)
     if not sol.success:
         raise StepUnderflow(f"ray integration stalled: {sol.message}")
@@ -509,26 +586,35 @@ def _plateau(q, atol, contour):
     return c_plus, plateau_error
 
 
-def _jost_batch(E_center, Es, h, nt, theta, R_max, rtol):
-    """JostEstimate of c+ at every energy of Es, from one batched solve.
-
-    All members run on E_center's contour (c+ does not depend on the
-    path) with their own E in the right-hand side: the m fundamental
-    pairs of the inner contour as one (m, 2, 2) system in _carry_pairs's
-    renormalized chunks at rtol, then the m gauged ray vectors as one
-    4m-dimensional _gauged_ray solve, each member at least as tight as
-    alone. Each member passes the plateau check or NoPlateau is raised.
-    """
-    E, h, nt, nu = _as_params((E_center, h, nt), "half-integer")
-    c = _contour(E, h, nt, nu, theta, R_max)
-    Es = np.asarray(Es, dtype=complex)
-    u_eps = np.array([frobenius_init((Ej, h, nt), eps=c.eps)[0]
-                      for Ej in Es])
+def _ray_start(Es, h, nt, nu, c, rtol):
+    """Gauged start vectors v = u e^{-i(x^3-3Ex)/3h} at the ray start
+    c.xs, shape (m, 2), one for each energy of Es: the regular solutions
+    from one Frobenius recurrence over the stack at c.eps
+    (_frobenius_stack), carried along c's inner path as one stack of
+    fundamental pairs at rtol (_carry_pairs)."""
+    u_eps, _ = _frobenius_stack(Es, h, nt, c.eps, 20)  # frobenius_init's K
     pairs, _, _ = _carry_pairs(ComplexPath(tuple(c.path)).segments(),
                                _pairs_rhs(Es, h, nu), _companion(u_eps),
                                rtol)
     gauge = np.exp(-1j * (c.xs ** 3 - 3.0 * Es * c.xs) / (3.0 * h))
-    q, atols = _gauged_ray(Es, h, nu, c, pairs[:, :, 0] * gauge[:, None],
+    return pairs[:, :, 0] * gauge[:, None]
+
+
+def _jost_batch(E_center, Es, h, nt, theta, R_max, rtol):
+    """JostEstimate of c+ at every energy of Es, from one batched solve.
+
+    All members run on E_center's contour (c+ does not depend on the
+    path) with their own E in the right-hand side: one Frobenius
+    recurrence and the m fundamental pairs of the inner contour as one
+    (m, 2, 2) system in _carry_pairs's renormalized chunks at rtol
+    (_ray_start), then the m gauged ray vectors as one 4m-dimensional
+    _gauged_ray solve, each member at least as tight as alone. Each
+    member passes the plateau check or NoPlateau is raised.
+    """
+    E, h, nt, nu = _as_params((E_center, h, nt), "half-integer")
+    c = _contour(E, h, nt, nu, theta, R_max)
+    Es = np.asarray(Es, dtype=complex)
+    q, atols = _gauged_ray(Es, h, nu, c, _ray_start(Es, h, nt, nu, c, rtol),
                            rtol)
     return [JostEstimate(*_plateau(qj, aj, c), c.R_max, theta)
             for qj, aj in zip(q, atols)]
@@ -573,7 +659,7 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     of ring_points energies at radius rho = 1e-4 |E_c|, and is itself a
     member of the same batched solve (_jost_ring) on E_c's contour;
     the ring points agree with per-point jost_cplus to about 3e-10 of
-    the ring median at h = 0.1, the centre to about 2e-11. E_c is
+    the ring median at h = 0.1, the centre to about 2.4e-11. E_c is
     certified directly, with no jost_cplus call, when its |c+| is below
     1e-8 times the ring median and the ring winds once. Otherwise the
     ring's trapezoidal Cauchy sums give c+ and its slope at E_c, and

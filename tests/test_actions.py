@@ -262,6 +262,16 @@ class TestActionI:
             err = abs(action_I(mu).value - 2.0 / 3.0 - math.pi * mu / 2.0)
             assert err <= 10.0 * mu * mu * (1.0 + abs(math.log(mu)))
 
+    def test_underflowing_coupling(self):
+        # mu^2 underflows below |mu| ~ 1e-162: the two-term asymptote is
+        # exact there; just above, the closed form keeps its value
+        assert action_I(1.4e-160 * (1 + 1j)).value == complex(
+            0.6666666666666666, 1.4802973661668753e-16)
+        for mu in (1e-200 * (1 + 1j), 1e-200, -1e-200j, 1e-300j):
+            got = action_I(mu)
+            assert got.value == 2.0 / 3.0 + math.pi * mu / 2.0
+            assert got.est_error > 0.0
+
     def test_critical_and_supercritical_raise(self):
         for mu in (MU_CRITICAL, 0.5, 1.0):
             with pytest.raises(NoRealTurningPoints):

@@ -151,6 +151,16 @@ class TestTurningPoints:
         assert set(doc["rows"][0]["x"]) == {"re", "im"}
         assert doc["meta"]["degenerate"] is False
 
+    def test_huge_energy_is_degenerate_error(self, capsys):
+        # |E|^6 leaves the float range past |E| ~ 1.3e51: the turning
+        # points are reported degenerate (exit 3), not as an overflow
+        assert main(["turning-points", "--E", "1e52", "--nu", "0.1"]) == 3
+        assert "turning points degenerate" in capsys.readouterr().err
+        code, out = run_cli(
+            ["turning-points", "--E", "1e51", "--nu", "0.1"], capsys)
+        assert code == 0
+        assert all(row["degenerate"] == "true" for row in rows_of(out))
+
     def test_missing_argument_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["turning-points", "--E", "2"])
@@ -193,6 +203,13 @@ class TestActions:
         err = capsys.readouterr().err
         assert "beyond the critical value" in err
         assert "Carlson" not in err
+
+    @pytest.mark.parametrize("E", ["1e20", "1e52", "1e134+1e134j"])
+    def test_huge_energy_is_degenerate_error(self, E, capsys):
+        # E^3 and |E|^6 overflow past 1e51 and 1e102: the same typed
+        # error as at 1e20, where they do not
+        assert main(["actions", "--E", E, "--nu", "0.1"]) == 3
+        assert "turning points degenerate" in capsys.readouterr().err
 
 
 class TestResonances:

@@ -26,6 +26,7 @@ from conires.errors import (
     ConvergenceFailure,
     NoConvergence,
     NoPlateau,
+    SeriesDivergence,
     WindowEmpty,
 )
 from conires.model import turning_points
@@ -123,6 +124,21 @@ class TestFrobeniusInit:
         eps = 1e-3 * min(1.0, abs(tp.r0))
         terms = np.abs(a).max(axis=1) * eps ** np.arange(21)
         assert terms[-1] < 1e-30 * terms.max()
+
+    def test_stack_is_per_member_bits(self):
+        # the batched recurrence gives every member frobenius_init's bits
+        Es = 1.6 - 0.02j + 1e-4 * np.exp(2j * np.pi * np.arange(17) / 17)
+        u, a = ode_oracle._frobenius_stack(Es, 0.1, 1.5, 1e-4, 20)
+        for j, E in enumerate(Es):
+            uj, aj = frobenius_init((E, 0.1, 1.5), eps=1e-4)
+            assert np.array_equal(u[j], uj) and np.array_equal(a[j], aj)
+
+    def test_stack_divergence_of_one_member_raises(self):
+        # E eps/h = 500 for the second member: its terms grow at K = 8
+        Es = np.array([1e-3, 1e3], dtype=complex)
+        ode_oracle._frobenius_stack(Es[:1], 0.1, 0.5, 0.05, 8)
+        with pytest.raises(SeriesDivergence):
+            ode_oracle._frobenius_stack(Es, 0.1, 0.5, 0.05, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -229,22 +245,35 @@ class TestJostCplus:
         assert at_zero <= 1e-4 * at_bs
         assert at_bs > 0.05
 
-    # c+ at the h = 0.1, k = 4 ODE zero and at one ring point
-    # E + 1e-4|E|, frozen from a Radau-only gauged ray at rtol 1e-13
-    # (inner contour at the default rtol 1e-11, as below)
-    C_REF = {"zero": complex(8.4479027747644e-14, 2.992131523311346e-14),
-             "ring": complex(0.0006390700089812968, -0.0006151803417702451)}
-
     def test_ray_accuracy_against_tight_radau(self):
-        # The bound is relative to the ring |c+|, the scale of the 1e-8
-        # winding certificate, and it is what the ray must hold at the
-        # zero itself. An LSODA ray fails it by two orders of magnitude:
-        # 2.5e-8 at rtol 1e-11 and still 8e-9 to 1e-8 at 1e-12 and 1e-13.
-        E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[0.1]))
-        bound = 1e-10 * abs(self.C_REF["ring"])
+        # The reference shares the program's inner contour and gauge
+        # (_ray_start) and runs an all-Radau ray at ten times tighter
+        # tolerances, so the comparison reads the ray's error alone and
+        # not the rounding of the inner contour, which near a zero is a
+        # large part of |c+|. The bound is relative to the ring |c+|,
+        # the scale of the 1e-8 winding certificate, and it is what the
+        # ray must hold at the zero itself. An LSODA ray fails it by two
+        # orders of magnitude: 2.5e-8 at rtol 1e-11 and still 8e-9 to
+        # 1e-8 at 1e-12 and 1e-13.
+        from scipy.integrate import solve_ivp
+
+        h, nt, nu = 0.1, 0.5, 0.05
+        E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
+        got, ref = {}, {}
         for name, Ep in (("zero", E), ("ring", E + 1e-4 * abs(E))):
-            c = jost_cplus((Ep, 0.1, 0.5)).c_plus
-            assert abs(c - self.C_REF[name]) <= bound, name
+            Es = np.array([Ep])
+            c = ode_oracle._contour(Ep, h, nt, nu, ode_oracle._THETA, None)
+            v0 = ode_oracle._ray_start(Es, h, nt, nu, c, ode_oracle._RTOL)
+            rhs, jac = ode_oracle._ray_system(Es, h, nu, c.theta)
+            sol = solve_ivp(rhs, (c.x_mid, c.R_max), v0.view(float)[0],
+                            method="Radau", jac=jac, rtol=1e-13,
+                            atol=1e-15 * np.abs(v0).max())
+            assert sol.success
+            ref[name] = complex(sol.y[0, -1], sol.y[1, -1])
+            got[name] = jost_cplus((Ep, h, nt)).c_plus
+        bound = 1e-10 * abs(ref["ring"])
+        for name in ref:
+            assert abs(got[name] - ref[name]) <= bound, name
 
     def test_one_member_ring_is_jost_cplus(self):
         # one c+ code path: jost_cplus is the one-member batched solve on
@@ -344,6 +373,41 @@ class TestFindResonance:
         if member2[1]:
             assert whole._estimate_error_norm(
                 K, 0.1, scale / math.sqrt(2)) < 0.2 * max(own)
+
+    def test_block_radau_is_scipys_radau(self, monkeypatch):
+        # the ray's Radau stage factors the m diagonal 4x4 blocks of its
+        # Newton matrices, scipy's dense Radau the whole 4m x 4m matrix:
+        # on the h = 0.1 ring's ray system both take the same steps,
+        # Jacobians and factorizations, and agree to roundoff (measured
+        # 4e-14 of max|v|)
+        from scipy.integrate import solve_ivp
+
+        captured = []
+
+        def capture(fun, t_span, y0, **kw):
+            if kw["method"] is ode_oracle._batch_radau():
+                captured.append((fun, t_span, y0, kw))
+            return solve_ivp(fun, t_span, y0, **kw)
+
+        monkeypatch.setattr(ode_oracle, "solve_ivp", capture)
+        E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[0.1]))
+        ring = E + 1e-4 * abs(E) * np.exp(2j * np.pi * np.arange(16) / 16)
+        ode_oracle._jost_ring(E, np.append(ring, E), 0.1, 0.5)
+        (fun, t_span, y0, kw), = captured
+        kw = {k: v for k, v in kw.items() if k != "t_eval"}
+        block = solve_ivp(fun, t_span, y0, **kw)
+        dense = solve_ivp(fun, t_span, y0, **{**kw, "method": "Radau"})
+        assert block.success and dense.success
+        # the same steps; their sizes follow the roundoff of the two
+        # solves' error estimates (measured 1.8e-8 apart)
+        assert len(block.t) == len(dense.t)
+        assert np.max(np.abs(block.t / dense.t - 1.0)) <= 1e-6
+        assert (block.nfev, block.njev, block.nlu) == \
+            (dense.nfev, dense.njev, dense.nlu)
+        v_block = np.ascontiguousarray(block.y.T).view(complex)
+        v_dense = np.ascontiguousarray(dense.y.T).view(complex)
+        assert np.max(np.abs(v_block - v_dense)) <= \
+            1e-13 * np.max(np.abs(v_dense))
 
     def _noise_floor_search(self, monkeypatch, values):
         """Fakes around zero = 1.5 - 0.05i. Every ladder seed is located
