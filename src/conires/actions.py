@@ -24,10 +24,11 @@ est_error is a roundoff bound, so there is no tolerance to set.
 Branches: for real E > 0 and small nu, S01 and S12 are purely imaginary with
 positive imaginary part, I and I+ are real positive near 2/3.  All square
 roots are continued from those normalizations.  I(mu) for complex mu is
-reached by rotating arg(mu) stepwise from the positive real axis while the
-straight segment between the roots follows them; one root winds around the
-pole of the weight at y = 0 and crosses the segment on the way, which is
-what produces the monodromy I(e^{i pi} mu) = I(mu) + R(mu) + T(mu).
+the continuation in arg(mu) from the positive real axis, with the roots
+labelled in closed form and the straight segment between them following
+them; one root winds around the pole of the weight at y = 0 and crosses
+the segment on the way, which is what produces the monodromy
+I(e^{i pi} mu) = I(mu) + R(mu) + T(mu).
 
 Contour normalization at the origin: the centrifugal pole at r = 0 carries
 residue nu (branch anchored positive there), and the action contours wrap
@@ -304,20 +305,17 @@ def _subcritical(mu):
     return mu
 
 
-def _unit_schedule(mu):
-    """Labeled roots of y^3 - 2y^2 + y - m^2 along the phase schedule
-    m = |mu| e^{i phi}, phi from 0 to arg mu (in [0, pi]) in steps of at
-    most 0.1: the real-axis labels at |mu|, then Cardano's roots at each
-    phase in the closed-form labels (model._label); the roots at mu
-    itself are Newton-polished."""
+def _unit_roots(mu):
+    """Labeled roots of y^3 - 2y^2 + y - mu^2, arg mu in [0, pi], in the
+    labels of the continuation from arg mu = 0 (model._label), polished
+    at mu."""
     mu_abs, phi = abs(mu), cmath.phase(mu)
-    out = [cubic_roots(1.0, mu_abs).roots]
     if phi > 0.0:
-        for hi in np.linspace(0.0, phi, int(math.ceil(phi / 0.1)) + 1)[1:]:
-            m = mu_abs * cmath.exp(1j * hi)
-            out.append(_label(1.0 + 0.0j, m, _cardano_any(1.0 + 0.0j, m)))
-    out[-1] = tuple(_polish(out[-1], 1.0, mu))
-    return out
+        m = mu_abs * cmath.exp(1j * phi)
+        roots = _label(1.0 + 0.0j, m, _cardano_any(1.0 + 0.0j, m))
+    else:
+        roots = cubic_roots(1.0, mu_abs).roots
+    return tuple(_polish(roots, 1.0, mu))
 
 
 def _unit_action(mu, seg, sign):
@@ -336,9 +334,9 @@ def action_I(mu):
     arg(mu) from there.  I(0) = 2/3 exactly.
 
     The roots carry the labels of the continuation in arg mu from the
-    positive axis, given in closed form at each phase of a schedule
-    (_unit_schedule), and the integral is the closed form of the straight
-    segment from y0 to y1 (_segment) with two corrections:
+    positive axis, given in closed form at mu (_unit_roots), and the
+    integral is the closed form of the straight segment from y0 to y1
+    (_segment) with two corrections:
 
     - Branch.  The sqrt is the one whose germ at y0 has a nonnegative
       projection on i, its direction at mu > 0.  The continued germ stays
@@ -348,10 +346,10 @@ def action_I(mu):
       it at arg mu = pi; there it is placed below, the side the
       continuation arrives from.
     - Pole.  Each signed crossing of the weight pole y = 0 through the
-      segment, where p = y0/y1 passes the negative real axis along the
-      schedule, moves the segment integral by the residue pi mu, which
-      the continued contour does not cross: the term pi mu becomes
-      pi mu (1 - k) after k crossings.
+      segment, where p = y0/y1 passes the negative real axis as arg mu
+      turns from 0, moves the segment integral by the residue pi mu,
+      which the continued contour does not cross: the term pi mu becomes
+      pi mu (1 - k) after k crossings, counted in closed form.
 
     Where mu^2 underflows (|mu| below ~1e-162) the value is the series
     2/3 + (pi/2) mu, exact to double precision there.  est_error is a
@@ -363,11 +361,7 @@ def action_I(mu):
     if cmath.phase(mu) < 0.0:
         r = action_I(mu.conjugate())
         return ActionValue(r.value.conjugate(), r.est_error, r.n_evals)
-    traced = _unit_schedule(mu)
-    p = np.array([r0 / r1 for r0, r1, _ in traced])
-    crossings = round((np.unwrap(np.angle(p))[-1] - np.angle(p[-1]))
-                      / (2.0 * math.pi))
-    y0, y1, y2 = traced[-1]
+    y0, y1, y2 = _unit_roots(mu)
     if y0 == 0.0:
         # mu^2 underflowed (|mu| below ~1e-162): R_J(0, 1, c, y0/y1)
         # diverges, and I = 2/3 + (pi/2) mu + O(mu^2 log mu) is exact
@@ -380,6 +374,13 @@ def action_I(mu):
     germ = (y1 - y0) * cmath.sqrt(y1 - y2) * cmath.sqrt(c)
     value, err = _unit_action(mu, _segment(y0, y1, y2, _rj, (("mu", mu),)),
                               _same_side(germ, 1j))
+    # p = y0/y1 has the continuous argument 2 arg(w1/w0) in the labels
+    # w_k of model._label; each 2 pi it gains over its principal value
+    # is one crossing
+    theta = cmath.acos(-1.5 * math.sqrt(3.0) * mu)
+    w0, w1 = (cmath.cos((theta - 2.0 * math.pi * k) / 3.0) for k in (0, 1))
+    crossings = round((2.0 * cmath.phase(w1 / w0) - cmath.phase(y0 / y1))
+                      / (2.0 * math.pi))
     pole = math.pi * mu * (1 - crossings)
     return ActionValue(-1j * value + pole, err + _ROUNDOFF * abs(pole), 3)
 
@@ -401,7 +402,7 @@ def tunnel_T(mu):
     if cmath.phase(mu) < 0.0:
         r = tunnel_T(mu.conjugate())
         return ActionValue(-r.value.conjugate(), r.est_error, r.n_evals)
-    y0, y1, y2 = _unit_schedule(mu)[-1]
+    y0, y1, y2 = _unit_roots(mu)
     seg = _segment(y1, y2, y0, _rj, (("mu", mu),))
     *_, mid = seg
     value, err = _unit_action(mu, seg, _same_side(mid, 1.0))

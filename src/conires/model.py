@@ -166,16 +166,19 @@ def discriminant(E, nu):
 
 def _degenerate(E, nu):
     """True when the discriminant is below 1e-12 max(1, |E|)^6: the labels
-    of a (near-)double root are not defined.  Past |E| ~ 1.3e51 that
-    scale overflows, and Cardano's data with it: TurningPointProximity
-    reports the turning points as degenerate there."""
+    of a (near-)double root are not defined.  Past |E| ~ 2.4e51 that
+    scale overflows, past nu ~ 1.3e154 the discriminant's nu^2, and
+    Cardano's data with them: TurningPointProximity reports the turning
+    points as degenerate there."""
+    term = "|E|^6"
     try:
         scale = max(1.0, abs(E)) ** 6
+        term = "nu^2"
+        return abs(discriminant(E, nu)) <= 1e-12 * scale
     except OverflowError:
         raise TurningPointProximity(
-            f"turning points degenerate at E={E}, nu={nu}: |E|^6 leaves "
+            f"turning points degenerate at E={E}, nu={nu}: {term} leaves "
             "the floating-point range") from None
-    return abs(discriminant(E, nu)) <= 1e-12 * scale
 
 
 def _cubic(x, E, nu):
@@ -282,8 +285,8 @@ def _label(E, nu, candidates):
     and the real-axis labels are the limit from below; above the real
     axis with Re E < E_c the continuation from there is 2 pi - theta.
     Each label takes the candidate nearest to its closed form, so the
-    values stay Cardano's.  nu may be complex at real E (the phase
-    schedule of actions.action_I).
+    values stay Cardano's.  nu may be complex at real E (the complex
+    coupling of actions.action_I).
     """
     theta = cmath.acos(-1.5 * math.sqrt(3.0) * nu * E ** -1.5)
     if E.imag > 0.0 and E.real < (6.75 * nu * nu) ** (1.0 / 3.0):
@@ -329,8 +332,8 @@ def cubic_roots(E, nu):
     continuation from Re E along the straight segment in E, which
     _label gives in closed form.  Residuals are polished to
     <= 1e-12 * max(1, |E|^3) by guarded Newton steps.  Raises ValueError
-    for a non-finite E, and TurningPointProximity past |E| ~ 1.3e51
-    (_degenerate).
+    for a non-finite E, and TurningPointProximity past |E| ~ 2.4e51 or
+    nu ~ 1.3e154 (_degenerate).
     """
     E = complex(E)
     if not cmath.isfinite(E):

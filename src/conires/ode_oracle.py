@@ -10,10 +10,10 @@ places each one from its seed without a single Jost evaluation, and
 the located eigenvalue is solved for c+ together with a ring of c+
 values around it. It is the certified zero when its |c+| meets the
 certificate and the ring winds once; otherwise the trapezoidal Cauchy
-sums of the ring give c+ and its slope for Newton steps, and the
-ring's winding count certifies their best point. A separate Chebyshev
-eigensolve of the h-free scaled radial problem finds the eigenvalues
-of the scalar radial comparison operator.
+sums of the ring give c+ and its slope, and a new ring is solved
+around their Newton point. Every c+ of a zero search comes from such a
+ring solve. A separate Chebyshev eigensolve of the h-free scaled radial
+problem finds the eigenvalues of the scalar radial comparison operator.
 None of this shares code or expansions with the WKB route, which is the
 point: the two routes check each other.
 
@@ -660,20 +660,19 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     member of the same batched solve (_jost_ring) on E_c's contour;
     the ring points agree with per-point jost_cplus to about 3e-10 of
     the ring median at h = 0.1, the centre to about 2.4e-11. E_c is
-    certified directly, with no jost_cplus call, when its |c+| is below
-    1e-8 times the ring median and the ring winds once. Otherwise the
-    ring's trapezoidal Cauchy sums give c+ and its slope at E_c, and
-    fixed-slope Newton steps from the
-    predicted zero, one jost_cplus call each, stop when |c+| falls
-    below 1e-13 of the ring median or the next step below 1e-12 |E|.
-    The evaluated point of smallest |c+|, the centre included, is
-    certified when it lies within rho/2 of the centre, its |c+| is
-    below 1e-8 times the ring median, and the ring winds once
-    (SpuriousZero otherwise); a best point further out gets a new ring,
-    which shares max_iter with the Jost calls. If every seed fails, the
-    last failure's type is raised with every seed's message. The record
-    carries the residual |c+|/median(ring), the jost_cplus calls as
-    iterations (0 for a directly certified zero) and the seed's k.
+    certified when its |c+| is below 1e-8 times the ring median and the
+    ring winds once (SpuriousZero when the ring winds otherwise).
+    Otherwise the ring's trapezoidal Cauchy sums give c+ and its slope
+    at E_c, and a new ring is solved around their Newton point; at most
+    max_iter rings per seed (NoConvergence after that, or when a centre
+    leaves 0.6 |E| of the located eigenvalue). No jost_cplus call is
+    made: at h >= 0.1 the first ring certifies; at h = 0.05, where c+
+    sits on the noise floor of the ray, the search takes a few rings,
+    and how many follows the last bits of the solve. If every seed
+    fails, the last failure's type is raised with every seed's message.
+    The record carries the residual |c+|/median(ring), the re-centred
+    rings as iterations (0 where the first ring certifies) and the
+    seed's k.
     """
     E0_seed = complex(E_seed)
     _, h, nt, _ = _as_params(params, "half-integer")
@@ -697,58 +696,45 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
 
 
 def _ring_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
+    """Record of the first ring centre, from E_start on, whose |c+| is
+    below _CERT_RATIO times its ring's median: at most max_iter rings,
+    each one _jost_ring solve, the next centred on the Newton point of
+    the ring's Cauchy sums. SpuriousZero when that centre's ring does not
+    wind once; NoConvergence when a centre leaves the region
+    |E - E_start| <= 0.6 |E_start| or max_iter rings fail."""
     roots = np.exp(2j * math.pi * np.arange(ring_points) / ring_points)
-    E_c, budget, evals, best = E_start, max_iter, 0, None
-    while True:
+    E_c = E_start
+    for rings in range(max_iter):
+        if abs(E_c - E_start) > 0.6 * abs(E_start):
+            raise NoConvergence(
+                f"Newton step left the search region: E={E_c:.6f}")
         rho = 1e-4 * abs(E_c)
         # the centre rides along as the last member, on its own contour
         ring = _jost_ring(E_c, np.append(E_c + rho * roots, E_c), h, nt)
         ring, c = ring[:-1], complex(ring[-1])
         med = float(np.median(np.abs(ring)))
-        best = min(best or (E_c, c), (E_c, c), key=lambda ec: abs(ec[1]))
-        if abs(c) < _CERT_RATIO * med and _winding(ring) == 1:
+        if abs(c) < _CERT_RATIO * med:
             break
         # trapezoidal Cauchy sums: c+(E_c) and c+'(E_c)
         slope = complex(np.mean(ring * roots.conj())) / rho
-        E = E_c - complex(np.mean(ring)) / slope
-        while budget > 0:
-            if abs(E - E_start) > 0.6 * abs(E_start):
-                raise NoConvergence(
-                    f"Newton step left the search region: E={E:.6f}")
-            c = jost_cplus((E, h, nt)).c_plus
-            evals += 1
-            budget -= 1
-            best = min(best, (E, c), key=lambda ec: abs(ec[1]))
-            step = c / slope
-            if abs(c) < 1e-13 * med or abs(step) < 1e-12 * abs(E):
-                break
-            E -= step
-        if abs(best[0] - E_c) <= 0.5 * rho:
-            break
-        if budget == 0:
-            raise NoConvergence(
-                f"no evaluated point within {0.5 * rho:.1e} of the ring "
-                f"centre E={E_c:.8f} after {evals} evaluations")
-        budget -= 1
-        E_c = best[0]
-    E1, c1 = best
-    if not abs(c1) < _CERT_RATIO * med:
+        E_c = E_c - complex(np.mean(ring)) / slope
+    else:
         raise NoConvergence(
-            f"|c+|={abs(c1):.3e} not below {_CERT_RATIO:.1e} x ring median "
-            f"{med:.3e} after {evals} evaluations")
+            f"no ring centre with |c+| below {_CERT_RATIO:.1e} x ring "
+            f"median after {max_iter} rings from E={E_start:.8f}")
     winding = _winding(ring)
     if winding != 1:
         raise SpuriousZero(
             f"ring winding {winding} != 1 around E={E_c:.8f}")
-    lam = _lambda_of_E(E1)
+    lam = _lambda_of_E(E_c)
     k = round(_branch_coordinate(lam_seed.real, nt, h))
     try:
         lam_lat = lattice_point(k, nt, h)
     except ValueError:
         lam_lat = lam
     return ResonanceRecord(k=k, nu_tilde=nt, lambda_lat=lam_lat, lam=lam,
-                           E=E1, method="ode-oracle",
-                           residual=abs(c1) / med, iterations=evals)
+                           E=E_c, method="ode-oracle",
+                           residual=abs(c) / med, iterations=rings)
 
 
 def _winding(ring):

@@ -94,10 +94,11 @@ class ResonanceRecord:
     quantization residual at lam for the solver methods and nan for the
     formula-only lattice method, which performs no quadrature.  For
     method "ode-oracle" it is |c+|/median(|c+| on the certification
-    ring) at the certified zero, and iterations counts the jost_cplus
-    calls after the ring solve: 0 when the located eigenvalue is
-    certified directly.  For "bs-newton" it counts the residual
-    evaluations of the Newton solve, and it is 0 for the lattice.
+    ring) at the certified zero, and iterations counts the rings
+    re-centred on a Cauchy-sum Newton point after the first: 0 when the
+    located eigenvalue is certified directly.  For "bs-newton" it counts
+    the residual evaluations of the Newton solve, and it is 0 for the
+    lattice.
     """
 
     k: int

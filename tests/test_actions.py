@@ -248,7 +248,7 @@ class TestActionI:
             assert abs(got - want) <= 1e-10
 
     def test_tiny_phase_is_continuous(self):
-        # a phase below the continuation's step floor takes one step
+        # a phase of a few ulp leaves the value on the axis
         for mu in (0.1, 0.3):
             on_axis = action_I(mu).value
             for phi in (4.4e-16, -4.4e-16):
@@ -261,6 +261,15 @@ class TestActionI:
         for mu in (1e-1, 1e-2, 1e-3, 1e-4):
             err = abs(action_I(mu).value - 2.0 / 3.0 - math.pi * mu / 2.0)
             assert err <= 10.0 * mu * mu * (1.0 + abs(math.log(mu)))
+
+    @pytest.mark.parametrize("mu_abs", [1e-12, 1e-11, 1e-10, 1e-9])
+    def test_small_coupling_at_every_phase(self, mu_abs):
+        # the pole term follows the continuation at every arg mu: at small
+        # |mu|, I is 2/3 + (pi/2) mu and never one residue pi mu off
+        for phi in np.linspace(0.0, math.pi, 37):
+            mu = mu_abs * cmath.exp(1j * phi)
+            err = abs(action_I(mu).value - 2.0 / 3.0 - math.pi * mu / 2.0)
+            assert err <= 0.01 * math.pi * mu_abs, phi
 
     def test_underflowing_coupling(self):
         # mu^2 underflows below |mu| ~ 1e-162: the two-term asymptote is

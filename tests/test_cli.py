@@ -152,7 +152,7 @@ class TestTurningPoints:
         assert doc["meta"]["degenerate"] is False
 
     def test_huge_energy_is_degenerate_error(self, capsys):
-        # |E|^6 leaves the float range past |E| ~ 1.3e51: the turning
+        # |E|^6 leaves the float range past |E| ~ 2.4e51: the turning
         # points are reported degenerate (exit 3), not as an overflow
         assert main(["turning-points", "--E", "1e52", "--nu", "0.1"]) == 3
         assert "turning points degenerate" in capsys.readouterr().err
@@ -160,6 +160,14 @@ class TestTurningPoints:
             ["turning-points", "--E", "1e51", "--nu", "0.1"], capsys)
         assert code == 0
         assert all(row["degenerate"] == "true" for row in rows_of(out))
+
+    @pytest.mark.parametrize("nu", ["1.4e154", "1e200"])
+    def test_huge_coupling_is_degenerate_error(self, nu, capsys):
+        # nu^2 leaves the float range past nu ~ 1.3e154: a typed error
+        # (exit 3), not an OverflowError
+        assert main(["turning-points", "--E", "1", "--nu", nu]) == 3
+        assert "nu^2 leaves the floating-point range" in \
+            capsys.readouterr().err
 
     def test_missing_argument_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -210,6 +218,14 @@ class TestActions:
         # error as at 1e20, where they do not
         assert main(["actions", "--E", E, "--nu", "0.1"]) == 3
         assert "turning points degenerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nu", ["1.4e154", "1e200"])
+    def test_huge_coupling_is_degenerate_error(self, nu, capsys):
+        # nu^2 overflows past nu ~ 1.3e154: the same typed error as for
+        # huge E, not an OverflowError
+        assert main(["actions", "--E", "1", "--nu", nu]) == 3
+        assert "nu^2 leaves the floating-point range" in \
+            capsys.readouterr().err
 
 
 class TestResonances:

@@ -16,7 +16,11 @@ lattice spacing from the Bohr-Sommerfeld roots, |Δλ|/h → 3π/4.
 import cmath
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from conires.errors import (
     NoConvergence,
     NoPlateau,
     SeriesDivergence,
+    SpuriousZero,
     WindowEmpty,
 )
 from conires.model import turning_points
@@ -58,7 +63,7 @@ P_DESK = (2.0 ** (2.0 / 3.0), 0.1, 0.5)
 # every h.  The values were frozen from a Jost secant alone, before the
 # locator existed.  At h = 0.2 and 0.1 the located eigenvalue itself is
 # certified and reproduces them to 5e-13 relative; at h = 0.05 the
-# Newton steps that follow the ring land within 1e-11.
+# re-centred rings land within 1e-11.
 LAM_ODE = {0.2: complex(2.7084132879886424, -0.266666586365009),
            0.1: complex(2.296713902883714, -0.15290658806028087),
            0.05: complex(2.0908961950236815, -0.08761487040461918)}
@@ -409,93 +414,122 @@ class TestFindResonance:
         assert np.max(np.abs(v_block - v_dense)) <= \
             1e-13 * np.max(np.abs(v_dense))
 
-    def _noise_floor_search(self, monkeypatch, values):
+    @staticmethod
+    def _fake_rings(monkeypatch, cplus, centre=None, off=1e-3):
         """Fakes around zero = 1.5 - 0.05i. Every ladder seed is located
-        at the zero; jost_cplus reads values[n] at its n-th call
-        (cyclically), as on the noise floor of the ray, where the Newton
-        steps can leave their best point; the ring reads
-        c+ = d + (0.9/rho) d^2, d = E - zero. Its Cauchy sums place the
-        Newton start on the zero with slope 1, while the curvature lifts
-        the ring median to 1.35 rho, so a |c+| between the Newton stop
-        1e-12 |E| and the certificate 1e-8 median neither stops the
-        steps nor fails. The ring's centre member reads 1e-10, above
-        the certificate and above every value, so the Newton steps run
-        and the centre is never the best point."""
+        at start = zero + off |zero| e^{0.3i}, by default ten ring radii
+        off the zero; the ring reads c+ = cplus(E - zero), and its centre
+        member centre(E_center) when centre is given. Returns the zero,
+        the start and the list of ring centres."""
         zero = 1.5 - 0.05j
-        landings = []
-
-        def fake(params, theta=0.5):
-            landings.append(params[0])
-            return ode_oracle.JostEstimate(
-                values[(len(landings) - 1) % len(values)], 0.0, 10.0, theta)
+        start = zero + off * abs(zero) * cmath.exp(0.3j)
+        centres = []
 
         def ring(E_center, Es, h, nt):
-            Es = np.asarray(Es)
-            d = Es - zero
-            return np.where(Es == E_center, 1e-10,
-                            d + (0.9 / (1e-4 * abs(E_center))) * d * d)
+            centres.append(E_center)
+            vals = cplus(np.asarray(Es) - zero)
+            if centre is not None:
+                vals[-1] = centre(E_center)
+            return vals
 
-        monkeypatch.setattr(ode_oracle, "locate_zero", lambda p, n: zero)
-        monkeypatch.setattr(ode_oracle, "jost_cplus", fake)
+        monkeypatch.setattr(ode_oracle, "locate_zero", lambda p, n: start)
         monkeypatch.setattr(ode_oracle, "_jost_ring", ring)
-        med = np.median(np.abs(ring(zero, zero + 1e-4 * abs(zero) * np.exp(
-            2j * np.pi * np.arange(16) / 16), 0.1, 0.5)))
-        assert 1e-12 * abs(zero) < 1.75e-12 < 1e-8 * med < 2.5e-12
-        return zero, landings, med
+        return zero, start, centres
 
-    def test_secant_rings_best_iterate(self, monkeypatch):
-        # the first landing passes the certificate without stopping the
-        # steps, the second fails it; max_iter ends the steps and the
-        # best point is certified, not the last
-        zero, landings, med = self._noise_floor_search(monkeypatch,
-                                                       [1.75e-12, 1e-11])
-        rec = find_resonance_ode((zero, 0.1, 0.5), zero, max_iter=2)
-        assert len(landings) == 2
-        assert rec.E == landings[0] != landings[1]
+    def test_recentred_ring_certifies_the_newton_point(self, monkeypatch):
+        # the start's centre member reads 1e-3 |E|, about the ring
+        # median, and fails; the Cauchy sums of the linear c+ are exact,
+        # so the second ring sits on the zero and certifies it
+        zero, start, centres = self._fake_rings(monkeypatch, lambda d: d)
+        rec = find_resonance_ode((start, 0.1, 0.5), start)
+        assert centres[0] == start
+        assert len(centres) == 2
+        assert rec.E == centres[1]
         assert abs(rec.E - zero) <= 1e-15
-        assert rec.iterations == 2
-        assert rec.residual == pytest.approx(1.75e-12 / med, rel=1e-12)
+        assert rec.iterations == 1
+        assert rec.residual == pytest.approx(
+            abs(rec.E - zero) / (1e-4 * abs(rec.E)), rel=1e-6, abs=1e-12)
 
-    def test_best_iterate_above_certificate_fails(self, monkeypatch):
-        _, landings, _ = self._noise_floor_search(monkeypatch,
-                                                  [2.5e-12, 1e-11])
-        with pytest.raises(NoConvergence):
-            find_resonance_ode((1.5 - 0.05j, 0.1, 0.5), 1.5 - 0.05j,
-                               max_iter=2)
-        assert len(landings) == 6  # max_iter on each ladder seed
+    def test_passing_centre_with_double_winding_is_spurious(self,
+                                                            monkeypatch):
+        # located on a double zero, the centre member passes the
+        # certificate, but the ring of c+ = (E - zero)^2 winds twice
+        zero, _, centres = self._fake_rings(monkeypatch, lambda d: d * d,
+                                            off=0.0)
+        with pytest.raises(SpuriousZero, match="winding 2"):
+            find_resonance_ode((zero, 0.1, 0.5), zero)
+        assert centres == [zero] * 3  # one ring per ladder seed
+
+    @pytest.mark.parametrize("cplus, centre, rings, match", [
+        (lambda d: d, lambda E: 1.0, 3, "after 3 rings"),
+        (lambda d: 1.0 + 1e-6 * d, None, 1, "left the search region")],
+        ids=["max-iter", "left-region"])
+    def test_failing_rings_raise_no_convergence(self, cplus, centre, rings,
+                                                match, monkeypatch):
+        # a centre member that never meets the certificate uses up
+        # max_iter = 3 rings per ladder seed; a Newton point that leaves
+        # 0.6 |E_start| (here a step of about 1e6) ends the seed after
+        # its first ring
+        _, start, centres = self._fake_rings(monkeypatch, cplus, centre)
+        with pytest.raises(NoConvergence, match=match):
+            find_resonance_ode((start, 0.1, 0.5), start, max_iter=3)
+        assert len(centres) == 3 * rings
 
     @staticmethod
     def _counted_search(h, k, monkeypatch):
-        """The search from criterion 5's BS seed with jost_cplus counted,
-        and the ladder seed where it settles."""
-        calls = []
+        """The search from criterion 5's BS seed with jost_cplus calls and
+        ring solves counted, and the ladder seed where it settles."""
+        calls, rings = [], []
 
         def counted(params, **kwargs):
             calls.append(params[0])
             return jost_cplus(params, **kwargs)
 
+        def counted_ring(E_center, Es, h, nt):
+            rings.append(E_center)
+            return ring(E_center, Es, h, nt)
+
+        ring = ode_oracle._jost_ring
         monkeypatch.setattr(ode_oracle, "jost_cplus", counted)
+        monkeypatch.setattr(ode_oracle, "_jost_ring", counted_ring)
         E_bs, seed = _ladder_seed_above(h, k)
         rec = find_resonance_ode((E_bs, h, 0.5), E_bs)
-        return rec, calls, seed
+        return rec, calls, rings, seed
 
-    @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
+    @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4), (0.05, 8)])
     def test_no_jost_call_per_zero(self, h, k, monkeypatch):
-        # the located eigenvalue, the ring's centre member, already
-        # meets the certificate: it is the zero, bit for bit, and no
-        # jost_cplus call follows the ring solve
-        rec, calls, seed = self._counted_search(h, k, monkeypatch)
+        # no jost_cplus call at any h: the BS seed fails in the locator,
+        # and the ladder seed above it makes one ring per centre
+        rec, calls, rings, seed = self._counted_search(h, k, monkeypatch)
         assert abs(rec.lam - LAM_ODE[h]) <= 1e-9
-        assert len(calls) == rec.iterations == 0
-        assert rec.E == locate_zero((seed, h, 0.5), 30)
-
-    def test_newton_fallback_on_the_noise_floor(self, monkeypatch):
-        # at h = 0.05 the centre member reads about 3e-7 of the ring
-        # median, above the certificate, so the Newton steps run
-        rec, calls, _ = self._counted_search(0.05, 8, monkeypatch)
-        assert abs(rec.lam - LAM_ODE[0.05]) <= 1e-9
         assert rec.residual <= 1e-8
-        assert len(calls) == rec.iterations >= 1
+        assert calls == []
+        assert len(rings) == rec.iterations + 1
+        assert rings[-1] == rec.E
+        if h >= 0.1:
+            # the located eigenvalue, the first ring's centre member,
+            # already meets the certificate: it is the zero, bit for bit
+            assert rec.iterations == 0
+            assert rec.E == locate_zero((seed, h, 0.5), 30)
+
+    def test_noise_floor_search_at_one_blas_thread(self):
+        # at h = 0.05 which ring centre first meets the certificate
+        # follows the last bits of the ring solve, which move with the
+        # BLAS thread count (3 rings at two threads, 7 at one); the
+        # certified zero must not
+        src = str(Path(ode_oracle.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+        code = ("from conires.ode_oracle import find_resonance_ode; "
+                "from conires.quantization import solve_resonance; "
+                "E = solve_resonance(8, 0.5, 0.05).E; "
+                "r = find_resonance_ode((E, 0.05, 0.5), E); "
+                "print(repr(r.lam), repr(r.residual))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        lam, residual = out.stdout.split()
+        assert abs(complex(lam) - LAM_ODE[0.05]) <= 1e-9
+        assert float(residual) <= 1e-8
 
     @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
     def test_centre_member_matches_jost_cplus(self, h, k):
@@ -513,8 +547,8 @@ class TestFindResonance:
 
     def test_poor_start_recentres_the_ring(self, monkeypatch):
         # a ring centre 1e-3 |E| off the zero, ten ring radii, does not
-        # enclose it; the Newton steps reach the zero from there, and a
-        # second ring around the best point certifies it
+        # enclose it; the rings re-centre on their Cauchy-sum Newton
+        # points until a centre is certified
         E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[0.1]))
         rings = []
 
@@ -531,8 +565,8 @@ class TestFindResonance:
         rec = find_resonance_ode((E, 0.1, 0.5), E)
         assert abs(rec.lam - LAM_ODE[0.1]) <= 1e-9
         assert rec.residual <= 1e-8
-        assert len(rings) >= 2
-        assert abs(rings[-1] - rec.E) <= 0.5e-4 * abs(rings[-1])
+        assert len(rings) == rec.iterations + 1 >= 2
+        assert rings[-1] == rec.E
 
     def test_failed_search_frees_its_seeds(self, monkeypatch):
         # with the cyclic collector off, nothing of a failed ladder seed
@@ -570,29 +604,24 @@ class TestFindResonance:
 
 
 class TestLocateZero:
-    def test_ridge_seed_fails_without_jost(self, bs_root, monkeypatch):
+    def test_ridge_seed_fails_without_jost(self, monkeypatch):
         # inverse iteration at the BS root, halfway between two zeros,
-        # is still 6e-2 from the nearer one after 30 solves and fails
-        # typed; the ladder moves on, so every Jost evaluation of the
-        # search belongs to the Newton steps that certify the zero
-        calls = []
-
-        def counted(params, **kwargs):
-            calls.append(params[0])
-            return jost_cplus(params, **kwargs)
-
-        monkeypatch.setattr(ode_oracle, "jost_cplus", counted)
-        with pytest.raises(NoConvergence):
-            locate_zero((bs_root.E, 0.1, 0.5), 30)
-        assert calls == []
-        rec = find_resonance_ode((bs_root.E, 0.1, 0.5), bs_root.E)
-        assert abs(rec.lam - LAM_ODE[0.1]) <= 1e-9
-        assert len(calls) == rec.iterations <= 5
+        # does not settle in 30 solves (at h = 0.1 it is still 6e-2 from
+        # the nearer zero) and fails typed; the ladder moves on, and the
+        # ring solves that certify the zero make no jost_cplus call
+        for h, k in ((0.2, 2), (0.1, 4), (0.05, 8)):
+            with pytest.raises(NoConvergence):
+                locate_zero((solve_resonance(k, 0.5, h).E, h, 0.5), 30)
+            with monkeypatch.context() as mp:
+                rec, calls, _, _ = TestFindResonance._counted_search(h, k,
+                                                                     mp)
+            assert abs(rec.lam - LAM_ODE[h]) <= 1e-9, h
+            assert calls == [], h
 
     @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
     def test_half_spacing_seeds(self, h, k):
         # the ladder's own seeds, half a spacing either side of the BS
-        # root, each certify a zero with at most a few Jost evaluations
+        # root, each certify a zero within a few re-centred rings
         lam_bs = solve_resonance(k, 0.5, h).lam
         for sign, want in ((1, LAM_ODE[h]), (-1, LAM_BELOW[h])):
             E = cmath.exp((2.0 / 3.0) * cmath.log(
