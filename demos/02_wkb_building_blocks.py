@@ -4,25 +4,27 @@ WKB building blocks: phases, amplitudes, connection matrices
 
 Between turning points the solutions are exponentials of the action
 dressed by an amplitude series in h.  This demo computes the pieces
-that the quantization condition is assembled from: the phase z(x), the
-even/odd amplitude pair, the origin series at the conical point, and
+that the quantization condition is assembled from: the phase across
+the inner turning-point pair, the even/odd amplitude pair, the origin
+series at the conical point, and
 the Gamma-function branching matrix whose unitarity-like identity
 |p|^2 - |q|^2 = 1 encodes flux conservation through the crossing.
 """
 
 import math
 
+from conires.actions import action_S01
 from conires.model import ModelParams
-from conires.wkb import amplitude_recurrence, branching_R, origin_series, \
-    phase_z
+from conires.wkb import amplitude_recurrence, branching_R, origin_series
 
 P = ModelParams(1.0, 0.1, 0.5)
 
-# --- the phase along the imaginary axis --------------------------------
-# On the imaginary axis the phase is real and monotone, which is what
-# makes that axis an admissible direction for the amplitude recurrence.
-z = phase_z(0.9j, 0.2j, P)
-print(f"z(0.9i) - z(0.2i) = {z.z:.10f}")
+# --- the phase across the inner turning-point pair ---------------------
+# Between r0 and r1 the phase is the action S01, in closed form through
+# Carlson's integrals.  For real E it is purely imaginary: the solutions
+# oscillate there, and e^{S01/h} is the diagonal of the transfer T1.
+s01 = action_S01(P)
+print(f"S01 = {s01.value:.10f}   (|S01|/h = {abs(s01.value) / P.h:.6f})")
 
 # --- amplitude corrections shrink with h -------------------------------
 # The even part of the amplitude starts at 1; its deviation is the

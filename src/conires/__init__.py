@@ -15,7 +15,6 @@ from .actions import (
     action_I,
     action_Iplus,
     action_S01,
-    action_S01_dE,
     action_S01_pair,
     action_S12,
     action_S2inf,
@@ -43,12 +42,10 @@ from .model import (
     CubicRoots,
     ModelParams,
     SymbolBranch,
-    SymbolValue,
     TurningPoints,
     cubic_roots,
     default_symbol_path,
     discriminant,
-    symbol_at,
     turning_points,
 )
 from .ode_oracle import (
@@ -60,7 +57,7 @@ from .ode_oracle import (
     jost_cplus,
     pplus_eigen_oracle,
 )
-from .quadrature import ComplexPath, adaptive_segment
+from .quadrature import ComplexPath
 from .quantization import (
     Band,
     ResonanceRecord,
@@ -74,7 +71,6 @@ from .quantization import (
 )
 from .wkb import (
     AmplitudePair,
-    PhaseValue,
     TransferMatrix,
     amplitude_recurrence,
     assembly_matrix,
@@ -82,11 +78,9 @@ from .wkb import (
     connection_c0,
     dlog_H,
     origin_series,
-    phase_z,
     transfer_T1,
     transfer_T2,
     transfer_T3,
-    wkb_solution,
     wronskian,
 )
 

@@ -70,7 +70,6 @@ __all__ = [
     "action_I",
     "action_Iplus",
     "action_S01",
-    "action_S01_dE",
     "action_S01_pair",
     "action_S12",
     "action_S2inf",
@@ -280,18 +279,6 @@ def action_S01(params):
     est_error a roundoff bound, so there is no tolerance to set.
     """
     return action_S01_pair(params)[0]
-
-
-def action_S01_dE(params):
-    """Derivative of S01 with respect to E at fixed nu.
-
-    Differentiating under the integral (endpoint terms vanish at the simple
-    roots) gives dS01/dE = int (y - E) / (2 sqrt(nu^2 - y(E-y)^2)) dy on the
-    same contour and branch as S01.  The half-residue term of S01 is
-    E-independent and drops out.  Closed form to roundoff, as action_S01;
-    see action_S01_pair.
-    """
-    return action_S01_pair(params)[1]
 
 
 def _subcritical(mu):

@@ -12,7 +12,8 @@ class ConiresError(Exception):
 
 
 class QuadratureFailure(ConiresError):
-    """An adaptive quadrature could not meet the requested tolerance."""
+    """An integration along a path (the amplitude ODE sweep) could not meet
+    its tolerance."""
 
 
 class TurningPointProximity(ConiresError):

@@ -1,5 +1,5 @@
 """Model parameters, the turning-point cubic, and the branch-tracked symbol
-functions.
+function sqrt(g_plus g_minus).
 
 The reduced one-dimensional model is the 2x2 system h D_x u = A(x) u with
 
@@ -8,23 +8,21 @@ The reduced one-dimensional model is the 2x2 system h D_x u = A(x) u with
 whose semiclassical symbol factors through
 
     g_plus(x)  = nu/x - E + x^2,      g_minus(x) = nu/x + E - x^2,
-    g_plus * g_minus = (nu^2 - x^2 (E - x^2)^2) / x^2,
+    g_plus * g_minus = (nu^2 - x^2 (E - x^2)^2) / x^2.
 
-and the quarter-power ratio H(x) = (g_minus/g_plus)^(1/4) normalized by
-H(0) = 1.  Turning points are the zeros of g_plus * g_minus: with y = x^2 they
+Turning points are the zeros of g_plus * g_minus: with y = x^2 they
 solve the cubic y^3 - 2 E y^2 + E^2 y - nu^2 = 0, whose roots come from
 Cardano's formula.  Their labels (x0 -> 0 and x1, x2 -> E as nu -> 0) are
 Cardano's own on the real axis and, for complex E, those of the
 continuation from the real axis, which the trigonometric form of the
 roots gives in closed form (_label).
 
-Branch convention (the one every downstream phase and transfer matrix relies
-on): continuous-argument tracking of the six linear factors of
-N(x) = nu + E x - x^3 and D(x) = nu - E x + x^3, anchored by H(0) = 1 and, for
-sqrt(g+ g-), by positivity on (0, r0).  The canonical normalization path runs
-along the real axis and passes below r0, above r1, and below r2; that is the
-unique choice producing H in e^{-i pi/4} R+ on (r0, r1), H in e^{+i pi/4} R+
-beyond r2, and sqrt(g+ g-) in i R+ on both of those intervals.
+Branch convention (the one the amplitude sweeps of wkb rely on):
+continuous-argument tracking of the six linear factors of
+P(x) = nu^2 - x^2 (E - x^2)^2, anchored by positivity of sqrt(P) on
+(0, r0), with sqrt(g+ g-) = sqrt(P)/x.  The canonical normalization path
+runs along the real axis and passes below r0, above r1, and below r2,
+which puts sqrt(g+ g-) in i R+ on (r0, r1) and beyond r2.
 """
 
 from __future__ import annotations
@@ -45,18 +43,15 @@ __all__ = [
     "CubicRoots",
     "ModelParams",
     "SymbolBranch",
-    "SymbolValue",
     "TurningPoints",
     "cubic_roots",
     "default_symbol_path",
     "discriminant",
-    "symbol_at",
     "turning_points",
 ]
 
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))  # primitive cube root of unity
 _POLISH_STEPS = 2  # guarded Newton steps per cubic root
-_PROX_REL = 1e-6  # symbol_at's proximity tolerance, relative to |sqrt(E)|
 _FACTOR_GUARD = 1e-12  # least path-to-turning-point distance, per 1 + length
 
 
@@ -169,16 +164,22 @@ def _degenerate(E, nu):
     of a (near-)double root are not defined.  Past |E| ~ 2.4e51 that
     scale overflows, past nu ~ 1.3e154 the discriminant's nu^2, and
     Cardano's data with them: TurningPointProximity reports the turning
-    points as degenerate there."""
+    points as degenerate there.  Below that, the 27 nu^4 term overflows
+    to inf without raising past nu ~ 5e76, and a non-finite discriminant
+    is reported the same way."""
     term = "|E|^6"
     try:
         scale = max(1.0, abs(E)) ** 6
         term = "nu^2"
-        return abs(discriminant(E, nu)) <= 1e-12 * scale
+        d3 = discriminant(E, nu)
+        term = "the discriminant"
+        if not cmath.isfinite(d3):
+            raise OverflowError
     except OverflowError:
         raise TurningPointProximity(
             f"turning points degenerate at E={E}, nu={nu}: {term} leaves "
             "the floating-point range") from None
+    return abs(d3) <= 1e-12 * scale
 
 
 def _cubic(x, E, nu):
@@ -389,38 +390,24 @@ def turning_points(E, nu):
     return TurningPoints(tuple(cr.roots), r, discriminant(E, nu), cr.degenerate)
 
 
-@dataclass(frozen=True)
-class SymbolValue:
-    """Symbol data at one point: g_plus, g_minus and the branch-tracked
-    quarter power H."""
-
-    g_plus: complex
-    g_minus: complex
-    H: complex
-
-
 class SymbolBranch:
-    """Continuous-branch state for H = (N/D)^{1/4} and sqrt(g+ g-), anchored
-    at x = 0 with H(0) = 1 and sqrt(g+ g-) = sqrt(P)/x, i.e. the branch of
-    sqrt(P) positive on (0, r0), where P(x) = nu^2 - x^2 (E - x^2)^2.
+    """Continuous-branch state for sqrt(g+ g-) = sqrt(P)/x, anchored at
+    x = 0 on the branch of sqrt(P) positive on (0, r0), where
+    P(x) = nu^2 - x^2 (E - x^2)^2.
 
-    Factor layout: P(x)  = -(x-r0)(x-r1)(x+r2)(x-r2)(x+r0)(x+r1)
-                   H^4   = N/D with N = -(x-r2)(x+r0)(x+r1),
-                                    D =  (x-r0)(x-r1)(x+r2).
+    Factor layout: P(x) = -(x-r0)(x-r1)(x+r2)(x-r2)(x+r0)(x+r1).
     The state is the current point and one continuous argument per factor
-    point, which serves both products.  Along a straight segment that does
-    not pass through a point p, the continuous change of arg(x - p) equals
-    the principal argument of (x_end - p)/(x_start - p): a straight segment
-    subtends an angle below pi from any point off it.  The 2 pi ambiguity
-    of each product is pinned once, at x = 0, where both products are
-    positive.  SymbolBranch(tp, to) carries the branch from 0 to `to`
-    along default_symbol_path.
+    point.  Along a straight segment that does not pass through a point p,
+    the continuous change of arg(x - p) equals the principal argument of
+    (x_end - p)/(x_start - p): a straight segment subtends an angle below
+    pi from any point off it.  The 2 pi ambiguity of the product is pinned
+    once, at x = 0, where P = nu^2 is positive.  SymbolBranch(tp, to)
+    carries the branch from 0 to `to` along default_symbol_path.
     """
 
-    _EXP_P = np.ones(6)
-    _EXP_H4 = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+    _EXP_P = np.ones(6)  # summed by a dot product, whose order the pins hold
 
-    __slots__ = ("points", "at", "args", "off_P", "off_H4")
+    __slots__ = ("points", "at", "args", "off_P")
 
     def __init__(self, tp: TurningPoints, to=0.0 + 0.0j):
         r0, r1, r2 = tp.r
@@ -431,20 +418,18 @@ class SymbolBranch:
         self.points = np.asarray((r0, r1, -r2, r2, -r0, -r1), dtype=complex)
         self.at = 0.0 + 0.0j
         self.args = np.angle(self.at - self.points)
-        self.off_P = self._anchor_offset(self._EXP_P)
-        self.off_H4 = self._anchor_offset(self._EXP_H4)
+        self.off_P = self._anchor_offset()
         self.advance_along(default_symbol_path(tp, to).vertices[1:])
 
-    @staticmethod
-    def _arg(args, exponents):
-        """Continuous argument of -prod (x - p_j)^(e_j) from the factor
+    def _arg(self, args):
+        """Continuous argument of P = -prod (x - p_j) from the factor
         arguments, before the 2 pi offset."""
-        return args @ exponents + np.angle(-1.0 + 0.0j)
+        return args @ self._EXP_P + np.angle(-1.0 + 0.0j)
 
-    def _anchor_offset(self, exponents):
-        """2 pi multiple that makes the product's argument zero at x = 0;
-        raises unless the product is positive real there."""
-        raw = float(self._arg(self.args, exponents))
+    def _anchor_offset(self):
+        """2 pi multiple that makes the argument of P zero at x = 0;
+        raises unless P is positive real there."""
+        raw = float(self._arg(self.args))
         m = round(raw / (2.0 * math.pi))
         if abs(raw - 2.0 * math.pi * m) > 1e-6:
             raise ValueError(
@@ -477,25 +462,15 @@ class SymbolBranch:
             self.advance(v)
         return self
 
-    def _power(self, nodes, exponents, offset, frac):
-        """(-prod (x - p_j)^(e_j))^frac on the tracked branch at nodes on a
-        straight segment starting at the current point."""
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
-        diffs = nodes[:, None] - self.points[None, :]
-        args = self.args[None, :] + np.angle(diffs / (self.at - self.points)[None, :])
-        log_abs = np.log(np.abs(diffs)) @ exponents
-        arg_tot = self._arg(args, exponents) + offset
-        return np.exp(frac * log_abs) * np.exp(1j * frac * arg_tot)
-
-    def H_at(self, nodes):
-        """H at nodes on a straight segment starting at the current point."""
-        return self._power(nodes, self._EXP_H4, self.off_H4, 0.25)
-
     def sqrt_gg_at(self, nodes):
         """sqrt(g+ g-) = sqrt(P)/x at nodes on a straight segment starting at
         the current point (x = 0 excluded by the caller)."""
         nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
-        return self._power(nodes, self._EXP_P, self.off_P, 0.5) / nodes
+        diffs = nodes[:, None] - self.points[None, :]
+        args = self.args[None, :] + np.angle(diffs / (self.at - self.points)[None, :])
+        log_abs = np.log(np.abs(diffs)) @ self._EXP_P
+        arg_tot = self._arg(args) + self.off_P
+        return np.exp(0.5 * log_abs) * np.exp(0.5j * arg_tot) / nodes
 
 
 # dodge sides of the canonical normalization path: below r0, above r1,
@@ -503,31 +478,30 @@ class SymbolBranch:
 _DODGE_SIDES = (-1.0, +1.0, -1.0, +1.0, -1.0, +1.0)  # r0, r1, r2, -r0, -r1, -r2
 
 
-def default_symbol_path(tp: TurningPoints, x, start=0.0 + 0.0j):
-    """Canonical branch-normalization path from `start` (usually 0) to x.
+def default_symbol_path(tp: TurningPoints, x):
+    """Canonical branch-normalization path from the origin to x.
 
     Travels along the real axis to Re x, dodging every turning point whose
     abscissa is crossed and that sits within its dodge radius of the axis
     (sides: below r0, above r1, below r2), then rises straight to x.
     """
     x = complex(x)
-    start = complex(start)
     r0, r1, r2 = tp.r
     specials = [r0, r1, r2, -r0, -r1, -r2]
-    a, b = start.real, x.real
+    a, b = 0.0, x.real
     direction = 1.0 if b >= a else -1.0
     dodges = []
     for p, side in zip(specials, _DODGE_SIDES):
         others = [q for q in specials + [0.0 + 0.0j] if q is not p]
         rho = 0.3 * min(abs(p - q) for q in others)
-        rho = min(rho, 0.2 * max(abs(x - start), 1e-3))
+        rho = min(rho, 0.2 * max(abs(x), 1e-3))
         if rho <= 0.0:
             continue
         lo, hi = min(a, b), max(a, b)
         if lo - rho < p.real < hi + rho and abs(p.imag) < rho:
             dodges.append((p.real, p + 1j * side * rho))
     dodges.sort(key=lambda t: direction * t[0])
-    verts = [start] + [v for _, v in dodges]
+    verts = [0.0 + 0.0j] + [v for _, v in dodges]
     if x.imag != 0.0 and abs(x.real - verts[-1].real) > 1e-14:
         verts.append(complex(x.real))
     verts.append(x)
@@ -539,23 +513,3 @@ def default_symbol_path(tp: TurningPoints, x, start=0.0 + 0.0j):
     if len(out) == 1:
         out.append(x)
     return ComplexPath(tuple(out))
-
-
-def symbol_at(x, params: ModelParams):
-    """Symbol values g+, g-, H at x with the branch continued from H(0) = 1
-    along the canonical normalization path.  Raises TurningPointProximity
-    when |g+ g-| falls below tol^2 with tol = 1e-6 |sqrt(E)|, ValueError
-    within tol of x = 0.
-    """
-    x = complex(x)
-    E, nu = params.E, params.nu
-    tol = _PROX_REL * abs(np.sqrt(complex(E)))
-    if abs(x) <= tol:
-        raise ValueError("symbol_at: x is at (or too close to) the pole x = 0")
-    gg = (nu ** 2 - x ** 2 * (E - x ** 2) ** 2) / x ** 2
-    if abs(gg) < tol ** 2:
-        raise TurningPointProximity(
-            f"|g+ g-| = {abs(gg):.3e} below tolerance {tol ** 2:.3e} at x = {x}"
-        )
-    h_val = complex(SymbolBranch(turning_points(E, nu), x).H_at([x])[0])
-    return SymbolValue(nu / x - E + x * x, nu / x + E - x * x, h_val)

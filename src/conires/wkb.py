@@ -1,32 +1,37 @@
 """Exact WKB machinery for the two-level conical-intersection model.
 
-Phase integrals and amplitude series along admissible paths, the amplitude
-series at the singular origin, Wronskians of assembled solutions, the
-connection objects linking the origin, turning-point, and infinity regions
-(c0, T1, T2, T3), and the branching matrix R(p, q).
+Amplitude series along admissible paths, the amplitude series at the
+singular origin, the connection objects linking the origin,
+turning-point, and infinity regions (c0, T1, T2, T3), the branching
+matrix R(p, q), and the Wronskian and assembly helpers.
 
-Solutions of h D_x u = A(x) u are assembled as
+Solutions of h D_x u = A(x) u take the form
 
     u_pm(x) = e^{pm z(x)/h} * M_pm(H(x)) @ (w_even, w_odd)
 
 where z is the phase integral of sqrt(g_plus g_minus), H = (g_minus /
-g_plus)^{1/4} is the branch-tracked quarter power from the model module,
-and M_pm carries a 1/sqrt(2) normalization chosen so that the two-solution
-Wronskian identities take the clean forms
+g_plus)^{1/4} is the quarter power normalized by H(0) = 1, and
+M_pm = assembly_matrix(H, pm) carries a 1/sqrt(2) normalization chosen so
+that the two-solution Wronskian identities take the clean forms
 
     W(u_+(.; x0, xa), u_-(.; x0, yb)) = +2i w_even_+(yb)
     W(u_+(.; x0, xa), u_+(.; x0, yb)) = -2i e^{+2 z(yb)/h} w_odd_+(yb)
 
 with no extra factor (the unnormalized product form gives twice these
 values; the normalization cancels from every transfer-matrix ratio).
+The module assembles no solution, so no test checks these identities;
+the phases that enter the connection objects are the closed-form actions
+of the actions module.
 
 The amplitude corrections w_1 .. w_N obey a triangular system of linear
 first-order equations driven by d log H.  Rather than nesting quadratures,
 this module integrates that system directly along the path with a
 high-order Runge-Kutta method, which keeps the exponential kernels in
 their stable direction on admissible paths and yields every order in a
-single sweep.  The same engine, seeded with the known power-law behavior
-at the Fuchs singularity, produces the series at the origin.
+single sweep; the sweep carries z along the path with sqrt(g_plus g_minus)
+on the branch that model.SymbolBranch tracks.  The same engine, seeded
+with the known power-law behavior at the Fuchs singularity, produces the
+series at the origin.
 
 scipy.integrate and scipy.special load inside the functions that call
 them, so importing this module, or the package, loads numpy only.
@@ -47,20 +52,11 @@ from .errors import (
     QuadratureFailure,
     TurningPointProximity,
 )
-from .model import (
-    SymbolBranch,
-    _as_E_nu,
-    _as_params,
-    _check_h,
-    default_symbol_path,
-    symbol_at,
-    turning_points,
-)
-from .quadrature import ComplexPath, adaptive_segment, segment_point_distance
+from .model import SymbolBranch, _as_E_nu, _as_params, _check_h, turning_points
+from .quadrature import ComplexPath, segment_point_distance
 
 __all__ = [
     "AmplitudePair",
-    "PhaseValue",
     "TransferMatrix",
     "amplitude_recurrence",
     "assembly_matrix",
@@ -68,15 +64,13 @@ __all__ = [
     "connection_c0",
     "dlog_H",
     "origin_series",
-    "phase_z",
     "transfer_T1",
     "transfer_T2",
     "transfer_T3",
-    "wkb_solution",
     "wronskian",
 ]
 
-_RTOL = 1e-11  # phase quadrature tolerance (absolute), amplitude ODE rtol
+_RTOL = 1e-11  # rtol of the amplitude ODE sweeps (atol is 1e-2 of it)
 _MONO_SAMPLES = 64  # admissibility samples of sign * Re z per path segment
 _SEED_SCALE = 1e-3  # origin-series start s = eps as a fraction of its scale
 _C0_ORDER = 6  # origin-series order behind connection_c0's estimate
@@ -84,17 +78,6 @@ _C0_ORDER = 6  # origin-series order behind connection_c0's estimate
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-@dataclass(frozen=True)
-class PhaseValue:
-    """Value of the phase integral z(x; base_point) along a specific path."""
-
-    z: complex
-    base_point: complex
-    path: ComplexPath
-    est_error: float = 0.0
-    n_evals: int = 0
 
 
 @dataclass(frozen=True)
@@ -181,114 +164,6 @@ def dlog_H(x, params):
     if out.ndim == 0:
         return complex(out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# phase integral
-
-
-def phase_z(x, base_point, params):
-    """Phase integral z(x; base_point) of sqrt(g_plus g_minus).
-
-    The square-root branch is the canonical one anchored at the origin
-    (sqrt(g+ g-) -> +nu/x as x -> 0+, H(0) = 1) and continued along the
-    dodging route of default_symbol_path from base_point to x.  Either
-    end may sit exactly at a turning point (the integrand stays
-    integrable there), but the route may not pass through one, and
-    neither end may sit at the origin pole.
-    """
-    E, nu = _as_E_nu(params)
-    x = complex(x)
-    b = complex(base_point)
-    tp = turning_points(E, nu)
-    if x == b:
-        return PhaseValue(0.0 + 0.0j, b, ComplexPath((b, x)))
-    path = default_symbol_path(tp, x, start=b)
-
-    scale = max(1.0, abs(tp.r2))
-    d_unsafe = 1e-7 * scale
-    if abs(b) <= d_unsafe or abs(x) <= d_unsafe:
-        raise ValueError(
-            "phase base point and endpoint must stay off the origin pole "
-            "(the phase integral diverges logarithmically there)"
-        )
-    specials = _specials(tp)
-    segs = path.segments()
-
-    # interior clearance: the dodging route can still rise straight
-    # through a turning point (or cross the origin); a segment may touch
-    # one only at an end of the whole route
-    for k, (a, c) in enumerate(segs):
-        dist = segment_point_distance(a, c, specials)
-        for j in range(len(specials)):
-            if dist[j] >= d_unsafe:
-                continue
-            s = specials[j]
-            terminal = (k == 0 and abs(s - a) <= d_unsafe) or (
-                k == len(segs) - 1 and abs(s - c) <= d_unsafe
-            )
-            if not terminal:
-                raise TurningPointProximity(
-                    f"path passes within {d_unsafe:.1e} of the turning point "
-                    f"{s:.6g} away from its endpoints; move an endpoint"
-                )
-
-    t_anchor = 1e-5 * scale
-
-    def near_special(pt):
-        return bool(np.min(np.abs(specials - pt)) < t_anchor)
-
-    # split any segment whose two endpoints both sit on turning points
-    split = []
-    for a, c in segs:
-        if near_special(a) and near_special(c):
-            mid = 0.5 * (a + c)
-            if near_special(mid):
-                raise TurningPointProximity(
-                    "segment endpoints and midpoint all fall on turning "
-                    "points; shorten the segments"
-                )
-            split.extend([(a, mid), (mid, c)])
-        else:
-            split.append((a, c))
-    segs = split
-
-    # canonical branch brought to the base point (with a small standoff if
-    # the base point itself is a turning point)
-    if near_special(b):
-        canon = default_symbol_path(tp, b).vertices
-        a0, b0 = canon[-2], canon[-1]
-        leg = abs(b0 - a0)
-        stand = t_anchor if leg > 2.0 * t_anchor else 0.5 * leg
-        state = SymbolBranch(tp).advance_along(
-            canon[1:-1] + (b0 - (b0 - a0) / leg * stand,))
-    else:
-        state = SymbolBranch(tp, b)
-
-    total_len = sum(abs(c - a) for a, c in segs)
-    value = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    for a, c in segs:
-        forward = not near_special(a)
-        anchor = a if forward else c
-        if state.at != anchor:
-            state.advance(anchor)
-        seg_state = state.clone()
-
-        def f(nodes, S=seg_state):
-            return S.sqrt_gg_at(nodes)
-
-        share = _RTOL * abs(c - a) / total_len
-        if forward:
-            v, e, n = adaptive_segment(f, a, c, share)
-        else:
-            v, e, n = adaptive_segment(f, c, a, share)
-            v = -v
-        value += v
-        err += e
-        evals += n
-    return PhaseValue(complex(value), b, path, err, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +496,7 @@ def branching_R(gamma, h):
 
 
 # ---------------------------------------------------------------------------
-# Wronskians and solution assembly
+# Wronskian and solution assembly
 
 
 def wronskian(u, v):
@@ -637,25 +512,3 @@ def assembly_matrix(H, sign):
     b = 1j * H if int(sign) > 0 else -1j * H
     c = 2.0 ** -0.5
     return c * np.array([[a - b, a + b], [-a - b, -a + b]], dtype=complex)
-
-
-def wkb_solution(x, params, phase_base, amp_base, sign, N=6):
-    """Assembled exact WKB solution u_pm(x; phase_base, amp_base).
-
-    The phase is integrated from phase_base to x along the canonical
-    dodging route; the amplitude pair is integrated from amp_base to x
-    along the straight segment, which must be admissible for the requested
-    sign.  When amp_base coincides with x the amplitudes are the base
-    values (1, 0) exactly.
-    """
-    p = _as_params(params)
-    x = complex(x)
-    ph = phase_z(x, phase_base, (p.E, p.nu))
-    if abs(x - complex(amp_base)) < 1e-14 * max(1.0, abs(x)):
-        pair = _amplitude_pair(np.zeros(N + 1, complex), complex(amp_base))
-    else:
-        pair = amplitude_recurrence([amp_base, x], p, N, sign=sign)
-    Hval = symbol_at(x, p).H
-    mat = assembly_matrix(Hval, sign)
-    amp = mat @ np.array([pair.w_even, pair.w_odd], dtype=complex)
-    return _exp_guard(int(sign) * ph.z / p.h) * amp

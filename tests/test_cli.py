@@ -169,6 +169,14 @@ class TestTurningPoints:
         assert "nu^2 leaves the floating-point range" in \
             capsys.readouterr().err
 
+    def test_overflowing_discriminant_is_degenerate_error(self, capsys):
+        # the discriminant's 27 nu^4 overflows to inf, without raising,
+        # past nu ~ 5e76: a typed error (exit 3) and no rows, not nan rows
+        assert main(["turning-points", "--E", "1", "--nu", "1e78"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "the discriminant leaves the floating-point range" in err
+
     def test_missing_argument_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["turning-points", "--E", "2"])

@@ -2,9 +2,10 @@
 
 Each pin is the SHA-256 digest of what one CLI invocation prints, or of
 the repr of a library value: the amplitude terms that acceptance
-criterion 7 computes, phase integrals, the branch-tracked quarter power,
-one assembled WKB solution, the labeled cubic roots at complex E and the
-scaled actions I and T at complex mu.
+criterion 7 computes (the amplitude sweep carries sqrt(g+ g-) on the
+branch of model.SymbolBranch, so these also hold that branch), the
+labeled cubic roots at complex E and the scaled actions I and T at
+complex mu.
 They hold a refactoring to its promise of unchanged output bytes: a
 change that only restructures code leaves every digest as it is.
 
@@ -22,13 +23,8 @@ import pytest
 
 from conires.actions import action_I, tunnel_T
 from conires.cli import main
-from conires.model import ModelParams, cubic_roots, symbol_at, turning_points
-from conires.wkb import (
-    amplitude_recurrence,
-    origin_series,
-    phase_z,
-    wkb_solution,
-)
+from conires.model import ModelParams, cubic_roots
+from conires.wkb import amplitude_recurrence, origin_series
 
 
 def _digest(text):
@@ -83,52 +79,6 @@ def test_origin_series_terms_bits(tau):
     x = 1j * 0.05 * tau / 1.0
     terms = repr(origin_series(ModelParams(1.0, 0.1, 0.5), x, 12).terms)
     assert _digest(terms) == ORIGIN_PINS[tau], terms
-
-
-# phase_z at E = 2, h = 0.1, nu_tilde = 5/2 as repr((z, est_error,
-# n_evals)), keyed by "x from base point"; two of the base points are
-# turning points, where phase_z stands off before anchoring
-P_BRANCH = ModelParams(2.0, 0.1, 2.5)
-PHASE_PINS = {
-    "r1 from r0":
-        "a40f731f53ab0c0badad8c34206b0c54979d93bf0bdd2e61622e45c16c70c72f",
-    "0.9i from 0.2i":
-        "1c05bc29c8c9892799bbabdfab6552d83dea00b89f3a7bf40122038c6724864a",
-    "r2 + 0.5 from r1":
-        "01bc9e6bf5e30555d71f41a65f2991f2982e7c8c319885fc18ffbe2b3eb6f91a",
-    "1 + 0.3i from 0.5":
-        "ba64740ef40c975b7754bf42bb5a24a561a5f2c28dc3536f633754c23b2bbf09",
-}
-# symbol_at(1 + 0.5j, P_BRANCH).H
-SYMBOL_H_PIN = \
-    "60c4da51b1b9b48576d05ad924a3cd8305d3961459dd7cb0a1619e11b761e2f5"
-# wkb_solution(0.9j, ModelParams(1, 0.1, 1/2), phase_base=0.3j,
-# amp_base=0.2j, sign=+1, N=6), the points of TestSolutionsAndWronskians
-WKB_SOLUTION_PIN = \
-    "fda0c6ccaf9b91be038193e74fc2bd3050d03847b0627e902116ce83821dca64"
-
-
-@pytest.mark.parametrize("label", PHASE_PINS)
-def test_phase_z_bits(label):
-    r0, r1, r2 = turning_points(P_BRANCH.E, P_BRANCH.nu).r
-    x, base = {"r1 from r0": (r1, r0), "0.9i from 0.2i": (0.9j, 0.2j),
-               "r2 + 0.5 from r1": (r2 + 0.5, r1),
-               "1 + 0.3i from 0.5": (1 + 0.3j, 0.5)}[label]
-    v = phase_z(x, base, P_BRANCH)
-    text = repr((v.z, float(v.est_error), v.n_evals))
-    assert _digest(text) == PHASE_PINS[label], text
-
-
-def test_symbol_H_bits():
-    text = repr(symbol_at(1 + 0.5j, P_BRANCH).H)
-    assert _digest(text) == SYMBOL_H_PIN, text
-
-
-def test_wkb_solution_bits():
-    u = wkb_solution(0.9j, ModelParams(1.0, 0.1, 0.5), phase_base=0.3j,
-                     amp_base=0.2j, sign=+1, N=6)
-    text = repr(tuple(complex(c) for c in u))
-    assert _digest(text) == WKB_SOLUTION_PIN, text
 
 
 # repr of the cubic_roots(E, nu).roots at E = f E_c + i im for f in

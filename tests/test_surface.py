@@ -16,7 +16,7 @@ import inspect
 
 MODULES = ("model", "quadrature", "actions", "quantization", "ode_oracle",
            "spectral", "cli", "wkb")
-LEDGER = 43
+LEDGER = 38
 
 
 def _settable(fn):
