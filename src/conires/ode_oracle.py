@@ -2,24 +2,27 @@
 
 Everything here treats hD_x u = A(x)u as an ordinary differential
 equation and nothing more: a Frobenius series starts the regular
-solution at the origin, an adaptive integrator carries it along complex
-contours, and the outgoing Jost coefficient c+ is read off on a rotated
-ray where the e^{+i(x^3-3Ex)/3h} solution dominates. Resonances are
-zeros of c+: the complex-scaled eigenproblem of spectral.locate_zero
-places each one from its seed without a single Jost evaluation, and
-the located eigenvalue is solved for c+ together with a ring of c+
-values around it. It is the certified zero when its |c+| meets the
-certificate and the ring winds once; otherwise the trapezoidal Cauchy
-sums of the ring give c+ and its slope, and a new ring is solved
+solution at the origin, Taylor series of the x-multiplied system, whose
+coefficients are polynomials, carry it along complex contours, and the
+outgoing Jost coefficient c+ is read off on a rotated ray where the
+e^{+i(x^3-3Ex)/3h} solution dominates. Resonances are zeros of c+: the
+complex-scaled eigenproblem of spectral.locate_zero places each one
+from its seed without a single Jost evaluation, and the located
+eigenvalue is solved for c+ together with a ring of c+ values around
+it. It is the certified zero when its |c+| and the ring's noise meet
+the certificate and the ring winds once; otherwise the trapezoidal
+Cauchy sums of the ring give c+ and its slope, and a new ring is solved
 around their Newton point. Every c+ of a zero search comes from such a
 ring solve. A separate Chebyshev eigensolve of the h-free scaled radial
 problem finds the eigenvalues of the scalar radial comparison operator.
 None of this shares code or expansions with the WKB route, which is the
 point: the two routes check each other.
 
-Contour layout for c+: a real segment from eps to x_mid (the geometric
-mean of the two outer turning-point moduli), a circular arc down to the
-ray arg x = -theta, then the ray out to R_max. On the ray the
+Contour layout for c+: the Frobenius series is summed at
+x0 = min(x_mid, h/|E|), x_mid the geometric mean of the two outer
+turning-point moduli. Taylor steps carry the solution along the real
+axis to x_mid and along one chord to x_mid e^{-i theta}, the start of
+the ray arg x = -theta; the ray runs out to R_max. On the ray the
 integration runs in the gauged variable v = u e^{-i(x^3-3Ex)/3h}, which
 keeps the dominant component O(1) and turns the recessive one into a
 decaying mode. The realified system goes to explicit DOP853 up to the
@@ -33,18 +36,20 @@ the sampled final decade.
 Every c+ comes from one batched solve over m energies (_jost_batch):
 each member runs on the contour of a centre energy with its own E in
 the right-hand side. The Frobenius start is one recurrence over the
-stack, the inner contour one stack of fundamental pairs, and the ray
-one realified system with a block-diagonal Jacobian, whose Radau stage
-factors only the m diagonal 4x4 blocks of each Newton matrix, as one
-batched inverse (_batch_radau), and takes scipy's dense Radau's steps.
-jost_cplus is its one-member case, on E's own contour; the
-certification ring is its (ring_points + 1)-member case, the ring
-points and the centre itself, on the centre's contour. No member is
-computed more loosely than it would be alone: the DOP853 stages accept
-a step on the largest of the members' own error norms, and Radau,
-whose error norm is the RMS over all components, runs at rtol and atol
-divided by sqrt(m), so its batch
-norm bounds each member's own norm.
+stack, the inner contour one stack of fundamental pairs carried by the
+same Taylor steps, and the ray one realified system with a
+block-diagonal Jacobian, whose Radau stage factors only the m diagonal
+4x4 blocks of each Newton matrix, as one batched inverse
+(_batch_radau), and takes scipy's dense Radau's steps. jost_cplus is
+its one-member case, on E's own contour; the certification ring is its
+(ring_points + 1)-member case, the ring points and the centre itself,
+on the centre's contour. No member is computed more loosely than it
+would be alone: a Taylor step is sized on the largest |x^2 - E| of the
+members and summed until every member's terms are negligible, the
+DOP853 stages accept a step on the largest of the members' own error
+norms, and Radau, whose error norm is the RMS over all components, runs
+at rtol and atol divided by sqrt(m), so its batch norm bounds each
+member's own norm.
 """
 
 from __future__ import annotations
@@ -92,9 +97,14 @@ def _deferred(module, name, *args, **kwargs):
 solve_ivp = functools.partial(_deferred, "scipy.integrate", "solve_ivp")
 brentq = functools.partial(_deferred, "scipy.optimize", "brentq")
 
-_RTOL = 1e-11  # relative tolerance of every contour integration
-_ATOL = 1e-14  # absolute ODE tolerance; on the ray, times the start amplitude
-_MAX_STEPS = 2_000_000  # accepted-step budget of one inner contour
+_RTOL = 1e-11  # ray tolerance: default rtol of jost_cplus and of the ring
+_ATOL = 1e-14  # absolute ray tolerance, times the start amplitude
+_MAX_STEPS = 100_000  # Taylor-step budget of one inner contour
+_MAX_TERMS = 100  # Taylor-term budget of one step
+_TAYLOR_CUT = 2e-17  # last three Taylor terms of a step below this
+_TAYLOR_REACH = 0.4  # Taylor step at most this times |x_c|
+_TAYLOR_PHASE = 2.0  # ... and |A| integrated over it at most this times h
+_START_TERMS = 40  # Frobenius terms at the inner contour's start
 _RAY_RTOL_CAP = 1e-10  # the ray runs at 0.1 min(rtol, cap), 1e-12 at _RTOL
 _THETA = 0.5  # angle of the extraction ray arg x = -theta
 _DOMINANCE_EFOLDS = 40.0  # decay of the recessive mode where c+ is read
@@ -110,7 +120,7 @@ class IntegrationResult:
     vertex. wronskian_drift is the largest relative deviation of the
     monitored Wronskian from its starting value; the system is
     trace-free, so the exact Wronskian is constant and the drift is a
-    pure integration-error meter. steps counts accepted solver steps.
+    pure integration-error meter. steps counts the Taylor steps.
     """
 
     u_end: np.ndarray
@@ -134,10 +144,6 @@ class JostEstimate:
     theta: float
 
 
-def _series_start(r0):  # default Frobenius start, well inside r0
-    return 1e-3 * min(1.0, abs(r0))
-
-
 def frobenius_init(params, eps=None, K=20):
     """Start the regular solution u ~ x^nu_tilde (1, -i) at x = eps.
 
@@ -156,7 +162,7 @@ def frobenius_init(params, eps=None, K=20):
     if K < 8:
         raise ValueError(f"series order K must be at least 8, got {K}")
     r0 = abs(turning_points(E, nu).r0)
-    eps = _series_start(r0) if eps is None else float(eps)
+    eps = 1e-3 * min(1.0, r0) if eps is None else float(eps)
     if not 0.0 < eps <= 1e-2 * r0:
         raise ValueError(
             f"eps={eps} outside (0, {1e-2 * r0:.3e}]; the series start "
@@ -198,15 +204,23 @@ def _frobenius_stack(Es, h, nt, eps, K):
     return u, a
 
 
-def _phase_qr(M):
-    """QR factorization with the diagonal of R made real positive, of one
-    matrix or of a stack of them."""
-    Q, R = np.linalg.qr(M)
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    if np.any(np.abs(d) == 0.0):
+def _gram_schmidt(U):
+    """Q, R with U = QR for a stack of pairs (..., 2, 2) by Gram-Schmidt:
+    Q's first column is U's first over its norm, each component rounded
+    relative to itself. Householder QR rounds a small component relative
+    to the norm, noise that the ray carries into c+ (twentyfold on the
+    h = 0.05 ring)."""
+    u, w = U[..., 0], U[..., 1]
+    r00 = np.linalg.norm(u, axis=-1)
+    q0 = u / r00[..., None]
+    r01 = np.sum(q0.conj() * w, axis=-1)
+    w = w - q0 * r01[..., None]
+    r11 = np.linalg.norm(w, axis=-1)
+    if not np.all(r00 * r11 > 0.0):
         raise StepUnderflow("fundamental pair collapsed to rank one")
-    ph = d / np.abs(d)
-    return Q * ph[..., None, :], R / ph[..., :, None]
+    R = np.zeros_like(U)
+    R[..., 0, 0], R[..., 0, 1], R[..., 1, 1] = r00, r01, r11
+    return np.stack([q0, w / r11[..., None]], axis=-1), R
 
 
 @functools.cache
@@ -268,101 +282,89 @@ def _companion(u):
     return np.stack([u, comp], axis=-1)
 
 
-def _pairs_rhs(Es, h, nu):
-    """rhs_on(a, e) of _carry_pairs for a stack of fundamental pairs, pair
-    j at energy Es[j]: dU/dt = g A(x) U with g = e i/h, in the broadcast
-    form (g x^2 s - g E s) U + (g nu/x) s U~, where s = diag(1, -1) acts
-    on the rows of each pair and U~ is the pair with its rows swapped.
-    g E s is set once per segment; a call forms no A(x) and no matrix
-    product."""
-    s = np.array([[1.0], [-1.0]])
+def _taylor_step(Q, xc, z, Es, h, nu):
+    """The pairs Q, shape (m, 2, 2), pair j at energy Es[j], carried
+    from x_c to x_c + z by the Taylor series of the system about x_c.
 
-    def rhs_on(a, e):
-        ge = e * (1j / h)
-        gEs = (ge * Es)[:, None, None] * s
-
-        def f(t, yy):
-            x = a + float(t) * e
-            U = yy.reshape(-1, 2, 2)
-            return ((ge * x * x * s - gEs) * U
-                    + (ge * nu / x * s) * U[:, ::-1]).reshape(-1)
-        return f
-    return rhs_on
-
-
-def _carry_pairs(segs, rhs_on, M, rtol):
-    """Carry the stack M of m fundamental pairs, shape (m, 2, 2), along
-    the segments in renormalized chunks.
-
-    rhs_on(a, e) is the right-hand side on the flattened pairs in the
-    arclength t of the segment from a in unit direction e (_pairs_rhs).
-    A chunk ends when any pair's amplitude moves by six e-folds; the
-    pairs are then orthonormalized and the triangular factors
-    accumulated. DOP853 runs at rtol and absolute tolerance 1e-14, every
-    pair at its own error norm (_batch_dop853), with at most 2e6
-    accepted steps. Returns the pairs at the last vertex, the accepted
-    steps and the solve_ivp solution of every chunk.
+    In z, (x_c + z)U' = (i/h)[(p0 + p1 z + 3x_c z^2 + z^3) sU + nu sU~]
+    with p0 = x_c^3 - E x_c, p1 = 3x_c^2 - E, s = diag(1, -1) on the
+    rows of each pair and U~ the pair with its rows swapped, so
+    c_{n+1} = [(i/h)(s(p0 c_n + p1 c_{n-1} + 3x_c c_{n-2} + c_{n-3})
+    + nu s c~_n) - n c_n] / (x_c (n + 1)). The terms d_n = c_n z^n are
+    stacked down the rows of D, and one batched product of each pair's
+    2 x 8 matrix T with the rows of d_{n-3} .. d_n forms the bracket.
+    The sum stops after three successive terms below _TAYLOR_CUT, which
+    is relative to the sum because Q is orthonormal.
     """
-    Q, R_acc = _phase_qr(M)
-    y = Q.reshape(-1)
-    method = _batch_dop853()
+    m = len(Q)
+    w = z / xc
+    g = (1j / h) * w
+    T = np.zeros((m, 2, 8), dtype=complex)
+    T[:, 0, 0] = g * z ** 3
+    T[:, 0, 2] = g * 3.0 * xc * z * z
+    T[:, 0, 4] = g * z * (3.0 * xc * xc - Es)
+    T[:, 0, 6] = g * (xc ** 3 - Es * xc)
+    T[:, 1, 1::2] = -T[:, 0, 0::2]  # the row sign of s
+    T[:, 0, 7] = g * nu  # nu s d~_n
+    T[:, 1, 6] = -g * nu
+    D = np.zeros((m, 2 * _MAX_TERMS + 8, 2), dtype=complex)
+    D[:, 6:8] = Q
+    small = 0
+    for n in range(_MAX_TERMS):
+        k = 2 * n
+        d = (T @ D[:, k:k + 8] - (n * w) * D[:, k + 6:k + 8]) / (n + 1)
+        D[:, k + 8:k + 10] = d
+        small = small + 1 if np.abs(d).max() < _TAYLOR_CUT else 0
+        if small == 3:
+            return D[:, 6:k + 10].reshape(m, n + 2, 2, 2).sum(axis=1)
+    raise StepUnderflow(f"Taylor series at x={xc} did not converge in "
+                        f"{_MAX_TERMS} terms")
+
+
+def _carry_pairs(segs, Es, h, nu, M):
+    """Carry the stack M of m fundamental pairs, shape (m, 2, 2), pair j
+    at energy Es[j], along the segments by Taylor steps (_taylor_step).
+
+    A step dt from x_c stays within _TAYLOR_REACH |x_c| (the series'
+    radius is |x_c|) and keeps a dt + |x_c| dt^2 <= _TAYLOR_PHASE h, a
+    the largest |x_c^2 - E| + nu/|x_c|, so no term of a sum is much
+    larger than the sum. Each step starts from the pairs orthonormalized
+    by _gram_schmidt, whose factors are accumulated, and adds
+    |W - W_0| / |W_0| of each pair's Wronskian to its drift. Returns the
+    pairs at the last vertex, the steps and the largest drift.
+    """
+    Q, R_acc = _gram_schmidt(M)
+    drift = np.zeros(len(Es))
     steps = 0
-    chunks = []
     for a, b in segs:
         L = abs(b - a)
-        f = rhs_on(a, (b - a) / L)
-        t_here = 0.0
-        for _ in range(100_000):
-            base = np.log(np.abs(y).reshape(-1, 4).sum(axis=1))
-
-            def moved(yy, base=base):
-                return np.log(np.abs(yy).reshape(-1, 4).sum(axis=1)) - base
-
-            def grew(t, yy):
-                return float(moved(yy).max()) - 6.0
-
-            def shrank(t, yy):
-                return float(moved(yy).min()) + 6.0
-
-            grew.terminal = True
-            grew.direction = 1
-            shrank.terminal = True
-            shrank.direction = -1
-            sol = solve_ivp(f, (t_here, L), y, method=method, rtol=rtol,
-                            atol=_ATOL, events=(grew, shrank))
-            if not sol.success:
-                raise StepUnderflow(
-                    f"integration stalled on segment {a} -> {b}: "
-                    f"{sol.message}; shorten the path or stay in the "
-                    "h >= 0.05 regime")
-            steps += len(sol.t) - 1
+        e = (b - a) / L
+        t = 0.0
+        while t < L:
+            xc = a + t * e
+            r = abs(xc)
+            a_c = float(np.abs(xc * xc - Es).max()) + nu / r
+            # the root of a_c dt + r dt^2 = _TAYLOR_PHASE h
+            dt = min(_TAYLOR_REACH * r, L - t, 2.0 * _TAYLOR_PHASE * h / (
+                a_c + math.sqrt(a_c * a_c + 4.0 * _TAYLOR_PHASE * h * r)))
+            t = t + dt if t + dt < L else L
+            U = _taylor_step(Q, xc, (b if t == L else a + t * e) - xc,
+                             Es, h, nu)
+            W0 = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 1, 0] * Q[:, 0, 1]
+            W = U[:, 0, 0] * U[:, 1, 1] - U[:, 1, 0] * U[:, 0, 1]
+            drift += np.abs(W - W0) / np.abs(W0)
+            Q, R = _gram_schmidt(U)
+            R_acc = R @ R_acc
+            steps += 1
             if steps > _MAX_STEPS:
                 raise StepUnderflow(
-                    f"accepted-step budget {_MAX_STEPS} exceeded; shorten "
+                    f"Taylor-step budget {_MAX_STEPS} exceeded; shorten "
                     "the path or stay in the h >= 0.05 regime")
-            chunks.append(sol)
-            t_prev, t_here = t_here, float(sol.t[-1])
-            Q, R = _phase_qr(sol.y[:, -1].reshape(M.shape))
-            R_acc = R @ R_acc
-            if not np.all(np.isfinite(R_acc)):
-                raise StepUnderflow(
-                    "solution magnitude left the representable range; "
-                    "shorten the path")
-            y = Q.reshape(-1)
-            if sol.status == 0:
-                break
-            if t_here <= t_prev:
-                raise StepUnderflow(
-                    f"no progress at arclength {t_here} on segment "
-                    f"{a} -> {b}")
-        else:
-            raise StepUnderflow(f"renormalization budget exceeded on "
-                                f"segment {a} -> {b}")
-    M = y.reshape(M.shape) @ R_acc
+    M = Q @ R_acc
     if not np.all(np.isfinite(M)):
         raise StepUnderflow("solution magnitude left the representable "
                             "range; shorten the path")
-    return M, steps, chunks
+    return M, steps, float(drift.max())
 
 
 def integrate_system(params, path, u_start):
@@ -371,26 +373,25 @@ def integrate_system(params, path, u_start):
     u_start may be a 2-vector or a 2x2 fundamental pair (columns). A
     vector input is silently augmented with an independent companion
     column so the constant-Wronskian property of the trace-free system
-    can be monitored; only the original vector is returned. The ODE is
-    solved in the real arclength parameter of each segment, du/dt =
-    e (i/h) A(x) u with e the unit segment direction, by DOP853 at
-    relative tolerance 1e-11, absolute tolerance 1e-14 and at most 2e6
-    accepted steps: _carry_pairs on a stack of one pair.
+    can be monitored; only the original vector is returned. The pair is
+    carried by Taylor steps of the x-multiplied system, each summed to
+    roundoff: _carry_pairs on a stack of one pair, with at most 1e5
+    steps.
 
-    The Wronskian meter works on renormalized chunks: whenever the
-    solution amplitude moves by six e-folds, the pair is
-    orthonormalized (the triangular factors are accumulated to rebuild
-    the true endpoint) and the determinant is watched over the next
-    chunk from a fresh O(1) start. Without this, any stretch where one
-    solution dominates makes the two products in the determinant cancel
-    below roundoff, and the meter would report that cancellation noise,
-    e^{2S/h} above machine precision, instead of integration error.
-    The reported drift is the accumulated relative deviation over all
-    chunks.
+    The Wronskian meter works step by step: every step starts from the
+    orthonormalized pair (the triangular factors are accumulated to
+    rebuild the true endpoint), and the determinant at its end is
+    compared with the one at its start. Without this, any stretch where
+    one solution dominates makes the two products in the determinant
+    cancel below roundoff, and the meter would report that cancellation
+    noise, e^{2S/h} above machine precision, instead of integration
+    error. The reported drift is the accumulated relative deviation over
+    all steps.
 
-    Raises StepUnderflow when the solver gives up, the accepted-step
-    budget is exceeded, or the solution leaves the representable range;
-    ValueError for paths through the origin.
+    Raises StepUnderflow when the step budget is exceeded or the
+    solution leaves the representable range; ValueError for paths
+    through the origin, where the x-multiplied system is singular, at
+    any nu.
     """
     E, h, nt, nu = _as_params(params, "nonnegative")
     if not isinstance(path, ComplexPath):
@@ -411,24 +412,18 @@ def integrate_system(params, path, u_start):
         return IntegrationResult(u0 if vector_input else M, 0.0, 0, path)
     scale = max(abs(v) for v in path.vertices)
     for a, b in segs:
-        if nu != 0.0 and segment_point_distance(a, b, [0])[0] < 1e-12 * scale:
+        if segment_point_distance(a, b, [0])[0] < 1e-12 * scale:
             raise ValueError("path passes through the origin")
 
-    rhs_on = _pairs_rhs(np.array([E]), h, nu)
-    M, steps, chunks = _carry_pairs(segs, rhs_on, M[None], _RTOL)
-    drift = 0.0
-    for sol in chunks:
-        W = sol.y[0] * sol.y[3] - sol.y[1] * sol.y[2]
-        drift += float(np.max(np.abs(W - W[0])) / abs(W[0]))
+    M, steps, drift = _carry_pairs(segs, np.array([E]), h, nu, M[None])
     u_end = M[0, :, 0] if vector_input else M[0]
     return IntegrationResult(u_end, drift, steps, path)
 
 
 class _Contour(NamedTuple):
     theta: float  # angle of the extraction ray arg x = -theta
-    eps: float  # Frobenius start on the real axis
-    x_mid: float  # end of the real segment, radius of the arc
-    path: list  # eps, x_mid, then the arc chords down to arg x = -theta
+    x0: float  # Frobenius start on the real axis, min(x_mid, h/|E|)
+    x_mid: float  # end of the real segment, |x| of the ray start
     xs: complex  # x_mid e^{-i theta}, where the ray starts
     t_switch: float  # DOP853 -> Radau switch on the ray
     R_max: float  # extraction radius
@@ -442,7 +437,7 @@ def _contour(E, h, nt, nu, theta, R_max):
     theta must lie in (0, pi/3) so the outgoing solution grows on the
     ray; R_max (None for the default) must keep
     sin(3 theta) R^3/(3h) >= 40 so the recessive component is dead at
-    the extraction radius, and must clear the arc.
+    the extraction radius, and must clear x_mid.
     """
     if not 0.0 < theta < math.pi / 3.0:
         raise ValueError(f"theta must lie in (0, pi/3), got {theta}")
@@ -459,16 +454,13 @@ def _contour(E, h, nt, nu, theta, R_max):
             f"R_max={R_max} leaves dominance margin "
             f"{s3 * R_max ** 3 / (3.0 * h):.1f} < {_DOMINANCE_EFOLDS:g}")
     if R_max <= 1.1 * x_mid:
-        raise ValueError(f"R_max={R_max} does not clear the arc radius "
-                         f"{x_mid:.3f}")
-    eps = _series_start(tp.r0)
-    arc = [x_mid * cmath.exp(-1j * theta * s)
-           for s in np.linspace(0.0, 1.0, 33)]
+        raise ValueError(f"R_max={R_max} does not clear the ray start "
+                         f"radius {x_mid:.3f}")
     lo = max(R_max / 10.0, 1.02 * x_mid)
     # the switch stays inside [x_mid, lo] so every plateau sample comes
     # from the Radau stage
     t_switch = min(max(R_dom, x_mid), lo)
-    return _Contour(theta, eps, x_mid, [eps, x_mid] + arc[1:],
+    return _Contour(theta, min(x_mid, h / abs(E)), x_mid,
                     x_mid * cmath.exp(-1j * theta), t_switch, R_max,
                     np.geomspace(lo, R_max, 33))
 
@@ -545,9 +537,9 @@ def _gauged_ray(Es, h, nu, c, v0, rtol):
     is ~1e-8 of |c+| on the certification ring even at rtol 1e-13, the
     size of the certificate itself.
 
-    The ray runs at a tenth of the contour tolerance rtol, because at
-    h = 0.05 the c+ noise floor otherwise sits just above the 1e-8
-    certificate, and member j at absolute tolerance 1e-14 max|v0[j]|.
+    The ray runs at a tenth of rtol (capped at 1e-10), because at
+    h = 0.05 the c+ noise floor once sat just above the 1e-8 certificate
+    without it, and member j at absolute tolerance 1e-14 max|v0[j]|.
     DOP853 takes each member's own error norm (_batch_dop853); Radau's
     norm is the RMS over all 4m components, so its tolerances are
     divided by sqrt(m), which makes the batch norm bound every member's
@@ -586,16 +578,18 @@ def _plateau(q, atol, contour):
     return c_plus, plateau_error
 
 
-def _ray_start(Es, h, nt, nu, c, rtol):
+def _ray_start(Es, h, nt, nu, c):
     """Gauged start vectors v = u e^{-i(x^3-3Ex)/3h} at the ray start
     c.xs, shape (m, 2), one for each energy of Es: the regular solutions
-    from one Frobenius recurrence over the stack at c.eps
-    (_frobenius_stack), carried along c's inner path as one stack of
-    fundamental pairs at rtol (_carry_pairs)."""
-    u_eps, _ = _frobenius_stack(Es, h, nt, c.eps, 20)  # frobenius_init's K
-    pairs, _, _ = _carry_pairs(ComplexPath(tuple(c.path)).segments(),
-                               _pairs_rhs(Es, h, nu), _companion(u_eps),
-                               rtol)
+    from one Frobenius recurrence over the stack, summed at c.x0 with
+    _START_TERMS terms (_frobenius_stack), carried along the inner path
+    [x0, x_mid, xs] as one stack of fundamental pairs by Taylor steps
+    (_carry_pairs). The chord from x_mid to xs keeps at least
+    x_mid cos(theta/2) from the origin, the system's one singular point.
+    """
+    u0, _ = _frobenius_stack(Es, h, nt, c.x0, _START_TERMS)
+    path = ComplexPath((c.x0, c.x_mid, c.xs))
+    pairs, _, _ = _carry_pairs(path.segments(), Es, h, nu, _companion(u0))
     gauge = np.exp(-1j * (c.xs ** 3 - 3.0 * Es * c.xs) / (3.0 * h))
     return pairs[:, :, 0] * gauge[:, None]
 
@@ -606,15 +600,15 @@ def _jost_batch(E_center, Es, h, nt, theta, R_max, rtol):
     All members run on E_center's contour (c+ does not depend on the
     path) with their own E in the right-hand side: one Frobenius
     recurrence and the m fundamental pairs of the inner contour as one
-    (m, 2, 2) system in _carry_pairs's renormalized chunks at rtol
-    (_ray_start), then the m gauged ray vectors as one 4m-dimensional
-    _gauged_ray solve, each member at least as tight as alone. Each
-    member passes the plateau check or NoPlateau is raised.
+    (m, 2, 2) stack carried by Taylor steps (_ray_start), then the m
+    gauged ray vectors as one 4m-dimensional _gauged_ray solve at rtol,
+    each member at least as tight as alone. Each member passes the
+    plateau check or NoPlateau is raised.
     """
     E, h, nt, nu = _as_params((E_center, h, nt), "half-integer")
     c = _contour(E, h, nt, nu, theta, R_max)
     Es = np.asarray(Es, dtype=complex)
-    q, atols = _gauged_ray(Es, h, nu, c, _ray_start(Es, h, nt, nu, c, rtol),
+    q, atols = _gauged_ray(Es, h, nu, c, _ray_start(Es, h, nt, nu, c),
                            rtol)
     return [JostEstimate(*_plateau(qj, aj, c), c.R_max, theta)
             for qj, aj in zip(q, atols)]
@@ -623,13 +617,15 @@ def _jost_batch(E_center, Es, h, nt, theta, R_max, rtol):
 def jost_cplus(params, theta=_THETA, R_max=None, rtol=_RTOL):
     """Outgoing Jost coefficient of the regular solution.
 
-    Starts u ~ x^nu_tilde (1,-i) at frobenius_init's default eps, carries
-    it along [eps, x_mid], an arc down to arg x = -theta, and the rotated
-    ray, then reads c+ as the plateau of u_1 e^{-i(x^3-3Ex)/3h} over the
-    final decade: the one-member case of _jost_batch, on E's own
-    contour. theta must lie in (0, pi/3) so the outgoing solution
-    grows on the ray; R_max must keep sin(3 theta) R^3/(3h) >= 40 so
-    the recessive component is dead at the extraction radius.
+    Sums the Frobenius series of u ~ x^nu_tilde (1,-i) at
+    x0 = min(x_mid, h/|E|), carries it by Taylor steps along [x0, x_mid]
+    and a chord down to arg x = -theta, then along the rotated ray, and
+    reads c+ as the plateau of u_1 e^{-i(x^3-3Ex)/3h} over the final
+    decade: the one-member case of _jost_batch, on E's own contour.
+    theta must lie in (0, pi/3) so the outgoing solution grows on the
+    ray; R_max must keep sin(3 theta) R^3/(3h) >= 40 so the recessive
+    component is dead at the extraction radius; rtol is the ray's
+    tolerance, which runs at 0.1 min(rtol, 1e-10).
 
     Raises NoPlateau when the sampled quotient varies by more than
     1e-6 |c+| (raise R_max or theta).
@@ -658,18 +654,20 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     fails there and the ladder moves on. The located E_c centres a ring
     of ring_points energies at radius rho = 1e-4 |E_c|, and is itself a
     member of the same batched solve (_jost_ring) on E_c's contour;
-    the ring points agree with per-point jost_cplus to about 3e-10 of
-    the ring median at h = 0.1, the centre to about 2.4e-11. E_c is
-    certified when its |c+| is below 1e-8 times the ring median and the
-    ring winds once (SpuriousZero when the ring winds otherwise).
-    Otherwise the ring's trapezoidal Cauchy sums give c+ and its slope
-    at E_c, and a new ring is solved around their Newton point; at most
-    max_iter rings per seed (NoConvergence after that, or when a centre
-    leaves 0.6 |E| of the located eigenvalue). No jost_cplus call is
-    made: at h >= 0.1 the first ring certifies; at h = 0.05, where c+
-    sits on the noise floor of the ray, the search takes a few rings,
-    and how many follows the last bits of the solve. If every seed
-    fails, the last failure's type is raised with every seed's message.
+    the ring points agree with per-point jost_cplus to about 4e-11 of
+    the ring median at h = 0.1, the centre to about 2.6e-11. E_c is
+    certified when its |c+| and the ring's noise (_ring_certified) are
+    both below 1e-8 times the ring median and the ring winds once
+    (SpuriousZero when the ring winds otherwise). Otherwise the ring's
+    trapezoidal Cauchy sums give c+ and its slope at E_c, and a new ring
+    is solved around their Newton point; at most max_iter rings per seed
+    (NoConvergence after that, when a centre leaves 0.6 |E| of the
+    located eigenvalue, or at once when a ring's noise reaches the
+    certificate). No jost_cplus call is made: from h = 0.2 down to
+    h = 0.05 (|Lambda| ~ 42) at nu_tilde = 1/2 and 3/2 the first ring
+    certifies; at h = 0.045 and 0.04, where the noise is 4e-10 to 7e-9
+    of the median, the search takes a few rings. If every seed fails,
+    the last failure's type is raised with every seed's message.
     The record carries the residual |c+|/median(ring), the re-centred
     rings as iterations (0 where the first ring certifies) and the
     seed's k.
@@ -696,12 +694,16 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
 
 
 def _ring_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
-    """Record of the first ring centre, from E_start on, whose |c+| is
-    below _CERT_RATIO times its ring's median: at most max_iter rings,
-    each one _jost_ring solve, the next centred on the Newton point of
-    the ring's Cauchy sums. SpuriousZero when that centre's ring does not
-    wind once; NoConvergence when a centre leaves the region
-    |E - E_start| <= 0.6 |E_start| or max_iter rings fail."""
+    """Record of the first ring centre, from E_start on, whose |c+| and
+    ring noise sigma are both below _CERT_RATIO times its ring's median:
+    at most max_iter rings, each one _jost_ring solve, the next centred
+    on the Newton point of the ring's Cauchy sums. sigma is the rms of
+    np.fft.fft(ring)/N at indices 9 .. N - 1, whose Taylor content
+    a_k rho^k (k = j mod N, so k >= 9) lies below 1e-24 of the median:
+    evaluation noise alone (sigma = 0 for N < 10). SpuriousZero when the
+    certified centre's ring does not wind once; NoConvergence when a
+    ring's sigma reaches the certificate, a centre leaves
+    |E - E_start| <= 0.6 |E_start|, or max_iter rings fail."""
     roots = np.exp(2j * math.pi * np.arange(ring_points) / ring_points)
     E_c = E_start
     for rings in range(max_iter):
@@ -713,6 +715,13 @@ def _ring_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
         ring = _jost_ring(E_c, np.append(E_c + rho * roots, E_c), h, nt)
         ring, c = ring[:-1], complex(ring[-1])
         med = float(np.median(np.abs(ring)))
+        high = np.abs(np.fft.fft(ring)[9:]) / ring_points
+        sigma = math.sqrt(float(np.mean(high ** 2))) if high.size else 0.0
+        if sigma >= _CERT_RATIO * med:
+            raise NoConvergence(
+                f"ring noise sigma = {sigma / med:.1e} x ring median at "
+                f"E={E_c:.8f} reaches the certificate {_CERT_RATIO:.1e}: "
+                "c+ is below the floor of the Jost solve")
         if abs(c) < _CERT_RATIO * med:
             break
         # trapezoidal Cauchy sums: c+(E_c) and c+'(E_c)

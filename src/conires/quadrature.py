@@ -2,9 +2,10 @@
 segment-to-point distances.
 
 This module integrates nothing.  The action integrals are closed form
-(see actions), the amplitude sweeps of wkb and the contour integrations
-of ode_oracle use scipy's ODE solvers, and the continuous branch of the
-symbol along a path is carried by model.SymbolBranch.
+(see actions), the amplitude sweeps of wkb and the ray of ode_oracle
+use scipy's ODE solvers, the inner contour of ode_oracle sums Taylor
+series, and the continuous branch of the symbol along a path is carried
+by model.SymbolBranch.
 """
 
 from __future__ import annotations

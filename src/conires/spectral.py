@@ -27,11 +27,11 @@ converges to the eigenvalue nearest sigma at the rate
 between two zeros has a rate near one and raises NoConvergence instead
 of sliding to one neighbour as Rayleigh-quotient shifts would.
 find_resonance_ode centres the Jost ring on the eigenvalue and solves
-c+ at the eigenvalue in the same batch. |c+| there is 2.4e-9 and 3.1e-9
-of |c+| at E + 1e-4|E| at |Lambda| ~ 14 and 23, inside the 1e-8
-winding certificate, so the eigenvalue is the certified zero; at
-|Lambda| ~ 42 it is 3.2e-7, and rings re-centred on the Newton points
-of their Cauchy sums refine it.
+c+ at the eigenvalue in the same batch. |c+| there is 2.2e-11, 1.6e-11
+and 2.2e-9 of the ring median at |Lambda| ~ 14, 23 and 42, inside the
+1e-8 winding certificate, so the eigenvalue is the certified zero;
+where it is not, rings re-centred on the Newton points of their Cauchy
+sums refine it.
 At theta = 0.35 and 0.45 the rotated problem loses precision past
 |Lambda| ~ 45, to double-precision non-normality rather than resolution.
 That was measured only at those angles and is no limit of the problem,

@@ -6,7 +6,9 @@ independent shooting computation of the scaled radial eigenvalues
 (h-free form of the equation, endpoint sign bisection) whose results
 are frozen as literals, and from a finite-difference solve of the same
 scaled problem run in the test; c+ references come from an all-Radau
-gauged ray at rtol 1e-13. The half-spacing offset between the Jost zeros
+gauged ray at rtol 1e-13, the inner contour's from DOP853 at rtol 1e-13,
+and the h = 0.05 zero from a small-angle full eigensolve of the
+complex-scaled problem. The half-spacing offset between the Jost zeros
 and the quantization route is asserted as measured fact: with the
 A-matrix, the x^{ν̃}(1,-i) Frobenius seed, and the outgoing-coefficient
 convention used throughout this package, the zeros of c⁺ sit half a
@@ -71,6 +73,13 @@ LAM_ODE = {0.2: complex(2.7084132879886424, -0.266666586365009),
 # BS root reaches; frozen from a Jost secant alone, as LAM_ODE.
 LAM_BELOW = {0.2: complex(1.7661977307715468, -0.23524419635590801),
              0.1: complex(1.8254463227515232, -0.14438130941676852)}
+# The h = 0.05 zero of LAM_ODE from the full eigensolve of the
+# complex-scaled problem at a small angle: the eigenvalue nearest
+# LAM_ODE[0.05] of scipy.linalg.eigvals(L, diag(m)), with L and m from
+# spectral._shifted_pencil(0, 0.05, 0.025, 250) at spectral._THETA = 0.12,
+# as E^{3/2}. The same solve at theta = 0.15, N = 300 agrees to 1.3e-13
+# relative. Far tighter than LAM_ODE's 1e-11 at this h.
+LAM_SPECTRAL_005 = complex(2.090896195034893, -0.08761487049335161)
 
 
 def _ladder_seed_above(h, k):
@@ -169,9 +178,10 @@ class TestIntegrateSystem:
         # evolve by e^{+-i x^3/3h}
         r = integrate_system((0.0, 0.1, 0.0), [0.3, 1.2],
                              np.array([1.0 + 0j, 1.0 + 0j]))
+        # (measured 9e-16: the Taylor sums run to roundoff)
         s = cmath.exp(1j * (1.2 ** 3 - 0.3 ** 3) / 0.3)
-        assert abs(r.u_end[0] - s) <= 1e-8
-        assert abs(r.u_end[1] - 1.0 / s) <= 1e-8
+        assert abs(r.u_end[0] - s) <= 1e-13
+        assert abs(r.u_end[1] - 1.0 / s) <= 1e-13
 
     @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
     def test_wronskian_drift_on_ray(self, h):
@@ -183,15 +193,16 @@ class TestIntegrateSystem:
         w = cmath.exp(-0.5j)
         path = [eps, x_mid, x_mid * w, 2.5 * w]
         r = integrate_system((E, h, nt), path, u0)
-        assert r.wronskian_drift <= 1e-8
+        assert r.wronskian_drift <= 1e-12  # measured 1.4e-14 to 4.2e-14
 
     def test_fundamental_pair(self):
         M0 = np.eye(2, dtype=complex)
         r = integrate_system((1.0, 0.1, 0.5), [0.2, 0.9], M0)
         assert r.u_end.shape == (2, 2)
         det = r.u_end[0, 0] * r.u_end[1, 1] - r.u_end[0, 1] * r.u_end[1, 0]
-        assert abs(det - 1.0) <= 1e-9
-        assert r.wronskian_drift <= 1e-9
+        # measured 8.9e-16 and 2.0e-15
+        assert abs(det - 1.0) <= 1e-13
+        assert r.wronskian_drift <= 1e-13
 
     def test_segment_concatenation(self):
         p = (1.0, 0.1, 0.5)
@@ -205,9 +216,12 @@ class TestIntegrateSystem:
             <= 1e-9 * np.max(np.abs(one.u_end))
 
     def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_system((1.0, 0.1, 0.5), [-0.5, 0.5],
-                             np.array([1.0, -1.0j]))
+        # the Taylor steps expand the x-multiplied system, singular at
+        # the origin even where nu = 0 leaves A(x) regular
+        for nt in (0.5, 0.0):
+            with pytest.raises(ValueError, match="origin"):
+                integrate_system((1.0, 0.1, nt), [-0.5, 0.5],
+                                 np.array([1.0, -1.0j]))
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -253,13 +267,13 @@ class TestJostCplus:
     def test_ray_accuracy_against_tight_radau(self):
         # The reference shares the program's inner contour and gauge
         # (_ray_start) and runs an all-Radau ray at ten times tighter
-        # tolerances, so the comparison reads the ray's error alone and
-        # not the rounding of the inner contour, which near a zero is a
-        # large part of |c+|. The bound is relative to the ring |c+|,
-        # the scale of the 1e-8 winding certificate, and it is what the
-        # ray must hold at the zero itself. An LSODA ray fails it by two
-        # orders of magnitude: 2.5e-8 at rtol 1e-11 and still 8e-9 to
-        # 1e-8 at 1e-12 and 1e-13.
+        # tolerances, so the comparison reads the ray's error alone
+        # (measured 1.3e-11 at the zero and 2.5e-11 at the ring point).
+        # The bound is relative to the ring |c+|, the scale of the 1e-8
+        # winding certificate, and it is what the ray must hold at the
+        # zero itself. An LSODA ray fails it by two orders of magnitude:
+        # 2.5e-8 at rtol 1e-11 and still 8e-9 to 1e-8 at 1e-12 and
+        # 1e-13.
         from scipy.integrate import solve_ivp
 
         h, nt, nu = 0.1, 0.5, 0.05
@@ -268,7 +282,7 @@ class TestJostCplus:
         for name, Ep in (("zero", E), ("ring", E + 1e-4 * abs(E))):
             Es = np.array([Ep])
             c = ode_oracle._contour(Ep, h, nt, nu, ode_oracle._THETA, None)
-            v0 = ode_oracle._ray_start(Es, h, nt, nu, c, ode_oracle._RTOL)
+            v0 = ode_oracle._ray_start(Es, h, nt, nu, c)
             rhs, jac = ode_oracle._ray_system(Es, h, nu, c.theta)
             sol = solve_ivp(rhs, (c.x_mid, c.R_max), v0.view(float)[0],
                             method="Radau", jac=jac, rtol=1e-13,
@@ -279,6 +293,44 @@ class TestJostCplus:
         bound = 1e-10 * abs(ref["ring"])
         for name in ref:
             assert abs(got[name] - ref[name]) <= bound, name
+
+    @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
+    def test_ray_start_against_tight_dop853(self, h):
+        # the inner contour's start vectors on the ring around criterion
+        # 5's zero, against DOP853 at rtol 1e-13 on the same path from
+        # frobenius_init's own start, gauged alike: each member to 1e-12
+        # of its max|v| (measured 1.5e-13 to 2.4e-13; DOP853 at rtol
+        # 1e-11 in renormalized chunks read 3.6e-12 to 1.4e-11)
+        from scipy.integrate import solve_ivp
+
+        nt = 0.5
+        nu = nt * h
+        E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
+        Es = np.append(E + 1e-4 * abs(E) * np.exp(
+            2j * np.pi * np.arange(16) / 16), E)
+        c = ode_oracle._contour(E, h, nt, nu, ode_oracle._THETA, None)
+        got = ode_oracle._ray_start(Es, h, nt, nu, c)
+        tp = turning_points(E, nu)
+        path = [1e-3 * min(1.0, abs(tp.r0)), c.x_mid, c.xs]
+        for j, Ej in enumerate(Es):
+            u, _ = frobenius_init((Ej, h, nt), eps=path[0])
+            for a, b in zip(path[:-1], path[1:]):
+                e = (b - a) / abs(b - a)
+
+                def f(t, y, a=a, e=e):
+                    x = a + t * e
+                    return e * (1j / h) * np.array(
+                        [(x * x - Ej) * y[0] + nu / x * y[1],
+                         -nu / x * y[0] + (Ej - x * x) * y[1]])
+
+                sol = solve_ivp(f, (0.0, abs(b - a)), u, method="DOP853",
+                                rtol=1e-13, atol=1e-16)
+                assert sol.success
+                u = sol.y[:, -1]
+            ref = u * cmath.exp(-1j * (c.xs ** 3 - 3.0 * Ej * c.xs)
+                                / (3.0 * h))
+            assert np.max(np.abs(got[j] - ref)) <= \
+                1e-12 * np.max(np.abs(ref)), j
 
     def test_one_member_ring_is_jost_cplus(self):
         # one c+ code path: jost_cplus is the one-member batched solve on
@@ -321,6 +373,12 @@ class TestFindResonance:
         ode = find_resonance_ode((bs.E, h, 0.5), bs.E)
         assert abs(ode.lam - LAM_ODE[h]) <= 1e-9
         assert ode.residual <= 1e-8
+        if h == 0.05:
+            # the first ring certifies the located eigenvalue, which is
+            # the small-angle value to 1e-12 relative (measured 4.3e-13)
+            assert ode.iterations == 0
+            assert abs(ode.lam - LAM_SPECTRAL_005) <= \
+                1e-12 * abs(LAM_SPECTRAL_005)
 
     def test_reseed_converges_to_same_zero(self, ode_root):
         again = find_resonance_ode((ode_root.E, 0.1, 0.5), ode_root.E,
@@ -335,8 +393,8 @@ class TestFindResonance:
     @pytest.mark.parametrize("h", [0.2, 0.1])
     def test_ring_matches_per_point_jost(self, h):
         # the batched ring against 16 separate jost_cplus calls on the
-        # same energies, around the certified zero: values to 1e-8 of
-        # the ring median (measured 3.7e-11 and 3.3e-10), the same
+        # same energies, around the certified zero: values to 1e-9 of
+        # the ring median (measured 5.5e-12 and 3.9e-11), the same
         # winding and the same certificate residual
         E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
         Es = [E + 1e-4 * abs(E) * cmath.exp(2j * math.pi * j / 16)
@@ -344,7 +402,7 @@ class TestFindResonance:
         ring = ode_oracle._jost_ring(E, Es, h, 0.5)
         ref = np.array([jost_cplus((Ej, h, 0.5)).c_plus for Ej in Es])
         med, med_ref = np.median(np.abs(ring)), np.median(np.abs(ref))
-        assert np.max(np.abs(ring - ref)) <= 1e-8 * med_ref
+        assert np.max(np.abs(ring - ref)) <= 1e-9 * med_ref
         assert ode_oracle._winding(ring) == ode_oracle._winding(ref) == 1
         c0 = abs(jost_cplus((E, h, 0.5)).c_plus)
         assert c0 / med == pytest.approx(c0 / med_ref, rel=1e-6)
@@ -460,6 +518,19 @@ class TestFindResonance:
             find_resonance_ode((zero, 0.1, 0.5), zero)
         assert centres == [zero] * 3  # one ring per ladder seed
 
+    def test_ring_noise_at_the_certificate_stops_the_seed(self,
+                                                           monkeypatch):
+        # the centre member is an exact zero, but the ring carries noise
+        # on DFT index 12, sigma 2.5e-7 of its median, above the 1e-8
+        # certificate: no centre can be certified below that noise, so
+        # each ladder seed stops after its first ring
+        noise = 1e-10 * np.exp(2j * np.pi * 12 * np.arange(17) / 16)
+        zero, _, centres = self._fake_rings(
+            monkeypatch, lambda d: d + noise, lambda E: 0.0, off=0.0)
+        with pytest.raises(NoConvergence, match="ring noise sigma = 2.5e-07"):
+            find_resonance_ode((zero, 0.1, 0.5), zero)
+        assert centres == [zero] * 3
+
     @pytest.mark.parametrize("cplus, centre, rings, match", [
         (lambda d: d, lambda E: 1.0, 3, "after 3 rings"),
         (lambda d: 1.0 + 1e-6 * d, None, 1, "left the search region")],
@@ -506,17 +577,16 @@ class TestFindResonance:
         assert calls == []
         assert len(rings) == rec.iterations + 1
         assert rings[-1] == rec.E
-        if h >= 0.1:
-            # the located eigenvalue, the first ring's centre member,
-            # already meets the certificate: it is the zero, bit for bit
-            assert rec.iterations == 0
-            assert rec.E == locate_zero((seed, h, 0.5), 30)
+        # the located eigenvalue, the first ring's centre member, already
+        # meets the certificate: it is the zero, bit for bit
+        assert rec.iterations == 0
+        assert rec.E == locate_zero((seed, h, 0.5), 30)
 
     def test_noise_floor_search_at_one_blas_thread(self):
-        # at h = 0.05 which ring centre first meets the certificate
-        # follows the last bits of the ring solve, which move with the
-        # BLAS thread count (3 rings at two threads, 7 at one); the
-        # certified zero must not
+        # at h = 0.05 the located eigenvalue follows the last bits of the
+        # locator's LU, which move with the BLAS thread count (1.3e-12
+        # apart at one and two threads); at either count the first ring
+        # must certify it, as the same zero
         src = str(Path(ode_oracle.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1")
@@ -524,12 +594,13 @@ class TestFindResonance:
                 "from conires.quantization import solve_resonance; "
                 "E = solve_resonance(8, 0.5, 0.05).E; "
                 "r = find_resonance_ode((E, 0.05, 0.5), E); "
-                "print(repr(r.lam), repr(r.residual))")
+                "print(repr(r.lam), repr(r.residual), r.iterations)")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        lam, residual = out.stdout.split()
+        lam, residual, iterations = out.stdout.split()
         assert abs(complex(lam) - LAM_ODE[0.05]) <= 1e-9
         assert float(residual) <= 1e-8
+        assert iterations == "0"
 
     @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
     def test_centre_member_matches_jost_cplus(self, h, k):
