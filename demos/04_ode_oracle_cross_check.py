@@ -45,8 +45,10 @@ print(f"\nWronskian drift along the standard contour: "
       f"{res.wronskian_drift:.2e} over {res.steps} Taylor steps")
 
 # --- c+ and its plateau ------------------------------------------------
-# On the ray arg x = -theta the gauged first component converges to c+;
-# the estimate carries its own plateau error and is theta-independent.
+# On the ray arg x = -theta the gauged first component, divided by the
+# outgoing solution's 1/x series, is c+; it is read at the extraction
+# radius and again 10% further out, the gap between the two readings is
+# the plateau error, and the estimate is theta-independent.
 est4 = jost_cplus((bs.E, h, nt), theta=0.4)
 est6 = jost_cplus((bs.E, h, nt), theta=0.6)
 print(f"\nc+ at the BS root, theta = 0.4: {est4.c_plus:.8f}")

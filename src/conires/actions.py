@@ -292,17 +292,37 @@ def _subcritical(mu):
     return mu
 
 
+def _unit_w(mu):
+    """The trigonometric roots w_k = (2/sqrt 3) cos((theta - 2 pi k)/3),
+    theta = arccos(-(3 sqrt 3/2) mu), of w^3 - w + mu = 0 (model._label at
+    E = 1), in the labels of y0, y1, y2 = w_k^2: k = 1, 0, 2."""
+    theta = cmath.acos(-1.5 * math.sqrt(3.0) * mu)
+    return [2.0 / math.sqrt(3.0) * cmath.cos((theta - 2.0 * math.pi * k) / 3.0)
+            for k in (1, 0, 2)]
+
+
 def _unit_roots(mu):
     """Labeled roots of y^3 - 2y^2 + y - mu^2, arg mu in [0, pi], in the
     labels of the continuation from arg mu = 0 (model._label), polished
-    at mu."""
+    at mu.
+
+    Near the double root y = 1, Cardano's y1 and y2 are off by about
+    3e-9 at |mu| ~ 6e-9, and the polish skips them as near-double; for
+    1e-12 < |mu| < 5e-5 they are taken from the trigonometric form
+    (_unit_w) instead, which resolves their separation 2|mu| to roundoff.
+    Below that window the trigonometric pair loses its separation, and
+    Cardano's is kept."""
     mu_abs, phi = abs(mu), cmath.phase(mu)
     if phi > 0.0:
         m = mu_abs * cmath.exp(1j * phi)
         roots = _label(1.0 + 0.0j, m, _cardano_any(1.0 + 0.0j, m))
     else:
         roots = cubic_roots(1.0, mu_abs).roots
-    return tuple(_polish(roots, 1.0, mu))
+    y0, y1, y2 = _polish(roots, 1.0, mu)
+    if 1e-12 < mu_abs < 5e-5:
+        _, w1, w2 = _unit_w(mu)
+        y1, y2 = w1 * w1, w2 * w2
+    return y0, y1, y2
 
 
 def _unit_action(mu, seg, sign):
@@ -361,12 +381,11 @@ def action_I(mu):
     germ = (y1 - y0) * cmath.sqrt(y1 - y2) * cmath.sqrt(c)
     value, err = _unit_action(mu, _segment(y0, y1, y2, _rj, (("mu", mu),)),
                               _same_side(germ, 1j))
-    # p = y0/y1 has the continuous argument 2 arg(w1/w0) in the labels
-    # w_k of model._label; each 2 pi it gains over its principal value
-    # is one crossing
-    theta = cmath.acos(-1.5 * math.sqrt(3.0) * mu)
-    w0, w1 = (cmath.cos((theta - 2.0 * math.pi * k) / 3.0) for k in (0, 1))
-    crossings = round((2.0 * cmath.phase(w1 / w0) - cmath.phase(y0 / y1))
+    # p = y0/y1 has the continuous argument 2 arg(w0/w1) in the labelled
+    # trigonometric roots (_unit_w); each 2 pi it gains over its
+    # principal value is one crossing
+    w0, w1, _ = _unit_w(mu)
+    crossings = round((2.0 * cmath.phase(w0 / w1) - cmath.phase(y0 / y1))
                       / (2.0 * math.pi))
     pole = math.pi * mu * (1 - crossings)
     return ActionValue(-1j * value + pole, err + _ROUNDOFF * abs(pole), 3)

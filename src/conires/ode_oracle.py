@@ -5,7 +5,8 @@ equation and nothing more: a Frobenius series starts the regular
 solution at the origin, Taylor series of the x-multiplied system, whose
 coefficients are polynomials, carry it along complex contours, and the
 outgoing Jost coefficient c+ is read off on a rotated ray where the
-e^{+i(x^3-3Ex)/3h} solution dominates. Resonances are zeros of c+: the
+e^{+i(x^3-3Ex)/3h} solution dominates, against that solution's
+asymptotic series at infinity. Resonances are zeros of c+: the
 complex-scaled eigenproblem of spectral.locate_zero places each one
 from its seed without a single Jost evaluation, and the located
 eigenvalue is solved for c+ together with a ring of c+ values around
@@ -21,35 +22,27 @@ point: the two routes check each other.
 Contour layout for c+: the Frobenius series is summed at
 x0 = min(x_mid, h/|E|), x_mid the geometric mean of the two outer
 turning-point moduli. Taylor steps carry the solution along the real
-axis to x_mid and along one chord to x_mid e^{-i theta}, the start of
-the ray arg x = -theta; the ray runs out to R_max. On the ray the
-integration runs in the gauged variable v = u e^{-i(x^3-3Ex)/3h}, which
-keeps the dominant component O(1) and turns the recessive one into a
-decaying mode. The realified system goes to explicit DOP853 up to the
-dominance radius, where the recessive mode is down by 40 e-folds and
-still oscillating, and to implicit Radau from there on, where that mode
-is dead and would otherwise throttle the step size. The quotient v_1
-converges to c+ with a relative tail nu^2/(6 h t^3), so the default
-R_max is chosen to push that tail below the plateau tolerance across
-the sampled final decade.
+axis to x_mid, along one chord to x_mid e^{-i theta}, the start of the
+ray arg x = -theta, and out along the ray to R_max and 1.1 R_max.
+R_max is the dominance radius, where the recessive mode is down by
+40 e-folds on the outgoing one. There the gauged regular solution
+v = u e^{-i(x^3-3Ex)/3h} is c+ times the gauged outgoing solution
+g ~ (1, 0), up to that recessive remainder, and g is the sum of its
+1/x series (_outgoing). So c+ = v_1/g_1 at R_max, and the same quotient
+at 1.1 R_max checks it. No solver runs on the ray, and no tail of g is
+left in c+.
 
 Every c+ comes from one batched solve over m energies (_jost_batch):
 each member runs on the contour of a centre energy with its own E in
 the right-hand side. The Frobenius start is one recurrence over the
-stack, the inner contour one stack of fundamental pairs carried by the
-same Taylor steps, and the ray one realified system with a
-block-diagonal Jacobian, whose Radau stage factors only the m diagonal
-4x4 blocks of each Newton matrix, as one batched inverse
-(_batch_radau), and takes scipy's dense Radau's steps. jost_cplus is
-its one-member case, on E's own contour; the certification ring is its
-(ring_points + 1)-member case, the ring points and the centre itself,
-on the centre's contour. No member is computed more loosely than it
-would be alone: a Taylor step is sized on the largest |x^2 - E| of the
-members and summed until every member's terms are negligible, the
-DOP853 stages accept a step on the largest of the members' own error
-norms, and Radau, whose error norm is the RMS over all components, runs
-at rtol and atol divided by sqrt(m), so its batch norm bounds each
-member's own norm.
+stack, the whole contour one stack of fundamental pairs carried by the
+same Taylor steps, and the outgoing series one recurrence over the
+stack. jost_cplus is its one-member case, on E's own contour; the
+certification ring is its (ring_points + 1)-member case, the ring
+points and the centre itself, on the centre's contour. No member is
+computed more loosely than it would be alone: a Taylor step is sized on
+the largest |x^2 - E| of the members and summed until every member's
+terms are negligible, and so is the outgoing series.
 """
 
 from __future__ import annotations
@@ -89,26 +82,22 @@ def _deferred(module, name, *args, **kwargs):
     return getattr(importlib.import_module(module), name)(*args, **kwargs)
 
 
-# scipy.integrate loads on the first ODE solve, not on import: the
-# package, the CLI on its Bohr-Sommerfeld path and the radial eigensolve
-# never need it.  solve_ivp stays a module attribute because perfbench's
-# tracer rebinds it here; nothing calls brentq, which is kept only
-# because that tracer wraps it unconditionally.
+# Nothing here calls solve_ivp or brentq, and no Jost evaluation loads
+# scipy.integrate.  Both stay module attributes only because perfbench's
+# tracer rebinds them here unconditionally; they resolve on first call.
 solve_ivp = functools.partial(_deferred, "scipy.integrate", "solve_ivp")
 brentq = functools.partial(_deferred, "scipy.optimize", "brentq")
 
-_RTOL = 1e-11  # ray tolerance: default rtol of jost_cplus and of the ring
-_ATOL = 1e-14  # absolute ray tolerance, times the start amplitude
-_MAX_STEPS = 100_000  # Taylor-step budget of one inner contour
-_MAX_TERMS = 100  # Taylor-term budget of one step
-_TAYLOR_CUT = 2e-17  # last three Taylor terms of a step below this
+_ATOL = 1e-14  # c+ floor: the plateau check allows 50 atol max|v(x_s)|
+_MAX_STEPS = 100_000  # Taylor-step budget of one contour
+_MAX_TERMS = 200  # term budget of a Taylor step and of _outgoing
+_TAYLOR_CUT = 2e-17  # a sum stops after three terms below this
 _TAYLOR_REACH = 0.4  # Taylor step at most this times |x_c|
 _TAYLOR_PHASE = 2.0  # ... and |A| integrated over it at most this times h
 _START_TERMS = 40  # Frobenius terms at the inner contour's start
-_RAY_RTOL_CAP = 1e-10  # the ray runs at 0.1 min(rtol, cap), 1e-12 at _RTOL
 _THETA = 0.5  # angle of the extraction ray arg x = -theta
 _DOMINANCE_EFOLDS = 40.0  # decay of the recessive mode where c+ is read
-_PLATEAU_REL = 1e-6  # largest plateau variation, relative to |c+|
+_PLATEAU_REL = 1e-6  # largest gap of the two c+ readings, relative to |c+|
 _CERT_RATIO = 1e-8  # certified zero: |c+| below this times the ring median
 
 
@@ -133,9 +122,9 @@ class IntegrationResult:
 class JostEstimate:
     """Outgoing Jost coefficient with its extraction quality.
 
-    plateau_error is the largest deviation of the quotient
-    u_1 e^{-i(x^3-3Ex)/3h} from its value at R_max over the sampled
-    final decade of the ray.
+    c_plus is read at the extraction radius R_max on the ray
+    arg x = -theta; plateau_error is its distance to the same reading at
+    1.1 R_max.
     """
 
     c_plus: complex
@@ -223,57 +212,6 @@ def _gram_schmidt(U):
     return np.stack([q0, w / r11[..., None]], axis=-1), R
 
 
-@functools.cache
-def _batch_dop853():
-    """scipy's DOP853 for a batch of independent systems stacked four
-    components each: a step is accepted on the largest of the members'
-    own error norms (scipy's formula per member), so every member passes
-    the test it would pass alone."""
-    base = importlib.import_module("scipy.integrate").DOP853
-
-    class BatchDOP853(base):
-        def _estimate_error_norm(self, K, h, scale):
-            err5 = (K.T @ self.E5 / scale).reshape(-1, 4)
-            err3 = (K.T @ self.E3 / scale).reshape(-1, 4)
-            a = np.sum(np.abs(err5) ** 2, axis=1)
-            denom = a + 0.01 * np.sum(np.abs(err3) ** 2, axis=1)
-            denom[denom == 0.0] = 1.0  # both errors zero: norm zero
-            return abs(h) * float(np.max(a / np.sqrt(4.0 * denom)))
-
-    return BatchDOP853
-
-
-@functools.cache
-def _batch_radau():
-    """scipy's Radau IIA for a batch of independent systems stacked four
-    components each, whose Jacobian is block-diagonal: each Newton
-    matrix MU/h I - J is factored as the stack of its m diagonal 4x4
-    blocks, inverted by one batched np.linalg.inv, and every collocation
-    solve is one batched product with that stack, in place of a dense
-    LU of the 4m x 4m matrix. The steps, the Newton iterations and the
-    nlu count are scipy's."""
-    base = importlib.import_module("scipy.integrate").Radau
-
-    class BatchRadau(base):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            m = self.n // 4
-            members = np.arange(m)
-
-            def lu(A):
-                self.nlu += 1
-                return np.linalg.inv(
-                    A.reshape(m, 4, m, 4)[members, :, members, :])
-
-            def solve_lu(LU, b):
-                return (LU @ b.reshape(m, 4, 1)).reshape(-1)
-
-            self.lu = lu
-            self.solve_lu = solve_lu
-
-    return BatchRadau
-
-
 def _companion(u):
     """Fundamental pairs (..., 2, 2) of the vectors u, shape (..., 2), and
     the unit vector on the smaller component of each u as second column."""
@@ -331,11 +269,14 @@ def _carry_pairs(segs, Es, h, nu, M):
     larger than the sum. Each step starts from the pairs orthonormalized
     by _gram_schmidt, whose factors are accumulated, and adds
     |W - W_0| / |W_0| of each pair's Wronskian to its drift. Returns the
-    pairs at the last vertex, the steps and the largest drift.
+    pairs at the last vertex, the steps, the largest drift and the
+    regular columns (the pairs' first) at the end of every segment,
+    shape (len(segs), m, 2).
     """
     Q, R_acc = _gram_schmidt(M)
     drift = np.zeros(len(Es))
     steps = 0
+    cols = []
     for a, b in segs:
         L = abs(b - a)
         e = (b - a) / L
@@ -360,11 +301,12 @@ def _carry_pairs(segs, Es, h, nu, M):
                 raise StepUnderflow(
                     f"Taylor-step budget {_MAX_STEPS} exceeded; shorten "
                     "the path or stay in the h >= 0.05 regime")
+        cols.append(Q[..., 0] * R_acc[:, :1, 0])
     M = Q @ R_acc
     if not np.all(np.isfinite(M)):
         raise StepUnderflow("solution magnitude left the representable "
                             "range; shorten the path")
-    return M, steps, float(drift.max())
+    return M, steps, float(drift.max()), np.array(cols)
 
 
 def integrate_system(params, path, u_start):
@@ -415,7 +357,7 @@ def integrate_system(params, path, u_start):
         if segment_point_distance(a, b, [0])[0] < 1e-12 * scale:
             raise ValueError("path passes through the origin")
 
-    M, steps, drift = _carry_pairs(segs, np.array([E]), h, nu, M[None])
+    M, steps, drift, _ = _carry_pairs(segs, np.array([E]), h, nu, M[None])
     u_end = M[0, :, 0] if vector_input else M[0]
     return IntegrationResult(u_end, drift, steps, path)
 
@@ -425,221 +367,163 @@ class _Contour(NamedTuple):
     x0: float  # Frobenius start on the real axis, min(x_mid, h/|E|)
     x_mid: float  # end of the real segment, |x| of the ray start
     xs: complex  # x_mid e^{-i theta}, where the ray starts
-    t_switch: float  # DOP853 -> Radau switch on the ray
     R_max: float  # extraction radius
-    t_eval: np.ndarray  # plateau samples, the final decade up to R_max
+
+    @property
+    def ends(self):
+        """The two reading points on the ray, at R_max and 1.1 R_max."""
+        return self.R_max * cmath.exp(-1j * self.theta) * np.array(
+            [1.0, 1.1])
 
 
-def _contour(E, h, nt, nu, theta, R_max):
-    """The contour policy of c+ at energy E: the inner path, the ray
-    radii and the plateau samples.
+def _contour(E, h, nu, theta, R_max):
+    """The contour policy of c+ at energy E: the inner path and the
+    extraction radius.
 
     theta must lie in (0, pi/3) so the outgoing solution grows on the
-    ray; R_max (None for the default) must keep
-    sin(3 theta) R^3/(3h) >= 40 so the recessive component is dead at
-    the extraction radius, and must clear x_mid.
+    ray. At x = R e^{-i theta} the recessive mode is down on the outgoing
+    one by (2/h)(sin(3 theta) R^3/3 + R Im(E e^{-i theta})) e-folds. The
+    default R_max is the radius where that margin is _DOMINANCE_EFOLDS,
+    the largest root of a cubic; a caller's R_max must keep at least that
+    margin. Either must clear 1.1 x_mid.
     """
     if not 0.0 < theta < math.pi / 3.0:
         raise ValueError(f"theta must lie in (0, pi/3), got {theta}")
     s3 = math.sin(3.0 * theta)
+    tilt = (E * cmath.exp(-1j * theta)).imag
     tp = turning_points(E, nu)
     x_mid = math.sqrt(abs(tp.r1) * abs(tp.r2))
-    R_dom = (3.0 * _DOMINANCE_EFOLDS * h / s3) ** (1.0 / 3.0)
     if R_max is None:
-        R_plateau = (3.4e8 * nt * nt * h) ** (1.0 / 3.0)
-        R_max = max(R_dom, R_plateau, 12.0 * x_mid)
-    R_max = float(R_max)
-    if s3 * R_max ** 3 / (3.0 * h) < _DOMINANCE_EFOLDS:
-        raise ValueError(
-            f"R_max={R_max} leaves dominance margin "
-            f"{s3 * R_max ** 3 / (3.0 * h):.1f} < {_DOMINANCE_EFOLDS:g}")
+        R_max = float(np.roots([s3 / 3.0, 0.0, tilt,
+                                -0.5 * _DOMINANCE_EFOLDS * h]).real.max())
+    else:
+        R_max = float(R_max)
+        margin = (2.0 / h) * (s3 * R_max ** 3 / 3.0 + R_max * tilt)
+        if margin < _DOMINANCE_EFOLDS:
+            raise ValueError(f"R_max={R_max} leaves dominance margin "
+                             f"{margin:.1f} < {_DOMINANCE_EFOLDS:g}")
     if R_max <= 1.1 * x_mid:
         raise ValueError(f"R_max={R_max} does not clear the ray start "
                          f"radius {x_mid:.3f}")
-    lo = max(R_max / 10.0, 1.02 * x_mid)
-    # the switch stays inside [x_mid, lo] so every plateau sample comes
-    # from the Radau stage
-    t_switch = min(max(R_dom, x_mid), lo)
     return _Contour(theta, min(x_mid, h / abs(E)), x_mid,
-                    x_mid * cmath.exp(-1j * theta), t_switch, R_max,
-                    np.geomspace(lo, R_max, 33))
+                    x_mid * cmath.exp(-1j * theta), R_max)
 
 
-def _ray_system(Es, h, nu, theta):
-    """Right-hand side and analytic Jacobian of the gauged ray system
-    v' = e^{-i th}(i/h)(A - (x^2-E)I)v in the arclength t of the ray
-    x = t e^{-i th}, one member for each energy of Es.
+def _outgoing(Es, h, nu, xs):
+    """The gauged outgoing solution g = u e^{-i(x^3-3Ex)/3h} at the
+    points xs, shape (m, len(xs), 2), one member for each energy of Es,
+    from its asymptotic series about the irregular singular point at
+    infinity (Olver 1974, ch. 7), g = sum_n (a_n, b_n) x^{-n}.
 
-    Member j is stored as the four reals (Re v1, Im v1, Re v2, Im v2), so
-    the right-hand side works on y viewed as m complex pairs. The
-    Jacobian is block-diagonal; it is returned as the dense 4m x 4m
-    array scipy expects, with the m 4x4 blocks written onto its
-    diagonal, and _batch_radau factors only those blocks.
+    Matching powers of x in g' = (i/h)[[0, nu/x], [-nu/x, -2(x^2-E)]] g
+    gives a_0 = 1, b_0 = b_1 = b_2 = 0 and, for n >= 3,
+    b_n = E b_{n-2} - (ih/2)(n-3) b_{n-3} - (nu/2) a_{n-3} and
+    a_n = -i nu b_n/(h n), so g_1 = 1 + i nu^2/(6 h x^3) + ... The
+    recurrence runs on the terms (a_n, b_n) x^{-n} themselves. The series
+    diverges: its terms fall to about the size of the recessive mode
+    before they grow, e^{-40} at the default extraction radius, and the
+    sum stops after three successive terms below _TAYLOR_CUT at every
+    point and energy (76 to 121 terms on the default ray at h = 0.2 to
+    0.03).
+
+    Raises NoPlateau when that takes more than _MAX_TERMS terms, at a
+    point too close to the turning points.
     """
-    m = len(Es)
-    w = cmath.exp(-1j * theta)
-    g = (1j / h) * w
-    g2_Es = 2.0 * g * Es
-    members = np.arange(m)
-
-    def coeffs(t):
-        # v' = J v with J = [[0, g_om], [-g_om, j11]]; x is a Python
-        # complex, whose arithmetic costs less than numpy scalars'
-        x = float(t) * w
-        return g * (nu / x), g2_Es - 2.0 * g * x * x
-
-    def rhs(t, y):
-        v = y.view(complex).reshape(m, 2)
-        g_om, j11 = coeffs(t)
-        dv = g_om * v[:, ::-1]  # (g_om v2, g_om v1)
-        dv[:, 1] = j11 * v[:, 1] - dv[:, 1]
-        return dv.view(float).reshape(4 * m)
-
-    def jac(t, y):
-        # member j's block is the realified J: z w becomes
-        # [[Re z, -Im z], [Im z, Re z]] on (Re w, Im w)
-        g_om, j11 = coeffs(t)
-        gr, gi = g_om.real, g_om.imag
-        blocks = np.zeros((m, 4, 4))
-        blocks[:, 0, 2:] = gr, -gi
-        blocks[:, 1, 2:] = gi, gr
-        blocks[:, 2, :2] = -gr, gi
-        blocks[:, 3, :2] = -gi, -gr
-        blocks[:, 2, 2] = blocks[:, 3, 3] = j11.real
-        blocks[:, 3, 2] = j11.imag
-        blocks[:, 2, 3] = -j11.imag
-        out = np.zeros((m, 4, m, 4))
-        out[members, :, members, :] = blocks
-        return out.reshape(4 * m, 4 * m)
-
-    return rhs, jac
+    w = 1.0 / np.asarray(xs, dtype=complex)
+    Ew2 = np.asarray(Es, dtype=complex)[:, None] * (w * w)
+    w3 = w ** 3
+    zero = np.zeros_like(Ew2)
+    a, b = [zero + 1.0, zero, zero], [zero, zero, zero]
+    small = 0
+    for n in range(3, _MAX_TERMS + 1):
+        b.append(Ew2 * b[n - 2] - ((0.5j * h * (n - 3)) * b[n - 3]
+                                   + (0.5 * nu) * a[n - 3]) * w3)
+        a.append((-1j * nu / (h * n)) * b[n])
+        big = max(np.abs(a[n]).max(), np.abs(b[n]).max())
+        small = small + 1 if big < _TAYLOR_CUT else 0
+        if small == 3:
+            return np.stack([sum(a), sum(b)], axis=-1)
+    raise NoPlateau(f"outgoing series at |x|={1.0 / np.abs(w).max():.3f} "
+                    f"did not converge in {_MAX_TERMS} terms; raise R_max")
 
 
-def _gauged_ray(Es, h, nu, c, v0, rtol):
-    """Integrate the gauged ray system (_ray_system) along c's ray from
-    x_mid to R_max, for each energy of Es from its start vector v0[j].
-
-    The stack runs in two stages with one right-hand side and one
-    analytic, block-diagonal Jacobian. On [x_mid, t_switch] the
-    recessive component still oscillates at frequency
-    ~ 2 t^2 cos(3 th)/h and has barely decayed: the problem is not stiff
-    there, accuracy sets the step, and explicit DOP853 crosses it in at
-    most a few hundred steps where Radau would spend most of its work.
-    t_switch is the dominance radius, where the recessive mode is down
-    by 40 e-folds; beyond it the decay rate ~ 2 t^2 sin(3 th)/h
-    throttles any explicit method, while the remaining dynamics is the
-    slow 1/t^3 relaxation of the quotient, so implicit Radau IIA takes
-    over and strides to R_max. Its Newton matrices are factored block
-    by block (_batch_radau): m 4x4 inverses in one batched call, where
-    scipy's dense Radau would LU-factor the whole 4m x 4m matrix; the
-    steps and the factorization count are the same. LSODA's automatic
-    switching is not a substitute: near a zero of c+ its endpoint error
-    is ~1e-8 of |c+| on the certification ring even at rtol 1e-13, the
-    size of the certificate itself.
-
-    The ray runs at a tenth of rtol (capped at 1e-10), because at
-    h = 0.05 the c+ noise floor once sat just above the 1e-8 certificate
-    without it, and member j at absolute tolerance 1e-14 max|v0[j]|.
-    DOP853 takes each member's own error norm (_batch_dop853); Radau's
-    norm is the RMS over all 4m components, so its tolerances are
-    divided by sqrt(m), which makes the batch norm bound every member's
-    own. Returns v_1 at c.t_eval, shape (m, 33), and each member's
-    undivided atol.
-    """
-    m = len(Es)
-    rtol = 0.1 * min(rtol, _RAY_RTOL_CAP)
-    rhs, jac = _ray_system(Es, h, nu, c.theta)
-    atols = _ATOL * np.maximum(np.abs(v0).max(axis=1), 1e-290)
-    atol = np.repeat(atols, 4)
-    y0 = np.ascontiguousarray(v0, dtype=complex).view(float).reshape(4 * m)
-    sol = solve_ivp(rhs, (c.x_mid, c.t_switch), y0, method=_batch_dop853(),
-                    rtol=rtol, atol=atol)
-    if sol.success:
-        root_m = math.sqrt(m)
-        # a contiguous start: rhs views y as complex
-        sol = solve_ivp(rhs, (c.t_switch, c.R_max), sol.y[:, -1].copy(),
-                        method=_batch_radau(), jac=jac, rtol=rtol / root_m,
-                        atol=atol / root_m, t_eval=c.t_eval)
-    if not sol.success:
-        raise StepUnderflow(f"ray integration stalled: {sol.message}")
-    return np.ascontiguousarray(sol.y.T).view(complex)[:, 0::2].T, atols
-
-
-def _plateau(q, atol, contour):
-    """(c+, plateau error) from the ray quotient q at contour.t_eval;
-    NoPlateau when q varies by more than 1e-6 |c+| (or 50 atol)."""
-    c_plus = complex(q[-1])
-    plateau_error = float(np.max(np.abs(q - c_plus)))
-    if plateau_error > max(_PLATEAU_REL * abs(c_plus), 50.0 * atol):
-        raise NoPlateau(
-            f"quotient varies by {plateau_error:.3e} against "
-            f"|c+|={abs(c_plus):.3e} over [{contour.t_eval[0]:.1f}, "
-            f"{contour.R_max:.1f}]; raise R_max or theta")
-    return c_plus, plateau_error
-
-
-def _ray_start(Es, h, nt, nu, c):
-    """Gauged start vectors v = u e^{-i(x^3-3Ex)/3h} at the ray start
-    c.xs, shape (m, 2), one for each energy of Es: the regular solutions
-    from one Frobenius recurrence over the stack, summed at c.x0 with
-    _START_TERMS terms (_frobenius_stack), carried along the inner path
-    [x0, x_mid, xs] as one stack of fundamental pairs by Taylor steps
-    (_carry_pairs). The chord from x_mid to xs keeps at least
-    x_mid cos(theta/2) from the origin, the system's one singular point.
+def _gauged_vertices(Es, h, nt, nu, c):
+    """Gauged regular solutions v = u e^{-i(x^3-3Ex)/3h}, shape (3, m, 2),
+    at the ray start c.xs and at the two reading points c.ends, for each
+    energy of Es: the regular solutions from one Frobenius recurrence
+    over the stack, summed at c.x0 with _START_TERMS terms
+    (_frobenius_stack), carried along [x0, x_mid, xs] and out along the
+    ray as one stack of fundamental pairs by Taylor steps (_carry_pairs).
+    The chord from x_mid to xs keeps at least x_mid cos(theta/2) from
+    the origin, the system's one singular point.
     """
     u0, _ = _frobenius_stack(Es, h, nt, c.x0, _START_TERMS)
-    path = ComplexPath((c.x0, c.x_mid, c.xs))
-    pairs, _, _ = _carry_pairs(path.segments(), Es, h, nu, _companion(u0))
-    gauge = np.exp(-1j * (c.xs ** 3 - 3.0 * Es * c.xs) / (3.0 * h))
-    return pairs[:, :, 0] * gauge[:, None]
+    x = np.append(c.xs, c.ends)
+    path = ComplexPath((c.x0, c.x_mid, *x))
+    *_, cols = _carry_pairs(path.segments(), Es, h, nu, _companion(u0))
+    gauge = np.exp(-1j * (x[:, None] ** 3 - 3.0 * Es * x[:, None])
+                   / (3.0 * h))
+    return cols[-3:] * gauge[:, :, None]
 
 
-def _jost_batch(E_center, Es, h, nt, theta, R_max, rtol):
+def _jost_batch(E_center, Es, h, nt, theta, R_max):
     """JostEstimate of c+ at every energy of Es, from one batched solve.
 
     All members run on E_center's contour (c+ does not depend on the
     path) with their own E in the right-hand side: one Frobenius
-    recurrence and the m fundamental pairs of the inner contour as one
-    (m, 2, 2) stack carried by Taylor steps (_ray_start), then the m
-    gauged ray vectors as one 4m-dimensional _gauged_ray solve at rtol,
-    each member at least as tight as alone. Each member passes the
-    plateau check or NoPlateau is raised.
+    recurrence and the m fundamental pairs as one (m, 2, 2) stack carried
+    by Taylor steps out to 1.1 R_max (_gauged_vertices). c+ is
+    v_1/g_1 at R_max, g the outgoing solution's series (_outgoing); the
+    same quotient at 1.1 R_max must agree to 1e-6 |c+| (or 50 atol,
+    atol = 1e-14 max|v| at the ray start), or NoPlateau is raised.
     """
     E, h, nt, nu = _as_params((E_center, h, nt), "half-integer")
-    c = _contour(E, h, nt, nu, theta, R_max)
+    c = _contour(E, h, nu, theta, R_max)
     Es = np.asarray(Es, dtype=complex)
-    q, atols = _gauged_ray(Es, h, nu, c, _ray_start(Es, h, nt, nu, c),
-                           rtol)
-    return [JostEstimate(*_plateau(qj, aj, c), c.R_max, theta)
-            for qj, aj in zip(q, atols)]
+    v = _gauged_vertices(Es, h, nt, nu, c)
+    q = v[1:, :, 0].T / _outgoing(Es, h, nu, c.ends)[:, :, 0]
+    out = []
+    for (c_plus, check), v0 in zip(q, v[0]):
+        plateau_error = float(abs(c_plus - check))
+        if plateau_error > max(_PLATEAU_REL * abs(c_plus),
+                               50.0 * _ATOL * np.abs(v0).max()):
+            raise NoPlateau(
+                f"c+ read at |x|={c.R_max:.3f} and 1.1 times that differ "
+                f"by {plateau_error:.3e} against |c+|={abs(c_plus):.3e}; "
+                "raise R_max or theta")
+        out.append(JostEstimate(complex(c_plus), plateau_error, c.R_max,
+                                theta))
+    return out
 
 
-def jost_cplus(params, theta=_THETA, R_max=None, rtol=_RTOL):
+def jost_cplus(params, theta=_THETA, R_max=None, rtol=None):
     """Outgoing Jost coefficient of the regular solution.
 
     Sums the Frobenius series of u ~ x^nu_tilde (1,-i) at
-    x0 = min(x_mid, h/|E|), carries it by Taylor steps along [x0, x_mid]
-    and a chord down to arg x = -theta, then along the rotated ray, and
-    reads c+ as the plateau of u_1 e^{-i(x^3-3Ex)/3h} over the final
-    decade: the one-member case of _jost_batch, on E's own contour.
-    theta must lie in (0, pi/3) so the outgoing solution grows on the
-    ray; R_max must keep sin(3 theta) R^3/(3h) >= 40 so the recessive
-    component is dead at the extraction radius; rtol is the ray's
-    tolerance, which runs at 0.1 min(rtol, 1e-10).
+    x0 = min(x_mid, h/|E|), carries it by Taylor steps along [x0, x_mid],
+    a chord down to arg x = -theta and the rotated ray, and reads c+ as
+    u_1 e^{-i(x^3-3Ex)/3h} over the outgoing solution's series at R_max,
+    checked against the same reading at 1.1 R_max: the one-member case
+    of _jost_batch, on E's own contour. theta must lie in (0, pi/3) so
+    the outgoing solution grows on the ray; R_max must keep
+    (2/h)(sin(3 theta) R^3/3 + R Im(E e^{-i theta})) >= 40 so the
+    recessive component is dead at the extraction radius, and defaults
+    to the radius where it is 40. rtol is accepted and ignored: every
+    Taylor sum runs to roundoff.
 
-    Raises NoPlateau when the sampled quotient varies by more than
+    Raises NoPlateau when the two readings differ by more than
     1e-6 |c+| (raise R_max or theta).
     """
     E, h, nt, _ = _as_params(params, "half-integer")
-    return _jost_batch(E, [E], h, nt, theta, R_max, rtol)[0]
+    return _jost_batch(E, [E], h, nt, theta, R_max)[0]
 
 
 def _jost_ring(E_center, Es, h, nt):
     """c+ at every energy of Es (the certification ring around E_center),
     as an array: the len(Es)-member case of _jost_batch on E_center's
-    contour, at jost_cplus's default theta, R_max and rtol."""
+    contour, at jost_cplus's default theta and R_max."""
     return np.array([est.c_plus for est in
-                     _jost_batch(E_center, Es, h, nt, _THETA, None, _RTOL)])
+                     _jost_batch(E_center, Es, h, nt, _THETA, None)])
 
 
 def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
@@ -654,8 +538,8 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     fails there and the ladder moves on. The located E_c centres a ring
     of ring_points energies at radius rho = 1e-4 |E_c|, and is itself a
     member of the same batched solve (_jost_ring) on E_c's contour;
-    the ring points agree with per-point jost_cplus to about 4e-11 of
-    the ring median at h = 0.1, the centre to about 2.6e-11. E_c is
+    the ring points agree with per-point jost_cplus to about 1.5e-11 of
+    the ring median at h = 0.1, the centre to about 1.3e-11. E_c is
     certified when its |c+| and the ring's noise (_ring_certified) are
     both below 1e-8 times the ring median and the ring winds once
     (SpuriousZero when the ring winds otherwise). Otherwise the ring's
@@ -665,9 +549,10 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     located eigenvalue, or at once when a ring's noise reaches the
     certificate). No jost_cplus call is made: from h = 0.2 down to
     h = 0.05 (|Lambda| ~ 42) at nu_tilde = 1/2 and 3/2 the first ring
-    certifies; at h = 0.045 and 0.04, where the noise is 4e-10 to 7e-9
-    of the median, the search takes a few rings. If every seed fails,
-    the last failure's type is raised with every seed's message.
+    certifies; at h = 0.045 and 0.04, where the noise is 3e-10 to 4e-9
+    of the median, the search takes two rings, and at h = 0.035 five.
+    If every seed fails, the last failure's type is raised with every
+    seed's message.
     The record carries the residual |c+|/median(ring), the re-centred
     rings as iterations (0 where the first ring certifies) and the
     seed's k.

@@ -2,10 +2,10 @@
 segment-to-point distances.
 
 This module integrates nothing.  The action integrals are closed form
-(see actions), the amplitude sweeps of wkb and the ray of ode_oracle
-use scipy's ODE solvers, the inner contour of ode_oracle sums Taylor
-series, and the continuous branch of the symbol along a path is carried
-by model.SymbolBranch.
+(see actions), the amplitude sweeps of wkb use scipy's ODE solvers,
+ode_oracle sums Taylor series along its whole Jost contour and reads c+
+from an asymptotic series, and the continuous branch of the symbol
+along a path is carried by model.SymbolBranch.
 """
 
 from __future__ import annotations

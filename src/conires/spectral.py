@@ -27,8 +27,8 @@ converges to the eigenvalue nearest sigma at the rate
 between two zeros has a rate near one and raises NoConvergence instead
 of sliding to one neighbour as Rayleigh-quotient shifts would.
 find_resonance_ode centres the Jost ring on the eigenvalue and solves
-c+ at the eigenvalue in the same batch. |c+| there is 2.2e-11, 1.6e-11
-and 2.2e-9 of the ring median at |Lambda| ~ 14, 23 and 42, inside the
+c+ at the eigenvalue in the same batch. |c+| there is 2.3e-11, 1.7e-11
+and 2.3e-9 of the ring median at |Lambda| ~ 14, 23 and 42, inside the
 1e-8 winding certificate, so the eigenvalue is the certified zero;
 where it is not, rings re-centred on the Newton points of their Cauchy
 sums refine it.
@@ -37,7 +37,8 @@ At theta = 0.35 and 0.45 the rotated problem loses precision past
 That was measured only at those angles and is no limit of the problem,
 whose pseudospectra widen with theta: between theta = 0.12 and 0.15 the
 spread of the full eigensolve stays at or below 1e-12 up to
-Lambda = 74.8. The Jost oracle's floor near |Lambda| ~ 45 is its own.
+Lambda = 74.8. The Jost oracle's floor, between |Lambda| ~ 57 and 67,
+is its own.
 """
 
 from __future__ import annotations

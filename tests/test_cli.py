@@ -53,7 +53,8 @@ def assert_valid_json(text):
 class TestImports:
     def test_cli_import_leaves_ode_solvers_unloaded(self):
         # importing the CLI loads no scipy module: scipy.special loads on
-        # the first closed-form S01, the ODE solvers on the first ODE solve
+        # the first closed-form S01, scipy.linalg on the first locator
+        # solve, and the ODE solvers only in wkb's amplitude sweeps
         src = str(Path(conires.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, conires.cli; "
@@ -62,6 +63,21 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_verify_ode_leaves_ode_solvers_unloaded(self, tmp_path):
+        # the Jost solve is Taylor series and an asymptotic series from
+        # end to end: a certified ODE zero loads no scipy ODE solver
+        src = str(Path(conires.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        table = tmp_path / "verify.csv"
+        code = ("import sys; from conires.cli import main; "
+                "code = main(['verify-ode', '--h', '0.2', '--nutilde', "
+                f"'0.5', '--k', '2', '--output', {str(table)!r}]); "
+                "print(code, 'scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0 False"
+        assert len(rows_of(table.read_text())) == 1
 
     def test_pplus_oracle_leaves_ode_solvers_unloaded(self, tmp_path):
         # the radial oracle is one numpy eigensolve: no ODE solver, no

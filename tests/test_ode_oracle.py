@@ -5,10 +5,11 @@ evolution, exact h^{2/3} scaling of the radial problem), from an
 independent shooting computation of the scaled radial eigenvalues
 (h-free form of the equation, endpoint sign bisection) whose results
 are frozen as literals, and from a finite-difference solve of the same
-scaled problem run in the test; c+ references come from an all-Radau
-gauged ray at rtol 1e-13, the inner contour's from DOP853 at rtol 1e-13,
-and the h = 0.05 zero from a small-angle full eigensolve of the
-complex-scaled problem. The half-spacing offset between the Jost zeros
+scaled problem run in the test; c+ references come from the test's own
+gauged ray system under scipy's Radau at rtol 1e-13, run far out and
+divided by the leading 1/x^3 tail, the inner contour's from DOP853 at
+rtol 1e-13, and the h = 0.05 zero from a small-angle full eigensolve of
+the complex-scaled problem. The half-spacing offset between the Jost zeros
 and the quantization route is asserted as measured fact: with the
 A-matrix, the x^{ν̃}(1,-i) Frobenius seed, and the outgoing-coefficient
 convention used throughout this package, the zeros of c⁺ sit half a
@@ -235,10 +236,12 @@ class TestJostCplus:
         assert est.plateau_error <= 1e-6 * abs(est.c_plus)
 
     def test_extraction_radius_stability(self):
+        # c+ read at 1.25 R against the default R, where the recessive
+        # mode is down by 40 e-folds: to 1e-10 |c+| (measured 1.1e-14);
+        # 0.8 R would fail the dominance check
         a = jost_cplus(P_DESK)
-        b = jost_cplus(P_DESK, R_max=0.8 * a.R_max)
-        allowance = 4.0 * (a.plateau_error + b.plateau_error)
-        assert abs(a.c_plus - b.c_plus) <= allowance
+        b = jost_cplus(P_DESK, R_max=1.25 * a.R_max)
+        assert abs(a.c_plus - b.c_plus) <= 1e-10 * abs(a.c_plus)
 
     def test_theta_independence(self):
         a = jost_cplus(P_DESK, theta=0.4)
@@ -266,29 +269,40 @@ class TestJostCplus:
 
     def test_ray_accuracy_against_tight_radau(self):
         # The reference shares the program's inner contour and gauge
-        # (_ray_start) and runs an all-Radau ray at ten times tighter
-        # tolerances, so the comparison reads the ray's error alone
-        # (measured 1.3e-11 at the zero and 2.5e-11 at the ring point).
-        # The bound is relative to the ring |c+|, the scale of the 1e-8
-        # winding certificate, and it is what the ray must hold at the
-        # zero itself. An LSODA ray fails it by two orders of magnitude:
-        # 2.5e-8 at rtol 1e-11 and still 8e-9 to 1e-8 at 1e-12 and
-        # 1e-13.
+        # (the x_s row of _gauged_vertices), then runs the test's own
+        # realified gauged system v' = e^{-i th}(i/h)[[0, nu/x],
+        # [-nu/x, -2(x^2 - E)]]v under scipy's Radau at rtol 1e-13 out to
+        # (3.4e8 nt^2 h)^{1/3}, and divides out the leading tail
+        # 1 + i nu^2/(6 h x^3) of the outgoing solution there. The bound
+        # is relative to the ring |c+|, the scale of the 1e-8 winding
+        # certificate, and it is what c+ must hold at the zero itself
+        # (measured 1.2e-11 at the zero and 3.2e-11 at the ring point).
         from scipy.integrate import solve_ivp
 
         h, nt, nu = 0.1, 0.5, 0.05
         E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
+        R = (3.4e8 * nt * nt * h) ** (1.0 / 3.0)
         got, ref = {}, {}
         for name, Ep in (("zero", E), ("ring", E + 1e-4 * abs(E))):
-            Es = np.array([Ep])
-            c = ode_oracle._contour(Ep, h, nt, nu, ode_oracle._THETA, None)
-            v0 = ode_oracle._ray_start(Es, h, nt, nu, c)
-            rhs, jac = ode_oracle._ray_system(Es, h, nu, c.theta)
-            sol = solve_ivp(rhs, (c.x_mid, c.R_max), v0.view(float)[0],
+            c = ode_oracle._contour(Ep, h, nu, ode_oracle._THETA, None)
+            v0 = ode_oracle._gauged_vertices(np.array([Ep]), h, nt, nu,
+                                             c)[0, 0]
+            w = cmath.exp(-1j * c.theta)
+
+            def jac(t, y, Ep=Ep, w=w):
+                x = t * w
+                J = w * (1j / h) * np.array([[0.0, nu / x],
+                                             [-nu / x, 2.0 * (Ep - x * x)]])
+                return np.block([[J.real, -J.imag], [J.imag, J.real]])
+
+            sol = solve_ivp(lambda t, y: jac(t, y) @ y, (c.x_mid, R),
+                            np.concatenate([v0.real, v0.imag]),
                             method="Radau", jac=jac, rtol=1e-13,
                             atol=1e-15 * np.abs(v0).max())
             assert sol.success
-            ref[name] = complex(sol.y[0, -1], sol.y[1, -1])
+            x = R * w
+            ref[name] = complex(sol.y[0, -1], sol.y[2, -1]) / (
+                1.0 + 1j * nu * nu / (6.0 * h * x ** 3))
             got[name] = jost_cplus((Ep, h, nt)).c_plus
         bound = 1e-10 * abs(ref["ring"])
         for name in ref:
@@ -308,8 +322,8 @@ class TestJostCplus:
         E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
         Es = np.append(E + 1e-4 * abs(E) * np.exp(
             2j * np.pi * np.arange(16) / 16), E)
-        c = ode_oracle._contour(E, h, nt, nu, ode_oracle._THETA, None)
-        got = ode_oracle._ray_start(Es, h, nt, nu, c)
+        c = ode_oracle._contour(E, h, nu, ode_oracle._THETA, None)
+        got = ode_oracle._gauged_vertices(Es, h, nt, nu, c)[0]
         tp = turning_points(E, nu)
         path = [1e-3 * min(1.0, abs(tp.r0)), c.x_mid, c.xs]
         for j, Ej in enumerate(Es):
@@ -348,11 +362,60 @@ class TestJostCplus:
         with pytest.raises(ValueError):
             jost_cplus(P_DESK, R_max=1.5)
 
-    def test_no_plateau_at_minimal_radius(self):
-        # dominance margin barely met but the quotient tail is still
-        # far above the plateau tolerance at this radius
-        with pytest.raises(NoPlateau):
-            jost_cplus(P_DESK, theta=0.5, R_max=2.4)
+    @pytest.mark.parametrize("off, fails", [(1e-5, True), (1e-7, False)])
+    def test_two_readings_must_agree(self, monkeypatch, off, fails):
+        # c+ is read at R and again at 1.1 R; a check reading off by
+        # 1e-5 of |c+| exceeds the 1e-6 allowance and raises, one off by
+        # 1e-7 passes and reports it as the plateau error
+        outgoing = ode_oracle._outgoing
+
+        def skewed(Es, h, nu, xs):
+            g = outgoing(Es, h, nu, xs)
+            g[:, 1, 0] /= 1.0 + off
+            return g
+
+        monkeypatch.setattr(ode_oracle, "_outgoing", skewed)
+        if fails:
+            with pytest.raises(NoPlateau, match="1.1 times"):
+                jost_cplus(P_DESK)
+        else:
+            est = jost_cplus(P_DESK)
+            assert est.plateau_error == pytest.approx(
+                off * abs(est.c_plus), rel=1e-3)
+
+
+class TestOutgoingSeries:
+    @pytest.mark.parametrize("nt", [0.5, 1.5])
+    def test_plugin_residual(self, nt):
+        # g = sum_n (a_n, b_n) x^{-n} in g' = (i/h)[[0, nu/x],
+        # [-nu/x, -2(x^2 - E)]]g at R, 1.1 R and 1.5 R on the default
+        # ray; g' is the 16-point trapezoidal Cauchy sum on a circle of
+        # radius 1e-2 |x|, exact to roundoff for the truncated series,
+        # which all 16 points share (measured at most 7.6e-16)
+        E, h = 1.6 - 0.02j, 0.1
+        nu = nt * h
+        c = ode_oracle._contour(E, h, nu, ode_oracle._THETA, None)
+        roots = np.exp(2j * np.pi * np.arange(16) / 16)
+        for f in (1.0, 1.1, 1.5):
+            x = f * c.R_max * cmath.exp(-1j * c.theta)
+            rho = 1e-2 * abs(x)
+            g = ode_oracle._outgoing([E], h, nu, np.append(x + rho * roots,
+                                                           x))[0]
+            dg = (g[:-1] * roots.conj()[:, None]).mean(axis=0) / rho
+            B = np.array([[0.0, nu / x], [-nu / x, 2.0 * (E - x * x)]])
+            res = -1j * h * dg - B @ g[-1]
+            assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(g[-1])), f
+            assert abs(g[-1, 0] - 1.0) < 1e-2  # the outgoing normalisation
+
+    def test_term_budget_raises(self):
+        # E in the upper half plane keeps the dominance margin at an
+        # explicit R_max = 1.3 x_mid, but there the series' terms have
+        # not fallen to _TAYLOR_CUT within the term budget
+        E, h = 1.6 * cmath.exp(0.6j), 0.05
+        tp = turning_points(E, 0.5 * h)
+        x_mid = math.sqrt(abs(tp.r1) * abs(tp.r2))
+        with pytest.raises(NoPlateau, match="did not converge in 200 terms"):
+            jost_cplus((E, h, 0.5), R_max=1.3 * x_mid)
 
 
 class TestFindResonance:
@@ -406,71 +469,6 @@ class TestFindResonance:
         assert ode_oracle._winding(ring) == ode_oracle._winding(ref) == 1
         c0 = abs(jost_cplus((E, h, 0.5)).c_plus)
         assert c0 / med == pytest.approx(c0 / med_ref, rel=1e-6)
-
-    @pytest.mark.parametrize("member2", [(0.1, 100.0), (0.0, 0.0)],
-                             ids=["hidden", "zero"])
-    def test_batch_step_test_is_every_members_own(self, member2):
-        # the batched DOP853 accepts a step only if every member would
-        # accept it alone. scipy's norm over the whole stack does not,
-        # even at tolerances divided by sqrt(m): a member with a large
-        # 3rd-order error estimate hides one whose estimate is zero
-        from scipy.integrate import DOP853
-
-        def f(t, y):
-            return -y
-
-        batch = ode_oracle._batch_dop853()(f, 0.0, np.ones(8), 1.0)
-        single = DOP853(f, 0.0, np.ones(4), 1.0)
-        whole = DOP853(f, 0.0, np.ones(8), 1.0)
-        # stage derivatives K giving the chosen (5th, 3rd)-order error
-        # estimates on the first component of each member, scale 1
-        E53 = np.stack([batch.E5, batch.E3])
-        want = np.zeros((8, 2))
-        want[0], want[4] = (1.0, 0.0), member2
-        K = E53.T @ np.linalg.solve(E53 @ E53.T, want.T)
-        scale = np.ones(8)
-        own = [single._estimate_error_norm(K[:, j:j + 4], 0.1, scale[:4])
-               for j in (0, 4)]
-        assert batch._estimate_error_norm(K, 0.1, scale) == pytest.approx(
-            max(own), rel=1e-12)
-        if member2[1]:
-            assert whole._estimate_error_norm(
-                K, 0.1, scale / math.sqrt(2)) < 0.2 * max(own)
-
-    def test_block_radau_is_scipys_radau(self, monkeypatch):
-        # the ray's Radau stage factors the m diagonal 4x4 blocks of its
-        # Newton matrices, scipy's dense Radau the whole 4m x 4m matrix:
-        # on the h = 0.1 ring's ray system both take the same steps,
-        # Jacobians and factorizations, and agree to roundoff (measured
-        # 4e-14 of max|v|)
-        from scipy.integrate import solve_ivp
-
-        captured = []
-
-        def capture(fun, t_span, y0, **kw):
-            if kw["method"] is ode_oracle._batch_radau():
-                captured.append((fun, t_span, y0, kw))
-            return solve_ivp(fun, t_span, y0, **kw)
-
-        monkeypatch.setattr(ode_oracle, "solve_ivp", capture)
-        E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[0.1]))
-        ring = E + 1e-4 * abs(E) * np.exp(2j * np.pi * np.arange(16) / 16)
-        ode_oracle._jost_ring(E, np.append(ring, E), 0.1, 0.5)
-        (fun, t_span, y0, kw), = captured
-        kw = {k: v for k, v in kw.items() if k != "t_eval"}
-        block = solve_ivp(fun, t_span, y0, **kw)
-        dense = solve_ivp(fun, t_span, y0, **{**kw, "method": "Radau"})
-        assert block.success and dense.success
-        # the same steps; their sizes follow the roundoff of the two
-        # solves' error estimates (measured 1.8e-8 apart)
-        assert len(block.t) == len(dense.t)
-        assert np.max(np.abs(block.t / dense.t - 1.0)) <= 1e-6
-        assert (block.nfev, block.njev, block.nlu) == \
-            (dense.nfev, dense.njev, dense.nlu)
-        v_block = np.ascontiguousarray(block.y.T).view(complex)
-        v_dense = np.ascontiguousarray(dense.y.T).view(complex)
-        assert np.max(np.abs(v_block - v_dense)) <= \
-            1e-13 * np.max(np.abs(v_dense))
 
     @staticmethod
     def _fake_rings(monkeypatch, cplus, centre=None, off=1e-3):

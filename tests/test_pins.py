@@ -35,7 +35,7 @@ CLI_PINS = {
     "resonances --h 0.01 --band 1,2 --nutilde-max 1.5 --refine bs":
         "22a65ef8706627c8b95bf1abcd0a7df660f4253ec82be05661507b1804de9dd4",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2":
-        "40196a88308fc9306d02c1189402921b32430438b8b2d820d8a358692b8944eb",
+        "2070323b48e5168314fcd3998547b0ffdcd6069ea604c32f4c231e06bd07048a",
     "actions --E 1.3-0.1j --nu 0.2":
         "268840855924fec8885ce3faa894420594c084fb2b6692708e1feb0d3a92dff7",
     "pplus --h 0.01 --l 1 --oracle":
