@@ -36,13 +36,16 @@ Every c+ comes from one batched solve over m energies (_jost_batch):
 each member runs on the contour of a centre energy with its own E in
 the right-hand side. The Frobenius start is one recurrence over the
 stack, the whole contour one stack of fundamental pairs carried by the
-same Taylor steps, and the outgoing series one recurrence over the
-stack. jost_cplus is its one-member case, on E's own contour; the
-certification ring is its (ring_points + 1)-member case, the ring
-points and the centre itself, on the centre's contour. No member is
+same Taylor steps, whose series are summed a block of steps at a time
+by recurrences over the block and the stack (_carry_pairs), and the
+outgoing series one recurrence over the stack. jost_cplus is its
+one-member case, on E's own contour; the certification ring is its
+(ring_points + 1)-member case, the ring points and the centre itself,
+on the centre's contour. No member is
 computed more loosely than it would be alone: a Taylor step is sized on
 the largest |x^2 - E| of the members and summed until every member's
-terms are negligible, and so is the outgoing series.
+terms are negligible, and so is the outgoing series; no step's sum
+depends on the other steps of its block.
 """
 
 from __future__ import annotations
@@ -89,11 +92,12 @@ solve_ivp = functools.partial(_deferred, "scipy.integrate", "solve_ivp")
 brentq = functools.partial(_deferred, "scipy.optimize", "brentq")
 
 _ATOL = 1e-14  # c+ floor: the plateau check allows 50 atol max|v(x_s)|
-_MAX_STEPS = 100_000  # Taylor-step budget of one contour
+_MAX_STEPS = 100_000  # Taylor-step budget of one contour, checked first
 _MAX_TERMS = 200  # term budget of a Taylor step and of _outgoing
-_TAYLOR_CUT = 2e-17  # a sum stops after three terms below this
+_TAYLOR_CUT = 2e-17  # a sum stops at its third successive term below this
 _TAYLOR_REACH = 0.4  # Taylor step at most this times |x_c|
 _TAYLOR_PHASE = 2.0  # ... and |A| integrated over it at most this times h
+_BLOCK = 64  # Taylor steps summed by one recurrence, bounding its memory
 _START_TERMS = 40  # Frobenius terms at the inner contour's start
 _THETA = 0.5  # angle of the extraction ray arg x = -theta
 _DOMINANCE_EFOLDS = 40.0  # decay of the recessive mode where c+ is read
@@ -200,16 +204,18 @@ def _gram_schmidt(U):
     to the norm, noise that the ray carries into c+ (twentyfold on the
     h = 0.05 ring)."""
     u, w = U[..., 0], U[..., 1]
-    r00 = np.linalg.norm(u, axis=-1)
+    r00 = np.sqrt((u.conj() * u).real.sum(axis=-1))
     q0 = u / r00[..., None]
-    r01 = np.sum(q0.conj() * w, axis=-1)
+    r01 = (q0.conj() * w).sum(axis=-1)
     w = w - q0 * r01[..., None]
-    r11 = np.linalg.norm(w, axis=-1)
-    if not np.all(r00 * r11 > 0.0):
+    r11 = np.sqrt((w.conj() * w).real.sum(axis=-1))
+    if not (r00 * r11 > 0.0).all():
         raise StepUnderflow("fundamental pair collapsed to rank one")
+    Q = np.empty_like(U)
+    Q[..., 0], Q[..., 1] = q0, w / r11[..., None]
     R = np.zeros_like(U)
     R[..., 0, 0], R[..., 0, 1], R[..., 1, 1] = r00, r01, r11
-    return np.stack([q0, w / r11[..., None]], axis=-1), R
+    return Q, R
 
 
 def _companion(u):
@@ -220,63 +226,18 @@ def _companion(u):
     return np.stack([u, comp], axis=-1)
 
 
-def _taylor_step(Q, xc, z, Es, h, nu):
-    """The pairs Q, shape (m, 2, 2), pair j at energy Es[j], carried
-    from x_c to x_c + z by the Taylor series of the system about x_c.
-
-    In z, (x_c + z)U' = (i/h)[(p0 + p1 z + 3x_c z^2 + z^3) sU + nu sU~]
-    with p0 = x_c^3 - E x_c, p1 = 3x_c^2 - E, s = diag(1, -1) on the
-    rows of each pair and U~ the pair with its rows swapped, so
-    c_{n+1} = [(i/h)(s(p0 c_n + p1 c_{n-1} + 3x_c c_{n-2} + c_{n-3})
-    + nu s c~_n) - n c_n] / (x_c (n + 1)). The terms d_n = c_n z^n are
-    stacked down the rows of D, and one batched product of each pair's
-    2 x 8 matrix T with the rows of d_{n-3} .. d_n forms the bracket.
-    The sum stops after three successive terms below _TAYLOR_CUT, which
-    is relative to the sum because Q is orthonormal.
-    """
-    m = len(Q)
-    w = z / xc
-    g = (1j / h) * w
-    T = np.zeros((m, 2, 8), dtype=complex)
-    T[:, 0, 0] = g * z ** 3
-    T[:, 0, 2] = g * 3.0 * xc * z * z
-    T[:, 0, 4] = g * z * (3.0 * xc * xc - Es)
-    T[:, 0, 6] = g * (xc ** 3 - Es * xc)
-    T[:, 1, 1::2] = -T[:, 0, 0::2]  # the row sign of s
-    T[:, 0, 7] = g * nu  # nu s d~_n
-    T[:, 1, 6] = -g * nu
-    D = np.zeros((m, 2 * _MAX_TERMS + 8, 2), dtype=complex)
-    D[:, 6:8] = Q
-    small = 0
-    for n in range(_MAX_TERMS):
-        k = 2 * n
-        d = (T @ D[:, k:k + 8] - (n * w) * D[:, k + 6:k + 8]) / (n + 1)
-        D[:, k + 8:k + 10] = d
-        small = small + 1 if np.abs(d).max() < _TAYLOR_CUT else 0
-        if small == 3:
-            return D[:, 6:k + 10].reshape(m, n + 2, 2, 2).sum(axis=1)
-    raise StepUnderflow(f"Taylor series at x={xc} did not converge in "
-                        f"{_MAX_TERMS} terms")
-
-
-def _carry_pairs(segs, Es, h, nu, M):
-    """Carry the stack M of m fundamental pairs, shape (m, 2, 2), pair j
-    at energy Es[j], along the segments by Taylor steps (_taylor_step).
+def _schedule(segs, Es, h, nu):
+    """The Taylor steps along the segments: centres x_c, increments z and,
+    for each segment, the index of its last step.
 
     A step dt from x_c stays within _TAYLOR_REACH |x_c| (the series'
     radius is |x_c|) and keeps a dt + |x_c| dt^2 <= _TAYLOR_PHASE h, a
-    the largest |x_c^2 - E| + nu/|x_c|, so no term of a sum is much
-    larger than the sum. Each step starts from the pairs orthonormalized
-    by _gram_schmidt, whose factors are accumulated, and adds
-    |W - W_0| / |W_0| of each pair's Wronskian to its drift. Returns the
-    pairs at the last vertex, the steps, the largest drift and the
-    regular columns (the pairs' first) at the end of every segment,
-    shape (len(segs), m, 2).
+    the largest |x_c^2 - E| + nu/|x_c| of the energies Es, so no term of
+    a sum is much larger than the sum. The rule reads the path, Es, h
+    and nu alone, so the whole schedule is known before any series is
+    summed. Raises StepUnderflow past _MAX_STEPS steps.
     """
-    Q, R_acc = _gram_schmidt(M)
-    drift = np.zeros(len(Es))
-    steps = 0
-    cols = []
+    xcs, zs, ends = [], [], []
     for a, b in segs:
         L = abs(b - a)
         e = (b - a) / L
@@ -289,24 +250,134 @@ def _carry_pairs(segs, Es, h, nu, M):
             dt = min(_TAYLOR_REACH * r, L - t, 2.0 * _TAYLOR_PHASE * h / (
                 a_c + math.sqrt(a_c * a_c + 4.0 * _TAYLOR_PHASE * h * r)))
             t = t + dt if t + dt < L else L
-            U = _taylor_step(Q, xc, (b if t == L else a + t * e) - xc,
-                             Es, h, nu)
-            W0 = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 1, 0] * Q[:, 0, 1]
-            W = U[:, 0, 0] * U[:, 1, 1] - U[:, 1, 0] * U[:, 0, 1]
-            drift += np.abs(W - W0) / np.abs(W0)
+            xcs.append(xc)
+            zs.append((b if t == L else a + t * e) - xc)
+            if len(xcs) > _MAX_STEPS:
+                raise StepUnderflow(
+                    f"the path needs more than {_MAX_STEPS} Taylor steps: "
+                    f"step {len(xcs)} starts at |x| = {r:.4g} of "
+                    f"{abs(segs[-1][1]):.4g}")
+        ends.append(len(xcs) - 1)
+    return np.array(xcs, dtype=complex), np.array(zs, dtype=complex), ends
+
+
+def _taylor_sums(xc, z, Es, h, nu, Y):
+    """The pairs Y, shape (n, m, 2, 2), pair (k, j) at energy Es[j],
+    carried from x_c[k] to x_c[k] + z[k] by the Taylor series of the
+    system about x_c[k]: every step of the block in one recurrence.
+
+    In z, (x_c + z)U' = (i/h)[(p0 + p1 z + 3x_c z^2 + z^3) sU + nu sU~]
+    with p0 = x_c^3 - E x_c, p1 = 3x_c^2 - E, s = diag(1, -1) on the
+    rows of each pair and U~ the pair with its rows swapped, so
+    c_{n+1} = [(i/h)(s(p0 c_n + p1 c_{n-1} + 3x_c c_{n-2} + c_{n-3})
+    + nu s c~_n) - n c_n] / (x_c (n + 1)), run on the terms
+    d_n = c_n z^n. Each step's sum stops after its own three successive
+    terms below _TAYLOR_CUT, which is relative to the sum because the
+    starts are orthonormal, and the step leaves the recurrence there.
+    The terms are added with Kahan's compensation, which keeps the
+    rounding of the running sum out of it.
+    """
+    w = z / xc
+    g = (1j / h) * w
+    xe, ge = xc[:, None], g[:, None]
+    # coefficients of d_n (less n w), d_{n-1}, d_{n-2}, d_{n-3}, d~_n
+    # and w, stacked as (6, 2 rows, step, member, column), s applied
+    C = np.empty((6, 2, len(xc), len(Es), 2), dtype=complex)
+    for i, c in enumerate((ge * (xe ** 3 - Es * xe),
+                           ge * z[:, None] * (3.0 * xe * xe - Es),
+                           ge * 3.0 * xe * z[:, None] ** 2,
+                           ge * z[:, None] ** 3, ge * nu)):
+        C[i, 0] = c[..., None]
+        C[i, 1] = -c[..., None]
+    C[5] = w[:, None, None]
+    # d_n, d_{n-1}, d_{n-2}, d_{n-3} in a ring of four slots
+    D = np.zeros((4,) + C.shape[1:], dtype=complex)
+    D[0] = np.moveaxis(Y, 2, 0)
+    S, comp = D[0].copy(), np.zeros_like(D[0])
+    out = np.empty_like(S)
+    live = np.arange(len(xc))
+    small = np.zeros(len(xc), dtype=int)
+    tmp = np.empty_like(S)
+    for n in range(_MAX_TERMS):
+        d, new = D[n % 4], D[(n + 1) % 4]  # new holds d_{n-3} until here
+        np.multiply(C[3], new, out=new)
+        new += np.multiply(C[2], D[(n + 2) % 4], out=tmp)
+        new += np.multiply(C[1], D[(n + 3) % 4], out=tmp)
+        new += np.multiply(C[0] - n * C[5], d, out=tmp)
+        new += np.multiply(C[4], d[::-1], out=tmp)
+        new *= 1.0 / (n + 1)
+        # compensated summation: comp carries what S + new rounded off
+        y = new - comp
+        t = S + y
+        comp = (t - S) - y
+        S = t
+        small += 1
+        small *= np.abs(new).max(axis=(0, 2, 3)) < _TAYLOR_CUT
+        done = small == 3
+        if done.any():
+            out[:, live[done]] = S[:, done]
+            keep = ~done
+            if not keep.any():
+                return np.moveaxis(out, 0, 2)
+            live, small = live[keep], small[keep]
+            C, D, S = C[:, :, keep], D[:, :, keep], S[:, keep]
+            comp, tmp = comp[:, keep], tmp[:, keep]
+    raise StepUnderflow(f"Taylor series at x={xc[live[0]]} did not converge "
+                        f"in {_MAX_TERMS} terms")
+
+
+def _carry_pairs(schedule, Es, h, nu, M):
+    """Carry the stack M of m fundamental pairs, shape (m, 2, 2), pair j
+    at energy Es[j], by the Taylor steps of the schedule (_schedule).
+
+    Each step starts from the pairs orthonormalized by _gram_schmidt,
+    whose factors are accumulated, and adds |W - W_0| / |W_0| of each
+    pair's Wronskian to its drift. The series are summed _BLOCK steps
+    at a time, each block by two recurrences over all its steps
+    (_taylor_sums), so the Python-level term iterations do not grow with
+    the step count. The first runs from identity starts and gives each
+    step's propagators P_k; they predict the starts,
+    Qh_{k+1} = GS(P_k Qh_k) from the block's actual first start. The
+    second sums each step from its predicted start, S_k, as a single
+    step would from its own. The steps are then applied in turn with
+    U_k = S_k + P_k (Q_k - Qh_k), exact by linearity. The correction is
+    rounded relative to |P_k| |Q_k - Qh_k|, far below the rounding of
+    S_k: on the ring at h = 0.2 to 0.05 the predicted starts stay within
+    1e-9 of the actual ones (1e-3 for the member at a zero of c+, whose
+    recessive regular column on the ray follows the roundoff). Returns
+    the pairs at the last vertex, the steps, the largest drift and the
+    regular columns (the pairs' first) at the end of every segment of
+    the schedule, shape (segments, m, 2).
+    """
+    xc, z, ends = schedule
+    Q, R_acc = _gram_schmidt(M)
+    drift = np.zeros(len(Es))
+    cols = []
+    for k0 in range(0, len(xc), _BLOCK):
+        xb, zb = xc[k0:k0 + _BLOCK], z[k0:k0 + _BLOCK]
+        P = _taylor_sums(xb, zb, Es, h, nu, np.broadcast_to(
+            np.eye(2), (len(xb), len(Es), 2, 2)))
+        Qh = np.empty_like(P)
+        Qh[0] = Q
+        for k in range(1, len(xb)):
+            Qh[k] = _gram_schmidt(P[k - 1] @ Qh[k - 1])[0]
+        S = _taylor_sums(xb, zb, Es, h, nu, Qh)
+        Qs, Us = np.empty_like(P), np.empty_like(P)
+        for k, (S_k, P_k, Qh_k) in enumerate(zip(S, P, Qh)):
+            Qs[k] = Q
+            Us[k] = U = S_k + P_k @ (Q - Qh_k)
             Q, R = _gram_schmidt(U)
             R_acc = R @ R_acc
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise StepUnderflow(
-                    f"Taylor-step budget {_MAX_STEPS} exceeded; shorten "
-                    "the path or stay in the h >= 0.05 regime")
-        cols.append(Q[..., 0] * R_acc[:, :1, 0])
+            if k0 + k == ends[len(cols)]:
+                cols.append(Q[..., 0] * R_acc[:, :1, 0])
+        W0 = Qs[..., 0, 0] * Qs[..., 1, 1] - Qs[..., 1, 0] * Qs[..., 0, 1]
+        W = Us[..., 0, 0] * Us[..., 1, 1] - Us[..., 1, 0] * Us[..., 0, 1]
+        drift = drift + np.sum(np.abs(W - W0) / np.abs(W0), axis=0)
     M = Q @ R_acc
     if not np.all(np.isfinite(M)):
         raise StepUnderflow("solution magnitude left the representable "
                             "range; shorten the path")
-    return M, steps, float(drift.max()), np.array(cols)
+    return M, len(xc), float(drift.max()), np.array(cols)
 
 
 def integrate_system(params, path, u_start):
@@ -318,7 +389,7 @@ def integrate_system(params, path, u_start):
     can be monitored; only the original vector is returned. The pair is
     carried by Taylor steps of the x-multiplied system, each summed to
     roundoff: _carry_pairs on a stack of one pair, with at most 1e5
-    steps.
+    steps, counted on the schedule before any series is summed.
 
     The Wronskian meter works step by step: every step starts from the
     orthonormalized pair (the triangular factors are accumulated to
@@ -357,7 +428,9 @@ def integrate_system(params, path, u_start):
         if segment_point_distance(a, b, [0])[0] < 1e-12 * scale:
             raise ValueError("path passes through the origin")
 
-    M, steps, drift, _ = _carry_pairs(segs, np.array([E]), h, nu, M[None])
+    Es = np.array([E])
+    M, steps, drift, _ = _carry_pairs(_schedule(segs, Es, h, nu), Es, h, nu,
+                                      M[None])
     u_end = M[0, :, 0] if vector_input else M[0]
     return IntegrationResult(u_end, drift, steps, path)
 
@@ -459,8 +532,14 @@ def _gauged_vertices(Es, h, nt, nu, c):
     """
     u0, _ = _frobenius_stack(Es, h, nt, c.x0, _START_TERMS)
     x = np.append(c.xs, c.ends)
-    path = ComplexPath((c.x0, c.x_mid, *x))
-    *_, cols = _carry_pairs(path.segments(), Es, h, nu, _companion(u0))
+    try:
+        schedule = _schedule(ComplexPath((c.x0, c.x_mid, *x)).segments(),
+                             Es, h, nu)
+    except StepUnderflow as exc:
+        raise StepUnderflow(
+            f"ray at theta={c.theta:g} to R_max={c.R_max:.4g}: {exc}; "
+            "the radius grows without bound as theta nears pi/3") from None
+    *_, cols = _carry_pairs(schedule, Es, h, nu, _companion(u0))
     gauge = np.exp(-1j * (x[:, None] ** 3 - 3.0 * Es * x[:, None])
                    / (3.0 * h))
     return cols[-3:] * gauge[:, :, None]
@@ -538,8 +617,8 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     fails there and the ladder moves on. The located E_c centres a ring
     of ring_points energies at radius rho = 1e-4 |E_c|, and is itself a
     member of the same batched solve (_jost_ring) on E_c's contour;
-    the ring points agree with per-point jost_cplus to about 1.5e-11 of
-    the ring median at h = 0.1, the centre to about 1.3e-11. E_c is
+    the ring points agree with per-point jost_cplus to about 1.3e-11 of
+    the ring median at h = 0.1, the centre to about 1.1e-11. E_c is
     certified when its |c+| and the ring's noise (_ring_certified) are
     both below 1e-8 times the ring median and the ring winds once
     (SpuriousZero when the ring winds otherwise). Otherwise the ring's
@@ -549,8 +628,10 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     located eigenvalue, or at once when a ring's noise reaches the
     certificate). No jost_cplus call is made: from h = 0.2 down to
     h = 0.05 (|Lambda| ~ 42) at nu_tilde = 1/2 and 3/2 the first ring
-    certifies; at h = 0.045 and 0.04, where the noise is 3e-10 to 4e-9
-    of the median, the search takes two rings, and at h = 0.035 five.
+    certifies; at h = 0.045 and 0.04, where the noise is 3e-10 to 2.3e-9
+    of the median, the search takes two or three rings, and at h = 0.035,
+    where it reaches 1e-8, a number left to chance: 3 to 20 from 40
+    starts next to the zero, 5.5 in the median.
     If every seed fails, the last failure's type is raised with every
     seed's message.
     The record carries the residual |c+|/median(ring), the re-centred

@@ -27,8 +27,8 @@ converges to the eigenvalue nearest sigma at the rate
 between two zeros has a rate near one and raises NoConvergence instead
 of sliding to one neighbour as Rayleigh-quotient shifts would.
 find_resonance_ode centres the Jost ring on the eigenvalue and solves
-c+ at the eigenvalue in the same batch. |c+| there is 2.3e-11, 1.7e-11
-and 2.3e-9 of the ring median at |Lambda| ~ 14, 23 and 42, inside the
+c+ at the eigenvalue in the same batch. |c+| there is 2.4e-11, 2.1e-11
+and 3.1e-9 of the ring median at |Lambda| ~ 14, 23 and 42, inside the
 1e-8 winding certificate, so the eigenvalue is the certified zero;
 where it is not, rings re-centred on the Newton points of their Cauchy
 sums refine it.

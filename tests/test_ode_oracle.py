@@ -22,6 +22,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from conires.errors import (
     NoPlateau,
     SeriesDivergence,
     SpuriousZero,
+    StepUnderflow,
     WindowEmpty,
 )
 from conires.model import turning_points
@@ -179,7 +181,7 @@ class TestIntegrateSystem:
         # evolve by e^{+-i x^3/3h}
         r = integrate_system((0.0, 0.1, 0.0), [0.3, 1.2],
                              np.array([1.0 + 0j, 1.0 + 0j]))
-        # (measured 9e-16: the Taylor sums run to roundoff)
+        # (measured 2.5e-16: the Taylor sums run to roundoff)
         s = cmath.exp(1j * (1.2 ** 3 - 0.3 ** 3) / 0.3)
         assert abs(r.u_end[0] - s) <= 1e-13
         assert abs(r.u_end[1] - 1.0 / s) <= 1e-13
@@ -194,14 +196,14 @@ class TestIntegrateSystem:
         w = cmath.exp(-0.5j)
         path = [eps, x_mid, x_mid * w, 2.5 * w]
         r = integrate_system((E, h, nt), path, u0)
-        assert r.wronskian_drift <= 1e-12  # measured 1.4e-14 to 4.2e-14
+        assert r.wronskian_drift <= 1e-12  # measured 7.6e-15 to 4.0e-14
 
     def test_fundamental_pair(self):
         M0 = np.eye(2, dtype=complex)
         r = integrate_system((1.0, 0.1, 0.5), [0.2, 0.9], M0)
         assert r.u_end.shape == (2, 2)
         det = r.u_end[0, 0] * r.u_end[1, 1] - r.u_end[0, 1] * r.u_end[1, 0]
-        # measured 8.9e-16 and 2.0e-15
+        # measured 2.6e-16 and 5.4e-16
         assert abs(det - 1.0) <= 1e-13
         assert r.wronskian_drift <= 1e-13
 
@@ -228,6 +230,155 @@ class TestIntegrateSystem:
         with pytest.raises(ValueError):
             integrate_system((1.0, 0.1, 0.5), [0.2, 0.9],
                              np.array([[1.0, 2.0], [1.0j, 2.0j]]))
+
+
+def _sequential_carry(segs, Es, h, nu, M):
+    """The carry as one Taylor series per step, each summed from the
+    step's actual start in its own recurrence, the steps sized by the
+    same rule: the reference for ode_oracle._carry_pairs, which sums a
+    block of steps in one recurrence and corrects each step's start.
+    Returns the pairs at the last vertex, the steps, the largest drift
+    and the regular columns at every segment end."""
+    Q, R_acc = ode_oracle._gram_schmidt(M)
+    drift = np.zeros(len(Es))
+    steps = 0
+    cols = []
+    for a, b in segs:
+        L = abs(b - a)
+        e = (b - a) / L
+        t = 0.0
+        while t < L:
+            xc = a + t * e
+            r = abs(xc)
+            a_c = float(np.abs(xc * xc - Es).max()) + nu / r
+            dt = min(0.4 * r, L - t, 4.0 * h / (
+                a_c + math.sqrt(a_c * a_c + 8.0 * h * r)))
+            t = t + dt if t + dt < L else L
+            z = (b if t == L else a + t * e) - xc
+            # c_{n+1} from c_n .. c_{n-3}, on the terms d_n = c_n z^n
+            w, g = z / xc, 1j / h * z / xc
+            s = np.array([1.0, -1.0])[None, :, None]
+            coef = [np.broadcast_to(c, Es.shape)[:, None, None] for c in (
+                g * (xc ** 3 - Es * xc), g * z * (3.0 * xc * xc - Es),
+                g * 3.0 * xc * z * z, g * z ** 3)]
+            d = [np.zeros_like(Q)] * 3 + [Q]
+            U = Q.copy()
+            small = 0
+            n = 0
+            while small < 3:
+                bracket = sum(c * d[-1 - i] for i, c in enumerate(coef))
+                new = (s * (bracket + g * nu * d[-1][:, ::-1])
+                       - n * w * d[-1]) / (n + 1)
+                d.append(new)
+                U = U + new
+                small = small + 1 if np.abs(new).max() < 2e-17 else 0
+                n += 1
+            W0 = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 1, 0] * Q[:, 0, 1]
+            W = U[:, 0, 0] * U[:, 1, 1] - U[:, 1, 0] * U[:, 0, 1]
+            drift += np.abs(W - W0) / np.abs(W0)
+            Q, R = ode_oracle._gram_schmidt(U)
+            R_acc = R @ R_acc
+            steps += 1
+        cols.append(Q[..., 0] * R_acc[:, :1, 0])
+    return Q @ R_acc, steps, float(drift.max()), np.array(cols)
+
+
+def _ring_contour(h):
+    """Energies, contour and start pairs of the 17-member ring around
+    criterion 5's zero at h, as _gauged_vertices sets them up."""
+    nt, nu = 0.5, 0.5 * h
+    E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
+    Es = np.append(E + 1e-4 * abs(E) * np.exp(
+        2j * np.pi * np.arange(16) / 16), E)
+    c = ode_oracle._contour(E, h, nu, ode_oracle._THETA, None)
+    u0, _ = ode_oracle._frobenius_stack(Es, h, nt, c.x0,
+                                        ode_oracle._START_TERMS)
+    segs = ode_oracle.ComplexPath(
+        (c.x0, c.x_mid, c.xs, *c.ends)).segments()
+    return Es, nu, segs, ode_oracle._companion(u0)
+
+
+def _col_error(cols, ref):
+    """Largest deviation of the segment-end columns from ref at each end,
+    relative to the largest |v| of the stack there."""
+    return np.abs(cols - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+
+
+# The blocked carry against the sequential one, relative to max|v|: on
+# the inner contour (x_mid and the ray start) to 1e-13 (measured at most
+# 3.8e-15), and on the ray, where the roundoff of the regular column is
+# amplified as it is into c+ (the ring's noise), to RAY_BOUND (measured
+# up to 2.6e-12, 1.3e-11 and 1.1e-9 at h = 0.2, 0.1 and 0.05; a carry
+# that forms each step's terms by a batched matrix product, one
+# recurrence per step, sits as far from the sequential reference:
+# 2.1e-12, 9.2e-12 and 8.7e-10)
+INNER_BOUND = 1e-13
+RAY_BOUND = {0.2: 1e-10, 0.1: 1e-10, 0.05: 1e-8}
+
+
+def _assert_columns_agree(cols, ref, h):
+    err = _col_error(cols, ref)
+    assert err[:2].max() <= INNER_BOUND, err
+    assert err[2:].max() <= RAY_BOUND[h], err
+
+
+class TestBlockedCarry:
+    @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
+    def test_ring_against_sequential_steps(self, h):
+        Es, nu, segs, M = _ring_contour(h)
+        _, steps, drift, cols = ode_oracle._carry_pairs(
+            ode_oracle._schedule(segs, Es, h, nu), Es, h, nu, M)
+        _, ref_steps, ref_drift, ref_cols = _sequential_carry(
+            segs, Es, h, nu, M)
+        assert steps == ref_steps
+        assert drift <= 2.0 * ref_drift
+        _assert_columns_agree(cols, ref_cols, h)
+
+    @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
+    def test_one_member_against_sequential_steps(self, h):
+        # the m = 1 case, as integrate_system carries it, at a ring
+        # point (the centre is a zero of c+, where the regular column on
+        # the ray is all noise): the pair at 1.1 R_max
+        Es, nu, segs, M = _ring_contour(h)
+        path = [segs[0][0]] + [b for _, b in segs]
+        r = integrate_system((Es[0], h, 0.5), path, M[0])
+        ref, ref_steps, ref_drift, _ = _sequential_carry(
+            segs, Es[:1], h, nu, M[:1])
+        assert r.steps == ref_steps
+        assert r.wronskian_drift <= 2.0 * ref_drift
+        assert np.abs(r.u_end - ref[0]).max() <= \
+            RAY_BOUND[h] * np.abs(ref[0]).max()
+
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size(self, h, block, monkeypatch):
+        # one step per block, where every predicted start is the actual
+        # start, and blocks that split the schedule, against the default
+        Es, nu, segs, M = _ring_contour(h)
+        schedule = ode_oracle._schedule(segs, Es, h, nu)
+        _, steps, drift, cols = ode_oracle._carry_pairs(schedule, Es, h, nu,
+                                                        M)
+        assert block < steps <= ode_oracle._BLOCK
+        monkeypatch.setattr(ode_oracle, "_BLOCK", block)
+        _, b_steps, b_drift, b_cols = ode_oracle._carry_pairs(
+            schedule, Es, h, nu, M)
+        assert b_steps == steps
+        assert b_drift <= 2.0 * drift and drift <= 2.0 * b_drift
+        _assert_columns_agree(b_cols, cols, h)
+
+    def test_step_budget_fails_fast(self, monkeypatch):
+        # near theta = pi/3 the extraction radius and with it the step
+        # count blow up; the budget is checked on the schedule before
+        # any series is summed (measured 0.6 s), and the message names
+        # theta and R_max
+        def no_sums(*args):
+            raise AssertionError("a series was summed")
+
+        monkeypatch.setattr(ode_oracle, "_taylor_sums", no_sums)
+        start = time.perf_counter()
+        with pytest.raises(StepUnderflow, match=r"theta=1\.047 to R_max="):
+            jost_cplus((1.6, 0.1, 0.5), theta=1.047)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestJostCplus:
@@ -276,7 +427,7 @@ class TestJostCplus:
         # 1 + i nu^2/(6 h x^3) of the outgoing solution there. The bound
         # is relative to the ring |c+|, the scale of the 1e-8 winding
         # certificate, and it is what c+ must hold at the zero itself
-        # (measured 1.2e-11 at the zero and 3.2e-11 at the ring point).
+        # (measured 6.1e-12 at the zero and 1.3e-11 at the ring point).
         from scipy.integrate import solve_ivp
 
         h, nt, nu = 0.1, 0.5, 0.05
@@ -604,7 +755,7 @@ class TestFindResonance:
     def test_centre_member_matches_jost_cplus(self, h, k):
         # the 17th ring member, the located eigenvalue on its own
         # contour, against a separate jost_cplus call there: to 1e-10
-        # of the ring median (measured 9.6e-12 and 1.8e-11)
+        # of the ring median (measured 6.3e-13 and 1.1e-11)
         E_c = locate_zero((_ladder_seed_above(h, k)[1], h, 0.5), 30)
         Es = np.append(E_c + 1e-4 * abs(E_c) * np.exp(
             2j * np.pi * np.arange(16) / 16), E_c)

@@ -35,7 +35,7 @@ CLI_PINS = {
     "resonances --h 0.01 --band 1,2 --nutilde-max 1.5 --refine bs":
         "22a65ef8706627c8b95bf1abcd0a7df660f4253ec82be05661507b1804de9dd4",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2":
-        "2070323b48e5168314fcd3998547b0ffdcd6069ea604c32f4c231e06bd07048a",
+        "98001f658dc81204d860968cccfb4146e111d6be8e07831961cd3126fd0862ac",
     "actions --E 1.3-0.1j --nu 0.2":
         "268840855924fec8885ce3faa894420594c084fb2b6692708e1feb0d3a92dff7",
     "pplus --h 0.01 --l 1 --oracle":
