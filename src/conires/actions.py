@@ -61,6 +61,7 @@ from .model import (
     _check_h_l,
     _label,
     _polish,
+    _trig_w,
     cubic_roots,
 )
 
@@ -293,12 +294,10 @@ def _subcritical(mu):
 
 
 def _unit_w(mu):
-    """The trigonometric roots w_k = (2/sqrt 3) cos((theta - 2 pi k)/3),
-    theta = arccos(-(3 sqrt 3/2) mu), of w^3 - w + mu = 0 (model._label at
-    E = 1), in the labels of y0, y1, y2 = w_k^2: k = 1, 0, 2."""
-    theta = cmath.acos(-1.5 * math.sqrt(3.0) * mu)
-    return [2.0 / math.sqrt(3.0) * cmath.cos((theta - 2.0 * math.pi * k) / 3.0)
-            for k in (1, 0, 2)]
+    """The trigonometric roots of w^3 - w + mu = 0 (model._trig_w at
+    theta = arccos(-(3 sqrt 3/2) mu), model._label at E = 1), in the
+    labels of y0, y1, y2 = w_k^2."""
+    return _trig_w(cmath.acos(-1.5 * math.sqrt(3.0) * mu))
 
 
 def _unit_roots(mu):

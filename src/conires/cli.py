@@ -7,6 +7,11 @@ sweeps with optional Bohr-Sommerfeld or ODE-oracle refinement,
 side, and ``pplus`` compares the radial closed form against the
 Chebyshev eigensolve of the scaled radial problem.
 
+``main`` parses argv, makes the checks argparse cannot (the resonances
+selector rules also build that command's ``params``), and hands the
+parsed namespace to one ``cmd_*`` function, which returns the document,
+the extra files to write and the exit code.
+
 Output is a table in CSV (default) or JSON.  Complex values become two
 CSV columns (``*_re``, ``*_im``) or a ``{"re", "im"}`` object in JSON.
 JSON documents follow the schema shipped at
@@ -28,7 +33,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .actions import action_S01, action_S2inf
 from .errors import ConiresError
@@ -46,29 +50,6 @@ from .quantization import (
     pplus_levels,
     solve_resonance,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one subcommand plus its parameters.
-
-    band is (a, b) in the lambda plane when the subcommand takes one;
-    refine is one of lattice, bs, ode where applicable.
-    """
-
-    subcommand: str
-    params: dict
-    band: tuple = None
-    fmt: str = "csv"
-    output: str = None
-    refine: str = None
-
-    def __post_init__(self):
-        if self.band is not None:
-            a, b = self.band
-            Band(a, b)  # raises ValueError unless 0 < a < b
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.fmt}")
 
 
 # ----------------------------------------------------------------- rendering
@@ -171,10 +152,9 @@ def _row(result, h):
 
 # ----------------------------------------------------------------- commands
 
-def cmd_turning_points(config):
+def cmd_turning_points(args):
     """Cubic roots, turning points, discriminant, and root residuals."""
-    E = config.params["E"]
-    nu = config.params["nu"]
+    E, nu = args.E, args.nu
     tp = turning_points(E, nu)
     rows = []
     for j in range(3):
@@ -196,10 +176,10 @@ def cmd_turning_points(config):
     return doc, {}, 0
 
 
-def cmd_actions(config):
+def cmd_actions(args):
     """S01 and S2inf, both closed form, with roundoff bounds."""
-    E = config.params["E"]
-    nu = config.params["nu"]
+    E = args.E.real if args.E.imag == 0.0 else args.E
+    nu = args.nu
     rows = []
     for name, val in (("S01", action_S01((E, nu))),
                       ("S2inf", action_S2inf((E, nu)))):
@@ -216,48 +196,40 @@ def cmd_actions(config):
     return doc, {}, 0
 
 
-def _resonance_band_jobs(config):
-    a, b = config.band
-    families = _families(config.params["nutilde_max"],
-                         config.params["nutilde_min"])
+def _resonance_rows(args):
+    """Rows of the points the resonances selector names, at each h: the
+    lattice points in the band or of kmin..kmax in each family, or the
+    nearest branch of each seed."""
     rows = []
-    for h in config.params["h_values"]:
-        recs, failures = _band_sweep(Band(a, b, h=h), families, config.refine)
-        rows += [_row(r, h) for r in recs + failures]
+    for h in args.params["h_values"]:
+        if args.seeds is not None:
+            nt = args.nutilde
+            jobs = [(round(_branch_coordinate(_lambda_of_E(complex(E0)).real,
+                                              nt, h)), nt, E0)
+                    for E0 in args.seeds]
+        else:
+            families = _families(args.nutilde_max, args.nutilde_min)
+            if args.band is not None:
+                recs, failures = _band_sweep(Band(*args.band, h=h),
+                                             families, args.refine)
+                rows += [_row(r, h) for r in recs + failures]
+                continue
+            jobs = []
+            for nt in families:
+                for k in range(args.kmin, args.kmax + 1):
+                    try:
+                        lat = lattice_point(k, nt, h)
+                    except ValueError:
+                        continue
+                    # the ODE seed stays this power rather than the lattice
+                    # record's E: the two differ in the last bit at some
+                    # points, and the oracle's choice of zero can follow it
+                    seed = (complex(lat) ** (2.0 / 3.0)
+                            if args.refine == "ode" else None)
+                    jobs.append((k, nt, seed))
+        rows += [_row(_sweep_job(k, nt, h, seed, args.refine), h)
+                 for k, nt, seed in jobs]
     return rows
-
-
-def _resonance_krange_jobs(config):
-    kmin, kmax = config.params["kmin"], config.params["kmax"]
-    families = _families(config.params["nutilde_max"],
-                         config.params["nutilde_min"])
-    jobs = []
-    for h in config.params["h_values"]:
-        for nt in families:
-            for k in range(kmin, kmax + 1):
-                try:
-                    lat = lattice_point(k, nt, h)
-                except ValueError:
-                    continue
-                # the ODE seed stays this power rather than the lattice
-                # record's E: the two differ in the last bit at some
-                # points, and the oracle's choice of zero can follow it
-                seed = (complex(lat) ** (2.0 / 3.0)
-                        if config.refine == "ode" else None)
-                jobs.append((k, nt, h, seed))
-    return [_row(_sweep_job(k, nt, h, seed, config.refine), h)
-            for k, nt, h, seed in jobs]
-
-
-def _resonance_seed_jobs(config):
-    nt = config.params["nutilde"]
-    h = config.params["h_values"][0]
-    jobs = []
-    for E0 in config.params["seeds"]:
-        lam = _lambda_of_E(complex(E0))
-        jobs.append((round(_branch_coordinate(lam.real, nt, h)), E0))
-    return [_row(_sweep_job(k, nt, h, E0, config.refine), h)
-            for k, E0 in jobs]
 
 
 _PLOT_SCRIPT = """\
@@ -274,28 +246,22 @@ plot for [s in series] DATA every ::1 \\
 """
 
 
-def cmd_resonances(config):
+def cmd_resonances(args):
     """Lattice sweep with optional refinement; figure-data emission."""
-    if config.params.get("seeds") is not None:
-        rows = _resonance_seed_jobs(config)
-    elif config.band is not None:
-        rows = _resonance_band_jobs(config)
-    else:
-        rows = _resonance_krange_jobs(config)
-
+    rows = _resonance_rows(args)
     rows.sort(key=lambda r: (r["nu_tilde"], r["h"], r["k"]))
     n_ok = sum(1 for r in rows if r["error"] is None)
     doc = {
         "command": "resonances",
-        "params": {k: v for k, v in config.params.items() if k != "seeds"},
+        "params": args.params,
         "meta": {"n_success": n_ok, "n_failed": len(rows) - n_ok,
-                 "refine": config.refine},
+                 "refine": args.refine},
         "rows": rows,
         "columns": _RES_COLUMNS,
     }
 
     artifacts = {}
-    fig_path = config.params.get("figure_data")
+    fig_path = args.figure_data
     if fig_path:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -306,12 +272,11 @@ def cmd_resonances(config):
                 writer.writerow([repr(r["nu_tilde"]), r["k"], repr(r["h"]),
                                  repr(lam.real), repr(lam.imag)])
         artifacts[fig_path] = buf.getvalue()
-        script_path = config.params.get("plot_script")
-        if script_path:
+        if args.plot_script:
             series = sorted({r["nu_tilde"] for r in rows
                              if r["error"] is None})
-            artifacts[script_path] = _PLOT_SCRIPT.format(
-                data=fig_path, script=script_path,
+            artifacts[args.plot_script] = _PLOT_SCRIPT.format(
+                data=fig_path, script=args.plot_script,
                 series=" ".join(repr(s) for s in series))
 
     if n_ok == 0:
@@ -323,11 +288,9 @@ def cmd_resonances(config):
     return doc, artifacts, code
 
 
-def cmd_verify_ode(config):
+def cmd_verify_ode(args):
     """One resonance by all three routes, with gaps between them."""
-    k = config.params["k"]
-    nt = config.params["nutilde"]
-    h = config.params["h"]
+    k, nt, h = args.k, args.nutilde, args.h
     lat = lattice_point(k, nt, h)
     row = {"k": k, "nu_tilde": nt, "h": h, "lambda_lat": lat,
            "lambda_bs": None, "lambda_ode": None, "gap_bs_lat": None,
@@ -362,12 +325,10 @@ def cmd_verify_ode(config):
     return doc, {}, code
 
 
-def cmd_pplus(config):
+def cmd_pplus(args):
     """Closed-form radial levels, optionally next to the oracle levels
     from one Chebyshev eigensolve of the h-free scaled problem."""
-    l = config.params["l"]
-    h = config.params["h"]
-    kmax = config.params["kmax"]
+    l, h, kmax = args.l, args.h, args.kmax
     preds = []
     for k in range(0, kmax + 1):
         level = pplus_levels(h, l, [k])
@@ -377,7 +338,7 @@ def cmd_pplus(config):
     oracle_values = None
     oracle_error = None
     code = 0
-    if config.params["oracle"]:
+    if args.oracle:
         lo = 0.5 * preds[0][1] if preds else 0.5 * h ** (2.0 / 3.0)
         hi = 1.3 * preds[-1][1] if preds else 8.0 * h ** (2.0 / 3.0)
         try:
@@ -399,8 +360,7 @@ def cmd_pplus(config):
             "oracle_error": oracle_error}
     doc = {
         "command": "pplus",
-        "params": {"l": l, "h": h, "kmax": kmax,
-                   "oracle": config.params["oracle"]},
+        "params": {"l": l, "h": h, "kmax": kmax, "oracle": args.oracle},
         "meta": meta,
         "rows": rows,
         "columns": [("k", int), ("E_pred", float), ("E_oracle", float),
@@ -519,26 +479,11 @@ def _check_nutilde(parser, h, nt, rule):
         parser.error(str(exc))
 
 
-def _config_from_args(parser, args):
-    sc = args.subcommand
-    if sc == "turning-points":
-        return RunConfig(sc, {"E": args.E, "nu": args.nu}, fmt=args.format,
-                         output=args.output)
-    if sc == "actions":
-        E = args.E.real if args.E.imag == 0.0 else args.E
-        return RunConfig(sc, {"E": E, "nu": args.nu}, fmt=args.format,
-                         output=args.output)
-    if sc == "verify-ode":
-        _check_nutilde(parser, args.h, args.nutilde, "half-integer")
-        return RunConfig(sc, {"k": args.k, "nutilde": args.nutilde,
-                              "h": args.h}, fmt=args.format,
-                         output=args.output)
-    if sc == "pplus":
-        return RunConfig(sc, {"l": args.l, "h": args.h, "kmax": args.kmax,
-                              "oracle": args.oracle}, fmt=args.format,
-                         output=args.output)
-
-    # resonances: three selector modes share validation.
+def _resonance_params(parser, args):
+    """Check the resonances selector rules in turn, a usage error at the
+    first one broken; return the document's params and the seeds (None
+    unless --seed-file).  The band rule is Band's own, met before any
+    point is solved."""
     if (args.h is None) == (args.h_sweep is None):
         parser.error("resonances needs exactly one of --h or --h-sweep")
     if args.h is not None:
@@ -580,9 +525,8 @@ def _config_from_args(parser, args):
             parser.error(f"cannot read seed file: {exc}")
         if not seeds:
             parser.error("seed file contains no seeds")
-        params.update({"seeds": seeds, "nutilde": args.nutilde})
-        return RunConfig("resonances", params, fmt=args.format,
-                         output=args.output, refine=args.refine)
+        params["nutilde"] = args.nutilde
+        return params, seeds
 
     if args.nutilde_max is None:
         parser.error("resonances needs --nutilde-max (or --seed-file)")
@@ -594,41 +538,37 @@ def _config_from_args(parser, args):
                      f"--nutilde-max {args.nutilde_max}")
     params["nutilde_max"] = args.nutilde_max
 
-    band_mode = args.band is not None
-    krange_mode = args.kmin is not None or args.kmax is not None
-    if band_mode == krange_mode:
+    if (args.band is None) == (args.kmin is None and args.kmax is None):
         parser.error("resonances needs exactly one of --band or "
                      "--kmin/--kmax")
-    if krange_mode:
+    if args.band is None:
         if args.kmin is None or args.kmax is None or args.kmin > args.kmax:
             parser.error("--kmin and --kmax must both be given with "
                          "kmin <= kmax")
         params.update({"kmin": args.kmin, "kmax": args.kmax})
-    return RunConfig("resonances", params,
-                     band=args.band if band_mode else None,
-                     fmt=args.format, output=args.output,
-                     refine=args.refine)
+    return params, None
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(parser, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        doc, artifacts, code = _COMMANDS[config.subcommand](config)
+        if args.subcommand == "verify-ode":
+            _check_nutilde(parser, args.h, args.nutilde, "half-integer")
+        elif args.subcommand == "pplus" and args.kmax < 0:
+            parser.error(f"--kmax must be at least 0, got {args.kmax}")
+        elif args.subcommand == "resonances":
+            args.params, args.seeds = _resonance_params(parser, args)
+        doc, artifacts, code = _COMMANDS[args.subcommand](args)
     except ConiresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = render_document(doc, config.fmt)
-    if config.output:
-        _write_text(config.output, text)
+    text = render_document(doc, args.format)
+    if args.output:
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     for path, content in artifacts.items():

@@ -273,6 +273,14 @@ def _cardano_any(E, nu):
     ]
 
 
+def _trig_w(theta):
+    """The trigonometric roots w_k = (2/sqrt 3) cos((theta - 2 pi k)/3) of
+    w^3 - w + mu = 0, theta = arccos(-(3 sqrt 3/2) mu), for k = 1, 0, 2:
+    the order of the labels x0, x1, x2 (see _label)."""
+    return [2.0 / math.sqrt(3.0) * cmath.cos((theta - 2.0 * math.pi * k) / 3.0)
+            for k in (1, 0, 2)]
+
+
 def _label(E, nu, candidates):
     """candidates, Cardano's three roots at (E, nu), in the labels
     (x0, x1, x2) of the continuation from the real axis.
@@ -292,11 +300,8 @@ def _label(E, nu, candidates):
     theta = cmath.acos(-1.5 * math.sqrt(3.0) * nu * E ** -1.5)
     if E.imag > 0.0 and E.real < (6.75 * nu * nu) ** (1.0 / 3.0):
         theta = 2.0 * math.pi - theta
-    out = []
-    for k in (1, 0, 2):
-        w = cmath.cos((theta - 2.0 * math.pi * k) / 3.0) * 2.0 / math.sqrt(3.0)
-        out.append(min(candidates, key=lambda x: abs(x - E * w * w)))
-    return out
+    return [min(candidates, key=lambda x: abs(x - E * w * w))
+            for w in _trig_w(theta)]
 
 
 class CubicRoots:

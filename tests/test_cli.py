@@ -23,7 +23,7 @@ import pytest
 import conires
 from conires import errors, quantization
 from conires.actions import action_S01, action_S2inf
-from conires.cli import RunConfig, main
+from conires.cli import main
 from conires.model import turning_points
 from conires.quantization import Band, pplus_levels, resonance_set, \
     solve_resonance
@@ -121,16 +121,23 @@ class TestImports:
             conires.no_such_name
 
 
-class TestRunConfig:
-    def test_rejects_bad_band(self):
-        with pytest.raises(ValueError):
-            RunConfig("resonances", {}, band=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            RunConfig("resonances", {}, band=(-1.0, 1.0))
+class TestUsageErrors:
+    @pytest.mark.parametrize("band", ["2,1", "0,1", "-1,1"])
+    def test_rejects_bad_band(self, band, capsys):
+        # the band rule is checked before any job runs, in every h mode;
+        # "--band -1,1" would read -1,1 as an option, hence --band=
+        for h in (["--h", "0.1"], ["--h-sweep", "0.05,0.1,2"]):
+            assert main(["resonances"] + h + ["--nutilde-max", "1.5",
+                                               f"--band={band}"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "band must satisfy 0 < a < b" in err
 
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            RunConfig("actions", {}, fmt="xml")
+    def test_rejects_unknown_format(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["actions", "--E", "1", "--nu", "0.1", "--format", "xml"])
+        assert err.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
 class TestTurningPoints:
@@ -428,23 +435,55 @@ class TestResonances:
         assert len(solved) == len(want)
         assert rows_of(out) == want
 
-    def test_selector_usage_errors(self, capsys):
+    def test_selector_usage_errors(self, tmp_path, capsys):
+        seeds, empty = tmp_path / "seeds.json", tmp_path / "empty.json"
+        seeds.write_text("[1.9]")
+        empty.write_text("[]")
+        seed = ["--h", "0.1", "--nutilde", "0.5", "--seed-file", str(seeds),
+                "--refine", "bs"]
+        one_h = "resonances needs exactly one of --h or --h-sweep"
+        one_mode = "resonances needs exactly one of --band or --kmin/--kmax"
+        excludes = "--seed-file excludes --band and --kmin/--kmax"
+        sweep = "--h-sweep needs 0 < lo < hi and n >= 2"
+        krange = "--kmin and --kmax must both be given with kmin <= kmax"
         bad = [
-            ["resonances", "--nutilde-max", "0.5", "--band", "1,2"],
-            ["resonances", "--h", "0.1", "--h-sweep", "0.01,0.1,3",
-             "--nutilde-max", "0.5", "--band", "1,2"],
-            ["resonances", "--h", "0.1", "--nutilde-max", "0.5"],
-            ["resonances", "--h", "0.1", "--nutilde-max", "0.5",
-             "--band", "1,2", "--kmin", "3", "--kmax", "5"],
-            ["resonances", "--h", "0.1", "--band", "1,2"],
-            ["resonances", "--h", "0.1", "--nutilde-max", "0.5",
-             "--band", "1,2", "--plot-script", "x.gp"],
+            (["--nutilde-max", "0.5", "--band", "1,2"], one_h),
+            (["--h", "0.1", "--h-sweep", "0.01,0.1,3", "--nutilde-max", "0.5",
+              "--band", "1,2"], one_h),
+            (["--h", "0.1", "--nutilde-max", "0.5"], one_mode),
+            (["--h", "0.1", "--nutilde-max", "0.5", "--band", "1,2",
+              "--kmin", "3", "--kmax", "5"], one_mode),
+            (["--h", "0.1", "--band", "1,2"],
+             "resonances needs --nutilde-max (or --seed-file)"),
+            (["--h", "0.1", "--nutilde-max", "0.5", "--band", "1,2",
+              "--plot-script", "x.gp"],
+             "--plot-script requires --figure-data"),
+            (seed + ["--band", "1,2"], excludes),
+            (seed + ["--kmin", "1"], excludes),
+            (["--h", "0.1", "--seed-file", str(seeds), "--refine", "bs"],
+             "--seed-file requires --nutilde"),
+            (seed + ["--refine", "lattice"],
+             "--seed-file requires --refine bs or ode"),
+            (["--h-sweep", "0.01,0.1,3", "--nutilde", "0.5", "--seed-file",
+              str(seeds), "--refine", "bs"],
+             "--seed-file requires a single --h"),
+            (["--h", "0.1", "--nutilde", "0.5", "--seed-file", str(empty),
+              "--refine", "bs"], "seed file contains no seeds"),
+            (["--h-sweep", "0.1,0.01,3", "--nutilde-max", "1.5",
+              "--band", "1,2"], sweep),
+            (["--h-sweep", "0.01,0.1,1", "--nutilde-max", "1.5",
+              "--band", "1,2"], sweep),
+            (["--h", "0.1", "--nutilde-max", "1.5", "--kmin", "3"], krange),
+            (["--h", "0.1", "--nutilde-max", "1.5", "--kmin", "5",
+              "--kmax", "3"], krange),
         ]
-        for argv in bad:
+        for argv, message in bad:
             with pytest.raises(SystemExit) as err:
-                main(argv)
+                main(["resonances"] + argv)
             assert err.value.code == 2
-            capsys.readouterr()
+            out, stderr = capsys.readouterr()
+            assert out == ""
+            assert stderr.endswith(f"error: {message}\n"), (argv, stderr)
 
     @pytest.mark.parametrize("nutilde, refine", [("0.7", "ode"),
                                                  ("-0.5", "bs")])
@@ -532,6 +571,17 @@ class TestPplus:
             want = pplus_levels(0.01, 1, [int(row["k"])])[0]
             assert abs(float(row["E_pred"]) - want) <= 1e-14
             assert row["E_oracle"] == ""
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]],
+                             ids=["closed-form", "oracle"])
+    def test_negative_kmax_is_usage_error(self, oracle, capsys):
+        # no level is asked for: refused before any eigensolve runs
+        with pytest.raises(SystemExit) as err:
+            main(["pplus", "--h", "0.01", "--l", "1", "--kmax", "-1"] + oracle)
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert "--kmax must be at least 0, got -1" in stderr
 
     def test_oracle_deltas(self, capsys):
         code, out = run_cli(

@@ -42,6 +42,23 @@ CLI_PINS = {
         "ed7dbfe04badbacb8cd3b5444d04bb854400accd5e397bce0e78182a0b3169b3",
     "turning-points --E 2 --nu 0.5":
         "66c8677bfb98d28b6da7b6539d7fd69671251124c23df9127aa2ab612991e2d7",
+    "resonances --h-sweep 0.01,0.1,3 --kmin 11 --kmax 12 --nutilde-min 1.5 "
+    "--nutilde-max 2.5":
+        "cf0f936c0c35aa074644d308d3c54b32c51c8b9d4162f9c6df8173ba314794e7",
+    "resonances --h 0.01 --band 1,2 --nutilde-max 1.5 --refine bs "
+    "--format json":
+        "2afba8d5c4751b4c73ebdcfcb146c7749447ed4778edc1b0649d97ff6d9e3121",
+    "verify-ode --h 0.2 --nutilde 0.5 --k 2 --format json":
+        "a46b9423a298fa418c0d0abf79ddc1c31bbb7addcefb6d323302bd01d9d710f7",
+    "actions --E 1.3-0.1j --nu 0.2 --format json":
+        "e904fae3c0af9d60e4761e15630e95555e1b041c00a7e71f944098a00ec5c0d2",
+    "pplus --h 0.01 --l 1 --oracle --format json":
+        "817090582034139f574132fc7e9c3f60e3cdb525bfb8bdc434f1f0d79b507226",
+    "turning-points --E 2 --nu 0.5 --format json":
+        "6735d164890f68d73f13a3e1d5583e5ada3a9938eb03c282640049107baaec28",
+    "resonances --h-sweep 0.01,0.1,3 --kmin 11 --kmax 12 --nutilde-min 1.5 "
+    "--nutilde-max 2.5 --format json":
+        "2baa0aa267abf5b4fe146ce32e8d70a0d652d5373a37d487b3a8e583614726f5",
 }
 
 # criterion 7: amplitude_recurrence along [0.2i, 0.9i] at nu = 0.05, N = 4,

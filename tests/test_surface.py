@@ -16,7 +16,7 @@ import inspect
 
 MODULES = ("model", "quadrature", "actions", "quantization", "ode_oracle",
            "spectral", "cli", "wkb")
-LEDGER = 38
+LEDGER = 34
 
 
 def _settable(fn):
