@@ -66,7 +66,7 @@ print("note |c+| is order one AT the BS root: the zero lives elsewhere")
 print("\n  h      k    |lambda_ode - lambda_BS| / h    Im_ode      Im_BS")
 for hh, k in ((0.2, 2), (0.1, 4), (0.05, 8)):
     b = solve_resonance(k, nt, hh)
-    o = find_resonance_ode((b.E, hh, nt), b.E)
+    o = find_resonance_ode((b.E, hh, nt))
     off = abs(o.lam - b.lam) / hh
     print(f"  {hh:4.2f}  {k:3d}    {off:.6f}                    "
           f"{o.lam.imag:+.4f}    {b.lam.imag:+.4f}")

@@ -208,7 +208,8 @@ def _resonance_rows(args):
                                               nt, h)), nt, E0)
                     for E0 in args.seeds]
         else:
-            families = _families(args.nutilde_max, args.nutilde_min)
+            families = _families(args.nutilde_max,
+                                 args.params["nutilde_min"])
             if args.band is not None:
                 recs, failures = _band_sweep(Band(*args.band, h=h),
                                              families, args.refine)
@@ -302,7 +303,7 @@ def cmd_verify_ode(args):
     row["residual_bs"] = bs.residual
     code = 0
     try:
-        ode = find_resonance_ode((bs.E, h, nt), bs.E)
+        ode = find_resonance_ode((bs.E, h, nt))
         row["lambda_ode"] = ode.lam
         row["gap_ode_bs"] = abs(ode.lam - bs.lam)
         row["gap_ode_bs_over_h"] = abs(ode.lam - bs.lam) / h
@@ -440,7 +441,7 @@ def _build_parser():
                    help="single nu-tilde family (seed mode)")
     p.add_argument("--nutilde-max", type=float,
                    help="largest half-integer family to sweep")
-    p.add_argument("--nutilde-min", type=float, default=0.5,
+    p.add_argument("--nutilde-min", type=float,
                    help="smallest family to keep (default 0.5)")
     p.add_argument("--refine", choices=("lattice", "bs", "ode"),
                    default="lattice")
@@ -482,8 +483,8 @@ def _check_nutilde(parser, h, nt, rule):
 def _resonance_params(parser, args):
     """Check the resonances selector rules in turn, a usage error at the
     first one broken; return the document's params and the seeds (None
-    unless --seed-file).  The band rule is Band's own, met before any
-    point is solved."""
+    unless --seed-file).  The band rule is Band's own, a ValueError;
+    the options that select nothing in their mode come last."""
     if (args.h is None) == (args.h_sweep is None):
         parser.error("resonances needs exactly one of --h or --h-sweep")
     if args.h is not None:
@@ -497,7 +498,8 @@ def _resonance_params(parser, args):
     if not all(0.0 < h < math.inf for h in h_values):
         parser.error("h must be positive and finite")
 
-    params = {"h_values": h_values, "nutilde_min": args.nutilde_min,
+    nt_min = 0.5 if args.nutilde_min is None else args.nutilde_min
+    params = {"h_values": h_values, "nutilde_min": nt_min,
               "figure_data": args.figure_data,
               "plot_script": args.plot_script}
     if args.plot_script and not args.figure_data:
@@ -519,12 +521,18 @@ def _resonance_params(parser, args):
         try:
             with open(args.seed_file, encoding="utf-8") as fh:
                 raw = json.load(fh)
+            # numbers, booleans and null fail to iterate below
+            if isinstance(raw, (str, dict)):
+                raise TypeError("expected a JSON list of seeds")
             seeds = [complex(s["re"], s["im"]) if isinstance(s, dict)
                      else float(s) for s in raw]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             parser.error(f"cannot read seed file: {exc}")
         if not seeds:
             parser.error("seed file contains no seeds")
+        if args.nutilde_max is not None or args.nutilde_min is not None:
+            parser.error("--seed-file excludes --nutilde-max and "
+                         "--nutilde-min")
         params["nutilde"] = args.nutilde
         return params, seeds
 
@@ -533,8 +541,8 @@ def _resonance_params(parser, args):
     if not args.nutilde_max >= 0.5:
         parser.error(f"--nutilde-max must be at least 1/2, got "
                      f"{args.nutilde_max}")
-    if args.nutilde_min > args.nutilde_max:
-        parser.error(f"--nutilde-min {args.nutilde_min} exceeds "
+    if nt_min > args.nutilde_max:
+        parser.error(f"--nutilde-min {nt_min} exceeds "
                      f"--nutilde-max {args.nutilde_max}")
     params["nutilde_max"] = args.nutilde_max
 
@@ -546,6 +554,11 @@ def _resonance_params(parser, args):
             parser.error("--kmin and --kmax must both be given with "
                          "kmin <= kmax")
         params.update({"kmin": args.kmin, "kmax": args.kmax})
+    else:
+        Band(*args.band)  # its rule's ValueError comes before the next one
+    if args.nutilde is not None:
+        parser.error("--nutilde requires --seed-file; a sweep takes "
+                     "--nutilde-max")
     return params, None
 
 

@@ -31,7 +31,7 @@ import cmath
 import copy
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -61,23 +61,18 @@ class ModelParams:
 
     nu_tilde must be a positive half-integer 1/2, 3/2, 5/2, ... (the angular
     index of the fiber operator; negative values are reduced away by symmetry).
-    Pass nu only to assert it; it is always recomputed as nu_tilde * h.
+    nu is not passed: it is computed as nu_tilde * h.
     """
 
     E: complex
     h: float
     nu_tilde: float
-    nu: float = None
+    nu: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "E", complex(self.E))
         _check_h_nt(self.h, self.nu_tilde, "half-integer")
-        product = self.nu_tilde * self.h
-        if self.nu is not None and self.nu != product:
-            raise ValueError(
-                f"nu must equal nu_tilde * h = {product!r}, got {self.nu!r}"
-            )
-        object.__setattr__(self, "nu", product)
+        object.__setattr__(self, "nu", self.nu_tilde * self.h)
 
 
 class _Params(NamedTuple):

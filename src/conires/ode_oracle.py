@@ -40,12 +40,12 @@ same Taylor steps, whose series are summed a block of steps at a time
 by recurrences over the block and the stack (_carry_pairs), and the
 outgoing series one recurrence over the stack. jost_cplus is its
 one-member case, on E's own contour; the certification ring is its
-(ring_points + 1)-member case, the ring points and the centre itself,
-on the centre's contour. No member is
-computed more loosely than it would be alone: a Taylor step is sized on
-the largest |x^2 - E| of the members and summed until every member's
-terms are negligible, and so is the outgoing series; no step's sum
-depends on the other steps of its block.
+17-member case, the 16 ring points and the centre itself, on the
+centre's contour. No member is computed more loosely than it would be
+alone: a Taylor step is sized on the largest |x^2 - E| of the members
+and summed until every member's terms are negligible, and so is the
+outgoing series; no step's sum depends on the other steps of its
+block.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ _THETA = 0.5  # angle of the extraction ray arg x = -theta
 _DOMINANCE_EFOLDS = 40.0  # decay of the recessive mode where c+ is read
 _PLATEAU_REL = 1e-6  # largest gap of the two c+ readings, relative to |c+|
 _CERT_RATIO = 1e-8  # certified zero: |c+| below this times the ring median
+_RING_POINTS = 16  # certification ring size; sigma reads DFT indices 9 .. 15
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,6 @@ class IntegrationResult:
     u_end: np.ndarray
     wronskian_drift: float
     steps: int
-    path: ComplexPath
 
 
 @dataclass(frozen=True)
@@ -422,7 +422,7 @@ def integrate_system(params, path, u_start):
 
     segs = path.segments()
     if not segs:
-        return IntegrationResult(u0 if vector_input else M, 0.0, 0, path)
+        return IntegrationResult(u0 if vector_input else M, 0.0, 0)
     scale = max(abs(v) for v in path.vertices)
     for a, b in segs:
         if segment_point_distance(a, b, [0])[0] < 1e-12 * scale:
@@ -432,7 +432,7 @@ def integrate_system(params, path, u_start):
     M, steps, drift, _ = _carry_pairs(_schedule(segs, Es, h, nu), Es, h, nu,
                                       M[None])
     u_end = M[0, :, 0] if vector_input else M[0]
-    return IntegrationResult(u_end, drift, steps, path)
+    return IntegrationResult(u_end, drift, steps)
 
 
 class _Contour(NamedTuple):
@@ -605,8 +605,8 @@ def _jost_ring(E_center, Es, h, nt):
                      _jost_batch(E_center, Es, h, nt, _THETA, None)])
 
 
-def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
-    """Zero of c+(E) near E_seed, certified by a winding count.
+def find_resonance_ode(params, max_iter=30):
+    """Zero of c+(E) near params' E, the seed, certified by a winding count.
 
     The seed is expected to come from the lattice or a quantization
     solve. Because a seed can land between two zeros (on a ridge of
@@ -615,7 +615,7 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     spectral.locate_zero, at most max_iter inverse-iteration solves of
     the complex-scaled problem and no Jost evaluation: a ridge seed
     fails there and the ladder moves on. The located E_c centres a ring
-    of ring_points energies at radius rho = 1e-4 |E_c|, and is itself a
+    of 16 energies at radius rho = 1e-4 |E_c|, and is itself a
     member of the same batched solve (_jost_ring) on E_c's contour;
     the ring points agree with per-point jost_cplus to about 1.3e-11 of
     the ring median at h = 0.1, the centre to about 1.1e-11. E_c is
@@ -638,8 +638,7 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     rings as iterations (0 where the first ring certifies) and the
     seed's k.
     """
-    E0_seed = complex(E_seed)
-    _, h, nt, _ = _as_params(params, "half-integer")
+    E0_seed, h, nt, _ = _as_params(params, "half-integer")
     lam_seed = _lambda_of_E(E0_seed)
     dlam = 8.0 * _SLOPE * h
     ladder = [E0_seed,
@@ -651,26 +650,25 @@ def find_resonance_ode(params, E_seed, max_iter=30, ring_points=16):
     for seed in ladder:
         try:
             E_c = locate_zero((seed, h, nt), max_iter)
-            return _ring_certified(E_c, h, nt, max_iter, ring_points,
-                                   lam_seed)
+            return _ring_certified(E_c, h, nt, max_iter, lam_seed)
         except (NoConvergence, SpuriousZero, NoPlateau,
                 StepUnderflow) as exc:
             failures.append((type(exc), f"seed E={seed:.6f}: {exc}"))
     raise failures[-1][0]("; ".join(msg for _, msg in failures))
 
 
-def _ring_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
+def _ring_certified(E_start, h, nt, max_iter, lam_seed):
     """Record of the first ring centre, from E_start on, whose |c+| and
     ring noise sigma are both below _CERT_RATIO times its ring's median:
     at most max_iter rings, each one _jost_ring solve, the next centred
     on the Newton point of the ring's Cauchy sums. sigma is the rms of
-    np.fft.fft(ring)/N at indices 9 .. N - 1, whose Taylor content
-    a_k rho^k (k = j mod N, so k >= 9) lies below 1e-24 of the median:
-    evaluation noise alone (sigma = 0 for N < 10). SpuriousZero when the
-    certified centre's ring does not wind once; NoConvergence when a
-    ring's sigma reaches the certificate, a centre leaves
-    |E - E_start| <= 0.6 |E_start|, or max_iter rings fail."""
-    roots = np.exp(2j * math.pi * np.arange(ring_points) / ring_points)
+    np.fft.fft(ring)/16 at indices 9 .. 15, whose Taylor content
+    a_k rho^k (k = j mod 16, so k >= 9) lies below 1e-24 of the median:
+    evaluation noise alone. SpuriousZero when the certified centre's
+    ring does not wind once; NoConvergence when a ring's sigma reaches
+    the certificate, a centre leaves |E - E_start| <= 0.6 |E_start|, or
+    max_iter rings fail."""
+    roots = np.exp(2j * math.pi * np.arange(_RING_POINTS) / _RING_POINTS)
     E_c = E_start
     for rings in range(max_iter):
         if abs(E_c - E_start) > 0.6 * abs(E_start):
@@ -681,8 +679,8 @@ def _ring_certified(E_start, h, nt, max_iter, ring_points, lam_seed):
         ring = _jost_ring(E_c, np.append(E_c + rho * roots, E_c), h, nt)
         ring, c = ring[:-1], complex(ring[-1])
         med = float(np.median(np.abs(ring)))
-        high = np.abs(np.fft.fft(ring)[9:]) / ring_points
-        sigma = math.sqrt(float(np.mean(high ** 2))) if high.size else 0.0
+        high = np.abs(np.fft.fft(ring)[9:]) / _RING_POINTS
+        sigma = math.sqrt(float(np.mean(high ** 2)))
         if sigma >= _CERT_RATIO * med:
             raise NoConvergence(
                 f"ring noise sigma = {sigma / med:.1e} x ring median at "

@@ -47,10 +47,6 @@ class ComplexPath:
     def start(self):
         return self.vertices[0]
 
-    @property
-    def end(self):
-        return self.vertices[-1]
-
 
 def segment_point_distance(a, b, points):
     """Distance from each of `points` to the straight segment [a, b]."""

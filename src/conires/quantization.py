@@ -214,12 +214,13 @@ def _lattice_record(k, nt, h):
     )
 
 
-def solve_resonance(k, nu_tilde, h, seed=None, max_iter=_NEWTON_MAX_ITER):
+def solve_resonance(k, nu_tilde, h, seed=None):
     """Newton refinement of branch k from the lattice seed.
 
     Converged when |residual| < 1e-10 and the last step was below
-    1e-12 |E|, within max_iter iterates per seed.  Each iterate evaluates
-    A and dA/dE together, from one closed-form action pair (_A_and_dE).
+    1e-12 |E|, within _NEWTON_MAX_ITER iterates per seed.  Each iterate
+    evaluates A and dA/dE together, from one closed-form action pair
+    (_A_and_dE).
     A seed whose iterate turns non-finite or whose dA/dE collapses gives
     way to the next (the real-axis lattice seed); the last such error,
     NoConvergence or NonSimpleRoot, is raised when no seed converges.
@@ -236,7 +237,7 @@ def solve_resonance(k, nu_tilde, h, seed=None, max_iter=_NEWTON_MAX_ITER):
         E = E0
         last_step = math.inf
         try:
-            for it in range(1, max_iter + 1):
+            for it in range(1, _NEWTON_MAX_ITER + 1):
                 a, dr = _A_and_dE(E, h, nt)
                 r = a - shift
                 if abs(r) < _BS_TOL and last_step < _STEP_TOL * abs(E):
@@ -260,7 +261,8 @@ def solve_resonance(k, nu_tilde, h, seed=None, max_iter=_NEWTON_MAX_ITER):
                     )
             last_err = NoConvergence(
                 f"branch k={k}, nu_tilde={nt}, h={h}: |residual| = "
-                f"{abs(r):.2e} after {max_iter} iterations from seed {E0:.6g}"
+                f"{abs(r):.2e} after {_NEWTON_MAX_ITER} iterations from seed "
+                f"{E0:.6g}"
             )
         except (NonSimpleRoot, NoConvergence) as exc:
             last_err = exc
@@ -295,8 +297,7 @@ def _sweep_job(k, nt, h, seed, refine):
             return rec
         from .ode_oracle import find_resonance_ode  # imports this module
 
-        E0 = rec.E if seed is None else seed
-        return find_resonance_ode((E0, h, nt), E0)
+        return find_resonance_ode((rec.E if seed is None else seed, h, nt))
     except Exception as exc:
         return SweepFailure(k, nt, f"{type(exc).__name__}: {exc}")
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,43 +85,31 @@ class AmplitudePair:
     """Partial sums of the even and odd amplitude series at a path endpoint.
 
     terms holds the per-order endpoint values (w_0, w_1, ..., w_N); w_even
-    sums the even entries, w_odd the odd ones.  remainder is the magnitude
-    of the last computed term, the natural truncation estimate.
+    sums the even entries, w_odd the odd ones.
     """
 
     w_even: complex
     w_odd: complex
-    N: int
-    base_point: complex
-    terms: tuple = ()
-    remainder: float = 0.0
+    terms: tuple
 
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """A 2x2 connection matrix with its exact log-domain data.
+    """A 2x2 connection matrix (T1, T2, T3 or R) with its exact
+    log-domain data.
 
-    kind is one of "T1", "T2", "T3", "R".  For the diagonal kinds the
-    entries can overflow as e^{S/h}; log_diag then stores the exact
-    logarithms of the two diagonal entries, and det() works from those, so
-    downstream algebra can stay in log form.  inputs records the parameter
-    and action values the matrix was built from, error_model the order of
-    the neglected corrections.
+    For the diagonal ones (T1, T3) the entries can overflow as e^{S/h};
+    log_diag then stores the exact logarithms of the two diagonal
+    entries, and det() works from those, so downstream algebra can stay
+    in log form.
     """
 
-    kind: str
     entries: tuple
     log_diag: tuple | None = None
-    inputs: dict = field(default_factory=dict)
-    error_model: str = ""
 
     def entry(self, i, j):
         """Entry in 1-based (row, column) indexing."""
         return self.entries[i - 1][j - 1]
-
-    @property
-    def matrix(self):
-        return np.array(self.entries, dtype=complex)
 
     def det(self):
         (a, b), (c, d) = self.entries
@@ -183,13 +171,12 @@ def _branch_states_along(tp, path):
     return states
 
 
-def _amplitude_pair(y, base_point):
+def _amplitude_pair(y):
     """AmplitudePair at a sweep state y = (z, w_1, .., w_N), with w_0 = 1;
     y = 0 gives the base values."""
     terms = (1.0 + 0.0j,) + tuple(complex(v) for v in y[1:])
-    N = len(terms) - 1
-    return AmplitudePair(sum(terms[0::2], 0.0j), sum(terms[1::2], 0.0j), N,
-                         base_point, terms, abs(terms[-1]) if N else 0.0)
+    return AmplitudePair(sum(terms[0::2], 0.0j), sum(terms[1::2], 0.0j),
+                         terms)
 
 
 def _triangular_sweep(coeffs, t_span, y0, sign, h, where, check=None):
@@ -251,7 +238,7 @@ def amplitude_recurrence(path, params, N, sign=1):
         path = ComplexPath(tuple(path))
     segs = path.segments()
     if not segs:
-        return _amplitude_pair(np.zeros(N + 1, dtype=complex), path.start)
+        return _amplitude_pair(np.zeros(N + 1, dtype=complex))
 
     tp = turning_points(E, nu)
     specials = _specials(tp)
@@ -294,7 +281,7 @@ def amplitude_recurrence(path, params, N, sign=1):
         sol = _triangular_sweep(coeffs, (0.0, 1.0), y, sign, h,
                                 f"segment {a:.4g} -> {c:.4g}", admissible)
         y = sol.y[:, -1].copy()
-    return _amplitude_pair(y, path.start)
+    return _amplitude_pair(y)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +311,7 @@ def origin_series(params, x_on_imag_axis, N):
     if N < 0:
         raise ValueError("N must be nonnegative")
     if x == 0:
-        return _amplitude_pair(np.zeros(N + 1, dtype=complex), 0.0 + 0.0j)
+        return _amplitude_pair(np.zeros(N + 1, dtype=complex))
     if not (x.imag > 0.0) or abs(x.real) > 1e-12 * abs(x):
         raise ValueError(
             f"evaluation point must lie on the positive imaginary axis, "
@@ -356,7 +343,7 @@ def origin_series(params, x_on_imag_axis, N):
         y0[1] = complex(phi(eps)) * eps / (1.0 + 2.0 * nt)
     sol = _triangular_sweep(coeffs, (eps, R), y0, 1, h,
                             f"({eps:.2e}, {R:.4g})")
-    pair = _amplitude_pair(sol.y[:, -1], 0.0 + 0.0j)
+    pair = _amplitude_pair(sol.y[:, -1])
     terms = pair.terms
     if N >= 3 and abs(terms[N]) > abs(terms[N - 2]) and \
             abs(terms[N]) > 1e-13 * (1.0 + abs(pair.w_even)):
@@ -402,12 +389,7 @@ def transfer_T1(params):
     l11 = s01.value / p.h
     entries = ((_exp_guard(l11), 0.0 + 0.0j),
                (0.0 + 0.0j, _exp_guard(-l11)))
-    return TransferMatrix(
-        "T1", entries, log_diag=(l11, -l11),
-        inputs={"E": p.E, "h": p.h, "nu_tilde": p.nu_tilde,
-                "S01": s01.value, "S01_est_error": s01.est_error},
-        error_model="exact up to the roundoff of the closed-form S01",
-    )
+    return TransferMatrix(entries, log_diag=(l11, -l11))
 
 
 def _log_minus_t(E, h, nt):
@@ -426,19 +408,14 @@ def transfer_T2(params):
 
     The second row is the analytic continuation of (-conj(s), -conj(t));
     for real E the matrix has the exact sign structure
-    ((t, s), (-conj(s), -conj(t))).
+    ((t, s), (-conj(s), -conj(t))).  The leading-order coupling at the
+    crossing is gamma = nu_tilde E^{-3/4} h / sqrt(2), the argument
+    branching_R takes with this h.
     """
     p = _as_params(params)
     E, h, nt = p.E, p.h, p.nu_tilde
     t = -cmath.exp(_log_minus_t(E, h, nt)[0])
-    entries = ((t, -1.0j), (-1.0j, -1.0j * t))
-    gamma_leading = nt * cmath.exp(-0.75 * cmath.log(E)) * h / math.sqrt(2.0)
-    return TransferMatrix(
-        "T2", entries,
-        inputs={"E": E, "h": h, "nu_tilde": nt,
-                "gamma_leading": gamma_leading},
-        error_model="t to O(h log h), s to O(h); leading order only",
-    )
+    return TransferMatrix(((t, -1.0j), (-1.0j, -1.0j * t)))
 
 
 def transfer_T3(params):
@@ -452,13 +429,7 @@ def transfer_T3(params):
     l22 = c - s2.value / p.h
     entries = ((_exp_guard(l11), 0.0 + 0.0j),
                (0.0 + 0.0j, _exp_guard(l22)))
-    return TransferMatrix(
-        "T3", entries, log_diag=(l11, l22),
-        inputs={"E": p.E, "h": p.h, "nu_tilde": p.nu_tilde,
-                "S2inf": s2.value, "S2inf_est_error": s2.est_error},
-        error_model="diagonal to leading order; off-diagonal "
-                    "O(e^{-delta/h}) dropped",
-    )
+    return TransferMatrix(entries, log_diag=(l11, l22))
 
 
 def branching_R(gamma, h):
@@ -486,13 +457,7 @@ def branching_R(gamma, h):
     log_q = logc - 0.5 * math.pi * xpar
     pv = _exp_guard(log_p)
     qv = _exp_guard(log_q)
-    entries = ((pv, qv), (-qv, -pv))
-    return TransferMatrix(
-        "R", entries,
-        inputs={"gamma": g, "h": h, "x": xpar,
-                "log_p": log_p, "log_q": log_q},
-        error_model="exact",
-    )
+    return TransferMatrix(((pv, qv), (-qv, -pv)))
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_criterion_5_ode_oracle_cross_validation(capsys):
         bs = solve_resonance(k, nt, h)
         # Zero certified inside: winding number 1 on a surrounding ring
         # and residual below 1e-8 of the ring median, else it raises.
-        ode = find_resonance_ode((bs.E, h, nt), bs.E)
+        ode = find_resonance_ode((bs.E, h, nt))
         checks.append((ode.residual <= 1e-8,
                        f"h={h}: |c+| residual {ode.residual:.1e}"))
         c1 = jost_cplus((bs.E, h, nt), theta=0.4)

@@ -446,6 +446,10 @@ class TestResonances:
         excludes = "--seed-file excludes --band and --kmin/--kmax"
         sweep = "--h-sweep needs 0 < lo < hi and n >= 2"
         krange = "--kmin and --kmax must both be given with kmin <= kmax"
+        idle_in_seed_mode = "--seed-file excludes --nutilde-max and " \
+            "--nutilde-min"
+        idle_in_sweep = "--nutilde requires --seed-file; a sweep takes " \
+            "--nutilde-max"
         bad = [
             (["--nutilde-max", "0.5", "--band", "1,2"], one_h),
             (["--h", "0.1", "--h-sweep", "0.01,0.1,3", "--nutilde-max", "0.5",
@@ -476,6 +480,11 @@ class TestResonances:
             (["--h", "0.1", "--nutilde-max", "1.5", "--kmin", "3"], krange),
             (["--h", "0.1", "--nutilde-max", "1.5", "--kmin", "5",
               "--kmax", "3"], krange),
+            # options that select nothing in their mode
+            (seed + ["--nutilde-max", "0.2"], idle_in_seed_mode),
+            (seed + ["--nutilde-min", "0.5"], idle_in_seed_mode),
+            (["--h", "0.1", "--band", "1,2", "--nutilde-max", "0.5",
+              "--nutilde", "7.5"], idle_in_sweep),
         ]
         for argv, message in bad:
             with pytest.raises(SystemExit) as err:
@@ -497,6 +506,42 @@ class TestResonances:
                   "--seed-file", str(seeds), "--refine", refine])
         assert err.value.code == 2
         capsys.readouterr()
+
+    def test_idle_options_are_checked_last(self, tmp_path, capsys):
+        # an invocation that a selector rule rejected before the idle-
+        # option rules existed keeps that rule's message
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        with pytest.raises(SystemExit) as err:
+            main(["resonances", "--h", "0.1", "--nutilde", "0.5",
+                  "--refine", "bs", "--seed-file", str(empty),
+                  "--nutilde-max", "0.2"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: seed file contains no seeds\n")
+        # the band rule is Band's ValueError, without a usage line
+        assert main(["resonances", "--h", "0.1", "--band", "2,1",
+                     "--nutilde-max", "0.5", "--nutilde", "0.5"]) == 2
+        assert capsys.readouterr().err == \
+            "error: band must satisfy 0 < a < b, got a=2.0, b=1.0\n"
+
+    @pytest.mark.parametrize("text", ['["abc"]', '{"a": 1}', '"2.0"',
+                                      '{"1.9": 0}'],
+                             ids=["string", "object", "bare-string",
+                                  "numeric-key"])
+    def test_seed_file_not_a_list_of_numbers(self, tmp_path, capsys, text):
+        # a string or an object is iterable but not a list of seeds, and
+        # float("abc") raises ValueError: each is a usage error
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["resonances", "--h", "0.1", "--nutilde", "0.5",
+                  "--seed-file", str(seeds), "--refine", "bs"])
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert stderr.startswith("usage: ")
+        assert "\nconires: error: cannot read seed file: " in stderr
 
     def test_bad_seed_file_is_usage_error(self, tmp_path, capsys):
         seeds = tmp_path / "seeds.json"

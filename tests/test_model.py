@@ -31,14 +31,6 @@ class TestModelParams:
         assert p.nu == 0.25
         assert p.E == 2.0 + 0.0j
 
-    def test_nu_recomputed(self):
-        p = ModelParams(E=1.0, h=0.5, nu_tilde=0.5, nu=0.25)
-        assert p.nu == 0.25
-
-    def test_nu_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ModelParams(E=1.0, h=0.5, nu_tilde=0.5, nu=0.3)
-
     @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
     def test_bad_h(self, h):
         with pytest.raises(ValueError):

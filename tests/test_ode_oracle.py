@@ -100,7 +100,7 @@ def bs_root():
 
 @pytest.fixture(scope="module")
 def ode_root(bs_root):
-    return find_resonance_ode((bs_root.E, 0.1, 0.5), bs_root.E)
+    return find_resonance_ode((bs_root.E, 0.1, 0.5))
 
 
 class TestFrobeniusInit:
@@ -584,7 +584,7 @@ class TestFindResonance:
     @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4), (0.05, 8)])
     def test_zero_identity_from_bs_seed(self, h, k):
         bs = solve_resonance(k, 0.5, h)
-        ode = find_resonance_ode((bs.E, h, 0.5), bs.E)
+        ode = find_resonance_ode((bs.E, h, 0.5))
         assert abs(ode.lam - LAM_ODE[h]) <= 1e-9
         assert ode.residual <= 1e-8
         if h == 0.05:
@@ -595,14 +595,12 @@ class TestFindResonance:
                 1e-12 * abs(LAM_SPECTRAL_005)
 
     def test_reseed_converges_to_same_zero(self, ode_root):
-        again = find_resonance_ode((ode_root.E, 0.1, 0.5), ode_root.E,
-                                   ring_points=8)
+        again = find_resonance_ode((ode_root.E, 0.1, 0.5))
         assert abs(again.lam - ode_root.lam) <= 1e-8
 
     def test_no_convergence(self, bs_root):
         with pytest.raises(NoConvergence):
-            find_resonance_ode((bs_root.E, 0.1, 0.5), bs_root.E,
-                               max_iter=0, ring_points=4)
+            find_resonance_ode((bs_root.E, 0.1, 0.5), max_iter=0)
 
     @pytest.mark.parametrize("h", [0.2, 0.1])
     def test_ring_matches_per_point_jost(self, h):
@@ -648,7 +646,7 @@ class TestFindResonance:
         # median, and fails; the Cauchy sums of the linear c+ are exact,
         # so the second ring sits on the zero and certifies it
         zero, start, centres = self._fake_rings(monkeypatch, lambda d: d)
-        rec = find_resonance_ode((start, 0.1, 0.5), start)
+        rec = find_resonance_ode((start, 0.1, 0.5))
         assert centres[0] == start
         assert len(centres) == 2
         assert rec.E == centres[1]
@@ -664,7 +662,7 @@ class TestFindResonance:
         zero, _, centres = self._fake_rings(monkeypatch, lambda d: d * d,
                                             off=0.0)
         with pytest.raises(SpuriousZero, match="winding 2"):
-            find_resonance_ode((zero, 0.1, 0.5), zero)
+            find_resonance_ode((zero, 0.1, 0.5))
         assert centres == [zero] * 3  # one ring per ladder seed
 
     def test_ring_noise_at_the_certificate_stops_the_seed(self,
@@ -677,7 +675,7 @@ class TestFindResonance:
         zero, _, centres = self._fake_rings(
             monkeypatch, lambda d: d + noise, lambda E: 0.0, off=0.0)
         with pytest.raises(NoConvergence, match="ring noise sigma = 2.5e-07"):
-            find_resonance_ode((zero, 0.1, 0.5), zero)
+            find_resonance_ode((zero, 0.1, 0.5))
         assert centres == [zero] * 3
 
     @pytest.mark.parametrize("cplus, centre, rings, match", [
@@ -692,7 +690,7 @@ class TestFindResonance:
         # its first ring
         _, start, centres = self._fake_rings(monkeypatch, cplus, centre)
         with pytest.raises(NoConvergence, match=match):
-            find_resonance_ode((start, 0.1, 0.5), start, max_iter=3)
+            find_resonance_ode((start, 0.1, 0.5), max_iter=3)
         assert len(centres) == 3 * rings
 
     @staticmethod
@@ -713,7 +711,7 @@ class TestFindResonance:
         monkeypatch.setattr(ode_oracle, "jost_cplus", counted)
         monkeypatch.setattr(ode_oracle, "_jost_ring", counted_ring)
         E_bs, seed = _ladder_seed_above(h, k)
-        rec = find_resonance_ode((E_bs, h, 0.5), E_bs)
+        rec = find_resonance_ode((E_bs, h, 0.5))
         return rec, calls, rings, seed
 
     @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4), (0.05, 8)])
@@ -742,7 +740,7 @@ class TestFindResonance:
         code = ("from conires.ode_oracle import find_resonance_ode; "
                 "from conires.quantization import solve_resonance; "
                 "E = solve_resonance(8, 0.5, 0.05).E; "
-                "r = find_resonance_ode((E, 0.05, 0.5), E); "
+                "r = find_resonance_ode((E, 0.05, 0.5)); "
                 "print(repr(r.lam), repr(r.residual), r.iterations)")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
@@ -782,7 +780,7 @@ class TestFindResonance:
         ring = ode_oracle._jost_ring
         monkeypatch.setattr(ode_oracle, "locate_zero", off_zero)
         monkeypatch.setattr(ode_oracle, "_jost_ring", counted_ring)
-        rec = find_resonance_ode((E, 0.1, 0.5), E)
+        rec = find_resonance_ode((E, 0.1, 0.5))
         assert abs(rec.lam - LAM_ODE[0.1]) <= 1e-9
         assert rec.residual <= 1e-8
         assert len(rings) == rec.iterations + 1 >= 2
@@ -806,7 +804,7 @@ class TestFindResonance:
         gc.disable()
         try:
             try:
-                find_resonance_ode((2.0, 0.1, 0.5), 2.0)
+                find_resonance_ode((2.0, 0.1, 0.5))
             except NoConvergence as exc:
                 message = str(exc)
             alive = [ref() is not None for ref in refs]
@@ -846,7 +844,7 @@ class TestLocateZero:
         for sign, want in ((1, LAM_ODE[h]), (-1, LAM_BELOW[h])):
             E = cmath.exp((2.0 / 3.0) * cmath.log(
                 lam_bs + sign * 4.0 * _SLOPE * h))
-            rec = find_resonance_ode((E, h, 0.5), E)
+            rec = find_resonance_ode((E, h, 0.5))
             assert abs(rec.lam - want) <= 1e-9, sign
             assert rec.iterations <= 5, sign
             assert rec.residual <= 1e-8, sign

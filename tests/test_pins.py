@@ -18,6 +18,7 @@ import cmath
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -59,6 +60,27 @@ CLI_PINS = {
     "resonances --h-sweep 0.01,0.1,3 --kmin 11 --kmax 12 --nutilde-min 1.5 "
     "--nutilde-max 2.5 --format json":
         "2baa0aa267abf5b4fe146ce32e8d70a0d652d5373a37d487b3a8e583614726f5",
+    "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode":
+        "b978423c6bdbb6e076dbf3dfa313a7011c57ba0c72c9b38e7d7aac9c7f485fe0",
+    "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode "
+    "--format json":
+        "22c7ace64dbed6e3614f634301cc8fc4ee5b200da4b825c8d6653296ca86e755",
+}
+# Every verify-ode and --refine ode pin holds at the default BLAS thread
+# count only: the spectral locator's LU, and with it the certified zero's
+# last bits, moves with the thread count.
+
+# resonances --seed-file mode, the file holding SEEDS
+SEEDS = [{"re": 1.74, "im": -0.077}, 2.0]
+SEED_PINS = {
+    "resonances --h 0.1 --nutilde 0.5 --refine ode":
+        "dfb3bdb501411378e1e68affbbe06a0dcec9c6edbc9dbcf564e158765d1adbeb",
+    "resonances --h 0.1 --nutilde 0.5 --refine ode --format json":
+        "5cc6fb45a80a338a11c36b7a9041cbd30ada2265eb0d9da0949a60d7884212a7",
+    "resonances --h 0.1 --nutilde 0.5 --refine bs":
+        "7b358d4f5668e8e6e9ef1a919c25ce7b90a06500b36bd6d31c198915a2c66192",
+    "resonances --h 0.1 --nutilde 0.5 --refine bs --format json":
+        "2b8b4af83de6c2d1e388afa47b8a848f72d301f937fb127b2e077a73f7a37a17",
 }
 
 # criterion 7: amplitude_recurrence along [0.2i, 0.9i] at nu = 0.05, N = 4,
@@ -82,6 +104,16 @@ def test_cli_output_bytes(command):
     with contextlib.redirect_stdout(out):
         assert main(command.split()) == 0
     assert _digest(out.getvalue()) == CLI_PINS[command], out.getvalue()
+
+
+@pytest.mark.parametrize("command", SEED_PINS)
+def test_seed_file_output_bytes(command, tmp_path):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps(SEEDS))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split() + ["--seed-file", str(seeds)]) == 0
+    assert _digest(out.getvalue()) == SEED_PINS[command], out.getvalue()
 
 
 @pytest.mark.parametrize("h", AMPLITUDE_PINS)

@@ -179,9 +179,10 @@ class TestSolveResonance:
         b = solve_resonance(42, 0.5, 0.01, seed=a.E * (1 + 1e-3))
         assert abs(a.lam - b.lam) <= 1e-9
 
-    def test_no_convergence_reported(self):
+    def test_no_convergence_reported(self, monkeypatch):
+        monkeypatch.setattr(quantization, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(NoConvergence):
-            solve_resonance(42, 0.5, 0.01, max_iter=1)
+            solve_resonance(42, 0.5, 0.01)
 
     def test_carlson_gap_is_typed_failure(self):
         # Newton from this lattice seed reaches an E where scipy's R_J has
@@ -268,9 +269,7 @@ class TestResonanceSet:
                 assert fam[0.5] > fam[1.5] > fam[2.5]
 
     def test_failures_collected_not_raised(self, monkeypatch):
-        solve = quantization.solve_resonance
-        monkeypatch.setattr(quantization, "solve_resonance",
-                            lambda *a, **kw: solve(*a, **kw, max_iter=1))
+        monkeypatch.setattr(quantization, "_NEWTON_MAX_ITER", 1)
         recs, fails = resonance_set(self.BAND, return_failures=True)
         assert recs == []
         assert len(fails) > 0
