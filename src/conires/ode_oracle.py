@@ -78,7 +78,7 @@ from .quantization import (
     _lambda_of_E,
     lattice_point,
 )
-from .spectral import _cheb, locate_zero
+from .spectral import locate_zero
 
 
 def _deferred(module, name, *args, **kwargs):
@@ -629,7 +629,7 @@ def find_resonance_ode(params, max_iter=30):
     certificate). No jost_cplus call is made: from h = 0.2 down to
     h = 0.05 (|Lambda| ~ 42) at nu_tilde = 1/2 and 3/2 the first ring
     certifies; at h = 0.045 and 0.04, where the noise is 3e-10 to 2.3e-9
-    of the median, the search takes two or three rings, and at h = 0.035,
+    of the median, the search takes one to seven rings, and at h = 0.035,
     where it reaches 1e-8, a number left to chance: 3 to 20 from 40
     starts next to the zero, 5.5 in the median.
     If every seed fails, the last failure's type is raised with every
@@ -717,6 +717,16 @@ def _winding(ring):
     dph = np.diff(np.concatenate([ph, ph[:1]]))
     return round(float(((dph + math.pi) % (2.0 * math.pi)
                         - math.pi).sum() / (2.0 * math.pi)))
+
+
+def _cheb(N):
+    """Chebyshev points x_j = cos(pi j / N), j = 0..N, and the
+    differentiation matrix on them (Trefethen, Spectral Methods in
+    MATLAB, cheb.m)."""
+    x = np.cos(math.pi * np.arange(N + 1) / N)
+    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
+    return D - np.diag(D.sum(axis=1)), x
 
 
 def _scaled_radial_levels(l, S, N):

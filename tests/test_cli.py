@@ -66,17 +66,20 @@ class TestImports:
 
     def test_verify_ode_leaves_ode_solvers_unloaded(self, tmp_path):
         # the Jost solve is Taylor series and an asymptotic series from
-        # end to end: a certified ODE zero loads no scipy ODE solver
+        # end to end: a certified ODE zero loads no scipy ODE solver; the
+        # locator's band LU comes from scipy.linalg.lapack and loads no
+        # scipy.sparse
         src = str(Path(conires.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         table = tmp_path / "verify.csv"
         code = ("import sys; from conires.cli import main; "
                 "code = main(['verify-ode', '--h', '0.2', '--nutilde', "
                 f"'0.5', '--k', '2', '--output', {str(table)!r}]); "
-                "print(code, 'scipy.integrate' in sys.modules)")
+                "print(code, 'scipy.integrate' in sys.modules, "
+                "'scipy.sparse' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "0 False"
+        assert out.stdout.strip() == "0 False False"
         assert len(rows_of(table.read_text())) == 1
 
     def test_pplus_oracle_leaves_ode_solvers_unloaded(self, tmp_path):

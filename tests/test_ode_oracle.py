@@ -55,6 +55,7 @@ from conires.quantization import (
     resonance_set,
     solve_resonance,
 )
+from conires import spectral
 from conires.spectral import locate_zero
 
 P_DESK = (2.0 ** (2.0 / 3.0), 0.1, 0.5)
@@ -76,12 +77,27 @@ LAM_ODE = {0.2: complex(2.7084132879886424, -0.266666586365009),
 # BS root reaches; frozen from a Jost secant alone, as LAM_ODE.
 LAM_BELOW = {0.2: complex(1.7661977307715468, -0.23524419635590801),
              0.1: complex(1.8254463227515232, -0.14438130941676852)}
+# The eigenvalues that spectral.locate_zero located from the ladder seeds
+# half a spacing above (+1) and below (-1) the BS roots of criterion 5
+# (nu_tilde = 1/2) and of its rule at nu_tilde = 3/2 (the root with
+# Re lambda nearest 2), keyed by (h, nu_tilde, sign); frozen from its
+# Chebyshev collocation on ceil(32 sqrt|Lambda|) nodes at two BLAS
+# threads, before the pencil was banded.
+E_COLLOCATION = {
+    (0.2, 0.5, 1): complex(1.9451047358119664, -0.12744659299254527),
+    (0.2, 0.5, -1): complex(1.4640105163554256, -0.12957285993377737),
+    (0.1, 0.5, 1): complex(1.741612448115945, -0.07723668115175755),
+    (0.1, 0.5, -1): complex(1.494676911544774, -0.0787219579108774),
+    (0.05, 0.5, 1): complex(1.6354590102890794, -0.04567227262105456),
+    (0.1, 1.5, 1): complex(1.6228253811498938, -0.03617601996877694),
+    (0.1, 1.5, -1): complex(1.3663714466721697, -0.034355847468786734)}
 # The h = 0.05 zero of LAM_ODE from the full eigensolve of the
 # complex-scaled problem at a small angle: the eigenvalue nearest
-# LAM_ODE[0.05] of scipy.linalg.eigvals(L, diag(m)), with L and m from
-# spectral._shifted_pencil(0, 0.05, 0.025, 250) at spectral._THETA = 0.12,
-# as E^{3/2}. The same solve at theta = 0.15, N = 300 agrees to 1.3e-13
-# relative. Far tighter than LAM_ODE's 1e-11 at this h.
+# LAM_ODE[0.05] of scipy.linalg.eigvals(L, diag(m)), with L the Chebyshev
+# collocation of L - 0 M on 250 nodes in s (the node s = S dropped) and
+# m the diagonal of M there, at theta = 0.12, as E^{3/2}. The same solve
+# at theta = 0.15, N = 300 agrees to 1.3e-13 relative. Far tighter than
+# LAM_ODE's 1e-11 at this h.
 LAM_SPECTRAL_005 = complex(2.090896195034893, -0.08761487049335161)
 
 
@@ -730,10 +746,10 @@ class TestFindResonance:
         assert rec.E == locate_zero((seed, h, 0.5), 30)
 
     def test_noise_floor_search_at_one_blas_thread(self):
-        # at h = 0.05 the located eigenvalue follows the last bits of the
-        # locator's LU, which move with the BLAS thread count (1.3e-12
-        # apart at one and two threads); at either count the first ring
-        # must certify it, as the same zero
+        # at h = 0.05, where the ring noise is closest to the certificate,
+        # the search in a fresh interpreter at one BLAS thread certifies
+        # the same zero on its first ring, with the same bits as here: the
+        # locator's band solve rounds the same at every thread count
         src = str(Path(ode_oracle.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1")
@@ -748,6 +764,9 @@ class TestFindResonance:
         assert abs(complex(lam) - LAM_ODE[0.05]) <= 1e-9
         assert float(residual) <= 1e-8
         assert iterations == "0"
+        here = find_resonance_ode((solve_resonance(8, 0.5, 0.05).E, 0.05,
+                                   0.5))
+        assert (lam, residual) == (repr(here.lam), repr(here.residual))
 
     @pytest.mark.parametrize("h, k", [(0.2, 2), (0.1, 4)])
     def test_centre_member_matches_jost_cplus(self, h, k):
@@ -821,7 +840,57 @@ class TestFindResonance:
         assert abs(recs[0].lam - ode_root.lam) <= 1e-8
 
 
+def _dense_shifted_operator(sigma, h, nu, N):
+    """L - sigma M of spectral._shifted_operator as one dense matrix: the
+    rows u(S) = 0 of both components, then the equation rows."""
+    band, border, _ = spectral._shifted_operator(sigma, h, nu, N)
+    A = np.zeros((2 * N, 2 * N), dtype=complex)
+    A[0, 0::2] = A[1, 1::2] = 1.0
+    A[2:, :2] = border
+    r, b = np.indices((2 * N - 2, 2 * N - 2))
+    inside = (r - b <= spectral._KL) & (b - r <= spectral._KU)
+    A[2:, 2:][inside] = band[spectral._KL + spectral._KU + r[inside]
+                             - b[inside], b[inside]]
+    return A, band, border
+
+
 class TestLocateZero:
+    def test_bordered_solve_against_dense(self):
+        # at N = 250, where bordering on the last coefficients leaves a
+        # banded block of condition 5e16 to 9e16, the bordered solve of
+        # the full system (condition 8e7 and 3e7) matches numpy's dense
+        # solve to 1e-8 relative (measured 4e-10 and 2e-10), with a
+        # backward error below 1e-11 (measured 1e-13 and 2e-14)
+        N = 250
+        sigma = 1.637184 - 0.024124j
+        for nt in (0.5, 1.5):
+            A, band, border = _dense_shifted_operator(sigma, 0.05,
+                                                      nt * 0.05, N)
+            rng = np.random.default_rng(7)
+            rhs = rng.standard_normal(2 * N - 2) + 1j * rng.standard_normal(
+                2 * N - 2)
+            x = np.zeros((2 * N, 1), dtype=complex)
+            x[2:, 0] = rhs
+            got = spectral._bordered_solver(band.copy(order="F"),
+                                            border)(x)
+            b = np.concatenate(([0.0, 0.0], rhs))
+            want = np.linalg.solve(A, b)
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(
+                want), nt
+            assert np.linalg.norm(A @ got - b) <= 1e-11 * np.linalg.norm(
+                A, 2) * np.linalg.norm(got), nt
+
+    @pytest.mark.parametrize("h, nt, sign", E_COLLOCATION)
+    def test_matches_collocation(self, h, nt, sign):
+        # the banded pencil locates these ladder zeros where the
+        # collocation pencil did, to 1e-12 relative (measured 2e-15 to
+        # 3.3e-13, the largest at h = 0.05)
+        k = round((2.0 / (_SLOPE * h) - 5.0 + 4.0 * nt) / 8.0)
+        lam = ode_oracle._lambda_of_E(solve_resonance(k, nt, h).E)
+        seed = ode_oracle._E_of_lambda(lam + sign * 4.0 * _SLOPE * h)
+        E = locate_zero((seed, h, nt), 30)
+        assert abs(E - E_COLLOCATION[h, nt, sign]) <= 1e-12 * abs(E)
+
     def test_ridge_seed_fails_without_jost(self, monkeypatch):
         # inverse iteration at the BS root, halfway between two zeros,
         # does not settle in 30 solves (at h = 0.1 it is still 6e-2 from

@@ -19,9 +19,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conires
 from conires.actions import action_I, tunnel_T
 from conires.cli import main
 from conires.model import ModelParams, cubic_roots
@@ -36,7 +41,7 @@ CLI_PINS = {
     "resonances --h 0.01 --band 1,2 --nutilde-max 1.5 --refine bs":
         "22a65ef8706627c8b95bf1abcd0a7df660f4253ec82be05661507b1804de9dd4",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2":
-        "98001f658dc81204d860968cccfb4146e111d6be8e07831961cd3126fd0862ac",
+        "37630ca8eea23c54aeb5f768943469191f29165bbb6816cc1de4c9ad9afad2a0",
     "actions --E 1.3-0.1j --nu 0.2":
         "268840855924fec8885ce3faa894420594c084fb2b6692708e1feb0d3a92dff7",
     "pplus --h 0.01 --l 1 --oracle":
@@ -50,7 +55,7 @@ CLI_PINS = {
     "--format json":
         "2afba8d5c4751b4c73ebdcfcb146c7749447ed4778edc1b0649d97ff6d9e3121",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2 --format json":
-        "a46b9423a298fa418c0d0abf79ddc1c31bbb7addcefb6d323302bd01d9d710f7",
+        "40619ff26ea07564438c0a095faa1483e37aba1e5f8fd915cb86cf30fc99afe1",
     "actions --E 1.3-0.1j --nu 0.2 --format json":
         "e904fae3c0af9d60e4761e15630e95555e1b041c00a7e71f944098a00ec5c0d2",
     "pplus --h 0.01 --l 1 --oracle --format json":
@@ -61,22 +66,23 @@ CLI_PINS = {
     "--nutilde-max 2.5 --format json":
         "2baa0aa267abf5b4fe146ce32e8d70a0d652d5373a37d487b3a8e583614726f5",
     "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode":
-        "b978423c6bdbb6e076dbf3dfa313a7011c57ba0c72c9b38e7d7aac9c7f485fe0",
+        "b28fe6fa07d813d21496fa97d6b70832ebc90198dad04e0484786eeab1119749",
     "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode "
     "--format json":
-        "22c7ace64dbed6e3614f634301cc8fc4ee5b200da4b825c8d6653296ca86e755",
+        "8282bd4e64c43dc2ce5c1b5a5c4e90f65c77f8affad9f2317ac7c29a6e218e33",
 }
-# Every verify-ode and --refine ode pin holds at the default BLAS thread
-# count only: the spectral locator's LU, and with it the certified zero's
-# last bits, moves with the thread count.
+# The two pplus --oracle pins hold at the default BLAS thread count only:
+# the radial eigensolve's D1 @ D1 rounds differently at one thread.  The
+# verify-ode and --refine ode pins hold at one thread as well
+# (test_ode_pins_at_one_blas_thread).
 
 # resonances --seed-file mode, the file holding SEEDS
 SEEDS = [{"re": 1.74, "im": -0.077}, 2.0]
 SEED_PINS = {
     "resonances --h 0.1 --nutilde 0.5 --refine ode":
-        "dfb3bdb501411378e1e68affbbe06a0dcec9c6edbc9dbcf564e158765d1adbeb",
+        "65f2f6870113d5066af953e5ec24d2714eac1d3c9ae960accdecec5fba25d318",
     "resonances --h 0.1 --nutilde 0.5 --refine ode --format json":
-        "5cc6fb45a80a338a11c36b7a9041cbd30ada2265eb0d9da0949a60d7884212a7",
+        "93ea25a97942af0515557b930bce716aeb6ab926792a90c174952808965e7043",
     "resonances --h 0.1 --nutilde 0.5 --refine bs":
         "7b358d4f5668e8e6e9ef1a919c25ce7b90a06500b36bd6d31c198915a2c66192",
     "resonances --h 0.1 --nutilde 0.5 --refine bs --format json":
@@ -114,6 +120,40 @@ def test_seed_file_output_bytes(command, tmp_path):
     with contextlib.redirect_stdout(out):
         assert main(command.split() + ["--seed-file", str(seeds)]) == 0
     assert _digest(out.getvalue()) == SEED_PINS[command], out.getvalue()
+
+
+def _is_ode(command):
+    return command.startswith("verify-ode") or "--refine ode" in command
+
+
+def test_ode_pins_at_one_blas_thread(tmp_path):
+    # a certified ODE zero is the located eigenvalue bit for bit, and the
+    # locator's band solve rounds the same at every BLAS thread count:
+    # every ODE pin holds in a fresh interpreter at one thread
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps(SEEDS))
+    argvs = {cmd: cmd.split() for cmd in CLI_PINS if _is_ode(cmd)}
+    argvs.update({cmd: cmd.split() + ["--seed-file", str(seeds)]
+                  for cmd in SEED_PINS if _is_ode(cmd)})
+    code = ("import contextlib, hashlib, io, json, sys\n"
+            "from conires.cli import main\n"
+            "digests = {}\n"
+            "for cmd, argv in json.loads(sys.argv[1]).items():\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert main(argv) == 0, cmd\n"
+            "    digests[cmd] = hashlib.sha256("
+            "out.getvalue().encode()).hexdigest()\n"
+            "print(json.dumps(digests))")
+    src = str(Path(conires.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                         env=env, capture_output=True, text=True,
+                         check=True)
+    pins = {**CLI_PINS, **SEED_PINS}
+    assert len(argvs) == 6
+    assert json.loads(out.stdout) == {cmd: pins[cmd] for cmd in argvs}
 
 
 @pytest.mark.parametrize("h", AMPLITUDE_PINS)
