@@ -7,8 +7,11 @@ scalar radial operator with potential r plus centrifugal term.  Its
 eigenvalues admit a closed form through the same Bohr-Sommerfeld
 machinery, and the substitution r = h^{2/3} s removes h from the
 problem entirely: every eigenvalue is an h-free constant times
-h^{2/3}.  The oracle uses exactly that: one Chebyshev eigensolve of
-the scaled problem, times h^{2/3}.  The demo shows the closed form,
+h^{2/3}.  The oracle uses exactly that: one eigensolve of the scaled
+problem, times h^{2/3}.  With u = s^{l+1/2} f it is a symmetric
+Jacobi-Galerkin eigenproblem on 6 S^{3/4} basis functions, or
+0.4 S sqrt(e_top) + 20 where that is more, S the box and e_top the
+scaled window top.  The demo shows the closed form,
 the eigensolve oracle, their agreement, and the scaling law that
 makes "error decreasing faster than h" impossible for any method.
 """

@@ -5,7 +5,7 @@ Five subcommands cover the pipeline stages: ``turning-points`` and
 sweeps with optional Bohr-Sommerfeld or ODE-oracle refinement,
 ``verify-ode`` puts the three routes for a single resonance side by
 side, and ``pplus`` compares the radial closed form against the
-Chebyshev eigensolve of the scaled radial problem.
+symmetric Galerkin eigensolve of the scaled radial problem.
 
 ``main`` parses argv, makes the checks argparse cannot (the resonances
 selector rules also build that command's ``params``), and hands the
@@ -328,7 +328,8 @@ def cmd_verify_ode(args):
 
 def cmd_pplus(args):
     """Closed-form radial levels, optionally next to the oracle levels
-    from one Chebyshev eigensolve of the h-free scaled problem."""
+    from one symmetric Galerkin eigensolve of the h-free scaled
+    problem."""
     l, h, kmax = args.l, args.h, args.kmax
     preds = []
     for k in range(0, kmax + 1):

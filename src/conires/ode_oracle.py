@@ -14,8 +14,9 @@ it. It is the certified zero when its |c+| and the ring's noise meet
 the certificate and the ring winds once; otherwise the trapezoidal
 Cauchy sums of the ring give c+ and its slope, and a new ring is solved
 around their Newton point. Every c+ of a zero search comes from such a
-ring solve. A separate Chebyshev eigensolve of the h-free scaled radial
-problem finds the eigenvalues of the scalar radial comparison operator.
+ring solve. A separate symmetric Galerkin eigensolve of the h-free
+scaled radial problem finds the eigenvalues of the scalar radial
+comparison operator.
 None of this shares code or expansions with the WKB route, which is the
 point: the two routes check each other.
 
@@ -719,37 +720,83 @@ def _winding(ring):
                         - math.pi).sum() / (2.0 * math.pi)))
 
 
-def _cheb(N):
-    """Chebyshev points x_j = cos(pi j / N), j = 0..N, and the
-    differentiation matrix on them (Trefethen, Spectral Methods in
-    MATLAB, cheb.m)."""
-    x = np.cos(math.pi * np.arange(N + 1) / N)
-    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
-    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
-    return D - np.diag(D.sum(axis=1)), x
+def _jacobi_recurrence(a, b, n):
+    """Diagonal (orders 0..n-1) and off-diagonal (1..n-1) of the
+    Jacobi matrix of the polynomials orthonormal for the weight
+    (1 - x)^a (1 + x)^b on [-1, 1], a + b > 0."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    diag = (b * b - a * a) / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b)
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    return diag, off
+
+
+def _jacobi_values(a, b, n, x, start):
+    """Values and x-derivatives at the nodes x of the first n
+    polynomials orthonormal for (1 - x)^a (1 + x)^b, each node's
+    scaled so that the first polynomial is start there, by the
+    three-term recurrence."""
+    diag, off = _jacobi_recurrence(a, b, n)
+    P = np.zeros((n, x.size))
+    dP = np.zeros((n, x.size))
+    P[0] = start
+    for k in range(n - 1):
+        t = x - diag[k]
+        c = off[k - 1] if k else 0.0
+        P[k + 1] = (t * P[k] - c * P[k - 1]) / off[k]
+        dP[k + 1] = (P[k] + t * dP[k] - c * dP[k - 1]) / off[k]
+    return P, dP
 
 
 def _scaled_radial_levels(l, S, N):
-    """Real eigenvalues e of -u'' + ((l^2-1/4)/s^2 + s)u = e u on [0, S]
-    with u(S) = 0, by Chebyshev collocation of degree N.
+    """Eigenvalues e of -u'' + ((l^2-1/4)/s^2 + s)u = e u on [0, S]
+    with u(S) = 0, by Rayleigh-Ritz on N basis functions.
 
-    In t = sqrt(s) the problem reads
-    -t^2 u_tt + t u_t + (4 l^2 - 1 + 4 t^6) u = 4 e t^4 u, whose regular
-    solution t^{2l+1} is a polynomial.  Dropping the collocation row and
-    column at t = 0 keeps that solution and discards the singular
-    t^{1-2l} one; dropping them at t = sqrt(S) imposes u(S) = 0.  The
-    weight 4 t^4 is positive on the interior nodes, so the generalized
-    problem reduces to a plain eigenvalue problem.
+    u = s^{l+1/2} f turns the problem into
+    -(s^{2l+1} f')' + s^{2l+2} f = e s^{2l+1} f with f entire: the
+    singular solution s^{-2l} is outside every polynomial space, so the
+    regular one is kept without a condition at s = 0.  On
+    s = S(1 + x)/2, f is expanded in phi_n = (1 - x) p_n(x),
+    n = 0..N-1, which vanish at s = S, with p_n orthonormal for the
+    weight (1 - x)^2 (1 + x)^{2l+1}.  The mass matrix is then I, and the
+    levels are the eigenvalues of the symmetric (4/S^2) A + (S/2) B,
+    A_mn = int (1 + x)^{2l+1} phi_m' phi_n' and
+    B_mn = int (1 + x)^{2l+2} phi_m phi_n.  Both integrands are
+    polynomials of degree at most 2N + 1 times (1 + x)^{2l+1}, so the
+    (N + 2)-point Gauss-Jacobi (0, 2l+1) rule gives them exactly.
+
+    Its nodes x_k are the eigenvalues of the Jacobi matrix
+    (Golub-Welsch).  Its weights are the Christoffel function
+    w_k = 1/sum_n q_n(x_k)^2 of the orthonormal (0, 2l+1) polynomials
+    q_n, not the squared first components of the eigenvectors, which
+    have no relative accuracy where the weights are tiny, at the nodes
+    near x = -1 for large l; there the p_n are huge, so w_k p_m p_n
+    would be wrong at O(1).  Both recurrences start each node at
+    ((1 + x_k)/2)^{l+1}, about the inverse of the polynomials' growth
+    there, which keeps them in range up to l of a few hundred; the
+    factor cancels in sqrt(w_k) p_n = p_n / |q(x_k)|, and a node where
+    it underflows carries nothing.  Every product is an einsum, which
+    rounds alike at every BLAS thread count.
     """
-    D, x = _cheb(N)
-    T = math.sqrt(S)
-    t = 0.5 * T * (x[1:-1] + 1.0)
-    D1 = (2.0 / T) * D
-    D2 = (D1 @ D1)[1:-1, 1:-1]
-    A = (-(t * t)[:, None] * D2 + t[:, None] * D1[1:-1, 1:-1]
-         + np.diag(4.0 * l * l - 1.0 + 4.0 * t ** 6))
-    ev = np.linalg.eigvals(A / (4.0 * t ** 4)[:, None])
-    return np.sort(ev[ev.imag == 0.0].real)
+    b = 2.0 * l + 1.0
+    diag, off = _jacobi_recurrence(0.0, b, N + 2)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    g = (0.5 * (1.0 + x)) ** (l + 1.0)
+    Q, _ = _jacobi_values(0.0, b, N + 2, x, g)
+    P, dP = _jacobi_values(2.0, b, N, x, g)
+    # sqrt(w_k) over p_0 = q_0 = 1, times the square root of the ratio
+    # (b + 2)(b + 3)/8 of the two weights' masses, which that scaling
+    # leaves out
+    q = np.sqrt(np.einsum("nk,nk->k", Q, Q))
+    r = np.divide(math.sqrt((b + 2.0) * (b + 3.0) / 8.0), q,
+                  out=np.zeros_like(q), where=q > 0.0)
+    dphi = ((1.0 - x) * dP - P) * r
+    phi = (1.0 - x) * P * (r * np.sqrt(1.0 + x))
+    H = ((4.0 / (S * S)) * np.einsum("mk,nk->mn", dphi, dphi)
+         + (0.5 * S) * np.einsum("mk,nk->mn", phi, phi))
+    return np.linalg.eigvalsh(H)
 
 
 def pplus_eigen_oracle(l, h, E_window):
@@ -758,12 +805,16 @@ def pplus_eigen_oracle(l, h, E_window):
     -h^2(u'' + (1/4 - l^2)/r^2 u) + (r - E)u = 0 on the half-line
     becomes h-free under r = h^{2/3} s, E = h^{2/3} e, so every level is
     e h^{2/3} with e an eigenvalue of the scaled problem, found by one
-    Chebyshev eigensolve (_scaled_radial_levels).  The box [0, S] ends
-    25 units past the scaled window top, where every level in the
-    window has decayed by more than e^{-80}, and the degree
-    N = 12 S^{3/4} resolves those levels to about 1e-13.  The solve is
-    repeated at a third more nodes; the two must agree on the count
-    and to 1e-10 relative, or ConvergenceFailure is raised.
+    symmetric Jacobi-Galerkin eigensolve (_scaled_radial_levels).  The
+    box [0, S] ends 25 units past the scaled window top e_top, where
+    every level in the window has decayed by more than e^{-80}.  The
+    levels below e_top oscillate with wavenumber up to sqrt(e_top)
+    across the box; 1e-12 relative needs 34, 46, 71, 107 and 169 basis
+    functions at e_top = 3, 7.7, 15, 25 and 40 (measured, l = 1 to 5),
+    about 0.4 S sqrt(e_top) + 15.  The solve takes N = 6 S^{3/4} of
+    them, or 0.4 S sqrt(e_top) + 20 where that is more (from
+    e_top = 25), and is repeated on a third more; the two must agree on
+    the count and to 1e-10 relative, or ConvergenceFailure is raised.
 
     Raises WindowEmpty when no eigenvalue lies in the window.
     """
@@ -772,8 +823,10 @@ def pplus_eigen_oracle(l, h, E_window):
     if not 0.0 < a < b:
         raise ValueError(f"E_window must satisfy 0 < a < b, got ({a}, {b})")
     h23 = h ** (2.0 / 3.0)
-    S = b / h23 + 25.0
-    N = math.ceil(12.0 * S ** 0.75)
+    e_top = b / h23
+    S = e_top + 25.0
+    N = max(math.ceil(6.0 * S ** 0.75),
+            math.ceil(0.4 * S * math.sqrt(e_top)) + 20)
     Ns = (N, math.ceil(4.0 * N / 3.0))
     levels = []
     for n in Ns:

@@ -99,6 +99,49 @@ E_COLLOCATION = {
 # at theta = 0.15, N = 300 agrees to 1.3e-13 relative. Far tighter than
 # LAM_ODE's 1e-11 at this h.
 LAM_SPECTRAL_005 = complex(2.090896195034893, -0.08761487049335161)
+# The scaled radial levels e of -u'' + ((l^2-1/4)/s^2 + s)u = e u in
+# [0.5, e_top], keyed by (l, e_top): what pplus_eigen_oracle(l, 1, (0.5,
+# e_top)) returned from the Chebyshev collocation of the scaled problem
+# in t = sqrt(s) on ceil(12 S^{3/4}) nodes (S = e_top + 25) at two BLAS
+# threads, before the solve became a Galerkin one.  They agree with the
+# same collocation on 300 nodes to 1.2e-13 relative.
+E_RADIAL = {
+    (1, 7.7): [
+        2.8720977374712904, 4.493018218780757, 5.867116814618232,
+        7.097765067935596],
+    (1, 15.0): [
+        2.87209773747135, 4.493018218780859, 5.867116814618182,
+        7.0977650679356366, 8.230575405160375, 9.29065365372458,
+        10.293650033616483, 11.25014108318906, 12.1676930284051,
+        13.051952698569679, 13.907274852798384, 14.737106760408025],
+    (1, 25.0): [
+        2.8720977374711834, 4.493018218780656, 5.867116814618119,
+        7.097765067935507, 8.230575405160312, 9.290653653724542,
+        10.293650033616249, 11.250141083189035, 12.16769302840534,
+        13.051952698569533, 13.907274852798508, 14.737106760408041,
+        15.544236173775053, 16.330957893146895, 17.099189500072125,
+        17.850554095128697, 18.5864409027572, 19.308050606150957,
+        20.016429887005852, 20.71249816887205, 21.397068622666172,
+        22.07086487791942, 22.734534471496914, 23.38865978386865,
+        24.033767016700395, 24.67033362634901],
+    (2, 7.7): [
+        3.8175079374212486, 5.262979405466027, 6.541551150125771],
+    (2, 15.0): [
+        3.817507937421519, 5.262979405466161, 6.541551150125984,
+        7.709737563613048, 8.797486551849586, 9.822991371200024,
+        10.798317340620919, 11.731971621693667, 12.630230657957382,
+        13.497889572433712, 14.338714721731787],
+    (2, 25.0): [
+        3.817507937421338, 5.262979405465944, 6.5415511501259695,
+        7.70973756361334, 8.797486551849563, 9.822991371200205,
+        10.798317340621063, 11.731971621693795, 12.630230657957169,
+        13.497889572433657, 14.338714721731673, 15.155731855906625,
+        15.951417624131706, 16.727831421528826, 17.486708895466144,
+        18.229529958044544, 18.957569345610416, 19.671934924724262,
+        20.37359720313563, 21.06341240412402, 21.742140747998764,
+        22.410461109136985, 23.06898289367594, 23.718255758909745,
+        24.358777637353604, 24.991001415137283],
+}
 
 
 def _ladder_seed_above(h, k):
@@ -1029,15 +1072,87 @@ class TestPplusOracle:
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-6 * w
 
+    @pytest.mark.parametrize("l, e_top", E_RADIAL)
+    def test_matches_collocation(self, l, e_top):
+        # the Galerkin levels are the collocation's to 1e-12 relative
+        # (measured 5.9e-14 to 3.1e-13, the largest at l = 1, e_top = 25)
+        got = pplus_eigen_oracle(l, 1.0, (0.5, e_top))
+        want = E_RADIAL[l, e_top]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w
+
+    @pytest.mark.parametrize("l, e_top, count, first, last", [
+        (10, 30.0, 30, 9.272195567313675, 29.882565801896835),
+        (200, 75.2, 29, 64.81950070344789, 74.93139604654071)])
+    def test_large_l(self, l, e_top, count, first, last):
+        # at large l the Gauss weights near x = -1 are tiny and the basis
+        # there huge: the lowest and highest levels of the window agree
+        # with the same collocation as E_RADIAL to 1e-12 relative
+        # (measured 4e-16 to 5.5e-14)
+        got = pplus_eigen_oracle(l, 1.0, (0.5, e_top))
+        assert len(got) == count
+        assert abs(got[0] - first) <= 1e-12 * first
+        assert abs(got[-1] - last) <= 1e-12 * last
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_coarse_fine_spread(self, monkeypatch, l):
+        # the two solves agree to 1e-12 relative on every level up to
+        # scaled e = 25 (26 levels for both l), not only to the 1e-10
+        # the oracle demands (measured at most 2.8e-13)
+        solve = ode_oracle._scaled_radial_levels
+        runs = []
+        monkeypatch.setattr(ode_oracle, "_scaled_radial_levels",
+                            lambda l, S, N: runs.append(solve(l, S, N))
+                            or runs[-1])
+        for e_top in (4.0, 7.7, 11.0, 15.0, 20.0, 25.0):
+            runs.clear()
+            n = len(pplus_eigen_oracle(l, 1.0, (0.5, e_top)))
+            coarse, fine = runs
+            assert np.all(np.abs(coarse[:n] - fine[:n])
+                          <= 1e-12 * fine[:n]), e_top
+        assert n == 26
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_rayleigh_ritz_from_above(self, l):
+        # the space of N basis functions lies inside that of N + 4 and
+        # both matrices are exact, so no level of the smaller one lies
+        # below its twin: from 20 functions, where the levels near
+        # e = 25 are off by O(1), to the 160 of the oracle's finer solve
+        # at e_top = 25.  Rounding moves converged levels by up to a few
+        # hundred ulps (measured at most 3.7e-13 relative), which the
+        # 1e-12 allows
+        S = 50.0
+        prev = ode_oracle._scaled_radial_levels(l, S, 20)
+        for N in range(24, 164, 4):
+            cur = ode_oracle._scaled_radial_levels(l, S, N)
+            n = min(len(prev), 26)
+            assert np.all(prev[:n] >= cur[:n] * (1.0 - 1e-12)), N
+            prev = cur
+        assert prev[25] < 25.0 < prev[26]
+
     @pytest.mark.parametrize("perturb", [
-        lambda e, N: e * (1.0 + 1e-9 * N),  # values drift with N
-        lambda e, N: e[1:] if N > 200 else e,  # finer solve drops a level
+        lambda e, N, fine: e * (1.0 + 1e-9 * N),  # values drift with N
+        lambda e, N, fine: e[1:] if N == fine else e,  # finer one drops one
     ], ids=["drift", "dropped-level"])
     def test_node_count_disagreement_raises(self, monkeypatch, perturb):
-        # the window needs N = 160 and 214 nodes
+        # the oracle's node rule at this window: the larger of 6 S^{3/4}
+        # and 0.4 S sqrt(e_top) + 20 basis functions, S = e_top + 25, and
+        # a third more
+        h, window = 0.01, (0.01, 0.30)
+        e_top = window[1] / h ** (2.0 / 3.0)
+        S = e_top + 25.0
+        N = max(math.ceil(6.0 * S ** 0.75),
+                math.ceil(0.4 * S * math.sqrt(e_top)) + 20)
+        Ns = (N, math.ceil(4.0 * N / 3.0))
         solve = ode_oracle._scaled_radial_levels
-        monkeypatch.setattr(
-            ode_oracle, "_scaled_radial_levels",
-            lambda l, S, N: perturb(solve(l, S, N), N))
+        seen = []
+
+        def perturbed(l, S, N):
+            seen.append(N)
+            return perturb(solve(l, S, N), N, Ns[1])
+
+        monkeypatch.setattr(ode_oracle, "_scaled_radial_levels", perturbed)
         with pytest.raises(ConvergenceFailure):
-            pplus_eigen_oracle(1, 0.01, (0.01, 0.30))
+            pplus_eigen_oracle(1, h, window)
+        assert tuple(seen) == Ns

@@ -45,7 +45,7 @@ CLI_PINS = {
     "actions --E 1.3-0.1j --nu 0.2":
         "268840855924fec8885ce3faa894420594c084fb2b6692708e1feb0d3a92dff7",
     "pplus --h 0.01 --l 1 --oracle":
-        "ed7dbfe04badbacb8cd3b5444d04bb854400accd5e397bce0e78182a0b3169b3",
+        "86c5e5570724ef9f1efa8ec994b0c4a165245557afac831d05d5fadbedcff6f9",
     "turning-points --E 2 --nu 0.5":
         "66c8677bfb98d28b6da7b6539d7fd69671251124c23df9127aa2ab612991e2d7",
     "resonances --h-sweep 0.01,0.1,3 --kmin 11 --kmax 12 --nutilde-min 1.5 "
@@ -59,7 +59,7 @@ CLI_PINS = {
     "actions --E 1.3-0.1j --nu 0.2 --format json":
         "e904fae3c0af9d60e4761e15630e95555e1b041c00a7e71f944098a00ec5c0d2",
     "pplus --h 0.01 --l 1 --oracle --format json":
-        "817090582034139f574132fc7e9c3f60e3cdb525bfb8bdc434f1f0d79b507226",
+        "082417cae3899176590d9715af5aa57b835b3c27988f22a5d6ba570a9d535189",
     "turning-points --E 2 --nu 0.5 --format json":
         "6735d164890f68d73f13a3e1d5583e5ada3a9938eb03c282640049107baaec28",
     "resonances --h-sweep 0.01,0.1,3 --kmin 11 --kmax 12 --nutilde-min 1.5 "
@@ -71,10 +71,11 @@ CLI_PINS = {
     "--format json":
         "8282bd4e64c43dc2ce5c1b5a5c4e90f65c77f8affad9f2317ac7c29a6e218e33",
 }
-# The two pplus --oracle pins hold at the default BLAS thread count only:
-# the radial eigensolve's D1 @ D1 rounds differently at one thread.  The
-# verify-ode and --refine ode pins hold at one thread as well
-# (test_ode_pins_at_one_blas_thread).
+# Every pin that runs a numpy eigensolve or band solve holds at one BLAS
+# thread as well: the ODE pins (test_ode_pins_at_one_blas_thread) and the
+# two pplus --oracle pins (test_pplus_pins_at_one_blas_thread), whose
+# radial eigensolve forms its products by einsum and stays below the
+# sizes where LAPACK's symmetric eigensolver rounds by thread count.
 
 # resonances --seed-file mode, the file holding SEEDS
 SEEDS = [{"re": 1.74, "im": -0.077}, 2.0]
@@ -126,15 +127,9 @@ def _is_ode(command):
     return command.startswith("verify-ode") or "--refine ode" in command
 
 
-def test_ode_pins_at_one_blas_thread(tmp_path):
-    # a certified ODE zero is the located eigenvalue bit for bit, and the
-    # locator's band solve rounds the same at every BLAS thread count:
-    # every ODE pin holds in a fresh interpreter at one thread
-    seeds = tmp_path / "seeds.json"
-    seeds.write_text(json.dumps(SEEDS))
-    argvs = {cmd: cmd.split() for cmd in CLI_PINS if _is_ode(cmd)}
-    argvs.update({cmd: cmd.split() + ["--seed-file", str(seeds)]
-                  for cmd in SEED_PINS if _is_ode(cmd)})
+def _digests_at_one_blas_thread(argvs):
+    """The digest of what each argv prints, run in one fresh interpreter
+    at one BLAS thread."""
     code = ("import contextlib, hashlib, io, json, sys\n"
             "from conires.cli import main\n"
             "digests = {}\n"
@@ -151,9 +146,33 @@ def test_ode_pins_at_one_blas_thread(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                          env=env, capture_output=True, text=True,
                          check=True)
+    return json.loads(out.stdout)
+
+
+def test_ode_pins_at_one_blas_thread(tmp_path):
+    # a certified ODE zero is the located eigenvalue bit for bit, and the
+    # locator's band solve rounds the same at every BLAS thread count:
+    # every ODE pin holds in a fresh interpreter at one thread
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps(SEEDS))
+    argvs = {cmd: cmd.split() for cmd in CLI_PINS if _is_ode(cmd)}
+    argvs.update({cmd: cmd.split() + ["--seed-file", str(seeds)]
+                  for cmd in SEED_PINS if _is_ode(cmd)})
     pins = {**CLI_PINS, **SEED_PINS}
     assert len(argvs) == 6
-    assert json.loads(out.stdout) == {cmd: pins[cmd] for cmd in argvs}
+    assert _digests_at_one_blas_thread(argvs) == {cmd: pins[cmd]
+                                                  for cmd in argvs}
+
+
+def test_pplus_pins_at_one_blas_thread():
+    # the radial eigensolve's products are einsums, and its symmetric
+    # eigensolves (111 basis functions, 113 Gauss nodes at this window)
+    # round the same at every BLAS thread count
+    argvs = {cmd: cmd.split() for cmd in CLI_PINS
+             if cmd.startswith("pplus") and "--oracle" in cmd}
+    assert len(argvs) == 2
+    assert _digests_at_one_blas_thread(argvs) == {cmd: CLI_PINS[cmd]
+                                                  for cmd in argvs}
 
 
 @pytest.mark.parametrize("h", AMPLITUDE_PINS)
