@@ -36,9 +36,9 @@ left in c+.
 Every c+ comes from one batched solve over m energies (_jost_batch):
 each member runs on the contour of a centre energy with its own E in
 the right-hand side. The Frobenius start is one recurrence over the
-stack, the whole contour one stack of fundamental pairs carried by the
+stack, the whole contour one stack of regular solutions carried by the
 same Taylor steps, whose series are summed a block of steps at a time
-by recurrences over the block and the stack (_carry_pairs), and the
+by recurrences over the block and the stack (_carry), and the
 outgoing series one recurrence over the stack. jost_cplus is its
 one-member case, on E's own contour; the certification ring is its
 17-member case, the 16 ring points and the centre itself, on the
@@ -199,23 +199,29 @@ def _frobenius_stack(Es, h, nt, eps, K):
 
 
 def _gram_schmidt(U):
-    """Q, R with U = QR for a stack of pairs (..., 2, 2) by Gram-Schmidt:
-    Q's first column is U's first over its norm, each component rounded
-    relative to itself. Householder QR rounds a small component relative
-    to the norm, noise that the ray carries into c+ (twentyfold on the
-    h = 0.05 ring)."""
-    u, w = U[..., 0], U[..., 1]
+    """Q, R with U = QR for a stack (..., 2, c) of single columns (c = 1)
+    or pairs (c = 2) by Gram-Schmidt: Q's first column is U's first over
+    its norm, each component rounded relative to itself. Householder QR
+    rounds a small component relative to the norm, noise that the ray
+    carries into c+ (twentyfold on the h = 0.05 ring)."""
+    u = U[..., 0]
     r00 = np.sqrt((u.conj() * u).real.sum(axis=-1))
     q0 = u / r00[..., None]
+    Q = np.empty_like(U)
+    R = np.zeros(U.shape[:-2] + (U.shape[-1],) * 2, dtype=complex)
+    Q[..., 0], R[..., 0, 0] = q0, r00
+    if U.shape[-1] == 1:
+        if not (r00 > 0.0).all():
+            raise StepUnderflow("solution collapsed to zero")
+        return Q, R
+    w = U[..., 1]
     r01 = (q0.conj() * w).sum(axis=-1)
     w = w - q0 * r01[..., None]
     r11 = np.sqrt((w.conj() * w).real.sum(axis=-1))
     if not (r00 * r11 > 0.0).all():
         raise StepUnderflow("fundamental pair collapsed to rank one")
-    Q = np.empty_like(U)
-    Q[..., 0], Q[..., 1] = q0, w / r11[..., None]
-    R = np.zeros_like(U)
-    R[..., 0, 0], R[..., 0, 1], R[..., 1, 1] = r00, r01, r11
+    Q[..., 1] = w / r11[..., None]
+    R[..., 0, 1], R[..., 1, 1] = r01, r11
     return Q, R
 
 
@@ -263,27 +269,31 @@ def _schedule(segs, Es, h, nu):
 
 
 def _taylor_sums(xc, z, Es, h, nu, Y):
-    """The pairs Y, shape (n, m, 2, 2), pair (k, j) at energy Es[j],
+    """The starts Y, shape (n, m, 2, c), start (k, j) at energy Es[j],
     carried from x_c[k] to x_c[k] + z[k] by the Taylor series of the
     system about x_c[k]: every step of the block in one recurrence.
 
     In z, (x_c + z)U' = (i/h)[(p0 + p1 z + 3x_c z^2 + z^3) sU + nu sU~]
     with p0 = x_c^3 - E x_c, p1 = 3x_c^2 - E, s = diag(1, -1) on the
-    rows of each pair and U~ the pair with its rows swapped, so
+    rows of each start and U~ the start with its rows swapped, so
     c_{n+1} = [(i/h)(s(p0 c_n + p1 c_{n-1} + 3x_c c_{n-2} + c_{n-3})
     + nu s c~_n) - n c_n] / (x_c (n + 1)), run on the terms
-    d_n = c_n z^n. Each step's sum stops after its own three successive
-    terms below _TAYLOR_CUT, which is relative to the sum because the
-    starts are orthonormal, and the step leaves the recurrence there.
-    The terms are added with Kahan's compensation, which keeps the
-    rounding of the running sum out of it.
+    d_n = c_n z^n. No column reads another. Each step's sum stops after
+    its own three successive terms below _TAYLOR_CUT, which is relative
+    to the sum because the starts' columns are orthonormal, and is
+    stored there. The stopped steps leave the recurrence together, once
+    they are at least half of those in it, which saves copying the
+    block's arrays at every stop; no step's sum depends on the other
+    steps of its block. The terms are
+    added with Kahan's compensation, which keeps the rounding of the
+    running sum out of it.
     """
     w = z / xc
     g = (1j / h) * w
     xe, ge = xc[:, None], g[:, None]
     # coefficients of d_n (less n w), d_{n-1}, d_{n-2}, d_{n-3}, d~_n
     # and w, stacked as (6, 2 rows, step, member, column), s applied
-    C = np.empty((6, 2, len(xc), len(Es), 2), dtype=complex)
+    C = np.empty((6, 2, len(xc), len(Es), Y.shape[-1]), dtype=complex)
     for i, c in enumerate((ge * (xe ** 3 - Es * xe),
                            ge * z[:, None] * (3.0 * xe * xe - Es),
                            ge * 3.0 * xe * z[:, None] ** 2,
@@ -296,7 +306,9 @@ def _taylor_sums(xc, z, Es, h, nu, Y):
     D[0] = np.moveaxis(Y, 2, 0)
     S, comp = D[0].copy(), np.zeros_like(D[0])
     out = np.empty_like(S)
+    # the steps in the recurrence, and which of them still run
     live = np.arange(len(xc))
+    running = np.ones(len(xc), dtype=bool)
     small = np.zeros(len(xc), dtype=int)
     tmp = np.empty_like(S)
     for n in range(_MAX_TERMS):
@@ -314,43 +326,51 @@ def _taylor_sums(xc, z, Es, h, nu, Y):
         S = t
         small += 1
         small *= np.abs(new).max(axis=(0, 2, 3)) < _TAYLOR_CUT
-        done = small == 3
+        done = running & (small == 3)
         if done.any():
             out[:, live[done]] = S[:, done]
-            keep = ~done
-            if not keep.any():
+            running &= ~done
+            if not running.any():
                 return np.moveaxis(out, 0, 2)
-            live, small = live[keep], small[keep]
-            C, D, S = C[:, :, keep], D[:, :, keep], S[:, keep]
-            comp, tmp = comp[:, keep], tmp[:, keep]
-    raise StepUnderflow(f"Taylor series at x={xc[live[0]]} did not converge "
-                        f"in {_MAX_TERMS} terms")
+            if 2 * np.count_nonzero(running) <= len(live):
+                live, small = live[running], small[running]
+                C, D, S = C[:, :, running], D[:, :, running], S[:, running]
+                comp, tmp = comp[:, running], tmp[:, running]
+                running = running[running]
+    raise StepUnderflow(
+        f"Taylor series at x={xc[live[running][0]]} did not converge in "
+        f"{_MAX_TERMS} terms")
 
 
-def _carry_pairs(schedule, Es, h, nu, M):
-    """Carry the stack M of m fundamental pairs, shape (m, 2, 2), pair j
-    at energy Es[j], by the Taylor steps of the schedule (_schedule).
+def _carry(schedule, Es, h, nu, M):
+    """Carry the stack M of m starts, shape (m, 2, c), start j at energy
+    Es[j], by the Taylor steps of the schedule (_schedule): c = 2 for
+    fundamental pairs, c = 1 for single solutions.
 
-    Each step starts from the pairs orthonormalized by _gram_schmidt,
-    whose factors are accumulated, and adds |W - W_0| / |W_0| of each
-    pair's Wronskian to its drift. The series are summed _BLOCK steps
+    Each step starts from the columns orthonormalized by _gram_schmidt,
+    whose factors are accumulated. The series are summed _BLOCK steps
     at a time, each block by two recurrences over all its steps
     (_taylor_sums), so the Python-level term iterations do not grow with
     the step count. The first runs from identity starts and gives each
-    step's propagators P_k; they predict the starts,
-    Qh_{k+1} = GS(P_k Qh_k) from the block's actual first start. The
-    second sums each step from its predicted start, S_k, as a single
-    step would from its own. The steps are then applied in turn with
-    U_k = S_k + P_k (Q_k - Qh_k), exact by linearity. The correction is
-    rounded relative to |P_k| |Q_k - Qh_k|, far below the rounding of
-    S_k: on the ring at h = 0.2 to 0.05 the predicted starts stay within
-    1e-9 of the actual ones (1e-3 for the member at a zero of c+, whose
-    recessive regular column on the ray follows the roundoff). Returns
-    the pairs at the last vertex, the steps, the largest drift and the
-    regular columns (the pairs' first) at the end of every segment of
-    the schedule, shape (segments, m, 2).
+    step's propagators P_k, which act on 2-vectors; they predict the
+    starts, Qh_{k+1} = GS(P_k Qh_k) from the block's actual first start
+    (for one column, P_k qh_k / |P_k qh_k|). The second sums each step
+    from its predicted start, S_k, as a single step would from its own,
+    on the c columns alone: the recurrence never mixes columns, so a
+    solution's carry reads nothing of a companion. The steps are then
+    applied in turn with U_k = S_k + P_k (Q_k - Qh_k), exact by
+    linearity. The correction is rounded relative to |P_k| |Q_k - Qh_k|,
+    far below the rounding of S_k: on the ring at h = 0.2 to 0.05 the
+    predicted starts stay within 1e-9 of the actual ones (1e-3 for the
+    member at a zero of c+, whose recessive regular solution on the ray
+    follows the roundoff). A pair's steps also add |W - W_0| / |W_0| of
+    its Wronskian to its drift; a single column has no Wronskian.
+    Returns the starts carried to the last vertex, the largest drift
+    (None for one column) and the first columns at the end of every
+    segment of the schedule, shape (segments, m, 2).
     """
     xc, z, ends = schedule
+    pair = M.shape[-1] == 2
     Q, R_acc = _gram_schmidt(M)
     drift = np.zeros(len(Es))
     cols = []
@@ -358,12 +378,12 @@ def _carry_pairs(schedule, Es, h, nu, M):
         xb, zb = xc[k0:k0 + _BLOCK], z[k0:k0 + _BLOCK]
         P = _taylor_sums(xb, zb, Es, h, nu, np.broadcast_to(
             np.eye(2), (len(xb), len(Es), 2, 2)))
-        Qh = np.empty_like(P)
+        Qh = np.empty((len(xb),) + Q.shape, dtype=complex)
         Qh[0] = Q
         for k in range(1, len(xb)):
             Qh[k] = _gram_schmidt(P[k - 1] @ Qh[k - 1])[0]
         S = _taylor_sums(xb, zb, Es, h, nu, Qh)
-        Qs, Us = np.empty_like(P), np.empty_like(P)
+        Qs, Us = np.empty_like(S), np.empty_like(S)
         for k, (S_k, P_k, Qh_k) in enumerate(zip(S, P, Qh)):
             Qs[k] = Q
             Us[k] = U = S_k + P_k @ (Q - Qh_k)
@@ -371,14 +391,15 @@ def _carry_pairs(schedule, Es, h, nu, M):
             R_acc = R @ R_acc
             if k0 + k == ends[len(cols)]:
                 cols.append(Q[..., 0] * R_acc[:, :1, 0])
-        W0 = Qs[..., 0, 0] * Qs[..., 1, 1] - Qs[..., 1, 0] * Qs[..., 0, 1]
-        W = Us[..., 0, 0] * Us[..., 1, 1] - Us[..., 1, 0] * Us[..., 0, 1]
-        drift = drift + np.sum(np.abs(W - W0) / np.abs(W0), axis=0)
+        if pair:
+            W0 = Qs[..., 0, 0] * Qs[..., 1, 1] - Qs[..., 1, 0] * Qs[..., 0, 1]
+            W = Us[..., 0, 0] * Us[..., 1, 1] - Us[..., 1, 0] * Us[..., 0, 1]
+            drift = drift + np.sum(np.abs(W - W0) / np.abs(W0), axis=0)
     M = Q @ R_acc
     if not np.all(np.isfinite(M)):
         raise StepUnderflow("solution magnitude left the representable "
                             "range; shorten the path")
-    return M, len(xc), float(drift.max()), np.array(cols)
+    return M, float(drift.max()) if pair else None, np.array(cols)
 
 
 def integrate_system(params, path, u_start):
@@ -389,8 +410,8 @@ def integrate_system(params, path, u_start):
     column so the constant-Wronskian property of the trace-free system
     can be monitored; only the original vector is returned. The pair is
     carried by Taylor steps of the x-multiplied system, each summed to
-    roundoff: _carry_pairs on a stack of one pair, with at most 1e5
-    steps, counted on the schedule before any series is summed.
+    roundoff: _carry on a stack of one pair, with at most 1e5 steps,
+    counted on the schedule before any series is summed.
 
     The Wronskian meter works step by step: every step starts from the
     orthonormalized pair (the triangular factors are accumulated to
@@ -430,10 +451,10 @@ def integrate_system(params, path, u_start):
             raise ValueError("path passes through the origin")
 
     Es = np.array([E])
-    M, steps, drift, _ = _carry_pairs(_schedule(segs, Es, h, nu), Es, h, nu,
-                                      M[None])
+    schedule = _schedule(segs, Es, h, nu)
+    M, drift, _ = _carry(schedule, Es, h, nu, M[None])
     u_end = M[0, :, 0] if vector_input else M[0]
-    return IntegrationResult(u_end, drift, steps)
+    return IntegrationResult(u_end, drift, len(schedule[0]))
 
 
 class _Contour(NamedTuple):
@@ -506,17 +527,22 @@ def _outgoing(Es, h, nu, xs):
     w = 1.0 / np.asarray(xs, dtype=complex)
     Ew2 = np.asarray(Es, dtype=complex)[:, None] * (w * w)
     w3 = w ** 3
-    zero = np.zeros_like(Ew2)
-    a, b = [zero + 1.0, zero, zero], [zero, zero, zero]
+    # the terms n - 3 .. n - 1, each (a_n, b_n) x^{-n} stacked as
+    # (2, m, len(xs)), and their running sum
+    terms = [np.zeros((2,) + Ew2.shape, dtype=complex) for _ in range(3)]
+    terms[0][0] = 1.0
+    g = terms[0].copy()
     small = 0
     for n in range(3, _MAX_TERMS + 1):
-        b.append(Ew2 * b[n - 2] - ((0.5j * h * (n - 3)) * b[n - 3]
-                                   + (0.5 * nu) * a[n - 3]) * w3)
-        a.append((-1j * nu / (h * n)) * b[n])
-        big = max(np.abs(a[n]).max(), np.abs(b[n]).max())
-        small = small + 1 if big < _TAYLOR_CUT else 0
+        new = np.empty_like(g)
+        new[1] = Ew2 * terms[1][1] - ((0.5j * h * (n - 3)) * terms[0][1]
+                                      + (0.5 * nu) * terms[0][0]) * w3
+        new[0] = (-1j * nu / (h * n)) * new[1]
+        g += new
+        terms = terms[1:] + [new]
+        small = small + 1 if np.abs(new).max() < _TAYLOR_CUT else 0
         if small == 3:
-            return np.stack([sum(a), sum(b)], axis=-1)
+            return np.moveaxis(g, 0, -1)
     raise NoPlateau(f"outgoing series at |x|={1.0 / np.abs(w).max():.3f} "
                     f"did not converge in {_MAX_TERMS} terms; raise R_max")
 
@@ -527,7 +553,8 @@ def _gauged_vertices(Es, h, nt, nu, c):
     energy of Es: the regular solutions from one Frobenius recurrence
     over the stack, summed at c.x0 with _START_TERMS terms
     (_frobenius_stack), carried along [x0, x_mid, xs] and out along the
-    ray as one stack of fundamental pairs by Taylor steps (_carry_pairs).
+    ray as one stack of single columns by Taylor steps (_carry): c+
+    reads the regular solution alone, so no companion rides along.
     The chord from x_mid to xs keeps at least x_mid cos(theta/2) from
     the origin, the system's one singular point.
     """
@@ -540,7 +567,7 @@ def _gauged_vertices(Es, h, nt, nu, c):
         raise StepUnderflow(
             f"ray at theta={c.theta:g} to R_max={c.R_max:.4g}: {exc}; "
             "the radius grows without bound as theta nears pi/3") from None
-    *_, cols = _carry_pairs(schedule, Es, h, nu, _companion(u0))
+    *_, cols = _carry(schedule, Es, h, nu, u0[..., None])
     gauge = np.exp(-1j * (x[:, None] ** 3 - 3.0 * Es * x[:, None])
                    / (3.0 * h))
     return cols[-3:] * gauge[:, :, None]
@@ -551,8 +578,8 @@ def _jost_batch(E_center, Es, h, nt, theta, R_max):
 
     All members run on E_center's contour (c+ does not depend on the
     path) with their own E in the right-hand side: one Frobenius
-    recurrence and the m fundamental pairs as one (m, 2, 2) stack carried
-    by Taylor steps out to 1.1 R_max (_gauged_vertices). c+ is
+    recurrence and the m regular solutions as one (m, 2, 1) stack
+    carried by Taylor steps out to 1.1 R_max (_gauged_vertices). c+ is
     v_1/g_1 at R_max, g the outgoing solution's series (_outgoing); the
     same quotient at 1.1 R_max must agree to 1e-6 |c+| (or 50 atol,
     atol = 1e-14 max|v| at the ray start), or NoPlateau is raised.
@@ -618,8 +645,8 @@ def find_resonance_ode(params, max_iter=30):
     fails there and the ladder moves on. The located E_c centres a ring
     of 16 energies at radius rho = 1e-4 |E_c|, and is itself a
     member of the same batched solve (_jost_ring) on E_c's contour;
-    the ring points agree with per-point jost_cplus to about 1.3e-11 of
-    the ring median at h = 0.1, the centre to about 1.1e-11. E_c is
+    the ring points agree with per-point jost_cplus to about 1.1e-11 of
+    the ring median at h = 0.1, the centre to about 3.5e-12. E_c is
     certified when its |c+| and the ring's noise (_ring_certified) are
     both below 1e-8 times the ring median and the ring winds once
     (SpuriousZero when the ring winds otherwise). Otherwise the ring's

@@ -294,10 +294,11 @@ class TestIntegrateSystem:
 def _sequential_carry(segs, Es, h, nu, M):
     """The carry as one Taylor series per step, each summed from the
     step's actual start in its own recurrence, the steps sized by the
-    same rule: the reference for ode_oracle._carry_pairs, which sums a
-    block of steps in one recurrence and corrects each step's start.
-    Returns the pairs at the last vertex, the steps, the largest drift
-    and the regular columns at every segment end."""
+    same rule: the reference for ode_oracle._carry, which sums a block
+    of steps in one recurrence and corrects each step's start. M holds
+    pairs or single columns. Returns the starts carried to the last
+    vertex, the steps, the largest drift (None for single columns) and
+    the first columns at every segment end."""
     Q, R_acc = ode_oracle._gram_schmidt(M)
     drift = np.zeros(len(Es))
     steps = 0
@@ -332,14 +333,17 @@ def _sequential_carry(segs, Es, h, nu, M):
                 U = U + new
                 small = small + 1 if np.abs(new).max() < 2e-17 else 0
                 n += 1
-            W0 = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 1, 0] * Q[:, 0, 1]
-            W = U[:, 0, 0] * U[:, 1, 1] - U[:, 1, 0] * U[:, 0, 1]
-            drift += np.abs(W - W0) / np.abs(W0)
+            if M.shape[-1] == 2:
+                W0 = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 1, 0] * Q[:, 0, 1]
+                W = U[:, 0, 0] * U[:, 1, 1] - U[:, 1, 0] * U[:, 0, 1]
+                drift += np.abs(W - W0) / np.abs(W0)
             Q, R = ode_oracle._gram_schmidt(U)
             R_acc = R @ R_acc
             steps += 1
         cols.append(Q[..., 0] * R_acc[:, :1, 0])
-    return Q @ R_acc, steps, float(drift.max()), np.array(cols)
+    return (Q @ R_acc, steps,
+            float(drift.max()) if M.shape[-1] == 2 else None,
+            np.array(cols))
 
 
 def _ring_contour(h):
@@ -365,9 +369,10 @@ def _col_error(cols, ref):
 
 # The blocked carry against the sequential one, relative to max|v|: on
 # the inner contour (x_mid and the ray start) to 1e-13 (measured at most
-# 3.8e-15), and on the ray, where the roundoff of the regular column is
+# 4.5e-15), and on the ray, where the roundoff of the regular column is
 # amplified as it is into c+ (the ring's noise), to RAY_BOUND (measured
-# up to 2.6e-12, 1.3e-11 and 1.1e-9 at h = 0.2, 0.1 and 0.05; a carry
+# up to 2.6e-12, 1.3e-11 and 1.1e-9 at h = 0.2, 0.1 and 0.05 for the
+# pairs, 2.2e-12, 1.1e-11 and 1.1e-9 for the regular column alone; a carry
 # that forms each step's terms by a batched matrix product, one
 # recurrence per step, sits as far from the sequential reference:
 # 2.1e-12, 9.2e-12 and 8.7e-10)
@@ -384,14 +389,20 @@ def _assert_columns_agree(cols, ref, h):
 class TestBlockedCarry:
     @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
     def test_ring_against_sequential_steps(self, h):
+        # the pairs, and the regular column alone as _gauged_vertices
+        # carries it, each against the sequential steps from its start
         Es, nu, segs, M = _ring_contour(h)
-        _, steps, drift, cols = ode_oracle._carry_pairs(
-            ode_oracle._schedule(segs, Es, h, nu), Es, h, nu, M)
-        _, ref_steps, ref_drift, ref_cols = _sequential_carry(
-            segs, Es, h, nu, M)
-        assert steps == ref_steps
-        assert drift <= 2.0 * ref_drift
-        _assert_columns_agree(cols, ref_cols, h)
+        schedule = ode_oracle._schedule(segs, Es, h, nu)
+        for start in (M, M[..., :1]):
+            _, drift, cols = ode_oracle._carry(schedule, Es, h, nu, start)
+            _, ref_steps, ref_drift, ref_cols = _sequential_carry(
+                segs, Es, h, nu, start)
+            assert len(schedule[0]) == ref_steps
+            if start.shape[-1] == 2:
+                assert drift <= 2.0 * ref_drift
+            else:
+                assert drift is None and ref_drift is None
+            _assert_columns_agree(cols, ref_cols, h)
 
     @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
     def test_one_member_against_sequential_steps(self, h):
@@ -412,18 +423,38 @@ class TestBlockedCarry:
     @pytest.mark.parametrize("block", [1, 7])
     def test_block_size(self, h, block, monkeypatch):
         # one step per block, where every predicted start is the actual
-        # start, and blocks that split the schedule, against the default
+        # start, and blocks that split the schedule, against the default,
+        # for the pairs and for the regular column alone
         Es, nu, segs, M = _ring_contour(h)
         schedule = ode_oracle._schedule(segs, Es, h, nu)
-        _, steps, drift, cols = ode_oracle._carry_pairs(schedule, Es, h, nu,
-                                                        M)
-        assert block < steps <= ode_oracle._BLOCK
+        assert block < len(schedule[0]) <= ode_oracle._BLOCK
+        starts = (M, M[..., :1])
+        default = [ode_oracle._carry(schedule, Es, h, nu, start)
+                   for start in starts]
         monkeypatch.setattr(ode_oracle, "_BLOCK", block)
-        _, b_steps, b_drift, b_cols = ode_oracle._carry_pairs(
-            schedule, Es, h, nu, M)
-        assert b_steps == steps
-        assert b_drift <= 2.0 * drift and drift <= 2.0 * b_drift
-        _assert_columns_agree(b_cols, cols, h)
+        for start, (_, drift, cols) in zip(starts, default):
+            _, b_drift, b_cols = ode_oracle._carry(schedule, Es, h, nu,
+                                                   start)
+            if start.shape[-1] == 2:
+                assert b_drift <= 2.0 * drift and drift <= 2.0 * b_drift
+            _assert_columns_agree(b_cols, cols, h)
+
+    @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
+    def test_block_sums_are_each_step_alone(self, h):
+        # a step's sum reads nothing of the other steps of its block,
+        # however many of them stop before it: the whole ring schedule in
+        # one recurrence equals each step summed alone, bit for bit, from
+        # pairs and from single columns
+        Es, nu, segs, M = _ring_contour(h)
+        xc, z, _ = ode_oracle._schedule(segs, Es, h, nu)
+        Q = ode_oracle._gram_schmidt(M)[0]
+        for start in (Q, Q[..., :1]):
+            Y = np.broadcast_to(start, (len(xc),) + start.shape)
+            block = ode_oracle._taylor_sums(xc, z, Es, h, nu, Y)
+            for k in range(len(xc)):
+                alone = ode_oracle._taylor_sums(xc[k:k + 1], z[k:k + 1], Es,
+                                                h, nu, Y[k:k + 1])
+                assert np.array_equal(block[k], alone[0]), k
 
     def test_step_budget_fails_fast(self, monkeypatch):
         # near theta = pi/3 the extraction radius and with it the step
@@ -486,7 +517,9 @@ class TestJostCplus:
         # 1 + i nu^2/(6 h x^3) of the outgoing solution there. The bound
         # is relative to the ring |c+|, the scale of the 1e-8 winding
         # certificate, and it is what c+ must hold at the zero itself
-        # (measured 6.1e-12 at the zero and 1.3e-11 at the ring point).
+        # (measured 3.3e-11 at the zero and 3.6e-11 at the ring point; the
+        # reference starts from the program's ray start, and a change in
+        # its last bits moves the reference by about 3e-11 as well).
         from scipy.integrate import solve_ivp
 
         h, nt, nu = 0.1, 0.5, 0.05
@@ -665,7 +698,7 @@ class TestFindResonance:
     def test_ring_matches_per_point_jost(self, h):
         # the batched ring against 16 separate jost_cplus calls on the
         # same energies, around the certified zero: values to 1e-9 of
-        # the ring median (measured 5.5e-12 and 3.9e-11), the same
+        # the ring median (measured 1.8e-12 and 1.1e-11), the same
         # winding and the same certificate residual
         E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
         Es = [E + 1e-4 * abs(E) * cmath.exp(2j * math.pi * j / 16)
@@ -736,6 +769,22 @@ class TestFindResonance:
         with pytest.raises(NoConvergence, match="ring noise sigma = 2.5e-07"):
             find_resonance_ode((zero, 0.1, 0.5))
         assert centres == [zero] * 3
+
+    @pytest.mark.parametrize("h, bound", [(0.2, 7.5e-13), (0.1, 4.4e-12),
+                                          (0.05, 4.3e-10)])
+    def test_ring_noise_floor(self, h, bound):
+        # the noise that the 1e-8 certificate must clear: sigma/median of
+        # the ring around criterion 5's zero, computed as _ring_certified
+        # computes it, within about 5x of its level (measured 1.2e-13,
+        # 8.6e-13 and 8.6e-11; the median over 12 centres perturbed
+        # within half a ring radius reads 1.5e-13, 8.9e-13 and 9.0e-11)
+        E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
+        roots = np.exp(2j * np.pi * np.arange(16) / 16)
+        ring = ode_oracle._jost_ring(
+            E, np.append(E + 1e-4 * abs(E) * roots, E), h, 0.5)[:-1]
+        high = np.abs(np.fft.fft(ring)[9:]) / 16
+        sigma = math.sqrt(float(np.mean(high ** 2)))
+        assert sigma <= bound * np.median(np.abs(ring))
 
     @pytest.mark.parametrize("cplus, centre, rings, match", [
         (lambda d: d, lambda E: 1.0, 3, "after 3 rings"),
@@ -815,7 +864,7 @@ class TestFindResonance:
     def test_centre_member_matches_jost_cplus(self, h, k):
         # the 17th ring member, the located eigenvalue on its own
         # contour, against a separate jost_cplus call there: to 1e-10
-        # of the ring median (measured 6.3e-13 and 1.1e-11)
+        # of the ring median (measured 8.1e-13 and 3.5e-12)
         E_c = locate_zero((_ladder_seed_above(h, k)[1], h, 0.5), 30)
         Es = np.append(E_c + 1e-4 * abs(E_c) * np.exp(
             2j * np.pi * np.arange(16) / 16), E_c)
