@@ -35,7 +35,7 @@ import math
 import sys
 
 from .actions import action_S01, action_S2inf
-from .errors import ConiresError
+from .errors import ConiresError, WindowEmpty
 from .model import _check_h_nt, turning_points
 from .ode_oracle import find_resonance_ode, pplus_eigen_oracle
 from .quantization import (
@@ -344,7 +344,16 @@ def cmd_pplus(args):
         lo = 0.5 * preds[0][1] if preds else 0.5 * h ** (2.0 / 3.0)
         hi = 1.3 * preds[-1][1] if preds else 8.0 * h ** (2.0 / 3.0)
         try:
-            oracle_values = pplus_eigen_oracle(l, h, (lo, hi))
+            try:
+                oracle_values = pplus_eigen_oracle(l, h, (lo, hi))
+            except WindowEmpty:
+                # every prediction can lie below the ground state (from
+                # l = 4 at kmax = 3); e_0 lies 2-7% above its Langer form
+                # ((3 pi/4)(l + 1) h)^{2/3} for l = 1 to 200
+                top = 1.3 * (0.75 * math.pi * (l + 1) * h) ** (2.0 / 3.0)
+                if top <= hi:
+                    raise
+                oracle_values = pplus_eigen_oracle(l, h, (lo, top))
         except (ConiresError, ValueError) as exc:
             oracle_error = f"{type(exc).__name__}: {exc}"
             code = 4

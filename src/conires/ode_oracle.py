@@ -760,26 +760,10 @@ def _jacobi_recurrence(a, b, n):
     return diag, off
 
 
-def _jacobi_values(a, b, n, x, start):
-    """Values and x-derivatives at the nodes x of the first n
-    polynomials orthonormal for (1 - x)^a (1 + x)^b, each node's
-    scaled so that the first polynomial is start there, by the
-    three-term recurrence."""
-    diag, off = _jacobi_recurrence(a, b, n)
-    P = np.zeros((n, x.size))
-    dP = np.zeros((n, x.size))
-    P[0] = start
-    for k in range(n - 1):
-        t = x - diag[k]
-        c = off[k - 1] if k else 0.0
-        P[k + 1] = (t * P[k] - c * P[k - 1]) / off[k]
-        dP[k + 1] = (P[k] + t * dP[k] - c * dP[k - 1]) / off[k]
-    return P, dP
-
-
-def _scaled_radial_levels(l, S, N):
+def _scaled_radial_levels(l, S, Ns):
     """Eigenvalues e of -u'' + ((l^2-1/4)/s^2 + s)u = e u on [0, S]
-    with u(S) = 0, by Rayleigh-Ritz on N basis functions.
+    with u(S) = 0, by Rayleigh-Ritz on N basis functions, one array of
+    them for each N of the sequence Ns.
 
     u = s^{l+1/2} f turns the problem into
     -(s^{2l+1} f')' + s^{2l+2} f = e s^{2l+1} f with f entire: the
@@ -800,30 +784,62 @@ def _scaled_radial_levels(l, S, N):
     q_n, not the squared first components of the eigenvectors, which
     have no relative accuracy where the weights are tiny, at the nodes
     near x = -1 for large l; there the p_n are huge, so w_k p_m p_n
-    would be wrong at O(1).  Both recurrences start each node at
+    would be wrong at O(1).  Both families start each node at
     ((1 + x_k)/2)^{l+1}, about the inverse of the polynomials' growth
     there, which keeps them in range up to l of a few hundred; the
     factor cancels in sqrt(w_k) p_n = p_n / |q(x_k)|, and a node where
-    it underflows carries nothing.  Every product is an einsum, which
-    rounds alike at every BLAS thread count.
+    it underflows carries nothing.
+
+    One three-term recurrence pass serves every N: over the union of
+    their node sets it advances the q_n and the p_n as two rows of one
+    array, carries the x-derivative for the p_n alone, and runs the last
+    two orders of the q_n as a tail, max(Ns) + 1 iterations in all.
+    Each node sees the arithmetic of a recurrence of its own, so every
+    level has the bits of a solve at that N alone.  Every product is an
+    einsum, which rounds alike at every BLAS thread count.
     """
     b = 2.0 * l + 1.0
-    diag, off = _jacobi_recurrence(0.0, b, N + 2)
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
-    g = (0.5 * (1.0 + x)) ** (l + 1.0)
-    Q, _ = _jacobi_values(0.0, b, N + 2, x, g)
-    P, dP = _jacobi_values(2.0, b, N, x, g)
-    # sqrt(w_k) over p_0 = q_0 = 1, times the square root of the ratio
-    # (b + 2)(b + 3)/8 of the two weights' masses, which that scaling
-    # leaves out
-    q = np.sqrt(np.einsum("nk,nk->k", Q, Q))
-    r = np.divide(math.sqrt((b + 2.0) * (b + 3.0) / 8.0), q,
-                  out=np.zeros_like(q), where=q > 0.0)
-    dphi = ((1.0 - x) * dP - P) * r
-    phi = (1.0 - x) * P * (r * np.sqrt(1.0 + x))
-    H = ((4.0 / (S * S)) * np.einsum("mk,nk->mn", dphi, dphi)
-         + (0.5 * S) * np.einsum("mk,nk->mn", phi, phi))
-    return np.linalg.eigvalsh(H)
+    top = max(Ns)
+    diag, off = _jacobi_recurrence(0.0, b, top + 2)
+    diag2, off2 = _jacobi_recurrence(2.0, b, top)
+    xs = [np.linalg.eigvalsh(np.diag(diag[:n + 2])
+                             + np.diag(off[:n + 1], -1)) for n in Ns]
+    x = np.concatenate(xs)
+    # V[n, 0] = q_n and V[n, 1] = p_n at every node; the coefficients of
+    # step k are column pairs, c the previous order's off-diagonal
+    V = np.zeros((top + 2, 2, x.size))
+    dP = np.zeros((top, x.size))
+    V[0] = np.concatenate([(0.5 * (1.0 + xn)) ** (l + 1.0) for xn in xs])
+    cq = np.concatenate([[0.0], off])
+    d = np.stack([diag[:top - 1], diag2[:top - 1]], axis=1)[:, :, None]
+    o = np.stack([off[:top - 1], off2], axis=1)[:, :, None]
+    c = np.stack([cq[:top - 1], np.concatenate([[0.0], off2[:-1]])],
+                 axis=1)[:, :, None]
+    for k in range(top - 1):
+        t = x - d[k]
+        V[k + 1] = (t * V[k] - c[k] * V[k - 1]) / o[k]
+        dP[k + 1] = (V[k, 1] + t[1] * dP[k] - c[k, 1] * dP[k - 1]) / o[k, 1]
+    for k in range(top - 1, top + 1):
+        V[k + 1, 0] = ((x - diag[k]) * V[k, 0] - cq[k] * V[k - 1, 0]) / off[k]
+    levels = []
+    end = 0
+    for n, xn in zip(Ns, xs):
+        cols = slice(end, end + n + 2)
+        end = cols.stop
+        Q = V[:n + 2, 0, cols]
+        P = V[:n, 1, cols]
+        # sqrt(w_k) over p_0 = q_0 = 1, times the square root of the
+        # ratio (b + 2)(b + 3)/8 of the two weights' masses, which that
+        # scaling leaves out
+        q = np.sqrt(np.einsum("nk,nk->k", Q, Q))
+        r = np.divide(math.sqrt((b + 2.0) * (b + 3.0) / 8.0), q,
+                      out=np.zeros_like(q), where=q > 0.0)
+        dphi = ((1.0 - xn) * dP[:n, cols] - P) * r
+        phi = (1.0 - xn) * P * (r * np.sqrt(1.0 + xn))
+        H = ((4.0 / (S * S)) * np.einsum("mk,nk->mn", dphi, dphi)
+             + (0.5 * S) * np.einsum("mk,nk->mn", phi, phi))
+        levels.append(np.linalg.eigvalsh(H))
+    return levels
 
 
 def pplus_eigen_oracle(l, h, E_window):
@@ -842,6 +858,13 @@ def pplus_eigen_oracle(l, h, E_window):
     them, or 0.4 S sqrt(e_top) + 20 where that is more (from
     e_top = 25), and is repeated on a third more; the two must agree on
     the count and to 1e-10 relative, or ConvergenceFailure is raised.
+    Both solves come from one call, whose one recurrence pass runs
+    over both node sets: 112 iterations at N = 83 and 111 (the
+    pplus --h 0.01 --l 1 window), about 4.4 ms for the pair on a 2-core
+    Xeon at one BLAS thread.  The levels have the same bytes at 1 and 2
+    BLAS threads up to e_top = 25 (N = 160 in the repeat); at
+    e_top = 30 (N = 188) LAPACK's symmetric eigensolver rounds them
+    differently.
 
     Raises WindowEmpty when no eigenvalue lies in the window.
     """
@@ -856,8 +879,8 @@ def pplus_eigen_oracle(l, h, E_window):
             math.ceil(0.4 * S * math.sqrt(e_top)) + 20)
     Ns = (N, math.ceil(4.0 * N / 3.0))
     levels = []
-    for n in Ns:
-        E = _scaled_radial_levels(l, S, n) * h23
+    for e in _scaled_radial_levels(l, S, Ns):
+        E = e * h23
         levels.append(E[(E >= a) & (E <= b)])
     coarse, fine = levels
     if len(coarse) != len(fine) or np.any(

@@ -646,3 +646,17 @@ class TestPplus:
         assert deltas[1] <= 0.05
         assert deltas[2] <= 0.05
         assert deltas[0] >= 5 * deltas[1]
+
+    @pytest.mark.parametrize("l", range(4, 11))
+    def test_oracle_window_reaches_ground_state(self, l, capsys):
+        # at the default kmax every prediction lies below the ground
+        # state from l = 4 (at l = 10 none is positive), so the window
+        # widens to 1.3 times the Langer ground state, which e_0 exceeds
+        h = 0.01
+        code, out = run_cli(["pplus", "--h", str(h), "--l", str(l),
+                             "--oracle", "--format", "json"], capsys)
+        assert code == 0
+        doc = assert_valid_json(out)
+        assert doc["meta"]["oracle_error"] is None
+        langer = (0.75 * math.pi * (l + 1) * h) ** (2.0 / 3.0)
+        assert langer < doc["meta"]["oracle_values"][0] < 1.3 * langer

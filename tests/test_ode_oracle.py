@@ -144,6 +144,53 @@ E_RADIAL = {
 }
 
 
+def _oracle_nodes(e_top):
+    """pplus_eigen_oracle's box end S and its two basis sizes at the
+    scaled window top e_top: the larger of 6 S^{3/4} and
+    0.4 S sqrt(e_top) + 20, S = e_top + 25, and a third more."""
+    S = e_top + 25.0
+    N = max(math.ceil(6.0 * S ** 0.75),
+            math.ceil(0.4 * S * math.sqrt(e_top)) + 20)
+    return S, (N, math.ceil(4.0 * N / 3.0))
+
+
+def _jacobi_values(a, b, n, x, start):
+    """Values and x-derivatives at the nodes x of the first n
+    polynomials orthonormal for (1 - x)^a (1 + x)^b, each node's
+    scaled so that the first polynomial is start there, by the
+    three-term recurrence."""
+    diag, off = ode_oracle._jacobi_recurrence(a, b, n)
+    P = np.zeros((n, x.size))
+    dP = np.zeros((n, x.size))
+    P[0] = start
+    for k in range(n - 1):
+        t = x - diag[k]
+        c = off[k - 1] if k else 0.0
+        P[k + 1] = (t * P[k] - c * P[k - 1]) / off[k]
+        dP[k + 1] = (P[k] + t * dP[k] - c * dP[k - 1]) / off[k]
+    return P, dP
+
+
+def _radial_levels_one_n(l, S, N):
+    """The reference for ode_oracle._scaled_radial_levels: the same
+    Rayleigh-Ritz on N basis functions, each family by a recurrence of
+    its own on this N's nodes alone."""
+    b = 2.0 * l + 1.0
+    diag, off = ode_oracle._jacobi_recurrence(0.0, b, N + 2)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    g = (0.5 * (1.0 + x)) ** (l + 1.0)
+    Q, _ = _jacobi_values(0.0, b, N + 2, x, g)
+    P, dP = _jacobi_values(2.0, b, N, x, g)
+    q = np.sqrt(np.einsum("nk,nk->k", Q, Q))
+    r = np.divide(math.sqrt((b + 2.0) * (b + 3.0) / 8.0), q,
+                  out=np.zeros_like(q), where=q > 0.0)
+    dphi = ((1.0 - x) * dP - P) * r
+    phi = (1.0 - x) * P * (r * np.sqrt(1.0 + x))
+    H = ((4.0 / (S * S)) * np.einsum("mk,nk->mn", dphi, dphi)
+         + (0.5 * S) * np.einsum("mk,nk->mn", phi, phi))
+    return np.linalg.eigvalsh(H)
+
+
 def _ladder_seed_above(h, k):
     """Criterion 5's BS root E and find_resonance_ode's ladder seed half
     a lattice spacing above it, computed as the search computes it."""
@@ -1152,12 +1199,12 @@ class TestPplusOracle:
         solve = ode_oracle._scaled_radial_levels
         runs = []
         monkeypatch.setattr(ode_oracle, "_scaled_radial_levels",
-                            lambda l, S, N: runs.append(solve(l, S, N))
+                            lambda l, S, Ns: runs.append(solve(l, S, Ns))
                             or runs[-1])
         for e_top in (4.0, 7.7, 11.0, 15.0, 20.0, 25.0):
             runs.clear()
             n = len(pplus_eigen_oracle(l, 1.0, (0.5, e_top)))
-            coarse, fine = runs
+            [(coarse, fine)] = runs
             assert np.all(np.abs(coarse[:n] - fine[:n])
                           <= 1e-12 * fine[:n]), e_top
         assert n == 26
@@ -1171,37 +1218,40 @@ class TestPplusOracle:
         # at e_top = 25.  Rounding moves converged levels by up to a few
         # hundred ulps (measured at most 3.7e-13 relative), which the
         # 1e-12 allows
-        S = 50.0
-        prev = ode_oracle._scaled_radial_levels(l, S, 20)
-        for N in range(24, 164, 4):
-            cur = ode_oracle._scaled_radial_levels(l, S, N)
+        Ns = range(20, 164, 4)
+        runs = ode_oracle._scaled_radial_levels(l, 50.0, Ns)
+        for N, prev, cur in zip(Ns[1:], runs, runs[1:]):
             n = min(len(prev), 26)
             assert np.all(prev[:n] >= cur[:n] * (1.0 - 1e-12)), N
-            prev = cur
-        assert prev[25] < 25.0 < prev[26]
+        assert runs[-1][25] < 25.0 < runs[-1][26]
 
     @pytest.mark.parametrize("perturb", [
         lambda e, N, fine: e * (1.0 + 1e-9 * N),  # values drift with N
         lambda e, N, fine: e[1:] if N == fine else e,  # finer one drops one
     ], ids=["drift", "dropped-level"])
     def test_node_count_disagreement_raises(self, monkeypatch, perturb):
-        # the oracle's node rule at this window: the larger of 6 S^{3/4}
-        # and 0.4 S sqrt(e_top) + 20 basis functions, S = e_top + 25, and
-        # a third more
         h, window = 0.01, (0.01, 0.30)
-        e_top = window[1] / h ** (2.0 / 3.0)
-        S = e_top + 25.0
-        N = max(math.ceil(6.0 * S ** 0.75),
-                math.ceil(0.4 * S * math.sqrt(e_top)) + 20)
-        Ns = (N, math.ceil(4.0 * N / 3.0))
+        _, Ns = _oracle_nodes(window[1] / h ** (2.0 / 3.0))
         solve = ode_oracle._scaled_radial_levels
         seen = []
 
-        def perturbed(l, S, N):
-            seen.append(N)
-            return perturb(solve(l, S, N), N, Ns[1])
+        def perturbed(l, S, Ns):
+            seen.append(tuple(Ns))
+            return [perturb(e, N, Ns[1])
+                    for e, N in zip(solve(l, S, Ns), Ns)]
 
         monkeypatch.setattr(ode_oracle, "_scaled_radial_levels", perturbed)
         with pytest.raises(ConvergenceFailure):
             pplus_eigen_oracle(1, h, window)
-        assert tuple(seen) == Ns
+        assert seen == [Ns]
+
+    @pytest.mark.parametrize("e_top", sorted({e for _, e in E_RADIAL}
+                                             | {30.0, 75.2}))
+    @pytest.mark.parametrize("l", [1, 2, 5, 10, 200])
+    def test_one_pass_matches_separate_solves(self, l, e_top):
+        # one recurrence over both node sets gives every level the bits
+        # of a recurrence per family and basis size, at the oracle's
+        # basis sizes for the E_RADIAL and test_large_l windows
+        S, Ns = _oracle_nodes(e_top)
+        for N, got in zip(Ns, ode_oracle._scaled_radial_levels(l, S, Ns)):
+            assert np.array_equal(got, _radial_levels_one_n(l, S, N)), N

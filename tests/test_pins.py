@@ -61,6 +61,8 @@ CLI_PINS = {
         "e904fae3c0af9d60e4761e15630e95555e1b041c00a7e71f944098a00ec5c0d2",
     "pplus --h 0.01 --l 1 --oracle --format json":
         "082417cae3899176590d9715af5aa57b835b3c27988f22a5d6ba570a9d535189",
+    "pplus --h 0.005 --l 2 --oracle --format json":
+        "d03a35cc81fb6b47ac17a1379f274566498e2123e13223b9464c060f95702961",
     "turning-points --E 2 --nu 0.5 --format json":
         "6735d164890f68d73f13a3e1d5583e5ada3a9938eb03c282640049107baaec28",
     "resonances --h-sweep 0.01,0.1,3 --kmin 11 --kmax 12 --nutilde-min 1.5 "
@@ -74,7 +76,7 @@ CLI_PINS = {
 }
 # Every pin that runs a numpy eigensolve or band solve holds at one BLAS
 # thread as well: the ODE pins (test_ode_pins_at_one_blas_thread) and the
-# two pplus --oracle pins (test_pplus_pins_at_one_blas_thread), whose
+# three pplus --oracle pins (test_pplus_pins_at_one_blas_thread), whose
 # radial eigensolve forms its products by einsum and stays below the
 # sizes where LAPACK's symmetric eigensolver rounds by thread count.
 
@@ -214,11 +216,11 @@ def test_ode_pins_at_one_blas_thread(tmp_path):
 
 def test_pplus_pins_at_one_blas_thread():
     # the radial eigensolve's products are einsums, and its symmetric
-    # eigensolves (111 basis functions, 113 Gauss nodes at this window)
-    # round the same at every BLAS thread count
+    # eigensolves (at most 111 basis functions and 113 Gauss nodes at
+    # these windows) round the same at every BLAS thread count
     argvs = {cmd: cmd.split() for cmd in CLI_PINS
              if cmd.startswith("pplus") and "--oracle" in cmd}
-    assert len(argvs) == 2
+    assert len(argvs) == 3
     assert _digests_at_one_blas_thread(argvs) == {cmd: CLI_PINS[cmd]
                                                   for cmd in argvs}
 
