@@ -6,7 +6,10 @@ action integrals, and an independent ODE oracle locating zeros of the
 outgoing Jost coefficient.
 
 Importing the package, or the CLI, loads numpy only: every module
-defers its scipy imports to the first call that needs them.
+defers its scipy imports to the first call that needs them.  The action
+integrals need none: their Carlson integrals come from one in-house AGM
+kernel (actions._agm_carlson), so a Bohr-Sommerfeld sweep loads no
+scipy module.
 """
 
 from .actions import (

@@ -18,7 +18,9 @@ between two of its roots (to infinity for S2inf), reduced to Carlson's
 symmetric integrals R_F, R_D, R_J (Carlson, Numer. Algorithms 10 (1995);
 DLMF 19.29) by one kernel, _segment, which returns the moments
 int dy/sqrt(P), int y dy/sqrt(P) and int dy/(y sqrt(P)) of a straight
-segment between two roots.  The values are exact to roundoff, and each
+segment between two roots.  The three Carlson integrals come from one
+arithmetic-geometric mean in complex arithmetic (_agm_carlson), and no
+scipy module is imported.  The values are exact to roundoff, and each
 est_error is a roundoff bound, so there is no tolerance to set.
 
 Branches: for real E > 0 and small nu, S01 and S12 are purely imaginary with
@@ -44,7 +46,6 @@ R(mu) = -pi mu.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import NamedTuple
 
@@ -114,12 +115,91 @@ def _same_side(value, ref):
     return 1.0 if (value * ref.conjugate()).real >= 0.0 else -1.0
 
 
-@functools.cache
-def _carlson():
-    """scipy's (R_F, R_D, R_J), imported on the first closed-form action
-    so that importing this module does not load scipy.special."""
-    from scipy.special import elliprd, elliprf, elliprj
-    return elliprf, elliprd, elliprj
+# The AGM stops one level after |a_n - g_n| <= _AGM_TOL |a_n|, where
+# |a - g| is below _AGM_TOL^2 |a| / 8 and a g = M^2 to roundoff;
+# _AGM_STEPS bounds the loop for arguments that overflow it (at most 6
+# levels serve |c| from 1e-3 to 1e6, and 8 serve |c| up to 1e16).
+_AGM_TOL = 2.0 ** -20
+_AGM_STEPS = 40
+
+
+def _in_domain(y, z, p):
+    """Whether R_J(0, y, z, p) is taken from _agm_carlson: p in the open
+    right half-plane and y, z nonzero in the closed one, where the AGM
+    sum is the continuation of R_J from positive arguments.  This is
+    where scipy's elliprj is finite, measured over 4e5 random (1, c, p)
+    and (y, z, p) and on the lines Re c = 0 and Re p = 0.  scipy also
+    takes real positive y, z (or a conjugate pair) with any p off zero,
+    the principal value at real negative p included.  Real c = (a-r)/(b-r)
+    needs the three roots on one line, which the actions meet at real E
+    or real mu, where p > 0, so that set is left out."""
+    return (p.real > 0.0 and y.real >= 0.0 and z.real >= 0.0
+            and y != 0 and z != 0)
+
+
+def _agm_carlson(y, z, p):
+    """(R_F(0,y,z), R_D(0,y,z), R_J(0,y,z,p)) from one arithmetic-geometric
+    mean (DLMF 19.8(i), 19.22(i)).
+
+    a_0 = sqrt(y), g_0 = sqrt(z), a_{n+1} = (a_n + g_n)/2 and
+    g_{n+1} = +-sqrt(a_n g_n), the sign giving |a - g| <= |a + g|, tend to
+    M, and R_F = pi/(2M).  R_D = -6 dR_F/dz = (3 R_F/(M g_0)) dM/dg_0,
+    with the derivatives of a_n and g_n carried along the same steps: for
+    positive arguments every term is positive, so nothing cancels, as
+    z -> y or at large |y/z| alike (the c_n sum of DLMF 19.8(i) subtracts
+    from 1/2 a sum near 1/2 at large |y/z|, and loses 4e-14 at
+    |y/z| = 4.5e15).
+
+    R_J is Bartky's sum (DLMF 19.22(i)) R_J = (3 pi/(4 M p)) sum Q_n,
+    Q_0 = 1, Q_{n+1} = Q_n eps_n/2, eps_n = (P_n - a_n g_n)/w_n,
+    w_n = P_n + a_n g_n, with P_0 = p and P_{n+1} = w_n^2/(4 P_n).  Once
+    a_n g_n = M^2, sqrt(P_n) follows Heron's iteration for M and the tail
+    closes: sum_{k>=n} Q_k/Q_n = 2u/(u + 1), u = sqrt(P_n)/M, Re u > 0.
+    At small |p| the sum is O(sqrt|p|) from terms of order one, so it is
+    not summed as it stands.  The pair S_n = sum_{k>=n} Q_k/Q_n and
+    D_n = 2 - S_n obeys
+
+        S_n = (P_n (2 + S_{n+1}) + a_n g_n D_{n+1}) / (2 w_n),
+        D_n = (P_n D_{n+1} + a_n g_n (2 + S_{n+1})) / (2 w_n),
+
+    so S_0 = fs S_N + fd D_N + 2 fc, with S_N = 2u/(u + 1),
+    D_N = 2/(u + 1) and (fs, fd, 2 fc) the first row of the product of
+    these affine maps,
+    accumulated forward along the AGM.  For positive arguments every
+    term is positive, and no difference of like terms is ever formed.
+    R_J holds where _in_domain does, R_F and R_D off (-inf, 0]; the
+    three are within 2e-15 of mpmath there (tests/test_actions.py).
+    Returns three nans when the AGM does not converge (overflowed
+    arguments)."""
+    sqrt, tol = cmath.sqrt, _AGM_TOL
+    a = sqrt(y)
+    g = g0 = sqrt(z)
+    da, dg = 0.0, 1.0
+    P = p
+    fs, fd, fc = 1.0, 0.0, 0.0
+    for _ in range(_AGM_STEPS):
+        G = a * g
+        w = P + G
+        half_w = 0.5 / w
+        fs, fd = (fs * P + fd * G) * half_w, (fs * G + fd * P) * half_w
+        fc += fs
+        P = 0.25 * w * w / P
+        a_next = 0.5 * (a + g)
+        g_next = sqrt(G)
+        if (g_next * a_next.conjugate()).real < 0.0:
+            g_next = -g_next
+        da, dg = 0.5 * (da + dg), 0.5 * (da * g + a * dg) / g_next
+        done = abs(a - g) <= tol * abs(a)
+        a, g = a_next, g_next
+        if done:
+            break
+    else:
+        return (cmath.nan,) * 3
+    M = 0.5 * (a + g)
+    u = sqrt(P / (M * M))
+    S = 2.0 * ((fs * u + fd) / (u + 1.0) + fc)
+    rf = 0.5 * math.pi / M
+    return rf, 1.5 * rf * (da + dg) / (M * g0), 1.5 * rf * S / p
 
 
 def _rc1(e):
@@ -132,13 +212,11 @@ def _rc1(e):
 
 
 def _rj(x, y, z, p):
-    """R_J(x, y, z, p): scipy's value, or where scipy returns nan (complex
-    arguments off its principal domain) Carlson's duplication algorithm in
-    complex arithmetic (Carlson 1995, Algorithm 3; DLMF 19.36.2), run
-    until the fifth-order series of the remainder is at roundoff."""
-    value = complex(_carlson()[2](x, y, z, p))
-    if cmath.isfinite(value):
-        return value
+    """R_J(x, y, z, p) by Carlson's duplication algorithm in complex
+    arithmetic (Carlson 1995, Algorithm 3; DLMF 19.36.2), run until the
+    fifth-order series of the remainder is at roundoff.  The actions take
+    it only off _in_domain, where _agm_carlson's R_J does not hold: I, T
+    and I+ across the cut that their continuation crosses, and S2inf."""
     args = [complex(v) for v in (x, y, z, p)]
     a0 = (args[0] + args[1] + args[2] + 2.0 * args[3]) / 5.0
     delta = (args[3] - args[0]) * (args[3] - args[1]) * (args[3] - args[2])
@@ -170,7 +248,8 @@ def _at(where):
 
 
 def _check_finite(rf, rd, rj, where):
-    """BranchAmbiguity unless the three Carlson values are finite."""
+    """BranchAmbiguity unless the three Carlson values are finite (they
+    are not where the arguments overflow)."""
     if not all(map(cmath.isfinite, (rf, rd, rj))):
         raise BranchAmbiguity(
             f"Carlson integrals not finite (R_F={rf}, R_D={rd}, R_J={rj}) "
@@ -178,7 +257,7 @@ def _check_finite(rf, rd, rj, where):
         )
 
 
-def _segment(a, b, r, rj, where):
+def _segment(a, b, r, where, continued):
     """Carlson moments of the straight segment from the root a to the root
     b of P(y) = -(y-a)(y-b)(y-r), whose third root is r.
 
@@ -196,24 +275,35 @@ def _segment(a, b, r, rj, where):
     returned, mid = -d s sqrt(1 + c), is its direction at the midpoint
     u = 1.  Anchoring at b keeps p small when |a| << |b|.
 
-    rj evaluates R_J(x, y, z, p).  Raises TurningPointProximity where r
-    lies on the segment (c real and <= 0), and BranchAmbiguity when a
-    Carlson value is not finite; where, a tuple of (name, value) pairs,
-    names the point in the message.
+    All three come from one AGM pass (_agm_carlson) where (c, p) is in
+    _in_domain: Re c >= 0 and Re p > 0.  Off it, R_J(0,1,c,p)
+    is Carlson's duplication value (_rj) when continued is true (I, T and
+    I+, whose continuation fixes the side of the cut), and otherwise
+    BranchAmbiguity is raised, naming the rule, c and p.  Raises
+    TurningPointProximity where r lies on the segment (c real and <= 0),
+    and BranchAmbiguity when a Carlson value is not finite; where, a
+    tuple of (name, value) pairs, names the point in the message.
     """
-    elliprf, elliprd, _ = _carlson()
     d = a - b
-    c = (a - r) / (b - r)
+    c = complex((a - r) / (b - r))
     if c.imag == 0.0 and c.real <= 0.0:
         raise TurningPointProximity(
             f"a turning point lies on the integration segment at "
             f"{_at(where)}"
         )
-    p = a / b
+    p = complex(a / b)
     s = cmath.sqrt(b - r)
-    rf = complex(elliprf(0.0, 1.0, c))
-    rd = complex(elliprd(0.0, c, 1.0))
-    rjv = complex(rj(0.0, 1.0, c, p))
+    if _in_domain(1.0, c, p):
+        rf, rd, rjv = _agm_carlson(c, 1.0, p)
+    elif continued:
+        rf, rd, _ = _agm_carlson(c, 1.0, 1.0)
+        rjv = _rj(0.0, 1.0, c, p)
+    else:
+        raise BranchAmbiguity(
+            f"R_J(0,1,c,p) off its principal domain (Re c >= 0 and "
+            f"Re p > 0), with no continuation to choose a side of its "
+            f"cut: c={c}, p={p} at {_at(where)}"
+        )
     _check_finite(rf, rd, rjv, where)
     m0 = 2.0 * rf / s
     m1 = b * m0 + (2.0 / 3.0) * d * rd / s
@@ -238,11 +328,12 @@ def action_S01_pair(params):
     Anchoring at x1 rather than x0 keeps p = x0/x1 small; p = x1/x0 loses
     about a digit at small nu.
 
-    est_error is a roundoff bound and n_evals counts the Carlson-function
-    evaluations behind each value.  Raises BranchAmbiguity when a Carlson
-    value is not finite: scipy's R_J returns nan for some p off the
-    principal domain, and S01 takes no other R_J there, because such a
-    p may sit on either side of a cut with no continuation to choose one.
+    est_error is a roundoff bound and n_evals counts the Carlson
+    integrals behind each value (R_F, R_D and R_J, all from one AGM pass
+    of _segment).  Raises BranchAmbiguity where c = (x0-x2)/(x1-x2) and
+    p = x0/x1 leave _in_domain (Re c >= 0 and Re p > 0), the set where
+    scipy's R_J is finite: there such a p may sit on either side of
+    R_J's cut, with no continuation to choose one.
     For real E > 0 with mu = nu E^{-3/2} at or beyond
     the critical coupling there are no real turning points, and
     NoRealTurningPoints is raised as by action_I (TurningPointProximity
@@ -257,7 +348,7 @@ def action_S01_pair(params):
 
 def _s01_pair(E, nu, roots):
     """action_S01_pair at complex E and float nu from the labeled roots."""
-    m0, m1, n, mid = _segment(*roots, _carlson()[2], (("E", E), ("nu", nu)))
+    m0, m1, n, mid = _segment(*roots, (("E", E), ("nu", nu)), False)
     sigma = _same_side(mid, _imag_ref(E))
     half_nu2 = 0.5 * nu * nu
     m_scale = abs(m1) + abs(E * m0)
@@ -378,7 +469,7 @@ def action_I(mu):
         c = complex(c.real, -max(c.imag, _ROUNDOFF * abs(c)))
         y2 = (y0 - c * y1) / (1.0 - c)
     germ = (y1 - y0) * cmath.sqrt(y1 - y2) * cmath.sqrt(c)
-    value, err = _unit_action(mu, _segment(y0, y1, y2, _rj, (("mu", mu),)),
+    value, err = _unit_action(mu, _segment(y0, y1, y2, (("mu", mu),), True),
                               _same_side(germ, 1j))
     # p = y0/y1 has the continuous argument 2 arg(w0/w1) in the labelled
     # trigonometric roots (_unit_w); each 2 pi it gains over its
@@ -408,7 +499,7 @@ def tunnel_T(mu):
         r = tunnel_T(mu.conjugate())
         return ActionValue(-r.value.conjugate(), r.est_error, r.n_evals)
     y0, y1, y2 = _unit_roots(mu)
-    seg = _segment(y1, y2, y0, _rj, (("mu", mu),))
+    seg = _segment(y1, y2, y0, (("mu", mu),), True)
     *_, mid = seg
     value, err = _unit_action(mu, seg, _same_side(mid, 1.0))
     return ActionValue(1j * value, err, 3)
@@ -440,11 +531,12 @@ def action_S2inf(params):
     reg = (1j / 3.0) * (r2 ** 3 - 3.0 * E * r2)
     if nu == 0.0:
         return ActionValue(reg, 0.0, 0)
-    elliprf, elliprd, _ = _carlson()
     a, b = x2 - x0, x2 - x1
-    rf = complex(elliprf(0.0, a, b))
-    rd = complex(elliprd(0.0, b, a))
-    rj = _rj(0.0, a, b, x2)
+    if _in_domain(b, a, x2):
+        rf, rd, rj = _agm_carlson(b, a, x2)
+    else:
+        rf, rd, _ = _agm_carlson(b, a, 1.0)
+        rj = _rj(0.0, a, b, x2)
     _check_finite(rf, rd, rj, (("E", E), ("nu", nu)))
     j0 = 2.0 * rf
     k1 = -a * (2.0 * rf + (2.0 / 3.0) * (b - a) * rd)
@@ -492,8 +584,8 @@ def action_Iplus(mu):
         return ActionValue(2.0 / 3.0 + 0.0j, 0.0, 0)
     roots = np.roots([1.0, -1.0, 0.0, mu * mu])
     b0, b1, b2 = sorted(roots, key=lambda z: z.real)
-    _, m1, n, mid = _segment(complex(b1), complex(b2), complex(b0), _rj,
-                             (("mu", mu),))
+    _, m1, n, mid = _segment(complex(b1), complex(b2), complex(b0),
+                             (("mu", mu),), True)
     mu2 = mu * mu
     value = _same_side(mid, 1.0) * (m1 / 3.0 - mu2 * n)
     err = _ROUNDOFF * (abs(m1) / 3.0 + abs(mu2 * n) + math.pi * abs(mu))

@@ -26,7 +26,8 @@ converged residuals of a sweep at h = 0.004 stay below 3e-12, well
 under the residual tolerance 1e-10.  The labeled roots of each iterate
 come from model.cubic_roots, whose closed-form labels are those of the
 continuation from the real axis, so an iterate costs one Cardano solve
-and three Carlson-function evaluations.
+and one AGM pass that gives the three Carlson integrals R_F, R_D and
+R_J (actions._agm_carlson).
 """
 
 import cmath

@@ -33,7 +33,8 @@ on the branch that model.SymbolBranch tracks.  The same engine, seeded
 with the known power-law behavior at the Fuchs singularity, produces the
 series at the origin.
 
-scipy.integrate and scipy.special load inside the functions that call
+scipy.integrate (the sweeps) and scipy.special (loggamma, the one use
+of scipy.special in the package) load inside the functions that call
 them, so importing this module, or the package, loads numpy only.
 """
 

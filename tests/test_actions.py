@@ -26,6 +26,9 @@ from conires.actions import (
     action_S2inf,
     residue_R,
     tunnel_T,
+    _agm_carlson,
+    _in_domain,
+    _segment,
 )
 from conires.errors import (
     BranchAmbiguity,
@@ -47,7 +50,8 @@ I_REF = {0.1: 0.81648697060599267, 0.02: 0.69763329144416276}
 # weight pole, with the sqrt continued along it), the overall sign fixed
 # by the continuation.  Keys (|mu|, arg mu); mu = |mu| * cmath.exp(1j arg).
 # Arguments 1.14 and 1.43 at |mu| = 0.3 lie in the band where the pole
-# crosses the straight segment and scipy's R_J returns nan.
+# crosses the straight segment: p = y0/y1 has Re p < 0 there, off the
+# AGM kernel's domain, and R_J comes from the duplication algorithm.
 I_PHASE_REF = {
     (0.1, 0.5 * math.pi): 0.673819991666318675756974910947
     + 0.153194481539612162802259098678j,
@@ -219,8 +223,10 @@ class TestClosedForm:
         assert abs(ds01.value - d_want) <= 5e-14
 
     def test_carlson_nan_is_branch_ambiguity(self):
-        # p = x0/x1 = -1.03+0.53i here, where scipy's R_J returns nan
-        with pytest.raises(BranchAmbiguity):
+        # p = x0/x1 = -1.028+0.529i here, off R_J's principal domain (where
+        # scipy's R_J is nan): refused, and the message names the rule
+        with pytest.raises(BranchAmbiguity, match=r"Re c >= 0 and Re p > 0"
+                           r".*c=\(.*\), p=\(-1\.027"):
             action_S01_pair((0.4325114077600092 + 0.033128669051091936j,
                              0.25))
 
@@ -280,7 +286,7 @@ class TestActionI:
         # mu^2 underflows below |mu| ~ 1e-162: the two-term asymptote is
         # exact there; just above, the closed form keeps its value
         assert action_I(1.4e-160 * (1 + 1j)).value == complex(
-            0.6666666666666666, 1.4802973661668753e-16)
+            0.6666666666666666, 2.220446049250313e-16)
         for mu in (1e-200 * (1 + 1j), 1e-200, -1e-200j, 1e-300j):
             got = action_I(mu)
             assert got.value == 2.0 / 3.0 + math.pi * mu / 2.0
@@ -434,3 +440,95 @@ class TestErrorReporting:
     def test_evals_are_counted(self):
         got = action_S01((1.3, 0.2))
         assert got.n_evals > 0
+
+
+def _kernel_grid():
+    """Seeded (y, z, p) for _agm_carlson: (c, 1, p) with |c| from 1e-3 to
+    1e6 and |p| from 1e-9 to 1e2 in the right half-plane, c within 1e-8
+    to 1e-1 of 1, and S2inf-like (y, z, p) = (x2-x1, x2-x0, x2)."""
+    rng = np.random.default_rng(20261020)
+
+    def rhp(lo, hi, n):
+        return [complex(10.0 ** m * cmath.exp(1j * t)) for m, t in zip(
+            rng.uniform(lo, hi, n), rng.uniform(-1.55, 1.55, n))]
+
+    grid = [(c, 1.0, p) for c, p in zip(rhp(-3, 6, 60), rhp(-9, 2, 60))]
+    grid += [(1.0 + d, 1.0, p) for d, p in zip(
+        [10.0 ** m * cmath.exp(1j * t) for m, t in zip(
+            rng.uniform(-8, -1, 30), rng.uniform(-math.pi, math.pi, 30))],
+        rhp(-9, 2, 30))]
+    grid += [(c, 1.0, p) for c, p in zip(rhp(1.6, 2.9, 30), rhp(-9, -4, 30))]
+    grid += list(zip(rhp(-3, 1, 30), rhp(-3, 1, 30), rhp(-1, 1, 30)))
+    return grid
+
+
+class TestCarlsonKernel:
+    """_agm_carlson against mpmath, and its domain against scipy's."""
+
+    def test_against_mpmath(self):
+        import mpmath
+
+        worst = [0.0, 0.0, 0.0]
+        with mpmath.workdps(30):
+            for y, z, p in _kernel_grid():
+                got = _agm_carlson(y, z, p)
+                want = (mpmath.elliprf(0, y, z), mpmath.elliprd(0, y, z),
+                        mpmath.elliprj(0, y, z, p))
+                for i, (g, w) in enumerate(zip(got, want)):
+                    w = complex(w)
+                    worst[i] = max(worst[i], abs(g - w) / abs(w))
+        # measured: R_F 3.7e-16, R_D 9.8e-16, R_J 1.3e-15 (at |c| = 2200,
+        # |p| = 1.2e-5); the plain forward sum of Bartky's Q_n, with the
+        # same closed tail, reads R_J 1.2e-11 (84 of the 150 points above
+        # 2e-15)
+        assert worst[0] <= 1e-15
+        assert worst[1] <= 2e-15
+        assert worst[2] <= 2e-15
+
+    def test_domain_is_scipys_finite_set(self):
+        from scipy import special
+
+        rng = np.random.default_rng(7)
+        n = 4000
+
+        def anywhere(k):
+            return (10.0 ** rng.uniform(-3, 3, k)
+                    * np.exp(1j * rng.uniform(-math.pi, math.pi, k)))
+
+        def imaginary(k):
+            return 1j * 10.0 ** rng.uniform(-3, 3, k) * rng.choice([-1, 1], k)
+
+        # the whole plane and the lines Re c = 0 and Re p = 0; scipy also
+        # takes real positive c with Re p <= 0, which no action reaches
+        # (_in_domain) and which is not sampled
+        samples = [(anywhere(n), anywhere(n)), (imaginary(n), anywhere(n)),
+                   (anywhere(n), imaginary(n))]
+        for c, p in samples:
+            finite = np.isfinite(special.elliprj(0.0, 1.0, c, p))
+            ours = np.array([_in_domain(1.0, complex(ci), complex(pi))
+                             for ci, pi in zip(c, p)])
+            assert np.array_equal(ours, finite)
+
+    def test_s01_refuses_exactly_off_scipys_set(self):
+        # the refusal of S01's segment over random roots, against scipy's
+        # R_J at the c and p that the segment forms
+        from scipy import special
+
+        rng = np.random.default_rng(11)
+        refused = 0
+        for _ in range(2000):
+            a, b, r = (complex(v) for v in
+                       rng.normal(size=3) + 1j * rng.normal(size=3))
+            c = complex((a - r) / (b - r))
+            p = complex(a / b)
+            finite = np.isfinite(special.elliprj(0.0, 1.0, c, p))
+            try:
+                _segment(a, b, r, (("E", 1.0),), False)
+            except BranchAmbiguity as exc:
+                refused += 1
+                assert not finite
+                assert "Re c >= 0 and Re p > 0" in str(exc)
+                assert f"c={c}, p={p}" in str(exc)
+            else:
+                assert finite
+        assert 500 < refused < 1900

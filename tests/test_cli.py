@@ -52,9 +52,9 @@ def assert_valid_json(text):
 
 class TestImports:
     def test_cli_import_leaves_ode_solvers_unloaded(self):
-        # importing the CLI loads no scipy module: scipy.special loads on
-        # the first closed-form S01, scipy.linalg on the first locator
-        # solve, and the ODE solvers only in wkb's amplitude sweeps
+        # importing the CLI loads no scipy module: scipy.linalg loads on
+        # the first locator solve, and the ODE solvers and scipy.special
+        # only in wkb's amplitude sweeps and loggamma
         src = str(Path(conires.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, conires.cli; "
@@ -101,9 +101,9 @@ class TestImports:
 
     def test_actions_leave_mpmath_unloaded(self):
         # mpmath is a test-only dependency: every closed-form action,
-        # including I(mu) at arg mu = 0.9 pi, where scipy's R_J is nan and
-        # the duplication fallback runs, and S2inf at complex E, stays
-        # clear of it
+        # including I(mu) at arg mu = 0.9 pi, off the AGM kernel's domain,
+        # where R_J comes from the duplication algorithm, and S2inf at
+        # complex E, stays clear of it
         src = str(Path(conires.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import cmath, math, sys; from conires import actions as a; "
@@ -115,6 +115,23 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_bs_sweep_and_actions_load_no_scipy(self):
+        # the closed-form actions take R_F, R_D and R_J from their own AGM
+        # kernel: a Bohr-Sommerfeld band sweep and the actions command
+        # load no scipy module at all
+        src = str(Path(conires.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import contextlib, io, sys; from conires.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [main(['resonances', '--h', '0.005', '--band', "
+                "'1,4', '--nutilde-max', '2.5', '--refine', 'bs']), "
+                "main(['actions', '--E', '1.5-0.1j', '--nu', '0.05'])]\n"
+                "print(codes, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[0, 0] []"
 
     def test_package_names_resolve(self):
         assert conires.jost_cplus is conires.ode_oracle.jost_cplus
@@ -359,8 +376,9 @@ class TestResonances:
         assert_valid_json(a.read_text())
 
     def test_partial_result_exit_code(self, capsys):
-        # (k = 1, nu_tilde = 5/2) fails at h = 0.1 (scipy's R_J has no
-        # value on its Newton path); every other root converges
+        # (k = 1, nu_tilde = 5/2) fails at h = 0.1 (its Newton path leaves
+        # R_J's principal domain, Re p <= 0, and S01 refuses); every other
+        # root converges
         common = ["resonances", "--h", "0.1", "--nutilde-max", "2.5",
                   "--refine", "bs"]
         for selector in (["--band", "0.1,0.5"],

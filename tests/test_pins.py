@@ -40,11 +40,11 @@ def _digest(text):
 
 CLI_PINS = {
     "resonances --h 0.01 --band 1,2 --nutilde-max 1.5 --refine bs":
-        "22a65ef8706627c8b95bf1abcd0a7df660f4253ec82be05661507b1804de9dd4",
+        "9ba1f959e855ca610d80d6f0a815177c9c91d5348c2769dd7f987985aff59dcc",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2":
-        "01c9f5638b0988edb162de53f4b1fdff726973a01f74f2ebd116ecb18e1885b4",
+        "bc2351259542af2057e7a340957b04b256f94465fffa47900810b48d024f7921",
     "actions --E 1.3-0.1j --nu 0.2":
-        "268840855924fec8885ce3faa894420594c084fb2b6692708e1feb0d3a92dff7",
+        "74c313d750ab22d46f2201a9485e3767f7ad7fd6882c2f7f13f10b173fb95368",
     "pplus --h 0.01 --l 1 --oracle":
         "86c5e5570724ef9f1efa8ec994b0c4a165245557afac831d05d5fadbedcff6f9",
     "turning-points --E 2 --nu 0.5":
@@ -54,11 +54,11 @@ CLI_PINS = {
         "cf0f936c0c35aa074644d308d3c54b32c51c8b9d4162f9c6df8173ba314794e7",
     "resonances --h 0.01 --band 1,2 --nutilde-max 1.5 --refine bs "
     "--format json":
-        "2afba8d5c4751b4c73ebdcfcb146c7749447ed4778edc1b0649d97ff6d9e3121",
+        "4e0852b785cf19caa420db8bd2b4b4b548ed4df0dcf9f43bc4b5bd9c5052e75a",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2 --format json":
-        "18ead524de16d3d72c88b98d8704d7e395e14fe30663c532aed0836d0ea00ade",
+        "239211857554d3cee4760c1f203d1b6ba015baf710c77ad59d3e213078a448fa",
     "actions --E 1.3-0.1j --nu 0.2 --format json":
-        "e904fae3c0af9d60e4761e15630e95555e1b041c00a7e71f944098a00ec5c0d2",
+        "cd79513c965e7962122f210b9fc0bd2872f0640c62640d6c57264224a6cc0dae",
     "pplus --h 0.01 --l 1 --oracle --format json":
         "082417cae3899176590d9715af5aa57b835b3c27988f22a5d6ba570a9d535189",
     "pplus --h 0.005 --l 2 --oracle --format json":
@@ -73,6 +73,10 @@ CLI_PINS = {
     "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode "
     "--format json":
         "c502390da5df8826dd9b5d0943d3568626a9a23bfefe8c0a9028d81077a5f084",
+    # the bs-sweep benchmark's family at production h: about 380 Newton
+    # roots through the AGM Carlson kernel
+    "resonances --h 0.005 --band 1,4 --nutilde-max 2.5 --refine bs":
+        "bac5037b010dec49df4e9d8735296a26edb8368d661143b90420365e683d799e",
 }
 # Every pin that runs a numpy eigensolve or band solve holds at one BLAS
 # thread as well: the ODE pins (test_ode_pins_at_one_blas_thread) and the
@@ -88,9 +92,9 @@ SEED_PINS = {
     "resonances --h 0.1 --nutilde 0.5 --refine ode --format json":
         "5661c17e51953909168c4fc7eb90efa296d4b90d17a2e17d4eb4f7bf2b301f6a",
     "resonances --h 0.1 --nutilde 0.5 --refine bs":
-        "7b358d4f5668e8e6e9ef1a919c25ce7b90a06500b36bd6d31c198915a2c66192",
+        "25ffe5211271d84f46f081f31b0f7ba2602b9fe9761e292cadbb0ce58f6bd264",
     "resonances --h 0.1 --nutilde 0.5 --refine bs --format json":
-        "2b8b4af83de6c2d1e388afa47b8a848f72d301f937fb127b2e077a73f7a37a17",
+        "d9a4af89f300a61843143ca8d699461492debad124ee1dc6089cda4a776a1412",
 }
 
 # The six ODE pins' outputs without the ODE residual column (residual_ode
@@ -101,9 +105,9 @@ SEED_PINS = {
 # through such a change, which then re-pins only the digests above.
 LAMBDA_PINS = {
     "verify-ode --h 0.2 --nutilde 0.5 --k 2":
-        "371937a57ac25a01dd0100ba278b0946afa84b511582bd728dc03c9b5135c588",
+        "33152f63fad8d7e8a73e81c5fd3f65e758136d17829ec354070c30a7fc6d8b1f",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2 --format json":
-        "7402612ffbbdd2944e848b779fdb3c623094b9dd3b8dc3c2d9a238b6c8e3e7d2",
+        "7ccd5c4d1e001c6366954931f7b9483f55d6dd147979a5c01fe931692b454d48",
     "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode":
         "2e47361e9179ef6608072fff7d8dfded36ad3fff51ba3558d48c9ea7ec9217b1",
     "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode "
@@ -253,14 +257,14 @@ LABEL_PINS = {
 # by |mu|
 MU_ARGS = (0.5, 2.0, 3.1)
 ACTION_I_PINS = {
-    0.05: "d410c1e3b30462e27590b926af503ce4fc9621bd689fa8e985a3828b07da8370",
-    0.3: "2e7b9d3b0b1bf7e762b27e74023834da4aeff87bbcd4e42922a8da24e1698225",
-    0.38: "487874c5aa116b343b4790c3bbe9c0c0f9be6f1c1f702b557ea96229a26dcdf7",
+    0.05: "e3e1c6f32d05215e04ab51c9b967dbd343a027e2d9b50052e5b0b510c9be2fa2",
+    0.3: "ba2352783ce7bc224844bf305f4bf19372e37136eb0ba32fa70ae022de780e67",
+    0.38: "0c0a4b5f5aa8d41392ff5d963f7d3572d733f0c793cbec09f32cabb8b04a327f",
 }
 TUNNEL_T_PINS = {
-    0.05: "28e43bf0995236a68bffe08865475a7310a082cb2036f3b4c5127a25e5980f1e",
-    0.3: "32d3f3ccf4567f19f84f072209e4ff73406088acdbaee52229d8fba33f3e2fb2",
-    0.38: "5b506c78022d4c1d0976be8ef631a17922954f028af97bd55ba2e3d14bdb1842",
+    0.05: "936ccf4378a32ed6fc0bdbf93481adb052ea95883db1f2c650e5d25ac7452b07",
+    0.3: "a39fdf9360d2dcc73d5eca3a675ec7fc05e89216388d36a143c3e1ac931fadb9",
+    0.38: "8436369107c2f20982cf2c342d7b42e57dbd4ce578111c90ad2708455bc5b5bf",
 }
 
 
