@@ -5,11 +5,20 @@ lattice formula, numerical Bohr-Sommerfeld quantization built on complex
 action integrals, and an independent ODE oracle locating zeros of the
 outgoing Jost coefficient.
 
-Importing the package, or the CLI, loads numpy only: every module
-defers its scipy imports to the first call that needs them.  The action
-integrals need none: their Carlson integrals come from one in-house AGM
-kernel (actions._agm_carlson), so a Bohr-Sommerfeld sweep loads no
-scipy module.
+Importing the package, or the CLI, loads every submodule but neither
+numpy nor scipy: each module binds numpy and its scipy modules through
+deferred handles (_lazy) that import on first use.  The scalar routes
+build no array and load neither: the turning points, the closed-form
+actions, whose Carlson integrals come from one in-house AGM kernel
+(actions._agm_carlson), and the lattice and Bohr-Sommerfeld
+refinements, so turning-points, actions, pplus without --oracle and
+resonances with --refine lattice or bs run on the standard library
+alone.  numpy
+loads with the first array call: the ODE oracle and its spectral
+locator (verify-ode, --refine ode), the radial oracle (pplus --oracle)
+and wkb's amplitude sweeps.  scipy loads only in the locator's band LU
+(scipy.linalg.lapack) and in wkb's sweeps (scipy.integrate) and
+loggamma (scipy.special).
 """
 
 from .actions import (

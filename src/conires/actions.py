@@ -49,8 +49,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     BranchAmbiguity,
     NoRealTurningPoints,
@@ -527,7 +526,7 @@ def action_S2inf(params):
     """
     E, nu = _as_E_nu(params)
     x0, x1, x2 = _labeled_roots(E, nu) if nu != 0 else (0.0, E, E)
-    r2 = np.sqrt(complex(x2))
+    r2 = cmath.sqrt(x2)
     reg = (1j / 3.0) * (r2 ** 3 - 3.0 * E * r2)
     if nu == 0.0:
         return ActionValue(reg, 0.0, 0)

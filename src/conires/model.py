@@ -23,19 +23,25 @@ P(x) = nu^2 - x^2 (E - x^2)^2, anchored by positivity of sqrt(P) on
 (0, r0), with sqrt(g+ g-) = sqrt(P)/x.  The canonical normalization path
 runs along the real axis and passes below r0, above r1, and below r2,
 which puts sqrt(g+ g-) in i R+ on (r0, r1) and beyond r2.
+
+The cubic, its labels and the turning points are scalar cmath
+arithmetic and return Python complex values.  Only SymbolBranch works
+on arrays (of factor arguments and nodes); numpy, bound here through the
+deferred handle of _lazy, loads at its first use, and its factor
+weights (_ones6) are built then.
 """
 
 from __future__ import annotations
 
 import cmath
 import copy
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import TurningPointProximity
 from .quadrature import ComplexPath, segment_point_distance
 
@@ -51,6 +57,7 @@ __all__ = [
 ]
 
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))  # primitive cube root of unity
+_OMEGA_BAR = _OMEGA.conjugate()
 _POLISH_STEPS = 2  # guarded Newton steps per cubic root
 _FACTOR_GUARD = 1e-12  # least path-to-turning-point distance, per 1 + length
 
@@ -213,8 +220,8 @@ def _polish(roots, E, nu):
 
 
 def _cbrt_candidates(c):
-    base = abs(c) ** (1.0 / 3.0) * np.exp(1j * np.angle(c) / 3.0)
-    return (base, base * _OMEGA, base * np.conj(_OMEGA))
+    base = abs(c) ** (1.0 / 3.0) * cmath.exp(1j * cmath.phase(c) / 3.0)
+    return (base, base * _OMEGA, base * _OMEGA_BAR)
 
 
 def _cardano_core(E, nu):
@@ -225,7 +232,7 @@ def _cardano_core(E, nu):
     p = -E * E / 3.0
     q = 2.0 * E ** 3 / 27.0 - nu * nu
     delta = q * q / 4.0 + p ** 3 / 27.0  # equals -D3/108
-    sq = np.sqrt(complex(delta))
+    sq = cmath.sqrt(delta)
     c1 = -q / 2.0 + sq
     c2 = -q / 2.0 - sq
     if abs(c1) < abs(c2):
@@ -263,8 +270,8 @@ def _cardano_any(E, nu):
     shift = 2.0 * E / 3.0
     return [
         shift + s + t,
-        shift + s * _OMEGA + t * np.conj(_OMEGA),
-        shift + s * np.conj(_OMEGA) + t * _OMEGA,
+        shift + s * _OMEGA + t * _OMEGA_BAR,
+        shift + s * _OMEGA_BAR + t * _OMEGA,
     ]
 
 
@@ -386,8 +393,16 @@ def turning_points(E, nu):
     ordered by the cubic labels (so 0 < r0 < r1 < sqrt(E) < r2 for real E > 0
     with nu^2 < 4 E^3 / 27)."""
     cr = cubic_roots(E, nu)
-    r = tuple(np.sqrt(complex(x)) for x in cr.roots)
+    r = tuple(cmath.sqrt(x) for x in cr.roots)
     return TurningPoints(tuple(cr.roots), r, discriminant(E, nu), cr.degenerate)
+
+
+@functools.cache
+def _ones6():
+    """The six factor weights of SymbolBranch, built on first use: its
+    sums over the factors are dot products with them, whose summation
+    order the pins hold."""
+    return np.ones(6)
 
 
 class SymbolBranch:
@@ -404,8 +419,6 @@ class SymbolBranch:
     once, at x = 0, where P = nu^2 is positive.  SymbolBranch(tp, to)
     carries the branch from 0 to `to` along default_symbol_path.
     """
-
-    _EXP_P = np.ones(6)  # summed by a dot product, whose order the pins hold
 
     __slots__ = ("points", "at", "args", "off_P")
 
@@ -424,7 +437,7 @@ class SymbolBranch:
     def _arg(self, args):
         """Continuous argument of P = -prod (x - p_j) from the factor
         arguments, before the 2 pi offset."""
-        return args @ self._EXP_P + np.angle(-1.0 + 0.0j)
+        return args @ _ones6() + np.angle(-1.0 + 0.0j)
 
     def _anchor_offset(self):
         """2 pi multiple that makes the argument of P zero at x = 0;
@@ -468,7 +481,7 @@ class SymbolBranch:
         nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
         diffs = nodes[:, None] - self.points[None, :]
         args = self.args[None, :] + np.angle(diffs / (self.at - self.points)[None, :])
-        log_abs = np.log(np.abs(diffs)) @ self._EXP_P
+        log_abs = np.log(np.abs(diffs)) @ _ones6()
         arg_tot = self._arg(args) + self.off_P
         return np.exp(0.5 * log_abs) * np.exp(0.5j * arg_tot) / nodes
 

@@ -53,13 +53,11 @@ from __future__ import annotations
 
 import cmath
 import functools
-import importlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import deferred, np
 from .errors import (
     ConvergenceFailure,
     NoConvergence,
@@ -82,15 +80,17 @@ from .quantization import (
 from .spectral import locate_zero
 
 
-def _deferred(module, name, *args, **kwargs):
-    return getattr(importlib.import_module(module), name)(*args, **kwargs)
+def _forward(module, name, *args, **kwargs):
+    return getattr(module, name)(*args, **kwargs)
 
 
 # Nothing here calls solve_ivp or brentq, and no Jost evaluation loads
 # scipy.integrate.  Both stay module attributes only because perfbench's
-# tracer rebinds them here unconditionally; they resolve on first call.
-solve_ivp = functools.partial(_deferred, "scipy.integrate", "solve_ivp")
-brentq = functools.partial(_deferred, "scipy.optimize", "brentq")
+# tracer rebinds them here unconditionally; each looks its function up
+# on a deferred module handle when called.
+solve_ivp = functools.partial(_forward, deferred("scipy.integrate"),
+                              "solve_ivp")
+brentq = functools.partial(_forward, deferred("scipy.optimize"), "brentq")
 
 _ATOL = 1e-14  # c+ floor: the plateau check allows 50 atol max|v(x_s)|
 _MAX_STEPS = 100_000  # Taylor-step budget of one contour, checked first

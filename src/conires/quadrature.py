@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "ComplexPath",

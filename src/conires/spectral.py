@@ -55,7 +55,10 @@ and 2.6e-9 of the ring median at |Lambda| ~ 14, 23 and 42, inside the
 where it is not, rings re-centred on the Newton points of their Cauchy
 sums refine it. The solve runs on LAPACK's band routines and numpy's
 einsum, and the located eigenvalue has the same bits at one and two
-BLAS threads.
+BLAS threads. numpy and scipy.linalg.lapack are deferred handles
+(_lazy) that load on the first solve, and the constant tables of the
+pencil (_tables) are built then, so importing this module loads
+neither.
 At theta = 0.35 and 0.45 the rotated problem loses precision past
 |Lambda| ~ 45, to double-precision non-normality rather than resolution.
 That was measured only at those angles and is no limit of the problem,
@@ -68,11 +71,10 @@ is its own.
 from __future__ import annotations
 
 import cmath
-import importlib
+import functools
 import math
 
-import numpy as np
-
+from ._lazy import deferred, np
 from .errors import NoConvergence
 from .model import _as_params
 
@@ -82,12 +84,7 @@ _NODES = 28.0  # ceil(28 sqrt|Lambda|) Chebyshev coefficients per component
 _LOCATE_TOL = 1e-12  # last eigenvalue update, relative to |E|
 _KL = _KU = 14  # sub- and superdiagonals of the banded block
 
-# (1 + t)^k = 2^{-k} [C(2k, k) T_0 + 2 sum_{j=1..k} C(2k, k - j) T_j]
-_ONE_PLUS_T_2 = np.array([6.0, 8.0, 2.0]) / 4.0
-_ONE_PLUS_T_6 = np.array([924.0, 1584.0, 990.0, 440.0, 132.0, 24.0,
-                          2.0]) / 64.0
-# offsets d = n - j of the columns n that meet row j, band row order
-_OFFSETS = np.arange(8, -7, -1)
+_lapack = deferred("scipy.linalg.lapack")
 
 
 def _converted_t(k, j, n):
@@ -101,22 +98,32 @@ def _converted_t(k, j, n):
     return np.where(j == 0, 1.0, 0.5) * times(j) - 0.5 * times(j + 2)
 
 
-def _product_tables():
-    """S0 M[T_k] on columns n = 0 .. 9 in rows n - d, d in _OFFSETS,
-    for k = 0 .. 6; and on rows j = 0 .. 5 in columns j - 2 .. j + 4,
-    for k = 0 .. 2. Entries outside the matrix are zero. Every later
-    column repeats column 9, every later row row 5."""
-    d, n = _OFFSETS[:, None], np.arange(10)
+@functools.cache
+def _tables():
+    """The constant tables of the pencil, built on the first solve:
+    the T coefficients of (1 + t)^2 and (1 + t)^6,
+    (1 + t)^k = 2^{-k} [C(2k, k) T_0 + 2 sum_{j=1..k} C(2k, k - j) T_j];
+    the offsets d = n - j of the columns n that meet row j, in band row
+    order; S0 M[T_k] on columns n = 0 .. 9 in rows n - d, d in the
+    offsets, for k = 0 .. 6; and S0 M[T_k] on rows j = 0 .. 5 in
+    columns j - 2 .. j + 4, for k = 0 .. 2. Entries outside the matrix
+    are zero. Every later column repeats column 9, every later row
+    row 5."""
+    one_plus_t_2 = np.array([6.0, 8.0, 2.0]) / 4.0
+    one_plus_t_6 = np.array([924.0, 1584.0, 990.0, 440.0, 132.0, 24.0,
+                             2.0]) / 64.0
+    offsets = np.arange(8, -7, -1)
+    d, n = offsets[:, None], np.arange(10)
     columns = np.array([np.where(n >= d, _converted_t(k, n - d, n), 0.0)
                         for k in range(7)])
     j = np.arange(6)[:, None]
     n = j + np.arange(-2, 5)
     rows = np.array([np.where(n >= 0, _converted_t(k, j, n), 0.0)
                      for k in range(3)])
-    return columns, rows
-
-
-_COLUMNS, _ROWS = _product_tables()
+    tables = one_plus_t_2, one_plus_t_6, offsets, columns, rows
+    for table in tables:
+        table.flags.writeable = False  # shared by every later solve
+    return tables
 
 
 def _shifted_operator(sigma, h, nu, N):
@@ -126,13 +133,14 @@ def _shifted_operator(sigma, h, nu, N):
     component c's equation. Returns the banded block (equation rows
     against a_1 ..) in LAPACK band storage, the border (the same rows
     against a_0) and the weights of M v, row j on a_{j-2} .. a_{j+4}."""
+    one_plus_t_2, one_plus_t_6, offsets, columns, table_rows = _tables()
     S2 = (3.0 * _BOX_EFOLDS * h / math.sin(3.0 * _THETA)) ** (1.0 / 3.0)
     q = cmath.exp(-1j * _THETA) * S2 / 4.0  # x = q (t + 1)^2
-    mass = q * _ONE_PLUS_T_2
-    f = q ** 3 * _ONE_PLUS_T_6
+    mass = q * one_plus_t_2
+    f = q ** 3 * one_plus_t_6
     f[:3] -= sigma * mass
-    scalar = np.einsum("k,kdn->dn", f, _COLUMNS)
-    coupling = nu * _COLUMNS[0]
+    scalar = np.einsum("k,kdn->dn", f, columns)
+    coupling = nu * columns[0]
     # (s/2) d/ds = ((t + 1)/2) d/dt takes T_n to n (C_n/4 + C_{n-1}/2 +
     # C_{n-2}/4): offsets d = 2, 1, 0
     deriv = np.outer([0.25, 0.5, 0.25], 1j * h * np.arange(N))
@@ -148,11 +156,11 @@ def _shifted_operator(sigma, h, nu, N):
     band[26:31:2, 0::2] += deriv[:, 1:]
     band[26:31:2, 1::2] -= deriv[:, 1:]  # sigma3 = diag(1, -1)
     border = np.zeros((2 * N - 2, 2), dtype=complex)
-    rows = -2 * _OFFSETS[8:]  # rows j = -d >= 0 meet a_0
+    rows = -2 * offsets[8:]  # rows j = -d >= 0 meet a_0
     for c in (0, 1):
         border[rows + c, c] = scalar[8:, 0]
         border[rows + 1 - c, c] = coupling[8:, 0]
-    rows = np.einsum("k,kjm->jm", mass, _ROWS)
+    rows = np.einsum("k,kjm->jm", mass, table_rows)
     weights = np.empty((N - 1, 7), dtype=complex)
     weights[:] = rows[5]
     weights[:5] = rows[:5]
@@ -166,20 +174,19 @@ def _bordered_solver(band, border):
     x[2:], overwrites x[2:] with the banded block's solve z and returns
     the solution. zgbtrf factors band in place; every product outside
     LAPACK is a sum or an einsum, which numpy computes without BLAS."""
-    lapack = importlib.import_module("scipy.linalg.lapack")
-    lu, piv, _ = lapack.zgbtrf(band, _KL, _KU, overwrite_ab=True)
+    lu, piv, _ = _lapack.zgbtrf(band, _KL, _KU, overwrite_ab=True)
     # the solution is x + lift a_0: a_0 itself, and a_1 .. = z - Y a_0
     # with Y the banded block's solve of the border
     lift = np.zeros((len(border) + 2, 2), dtype=complex)
     lift[:2] = np.eye(2)
-    lift[2:] = -lapack.zgbtrs(lu, _KL, _KU, border, piv)[0]
+    lift[2:] = -_lapack.zgbtrs(lu, _KL, _KU, border, piv)[0]
     # u(S) = a_0 + sum(a_1 ..) = 0 of each component fixes a_0 through the
     # 2 x 2 Schur complement
     to_head = -np.linalg.inv(np.eye(2) + lift[2:].reshape(-1, 2, 2).sum(
         axis=0))
 
     def solve(x):
-        lapack.zgbtrs(lu, _KL, _KU, x[2:], piv, overwrite_b=True)
+        _lapack.zgbtrs(lu, _KL, _KU, x[2:], piv, overwrite_b=True)
         head = np.einsum("ik,k->i", to_head, x[2:].reshape(-1, 2).sum(axis=0))
         return x[:, 0] + np.einsum("bi,i->b", lift, head)
 

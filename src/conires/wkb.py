@@ -35,7 +35,8 @@ series at the origin.
 
 scipy.integrate (the sweeps) and scipy.special (loggamma, the one use
 of scipy.special in the package) load inside the functions that call
-them, so importing this module, or the package, loads numpy only.
+them, and numpy is the deferred handle of _lazy, so importing this
+module, or the package, loads neither.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .actions import action_S01, action_S2inf
 from .errors import (
     ConvergenceFailure,

@@ -35,7 +35,7 @@ from conires.errors import (
     NoRealTurningPoints,
     TurningPointProximity,
 )
-from conires.model import ModelParams
+from conires.model import ModelParams, cubic_roots, turning_points
 
 # mpmath oracle values (30 digits, rounded to 17 significant figures)
 S01_REF = {
@@ -440,6 +440,40 @@ class TestErrorReporting:
     def test_evals_are_counted(self):
         got = action_S01((1.3, 0.2))
         assert got.n_evals > 0
+
+
+class TestScalarTypes:
+    """The scalar routes compute in cmath and return Python complex and
+    float, never numpy scalars (a subclass of complex whose repr and
+    arithmetic differ), at real E, complex E and complex mu."""
+
+    @staticmethod
+    def _action(value):
+        v, err, n = value
+        assert (type(v), type(err), type(n)) == (complex, float, int), value
+
+    @pytest.mark.parametrize("E", [2.0, 1.3 - 0.1j, 0.5 + 0.2j])
+    def test_roots_and_turning_points(self, E):
+        cr = cubic_roots(E, 0.2)
+        tp = turning_points(E, 0.2)
+        for z in cr.roots + tp.x_roots + tp.r + (tp.D3,):
+            assert type(z) is complex, (E, z)
+
+    @pytest.mark.parametrize("E", [1.3, 1.3 - 0.1j, 2.2 - 0.004j])
+    def test_s01_pair_and_s2inf(self, E):
+        for value in action_S01_pair((E, 0.2)) + (action_S2inf((E, 0.2)),):
+            self._action(value)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.05 * cmath.exp(0.5j),
+                                    0.3 * cmath.exp(2.0j),
+                                    0.1 * cmath.exp(0.9j * math.pi),
+                                    0.3 * cmath.exp(-1.14j)])
+    def test_unit_actions(self, mu):
+        # 0.9 pi takes R_J from the duplication algorithm; a negative
+        # phase goes through the conjugation symmetry
+        self._action(action_I(mu))
+        self._action(tunnel_T(mu))
+        self._action(action_Iplus(abs(mu)))
 
 
 def _kernel_grid():

@@ -27,6 +27,7 @@ from conires.cli import main
 from conires.model import turning_points
 from conires.quantization import Band, pplus_levels, resonance_set, \
     solve_resonance
+from test_pins import CLI_PINS, SEED_PINS, SEEDS
 
 
 def run_cli(argv, capsys):
@@ -48,6 +49,39 @@ def assert_valid_json(text):
     doc = json.loads(text)
     jsonschema.validate(doc, schema())
     return doc
+
+
+# Runs pinned commands in order in one fresh interpreter and prints, for
+# each, its exit code, the digest of its output and whether numpy is
+# loaded after it.  With "no-numpy", numpy is made unimportable first.
+_RUN_PINNED = """\
+import contextlib, hashlib, io, json, sys
+if sys.argv[2] == "no-numpy":
+    sys.modules["numpy"] = None
+from conires.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                 sys.modules.get("numpy") is not None])
+print(json.dumps(runs))
+"""
+
+
+def _run_pinned(commands, tmp_path, mode):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps(SEEDS))
+    argvs = [cmd.split() + (["--seed-file", str(seeds)]
+                            if cmd in SEED_PINS else [])
+             for cmd in commands]
+    src = str(Path(conires.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _RUN_PINNED,
+                          json.dumps(argvs), mode], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
 
 
 class TestImports:
@@ -132,6 +166,43 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[0, 0] []"
+
+    def test_import_loads_every_module_but_not_numpy(self):
+        # numpy loads on the first array call; every submodule still
+        # loads with the package and the CLI (perfbench's tracer rebinds
+        # names there)
+        src = str(Path(conires.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, conires.cli; print('numpy' in sys.modules, all("
+                "'conires.' + m in sys.modules for m in ('cli', "
+                "'quantization', 'actions', 'quadrature', 'model', "
+                "'ode_oracle')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False True"
+
+    def test_scalar_routes_run_without_numpy(self, tmp_path):
+        # turning-points, actions and resonances with lattice or bs
+        # refinement (band and seed-file modes) build no array: with
+        # numpy unimportable each prints its pinned bytes
+        pins = {**CLI_PINS, **SEED_PINS}
+        scalar = [cmd for cmd in pins
+                  if not cmd.startswith(("verify-ode", "pplus"))
+                  and "--refine ode" not in cmd]
+        assert len(scalar) == 11
+        runs = _run_pinned(scalar, tmp_path, "no-numpy")
+        assert runs == [[0, pins[cmd], False] for cmd in scalar]
+
+    def test_array_routes_load_numpy_on_first_use(self, tmp_path):
+        # after a numpy-free command, the first locator solve and the
+        # first radial eigensolve load numpy and build their tables:
+        # both print their pinned bytes
+        commands = ["turning-points --E 2 --nu 0.5",
+                    "verify-ode --h 0.2 --nutilde 0.5 --k 2",
+                    "pplus --h 0.01 --l 1 --oracle"]
+        runs = _run_pinned(commands, tmp_path, "numpy")
+        assert runs == [[0, CLI_PINS[cmd], loaded]
+                        for cmd, loaded in zip(commands, (False, True, True))]
 
     def test_package_names_resolve(self):
         assert conires.jost_cplus is conires.ode_oracle.jost_cplus

@@ -40,23 +40,23 @@ def _digest(text):
 
 CLI_PINS = {
     "resonances --h 0.01 --band 1,2 --nutilde-max 1.5 --refine bs":
-        "9ba1f959e855ca610d80d6f0a815177c9c91d5348c2769dd7f987985aff59dcc",
+        "8d68bd81d2f38ba7bb4680bd34e5dcd5d5b0d3c4ab38f423122669742ef23bab",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2":
-        "bc2351259542af2057e7a340957b04b256f94465fffa47900810b48d024f7921",
+        "836a6f945f41fa8a548c6ca8ea83decad4c219f9ef04b9085c40ad5f692574bd",
     "actions --E 1.3-0.1j --nu 0.2":
         "74c313d750ab22d46f2201a9485e3767f7ad7fd6882c2f7f13f10b173fb95368",
     "pplus --h 0.01 --l 1 --oracle":
         "86c5e5570724ef9f1efa8ec994b0c4a165245557afac831d05d5fadbedcff6f9",
     "turning-points --E 2 --nu 0.5":
-        "66c8677bfb98d28b6da7b6539d7fd69671251124c23df9127aa2ab612991e2d7",
+        "f8b1299afc711f45f6ac1017553ce45bbf1d634db73ad6fdf619381bcbd7393d",
     "resonances --h-sweep 0.01,0.1,3 --kmin 11 --kmax 12 --nutilde-min 1.5 "
     "--nutilde-max 2.5":
         "cf0f936c0c35aa074644d308d3c54b32c51c8b9d4162f9c6df8173ba314794e7",
     "resonances --h 0.01 --band 1,2 --nutilde-max 1.5 --refine bs "
     "--format json":
-        "4e0852b785cf19caa420db8bd2b4b4b548ed4df0dcf9f43bc4b5bd9c5052e75a",
+        "140ba8746713eb209c80cae94346410489ade801729b5a56f457f78b8211b16f",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2 --format json":
-        "239211857554d3cee4760c1f203d1b6ba015baf710c77ad59d3e213078a448fa",
+        "df516f7e32a97b046147bd76ebdcde128a07adaff6121882743591e44d250c50",
     "actions --E 1.3-0.1j --nu 0.2 --format json":
         "cd79513c965e7962122f210b9fc0bd2872f0640c62640d6c57264224a6cc0dae",
     "pplus --h 0.01 --l 1 --oracle --format json":
@@ -64,7 +64,7 @@ CLI_PINS = {
     "pplus --h 0.005 --l 2 --oracle --format json":
         "d03a35cc81fb6b47ac17a1379f274566498e2123e13223b9464c060f95702961",
     "turning-points --E 2 --nu 0.5 --format json":
-        "6735d164890f68d73f13a3e1d5583e5ada3a9938eb03c282640049107baaec28",
+        "0c05309f42e4a5c8b9455b384fbe92167600237114182e364b6cdfce84e5bd5a",
     "resonances --h-sweep 0.01,0.1,3 --kmin 11 --kmax 12 --nutilde-min 1.5 "
     "--nutilde-max 2.5 --format json":
         "2baa0aa267abf5b4fe146ce32e8d70a0d652d5373a37d487b3a8e583614726f5",
@@ -76,7 +76,7 @@ CLI_PINS = {
     # the bs-sweep benchmark's family at production h: about 380 Newton
     # roots through the AGM Carlson kernel
     "resonances --h 0.005 --band 1,4 --nutilde-max 2.5 --refine bs":
-        "bac5037b010dec49df4e9d8735296a26edb8368d661143b90420365e683d799e",
+        "5d33e241372824aa1b816fa39dd88ebc86c486baf49ec2f58d6649abb4996749",
 }
 # Every pin that runs a numpy eigensolve or band solve holds at one BLAS
 # thread as well: the ODE pins (test_ode_pins_at_one_blas_thread) and the
@@ -92,9 +92,9 @@ SEED_PINS = {
     "resonances --h 0.1 --nutilde 0.5 --refine ode --format json":
         "5661c17e51953909168c4fc7eb90efa296d4b90d17a2e17d4eb4f7bf2b301f6a",
     "resonances --h 0.1 --nutilde 0.5 --refine bs":
-        "25ffe5211271d84f46f081f31b0f7ba2602b9fe9761e292cadbb0ce58f6bd264",
+        "611237bccc3614aec611e0a07778f0f5918adb51a7f85bdbabf5fc2b0763b75e",
     "resonances --h 0.1 --nutilde 0.5 --refine bs --format json":
-        "d9a4af89f300a61843143ca8d699461492debad124ee1dc6089cda4a776a1412",
+        "e1758984c022b25e344357f72e53c19b26d959a3b6f2c915bca37328aca82244",
 }
 
 # The six ODE pins' outputs without the ODE residual column (residual_ode
@@ -105,9 +105,9 @@ SEED_PINS = {
 # through such a change, which then re-pins only the digests above.
 LAMBDA_PINS = {
     "verify-ode --h 0.2 --nutilde 0.5 --k 2":
-        "33152f63fad8d7e8a73e81c5fd3f65e758136d17829ec354070c30a7fc6d8b1f",
+        "043941debab435d122020a0d00002b45257d25de6dc842fedcdcfc1daf7b2cbc",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2 --format json":
-        "7ccd5c4d1e001c6366954931f7b9483f55d6dd147979a5c01fe931692b454d48",
+        "de194068bd925f7e56e946263032c72a3f05419b66bc1350809bb7dadf9e265d",
     "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode":
         "2e47361e9179ef6608072fff7d8dfded36ad3fff51ba3558d48c9ea7ec9217b1",
     "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode "
@@ -249,22 +249,23 @@ def test_origin_series_terms_bits(tau):
 LABEL_RE = (0.5, 0.98, 1.02, 2.0)
 LABEL_IM = (-0.4, -0.02, 0.02, 0.4)
 LABEL_PINS = {
-    0.002: "ca6401670061ebbc0515c29c91398ef877ece08c9b488bd74fe72abd38c79ad1",
-    0.1: "b1b787f8c7d4f86b6a0beb506639fd6b5e4e83f45bc0fdd5446daefb2e532541",
-    1.0: "779b7f761a3f4adb10df2cf94ef9c67b9103a32e52b7a950afeac02cc2ff926d",
+    0.002: "dc1005d363cfa022f0b035bd8b2989b56eb23f73932f27204b7500b502a383fa",
+    0.1: "859e6b7fd44e2f69f5d68d1393808a5ff9e4ad5d29f1255e625f2a0bde1516ab",
+    1.0: "a13b96aaf32004ba0297f2d44a882ce4e7d36111d3a3297d748cffa5463d21a3",
 }
 # repr of the ActionValues at mu = |mu| e^{i a} for a in MU_ARGS, keyed
-# by |mu|
+# by |mu|; their fields are Python complex and float, so no digest
+# depends on numpy's scalar repr
 MU_ARGS = (0.5, 2.0, 3.1)
 ACTION_I_PINS = {
-    0.05: "e3e1c6f32d05215e04ab51c9b967dbd343a027e2d9b50052e5b0b510c9be2fa2",
-    0.3: "ba2352783ce7bc224844bf305f4bf19372e37136eb0ba32fa70ae022de780e67",
-    0.38: "0c0a4b5f5aa8d41392ff5d963f7d3572d733f0c793cbec09f32cabb8b04a327f",
+    0.05: "78744da53f92931600bb4e918e281d4fedab83bedf16e3a231b0a7d6942943a3",
+    0.3: "b3c2e398cf1739d4a2648f06b72eba645edd36738d5011588745e5ca6d5d87c0",
+    0.38: "949f332edbf1d8b07464ea1dd087fd9e855e103f4f05599b9010f59fc119253b",
 }
 TUNNEL_T_PINS = {
-    0.05: "936ccf4378a32ed6fc0bdbf93481adb052ea95883db1f2c650e5d25ac7452b07",
-    0.3: "a39fdf9360d2dcc73d5eca3a675ec7fc05e89216388d36a143c3e1ac931fadb9",
-    0.38: "8436369107c2f20982cf2c342d7b42e57dbd4ce578111c90ad2708455bc5b5bf",
+    0.05: "a7a8bdaa329fc6eab3cb96d0dc68f8a78e4afa8416e32cbb9cdc853002eef600",
+    0.3: "d4fe594f57cea58a0694128d2398b52e98620f2361c02cd79abd3b8cb5389514",
+    0.38: "a0694e639b374e23faeaac1bd55c0267b50a6694161bd8f505de7f8988a4202a",
 }
 
 
