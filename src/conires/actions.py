@@ -49,7 +49,6 @@ import cmath
 import math
 from typing import NamedTuple
 
-from ._lazy import np
 from .errors import (
     BranchAmbiguity,
     NoRealTurningPoints,
@@ -576,15 +575,23 @@ def action_Iplus(mu):
     roots of y^3 - y^2 + mu^2, on the branch whose midpoint value has a
     nonnegative real part.  With P = -(y-b0)(y-b1)(y-b2), the integrand is
     sqrt(P)/y and int P/(y sqrt(P)) = M1/3 - mu^2 N in the moments of
-    _segment (int P'/sqrt(P) = 0 removes the second moment).  est_error
-    is a roundoff bound."""
+    _segment (int P'/sqrt(P) = 0 removes the second moment).  The roots
+    are trigonometric, y_k = (1 + 2 cos((theta - 2 pi k)/3))/3 with
+    sin(theta/2) = (3 sqrt 3/2) mu, three real ones at subcritical real
+    mu; written as products of sines of a = theta/6, the two near 0
+    keep their relative precision at small mu.  est_error is a roundoff
+    bound."""
     mu = _subcritical(mu)
     if mu == 0:
         return ActionValue(2.0 / 3.0 + 0.0j, 0.0, 0)
-    roots = np.roots([1.0, -1.0, 0.0, mu * mu])
-    b0, b1, b2 = sorted(roots, key=lambda z: z.real)
-    _, m1, n, mid = _segment(complex(b1), complex(b2), complex(b0),
-                             (("mu", mu),), True)
+    a = cmath.asin(1.5 * math.sqrt(3.0) * mu) / 3.0
+    s, third = cmath.sin(a), math.pi / 3.0
+    b0, b1, b2 = sorted(
+        (-4.0 / 3.0 * s * cmath.sin(third - a),
+         4.0 / 3.0 * s * cmath.sin(2.0 * third - a),
+         4.0 / 3.0 * cmath.sin(third + a) * cmath.sin(third - a)),
+        key=lambda z: z.real)
+    _, m1, n, mid = _segment(b1, b2, b0, (("mu", mu),), True)
     mu2 = mu * mu
     value = _same_side(mid, 1.0) * (m1 / 3.0 - mu2 * n)
     err = _ROUNDOFF * (abs(m1) / 3.0 + abs(mu2 * n) + math.pi * abs(mu))

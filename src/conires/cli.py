@@ -366,6 +366,12 @@ def cmd_pplus(args):
             row["E_oracle"] = nearest
             row["delta"] = nearest - E_pred
         rows.append(row)
+    if oracle_values and not rows and args.format == "csv":
+        # a CSV row pairs an oracle level with a prediction; with none
+        # positive the table is a bare header
+        print(f"note: no closed-form level at l={l} up to k={kmax}; the "
+              f"{len(oracle_values)} oracle levels are in --format json's "
+              "meta.oracle_values", file=sys.stderr)
     meta = {"l": l, "h": h,
             "oracle_values": oracle_values,
             "oracle_error": oracle_error}

@@ -37,16 +37,16 @@ Every c+ comes from one batched solve over m energies (_jost_batch):
 each member runs on the contour of a centre energy with its own E in
 the right-hand side. The Frobenius start is one recurrence over the
 stack, the whole contour one stack of regular solutions carried by the
-same Taylor steps, whose series are summed a block of steps at a time
-by recurrences over the block and the stack (_carry), and the
-outgoing series one recurrence over the stack. jost_cplus is its
-one-member case, on E's own contour; the certification ring is its
-17-member case, the 16 ring points and the centre itself, on the
-centre's contour. No member is computed more loosely than it would be
-alone: a Taylor step is sized on the largest |x^2 - E| of the members
-and summed until every member's terms are negligible, and so is the
-outgoing series; no step's sum depends on the other steps of its
-block.
+same Taylor steps, whose 2x2 propagators are summed a block of steps at
+a time by one recurrence over the block and the stack and then applied
+to the solutions step by step (_carry), and the outgoing series one
+recurrence over the stack. jost_cplus is its one-member case, on E's
+own contour; the certification ring is its 17-member case, the 16 ring
+points and the centre itself, on the centre's contour. No member is
+computed more loosely than it would be alone: a Taylor step is sized
+on the largest |x^2 - E| of the members and summed until every member's
+terms are negligible, and so is the outgoing series; no step's sum
+depends on the other steps of its block.
 """
 
 from __future__ import annotations
@@ -268,10 +268,11 @@ def _schedule(segs, Es, h, nu):
     return np.array(xcs, dtype=complex), np.array(zs, dtype=complex), ends
 
 
-def _taylor_sums(xc, z, Es, h, nu, Y):
-    """The starts Y, shape (n, m, 2, c), start (k, j) at energy Es[j],
-    carried from x_c[k] to x_c[k] + z[k] by the Taylor series of the
-    system about x_c[k]: every step of the block in one recurrence.
+def _taylor_sums(xc, z, Es, h, nu):
+    """The propagators P, shape (n, m, 2, 2), of the Taylor steps from
+    x_c[k] to x_c[k] + z[k] at every energy of Es: P[k, j] carries a
+    start at x_c[k] to x_c[k] + z[k] at energy Es[j]. Every step of the
+    block runs in one recurrence, from identity starts.
 
     In z, (x_c + z)U' = (i/h)[(p0 + p1 z + 3x_c z^2 + z^3) sU + nu sU~]
     with p0 = x_c^3 - E x_c, p1 = 3x_c^2 - E, s = diag(1, -1) on the
@@ -280,20 +281,19 @@ def _taylor_sums(xc, z, Es, h, nu, Y):
     + nu s c~_n) - n c_n] / (x_c (n + 1)), run on the terms
     d_n = c_n z^n. No column reads another. Each step's sum stops after
     its own three successive terms below _TAYLOR_CUT, which is relative
-    to the sum because the starts' columns are orthonormal, and is
+    to the sum because the identity's columns are orthonormal, and is
     stored there. The stopped steps leave the recurrence together, once
     they are at least half of those in it, which saves copying the
     block's arrays at every stop; no step's sum depends on the other
-    steps of its block. The terms are
-    added with Kahan's compensation, which keeps the rounding of the
-    running sum out of it.
+    steps of its block. The terms are added with Kahan's compensation,
+    which keeps the rounding of the running sum out of it.
     """
     w = z / xc
     g = (1j / h) * w
     xe, ge = xc[:, None], g[:, None]
     # coefficients of d_n (less n w), d_{n-1}, d_{n-2}, d_{n-3}, d~_n
     # and w, stacked as (6, 2 rows, step, member, column), s applied
-    C = np.empty((6, 2, len(xc), len(Es), Y.shape[-1]), dtype=complex)
+    C = np.empty((6, 2, len(xc), len(Es), 2), dtype=complex)
     for i, c in enumerate((ge * (xe ** 3 - Es * xe),
                            ge * z[:, None] * (3.0 * xe * xe - Es),
                            ge * 3.0 * xe * z[:, None] ** 2,
@@ -303,7 +303,7 @@ def _taylor_sums(xc, z, Es, h, nu, Y):
     C[5] = w[:, None, None]
     # d_n, d_{n-1}, d_{n-2}, d_{n-3} in a ring of four slots
     D = np.zeros((4,) + C.shape[1:], dtype=complex)
-    D[0] = np.moveaxis(Y, 2, 0)
+    D[0, 0, ..., 0] = D[0, 1, ..., 1] = 1.0
     S, comp = D[0].copy(), np.zeros_like(D[0])
     out = np.empty_like(S)
     # the steps in the recurrence, and which of them still run
@@ -347,27 +347,17 @@ def _carry(schedule, Es, h, nu, M):
     Es[j], by the Taylor steps of the schedule (_schedule): c = 2 for
     fundamental pairs, c = 1 for single solutions.
 
-    Each step starts from the columns orthonormalized by _gram_schmidt,
-    whose factors are accumulated. The series are summed _BLOCK steps
-    at a time, each block by two recurrences over all its steps
-    (_taylor_sums), so the Python-level term iterations do not grow with
-    the step count. The first runs from identity starts and gives each
-    step's propagators P_k, which act on 2-vectors; they predict the
-    starts, Qh_{k+1} = GS(P_k Qh_k) from the block's actual first start
-    (for one column, P_k qh_k / |P_k qh_k|). The second sums each step
-    from its predicted start, S_k, as a single step would from its own,
-    on the c columns alone: the recurrence never mixes columns, so a
-    solution's carry reads nothing of a companion. The steps are then
-    applied in turn with U_k = S_k + P_k (Q_k - Qh_k), exact by
-    linearity. The correction is rounded relative to |P_k| |Q_k - Qh_k|,
-    far below the rounding of S_k: on the ring at h = 0.2 to 0.05 the
-    predicted starts stay within 1e-9 of the actual ones (1e-3 for the
-    member at a zero of c+, whose recessive regular solution on the ray
-    follows the roundoff). A pair's steps also add |W - W_0| / |W_0| of
-    its Wronskian to its drift; a single column has no Wronskian.
-    Returns the starts carried to the last vertex, the largest drift
-    (None for one column) and the first columns at the end of every
-    segment of the schedule, shape (segments, m, 2).
+    The propagators P_k of _BLOCK steps at a time come from one
+    recurrence over all the steps of the block (_taylor_sums), so the
+    Python-level term iterations do not grow with the step count, and
+    the block size bounds memory alone: no P_k depends on the start or
+    on the other steps. The steps are then applied in turn: each starts
+    from the columns Q_k orthonormalized by _gram_schmidt, U_k = P_k Q_k,
+    and the triangular factors are accumulated. A pair's steps also add
+    |W - W_0| / |W_0| of its Wronskian to its drift; a single column has
+    no Wronskian. Returns the starts carried to the last vertex, the
+    largest drift (None for one column) and the first columns at the end
+    of every segment of the schedule, shape (segments, m, 2).
     """
     xc, z, ends = schedule
     pair = M.shape[-1] == 2
@@ -375,26 +365,17 @@ def _carry(schedule, Es, h, nu, M):
     drift = np.zeros(len(Es))
     cols = []
     for k0 in range(0, len(xc), _BLOCK):
-        xb, zb = xc[k0:k0 + _BLOCK], z[k0:k0 + _BLOCK]
-        P = _taylor_sums(xb, zb, Es, h, nu, np.broadcast_to(
-            np.eye(2), (len(xb), len(Es), 2, 2)))
-        Qh = np.empty((len(xb),) + Q.shape, dtype=complex)
-        Qh[0] = Q
-        for k in range(1, len(xb)):
-            Qh[k] = _gram_schmidt(P[k - 1] @ Qh[k - 1])[0]
-        S = _taylor_sums(xb, zb, Es, h, nu, Qh)
-        Qs, Us = np.empty_like(S), np.empty_like(S)
-        for k, (S_k, P_k, Qh_k) in enumerate(zip(S, P, Qh)):
-            Qs[k] = Q
-            Us[k] = U = S_k + P_k @ (Q - Qh_k)
+        P = _taylor_sums(xc[k0:k0 + _BLOCK], z[k0:k0 + _BLOCK], Es, h, nu)
+        for k, P_k in enumerate(P):
+            U = P_k @ Q
+            if pair:
+                W0, W = (V[:, 0, 0] * V[:, 1, 1] - V[:, 1, 0] * V[:, 0, 1]
+                         for V in (Q, U))
+                drift += np.abs(W - W0) / np.abs(W0)
             Q, R = _gram_schmidt(U)
             R_acc = R @ R_acc
             if k0 + k == ends[len(cols)]:
                 cols.append(Q[..., 0] * R_acc[:, :1, 0])
-        if pair:
-            W0 = Qs[..., 0, 0] * Qs[..., 1, 1] - Qs[..., 1, 0] * Qs[..., 0, 1]
-            W = Us[..., 0, 0] * Us[..., 1, 1] - Us[..., 1, 0] * Us[..., 0, 1]
-            drift = drift + np.sum(np.abs(W - W0) / np.abs(W0), axis=0)
     M = Q @ R_acc
     if not np.all(np.isfinite(M)):
         raise StepUnderflow("solution magnitude left the representable "
@@ -553,8 +534,9 @@ def _gauged_vertices(Es, h, nt, nu, c):
     energy of Es: the regular solutions from one Frobenius recurrence
     over the stack, summed at c.x0 with _START_TERMS terms
     (_frobenius_stack), carried along [x0, x_mid, xs] and out along the
-    ray as one stack of single columns by Taylor steps (_carry): c+
-    reads the regular solution alone, so no companion rides along.
+    ray as one stack of single columns by the Taylor steps' propagators
+    (_carry): c+ reads the regular solution alone, so no companion rides
+    along.
     The chord from x_mid to xs keeps at least x_mid cos(theta/2) from
     the origin, the system's one singular point.
     """
@@ -645,8 +627,8 @@ def find_resonance_ode(params, max_iter=30):
     fails there and the ladder moves on. The located E_c centres a ring
     of 16 energies at radius rho = 1e-4 |E_c|, and is itself a
     member of the same batched solve (_jost_ring) on E_c's contour;
-    the ring points agree with per-point jost_cplus to about 1.1e-11 of
-    the ring median at h = 0.1, the centre to about 3.5e-12. E_c is
+    the ring points agree with per-point jost_cplus to about 1.3e-11 of
+    the ring median at h = 0.1, the centre to about 7.4e-12. E_c is
     certified when its |c+| and the ring's noise (_ring_certified) are
     both below 1e-8 times the ring median and the ring winds once
     (SpuriousZero when the ring winds otherwise). Otherwise the ring's
@@ -656,10 +638,12 @@ def find_resonance_ode(params, max_iter=30):
     located eigenvalue, or at once when a ring's noise reaches the
     certificate). No jost_cplus call is made: from h = 0.2 down to
     h = 0.05 (|Lambda| ~ 42) at nu_tilde = 1/2 and 3/2 the first ring
-    certifies; at h = 0.045 and 0.04, where the noise is 3e-10 to 2.3e-9
-    of the median, the search takes one to seven rings, and at h = 0.035,
-    where it reaches 1e-8, a number left to chance: 3 to 20 from 40
-    starts next to the zero, 5.5 in the median.
+    certifies. At h = 0.045 and 0.04, where the noise is 3e-10 to 2e-9
+    of the median (medians over 30 centres), the search from the BS
+    seed certifies on its first ring at nu_tilde = 1/2 and 3/2, and from
+    40 starts within half a ring radius of the zero takes 3 to 8 rings;
+    at h = 0.035, where it reaches 3.3e-9, the number is left to chance:
+    3 to 25 from the same 40 starts, 5 in the median.
     If every seed fails, the last failure's type is raised with every
     seed's message.
     The record carries the residual |c+|/median(ring), the re-centred

@@ -10,12 +10,17 @@ integrals.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conires
 from conires.actions import (
     MU_CRITICAL,
     action_I,
@@ -394,6 +399,18 @@ class TestActionS12AndIplus:
             err = abs(action_Iplus(mu).value - 2.0 / 3.0
                       - math.pi * mu / 2.0)
             assert err <= 10.0 * mu * mu * (1.0 + abs(math.log(mu)))
+
+    def test_iplus_loads_no_numpy(self):
+        # the cubic's roots are trigonometric: I+ and S12 are scalar
+        # routes, so a fresh interpreter keeps numpy unloaded
+        src = str(Path(conires.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; from conires.actions import action_Iplus, "
+                "action_S12; action_Iplus(0.05); action_S12(1.0, 0.01, 1); "
+                "print('numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_s12_validation(self):
         with pytest.raises(ValueError):

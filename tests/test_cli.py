@@ -736,6 +736,21 @@ class TestPplus:
         assert deltas[2] <= 0.05
         assert deltas[0] >= 5 * deltas[1]
 
+    def test_csv_without_rows_notes_the_oracle_levels(self, capsys):
+        # at l = 10 no prediction is positive: the CSV stays a bare
+        # header, and stderr gives the count of oracle levels and where
+        # to read them
+        argv = ["pplus", "--h", "0.01", "--l", "10", "--oracle"]
+        assert main(argv + ["--format", "json"]) == 0
+        levels = json.loads(capsys.readouterr().out)["meta"]["oracle_values"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == "k,E_pred,E_oracle,delta\n"
+        assert err == (f"note: no closed-form level at l=10 up to k=3; the "
+                       f"{len(levels)} oracle levels are in --format json's "
+                       "meta.oracle_values\n")
+        assert len(levels) == 3
+
     @pytest.mark.parametrize("l", range(4, 11))
     def test_oracle_window_reaches_ground_state(self, l, capsys):
         # at the default kmax every prediction lies below the ground

@@ -341,11 +341,14 @@ class TestIntegrateSystem:
 def _sequential_carry(segs, Es, h, nu, M):
     """The carry as one Taylor series per step, each summed from the
     step's actual start in its own recurrence, the steps sized by the
-    same rule: the reference for ode_oracle._carry, which sums a block
-    of steps in one recurrence and corrects each step's start. M holds
-    pairs or single columns. Returns the starts carried to the last
-    vertex, the steps, the largest drift (None for single columns) and
-    the first columns at every segment end."""
+    same rule: the reference for ode_oracle._carry, which sums the
+    propagators of a block of steps in one recurrence, from identity
+    starts, and applies them to the carried columns: on the ring at
+    h = 0.2, 0.1 and 0.05 the blocked pairs drift 1.6e-14, 2.1e-14 and
+    2.6e-14 against this reference's 2.4e-14, 2.9e-14 and 3.5e-14. M
+    holds pairs or single columns. Returns the starts carried to the
+    last vertex, the steps, the largest drift (None for single columns)
+    and the first columns at every segment end."""
     Q, R_acc = ode_oracle._gram_schmidt(M)
     drift = np.zeros(len(Es))
     steps = 0
@@ -416,10 +419,10 @@ def _col_error(cols, ref):
 
 # The blocked carry against the sequential one, relative to max|v|: on
 # the inner contour (x_mid and the ray start) to 1e-13 (measured at most
-# 4.5e-15), and on the ray, where the roundoff of the regular column is
+# 3.5e-15), and on the ray, where the roundoff of the regular column is
 # amplified as it is into c+ (the ring's noise), to RAY_BOUND (measured
-# up to 2.6e-12, 1.3e-11 and 1.1e-9 at h = 0.2, 0.1 and 0.05 for the
-# pairs, 2.2e-12, 1.1e-11 and 1.1e-9 for the regular column alone; a carry
+# up to 2.4e-12, 1.3e-11 and 9.4e-10 at h = 0.2, 0.1 and 0.05 for the
+# pairs, 2.5e-12, 1.2e-11 and 9.9e-10 for the regular column alone; a carry
 # that forms each step's terms by a batched matrix product, one
 # recurrence per step, sits as far from the sequential reference:
 # 2.1e-12, 9.2e-12 and 8.7e-10)
@@ -469,9 +472,9 @@ class TestBlockedCarry:
     @pytest.mark.parametrize("h", [0.1, 0.05])
     @pytest.mark.parametrize("block", [1, 7])
     def test_block_size(self, h, block, monkeypatch):
-        # one step per block, where every predicted start is the actual
-        # start, and blocks that split the schedule, against the default,
-        # for the pairs and for the regular column alone
+        # one step per block and blocks that split the schedule give the
+        # default's bits, for the pairs and for the regular column alone:
+        # no propagator depends on the start or on the other steps
         Es, nu, segs, M = _ring_contour(h)
         schedule = ode_oracle._schedule(segs, Es, h, nu)
         assert block < len(schedule[0]) <= ode_oracle._BLOCK
@@ -479,29 +482,45 @@ class TestBlockedCarry:
         default = [ode_oracle._carry(schedule, Es, h, nu, start)
                    for start in starts]
         monkeypatch.setattr(ode_oracle, "_BLOCK", block)
-        for start, (_, drift, cols) in zip(starts, default):
-            _, b_drift, b_cols = ode_oracle._carry(schedule, Es, h, nu,
-                                                   start)
-            if start.shape[-1] == 2:
-                assert b_drift <= 2.0 * drift and drift <= 2.0 * b_drift
-            _assert_columns_agree(b_cols, cols, h)
+        for start, (end, drift, cols) in zip(starts, default):
+            b_end, b_drift, b_cols = ode_oracle._carry(schedule, Es, h, nu,
+                                                       start)
+            assert np.array_equal(b_end, end)
+            assert np.array_equal(b_cols, cols)
+            assert b_drift == drift
+
+    @pytest.mark.parametrize("block", [7, ode_oracle._BLOCK])
+    def test_one_series_pass_per_block(self, block, monkeypatch):
+        # a ring solve sums each block's series once, from identity
+        # starts, and applies the propagators to the carried column
+        h = 0.05
+        Es, nu, segs, _ = _ring_contour(h)
+        steps = len(ode_oracle._schedule(segs, Es, h, nu)[0])
+        calls = []
+        sums = ode_oracle._taylor_sums
+
+        def counted(xc, *args):
+            calls.append(len(xc))
+            return sums(xc, *args)
+
+        monkeypatch.setattr(ode_oracle, "_BLOCK", block)
+        monkeypatch.setattr(ode_oracle, "_taylor_sums", counted)
+        ode_oracle._jost_ring(Es[-1], Es, h, 0.5)
+        assert len(calls) == -(-steps // block)
+        assert sum(calls) == steps
 
     @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
     def test_block_sums_are_each_step_alone(self, h):
         # a step's sum reads nothing of the other steps of its block,
         # however many of them stop before it: the whole ring schedule in
-        # one recurrence equals each step summed alone, bit for bit, from
-        # pairs and from single columns
-        Es, nu, segs, M = _ring_contour(h)
+        # one recurrence equals each step summed alone, bit for bit
+        Es, nu, segs, _ = _ring_contour(h)
         xc, z, _ = ode_oracle._schedule(segs, Es, h, nu)
-        Q = ode_oracle._gram_schmidt(M)[0]
-        for start in (Q, Q[..., :1]):
-            Y = np.broadcast_to(start, (len(xc),) + start.shape)
-            block = ode_oracle._taylor_sums(xc, z, Es, h, nu, Y)
-            for k in range(len(xc)):
-                alone = ode_oracle._taylor_sums(xc[k:k + 1], z[k:k + 1], Es,
-                                                h, nu, Y[k:k + 1])
-                assert np.array_equal(block[k], alone[0]), k
+        block = ode_oracle._taylor_sums(xc, z, Es, h, nu)
+        for k in range(len(xc)):
+            alone = ode_oracle._taylor_sums(xc[k:k + 1], z[k:k + 1], Es, h,
+                                            nu)
+            assert np.array_equal(block[k], alone[0]), k
 
     def test_step_budget_fails_fast(self, monkeypatch):
         # near theta = pi/3 the extraction radius and with it the step
@@ -745,7 +764,7 @@ class TestFindResonance:
     def test_ring_matches_per_point_jost(self, h):
         # the batched ring against 16 separate jost_cplus calls on the
         # same energies, around the certified zero: values to 1e-9 of
-        # the ring median (measured 1.8e-12 and 1.1e-11), the same
+        # the ring median (measured 1.6e-12 and 1.3e-11), the same
         # winding and the same certificate residual
         E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
         Es = [E + 1e-4 * abs(E) * cmath.exp(2j * math.pi * j / 16)
@@ -822,9 +841,9 @@ class TestFindResonance:
     def test_ring_noise_floor(self, h, bound):
         # the noise that the 1e-8 certificate must clear: sigma/median of
         # the ring around criterion 5's zero, computed as _ring_certified
-        # computes it, within about 5x of its level (measured 1.2e-13,
-        # 8.6e-13 and 8.6e-11; the median over 12 centres perturbed
-        # within half a ring radius reads 1.5e-13, 8.9e-13 and 9.0e-11)
+        # computes it, within about 5x of its level (measured 1.6e-13,
+        # 9.5e-13 and 1.1e-10; the median over 30 centres perturbed
+        # within half a ring radius reads 1.6e-13, 8.7e-13 and 9.0e-11)
         E = cmath.exp((2.0 / 3.0) * cmath.log(LAM_ODE[h]))
         roots = np.exp(2j * np.pi * np.arange(16) / 16)
         ring = ode_oracle._jost_ring(
@@ -911,7 +930,7 @@ class TestFindResonance:
     def test_centre_member_matches_jost_cplus(self, h, k):
         # the 17th ring member, the located eigenvalue on its own
         # contour, against a separate jost_cplus call there: to 1e-10
-        # of the ring median (measured 8.1e-13 and 3.5e-12)
+        # of the ring median (measured 5.5e-13 and 7.4e-12)
         E_c = locate_zero((_ladder_seed_above(h, k)[1], h, 0.5), 30)
         Es = np.append(E_c + 1e-4 * abs(E_c) * np.exp(
             2j * np.pi * np.arange(16) / 16), E_c)

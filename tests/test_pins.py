@@ -42,7 +42,7 @@ CLI_PINS = {
     "resonances --h 0.01 --band 1,2 --nutilde-max 1.5 --refine bs":
         "8d68bd81d2f38ba7bb4680bd34e5dcd5d5b0d3c4ab38f423122669742ef23bab",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2":
-        "836a6f945f41fa8a548c6ca8ea83decad4c219f9ef04b9085c40ad5f692574bd",
+        "06a0bf4b8c431150619edb27297b08ee79afb5664e5a311484331eb0de48d5b2",
     "actions --E 1.3-0.1j --nu 0.2":
         "74c313d750ab22d46f2201a9485e3767f7ad7fd6882c2f7f13f10b173fb95368",
     "pplus --h 0.01 --l 1 --oracle":
@@ -56,7 +56,7 @@ CLI_PINS = {
     "--format json":
         "140ba8746713eb209c80cae94346410489ade801729b5a56f457f78b8211b16f",
     "verify-ode --h 0.2 --nutilde 0.5 --k 2 --format json":
-        "df516f7e32a97b046147bd76ebdcde128a07adaff6121882743591e44d250c50",
+        "ae6bacd1e5182a61b0eca3c45a76153b9ea8e3af11b771dc16e2d808e7efcd28",
     "actions --E 1.3-0.1j --nu 0.2 --format json":
         "cd79513c965e7962122f210b9fc0bd2872f0640c62640d6c57264224a6cc0dae",
     "pplus --h 0.01 --l 1 --oracle --format json":
@@ -69,10 +69,10 @@ CLI_PINS = {
     "--nutilde-max 2.5 --format json":
         "2baa0aa267abf5b4fe146ce32e8d70a0d652d5373a37d487b3a8e583614726f5",
     "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode":
-        "9a48711651a7b4d5f633572077a38930a2f1d29d7bcc3c0f809a9dac8218432b",
+        "c77d48521a028a8308c4f6173342bca46d0c61a2701b6ab644b655639ac37cc3",
     "resonances --h 0.1 --kmin 3 --kmax 4 --nutilde-max 0.5 --refine ode "
     "--format json":
-        "c502390da5df8826dd9b5d0943d3568626a9a23bfefe8c0a9028d81077a5f084",
+        "d031648ec0d66aacc53c66381cfb52197f2f183e45101c4b75c9b3bfac886bb7",
     # the bs-sweep benchmark's family at production h: about 380 Newton
     # roots through the AGM Carlson kernel
     "resonances --h 0.005 --band 1,4 --nutilde-max 2.5 --refine bs":
@@ -88,9 +88,9 @@ CLI_PINS = {
 SEEDS = [{"re": 1.74, "im": -0.077}, 2.0]
 SEED_PINS = {
     "resonances --h 0.1 --nutilde 0.5 --refine ode":
-        "ea416d278e1d75a895584736458cbbaa4df50ee803118d2b28383ee8db249791",
+        "75349ed665e653a6ccf70ef43ace10573e4148e8a3fcf9e8b9689d8dac1e72af",
     "resonances --h 0.1 --nutilde 0.5 --refine ode --format json":
-        "5661c17e51953909168c4fc7eb90efa296d4b90d17a2e17d4eb4f7bf2b301f6a",
+        "26f3c63c44c0a7752236eaf381488eb618252de6b75a3b26165acc92ab900603",
     "resonances --h 0.1 --nutilde 0.5 --refine bs":
         "611237bccc3614aec611e0a07778f0f5918adb51a7f85bdbabf5fc2b0763b75e",
     "resonances --h 0.1 --nutilde 0.5 --refine bs --format json":
